@@ -1,8 +1,9 @@
-"""Graph structure, BFS distances, weighted medians, and reply sets."""
+"""Graph structure, on-demand distance rows, weighted medians, and reply sets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class Graph:
 
     layout_hint marks graphs whose vertex numbering encodes the metric
     ("path": id distance, "grid": Manhattan on a rows x cols lattice),
-    enabling O(n) median computation. Loaded graphs never carry a hint.
+    enabling O(n) medians and closed-form distance rows. Loaded graphs
+    never carry a hint.
     """
 
     n: int
@@ -96,41 +98,100 @@ class Graph:
         return len(self.adjacency[v])
 
 
-@dataclass
+# Bytes of distance rows one DistanceMatrix keeps; past it the oldest rows are
+# dropped, so memory follows the rows a run touches instead of n^2.
+ROW_CACHE_BYTES = 32 << 20
+# Bytes of neighbour rows the median descent stacks at once (a star centre has
+# n - 1 neighbours, and their rows must not become an n x n array).
+_BLOCK_BYTES = 4 << 20
+# A reply set must beat half the weight by this much before descent steps into
+# it, so rounding in the mass sums cannot make it cycle.
+_MAJORITY = 0.5 + 1e-12
+
+
+def _bfs_row(adj: tuple[tuple[int, ...], ...], src: int) -> np.ndarray:
+    row = [-1] * len(adj)
+    row[src] = 0
+    frontier = [src]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if row[v] < 0:
+                    row[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    out = np.array(row, dtype=np.int32)
+    if (out < 0).any():
+        raise GraphFormatError("graph is disconnected")
+    return out
+
+
 class DistanceMatrix:
-    """All-pairs hop distances; float copy cached lazily for fast matvecs."""
+    """Hop distances of one graph, computed one row at a time on first use.
 
-    dist: np.ndarray
-    _distf: np.ndarray | None = field(default=None, repr=False)
+    row(v) is the int32 vector d(v, .): closed form on path and grid
+    layouts, one BFS otherwise. Rows are read-only and cached per instance
+    up to ROW_CACHE_BYTES, oldest out first. rows_computed counts the rows
+    built for the cache and cached_bytes what the cache holds now.
+    """
 
-    def as_float(self) -> np.ndarray:
-        if self._distf is None:
-            self._distf = self.dist.astype(np.float64)
-        return self._distf
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.rows_computed = 0
+        self.cached_bytes = 0
+        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._full: np.ndarray | None = None
+
+    def _compute_row(self, v: int) -> np.ndarray:
+        g = self.graph
+        v = int(v)
+        if g.layout_hint == "path":
+            row = np.abs(np.arange(g.n, dtype=np.int32) - v)
+        elif _is_grid(g):
+            rows, cols = g.layout_shape
+            rv, cv = divmod(v, cols)
+            row = np.add.outer(
+                np.abs(np.arange(rows, dtype=np.int32) - rv),
+                np.abs(np.arange(cols, dtype=np.int32) - cv),
+            ).reshape(-1)
+        else:
+            row = _bfs_row(g.adjacency, v)
+        row.flags.writeable = False
+        return row
+
+    def row(self, v: int) -> np.ndarray:
+        row = self._rows.get(v)
+        if row is None:
+            row = self._compute_row(v)
+            self.rows_computed += 1
+            while self._rows and self.cached_bytes + row.nbytes > ROW_CACHE_BYTES:
+                self.cached_bytes -= self._rows.popitem(last=False)[1].nbytes
+            self._rows[v] = row
+            self.cached_bytes += row.nbytes
+        return row
+
+    def rows(self, vs) -> np.ndarray:
+        """Rows d(v, .) for v in vs stacked into a (len(vs), n) array."""
+        return np.stack([self.row(v) for v in vs])
+
+    @property
+    def dist(self) -> np.ndarray:
+        """The full n x n matrix, built once on first access; for tests."""
+        if self._full is None:
+            self._full = np.stack([self._compute_row(v) for v in range(self.graph.n)])
+        return self._full
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Exact hop distances via one BFS per source vertex."""
-    n = g.n
-    adj = g.adjacency
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if row[v] < 0:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
-    if (dist < 0).any():
-        raise GraphFormatError("graph is disconnected")
-    return DistanceMatrix(dist=dist)
+    """Distances of g; no row is computed until one is asked for."""
+    return DistanceMatrix(g)
+
+
+def _is_grid(g: Graph) -> bool:
+    return g.layout_hint == "grid" and g.layout_shape is not None
 
 
 def _line_costs(w: np.ndarray) -> np.ndarray:
@@ -145,30 +206,63 @@ def _line_costs(w: np.ndarray) -> np.ndarray:
 
 
 def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
-    """Weighted distance cost of every vertex: cost(v) = sum_u d(u,v) w(u)."""
+    """Weighted distance cost of every vertex, cost(v) = sum_u d(u,v) w(u),
+    by prefix sums on path and grid layouts; other graphs are rejected."""
     if g.layout_hint == "path":
         return _line_costs(relative)
-    if g.layout_hint == "grid" and g.layout_shape is not None:
+    if _is_grid(g):
         rows, cols = g.layout_shape
         w2 = relative.reshape(rows, cols)
         row_cost = _line_costs(w2.sum(axis=1))
         col_cost = _line_costs(w2.sum(axis=0))
         return np.add.outer(row_cost, col_cost).reshape(-1)
-    return d.as_float() @ relative
+    raise ValueError("median_costs needs a path or grid layout")
+
+
+def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
+    """From q, step into the neighbour with the heaviest reply set while
+    that set holds more than half the weight.
+
+    Moving from q to u brings the reply set N(q,u) one hop closer and
+    everything else at most one hop further, so a step into a set of mass
+    w lowers the weighted distance cost by at least 2w - 1 > 0 and no
+    vertex is visited twice.
+    """
+    block = max(1, _BLOCK_BYTES // (4 * g.n))
+    for _ in range(g.n):
+        closer = d.row(q) - 1
+        nbrs = g.adjacency[q]
+        for i in range(0, len(nbrs), block):
+            chunk = nbrs[i : i + block]
+            mass = (d.rows(chunk) == closer) @ rel
+            j = int(np.argmax(mass))
+            if mass[j] > _MAJORITY:
+                q = chunk[j]
+                break
+        else:
+            return q
+    return q
 
 
 def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
-    """Vertex minimizing the weighted distance cost; ties to smallest id.
+    """A vertex at which every neighbour reply set holds at most half the weight.
 
-    A vertex holding strictly more than half the weight is always the
-    unique minimizer (moving away from it costs more than it saves), so
-    the full cost vector is only computed when no such vertex exists.
+    Reply sets are N(q,u) = {x : d(u,x) = d(q,x) - 1}. A vertex holding
+    strictly more than half the weight is returned at once: every reply
+    set at it misses that vertex. On path and grid layouts the result is
+    the minimiser of the weighted distance cost, ties to the smallest id,
+    found by prefix sums. On every other graph it is where descent from
+    the heaviest vertex stops: a local minimiser of the cost, which on a
+    tree is a global one. Which of several valid vertices comes back
+    depends on the descent path, not on the vertex ids.
     """
     rel = w.relative
     top = int(np.argmax(rel))
     if rel[top] > 0.5 + 1e-9:
         return top
-    return int(np.argmin(median_costs(g, d, rel)))
+    if g.layout_hint == "path" or _is_grid(g):
+        return int(np.argmin(median_costs(g, d, rel)))
+    return _descend(g, d, rel, top)
 
 
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
@@ -192,7 +286,7 @@ def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
             return CompatibleSet.singleton(g.n, q)
     if u is None or u not in g.adjacency[q]:
         raise ProtocolError(f"reply vertex {u} is not a neighbor of query {q}")
-    mask = d.dist[u] == d.dist[q] - 1
+    mask = d.row(u) == d.row(q) - 1
     return CompatibleSet(mask)
 
 
@@ -219,7 +313,10 @@ def load_graph(path) -> Graph:
             if header is None:
                 if len(parts) != 2:
                     raise GraphFormatError(f"{path}:{lineno}: expected header 'n m'")
-                header = (int(parts[0]), int(parts[1]))
+                try:
+                    header = (int(parts[0]), int(parts[1]))
+                except ValueError as exc:
+                    raise GraphFormatError(f"{path}:{lineno}: non-integer header") from exc
                 continue
             if len(parts) != 2:
                 raise GraphFormatError(f"{path}:{lineno}: expected edge 'u v'")

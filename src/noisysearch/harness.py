@@ -358,7 +358,12 @@ def _worker_count(config: ExperimentConfig) -> int:
         return max(1, config.workers)
     env = os.environ.get("NOISY_SEARCH_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise DomainError(
+                f"NOISY_SEARCH_THREADS must be an integer, got {env!r}"
+            ) from exc
     return 1
 
 

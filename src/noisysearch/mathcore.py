@@ -101,7 +101,7 @@ class NoiseParams:
 class Distribution:
     """A probability vector over element ids 0..n-1.
 
-    masses must be nonnegative and sum to 1 within 1e-9.
+    masses must be finite, nonnegative and sum to 1 within 1e-9.
     """
 
     masses: np.ndarray
@@ -110,6 +110,8 @@ class Distribution:
         arr = np.asarray(self.masses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("distribution must be a nonempty 1-D vector")
+        if not np.isfinite(arr).all():
+            raise DomainError("distribution masses must be finite")
         if np.any(arr < 0.0):
             raise DomainError("distribution masses must be nonnegative")
         total = float(arr.sum())

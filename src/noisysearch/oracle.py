@@ -7,6 +7,7 @@ for diagnostics and statistics, and no strategy module reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,9 @@ def _truthful_graph_reply(
 ) -> Answer:
     if q == target:
         return Answer(kind="yes", vertex=None, is_lie=False)
-    dq = int(d.dist[q, target])
-    closer = [u for u in g.adjacency[q] if int(d.dist[u, target]) == dq - 1]
+    to_target = d.row(target)
+    dq = int(to_target[q])
+    closer = [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
     if policy.truthful_tiebreak == "random" and len(closer) > 1:
         u = closer[int(rng.integers(len(closer)))]
     else:
@@ -264,8 +266,12 @@ def load_distribution(path, n: int) -> tuple[Distribution, float]:
             parts = line.split()
             if len(parts) != 2:
                 raise DomainError(f"{path}:{lineno}: expected 'element_id mass'")
-            idx = int(parts[0])
-            mass = float(parts[1])
+            try:
+                idx, mass = int(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: non-numeric id or mass") from exc
+            if not math.isfinite(mass):
+                raise DomainError(f"{path}:{lineno}: mass {parts[1]} is not finite")
             if not 0 <= idx < n:
                 raise DomainError(f"{path}:{lineno}: element id {idx} out of range [0, {n})")
             if mass < 0:

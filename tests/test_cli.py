@@ -110,3 +110,36 @@ class TestCli:
                 "--trials", "5", "--seed", "1", "--out", str(tmp_path / "x.csv"),
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("mass", ["nan", "inf", "abc"])
+    def test_bad_mass_exits_2_naming_line(self, tmp_path, capsys, mass):
+        mpath = tmp_path / "mu.txt"
+        mpath.write_text(f"0 0.5\n1 {mass}\n")
+        code = run_cli(
+            "bin-lv-distr", "--n", "4", "--p", "0.25", "--delta", "0.2",
+            "--trials", "5", "--seed", "1", "--mu", str(mpath),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert f"{mpath}:2" in capsys.readouterr().err
+
+    def test_non_integer_graph_header_exits_2_naming_line(self, tmp_path, capsys):
+        gpath = tmp_path / "g.txt"
+        gpath.write_text("# header next\n4x 3\n0 1\n1 2\n2 3\n")
+        code = run_cli(
+            "graph-adversarial", "--n", "4", "--p", "0.25", "--delta", "0.2",
+            "--trials", "5", "--seed", "1", "--graph", str(gpath),
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert f"{gpath}:2" in capsys.readouterr().err
+
+    def test_non_integer_thread_count_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("NOISY_SEARCH_THREADS", "abc")
+        code = run_cli(
+            "graph-adversarial", "--n", "8", "--p", "0.3", "--delta", "0.2",
+            "--trials", "5", "--seed", "1", "--gen", "path",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "NOISY_SEARCH_THREADS" in capsys.readouterr().err

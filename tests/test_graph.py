@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from noisysearch import graph as graph_module
 from noisysearch.graph import (
     Graph,
     GraphFormatError,
@@ -136,6 +137,87 @@ class TestWeightedMedian:
             for u in g.adjacency[q]:
                 cs = consistent_set(g, d, q, Answer(kind="neighbor", vertex=u))
                 assert float(st.relative[cs.mask].sum()) <= 0.5 + 1e-9
+
+
+class TestLazyRows:
+    def test_no_bfs_until_a_row_is_asked_for(self, monkeypatch):
+        calls = []
+        real = graph_module._bfs_row
+
+        def counting_bfs(adj, src):
+            calls.append(src)
+            return real(adj, src)
+
+        monkeypatch.setattr(graph_module, "_bfs_row", counting_bfs)
+        g = random_tree(40, np.random.default_rng(10))
+        d = all_pairs_distances(g)
+        assert calls == [] and d.rows_computed == 0
+        d.row(5)
+        d.row(5)
+        assert calls == [5] and d.rows_computed == 1
+
+    def test_closed_form_rows_match_bfs(self):
+        for g in (path_graph(13), grid_graph(4, 7), grid_graph(1, 6), grid_graph(5, 1)):
+            generic = Graph.from_edges(
+                g.n, [(u, v) for u in range(g.n) for v in g.adjacency[u] if u < v]
+            )
+            d, ref = all_pairs_distances(g), all_pairs_distances(generic)
+            for v in range(g.n):
+                assert d.row(v).dtype == np.int32
+                assert np.array_equal(d.row(v), ref.row(v))
+
+    def test_cache_stays_within_budget(self, monkeypatch):
+        g = random_tree(50, np.random.default_rng(11))
+        full = all_pairs_distances(g).dist
+        monkeypatch.setattr(graph_module, "ROW_CACHE_BYTES", 3 * 50 * 4)
+        d = all_pairs_distances(g)
+        for v in (0, 1, 2, 3, 4, 0):
+            assert np.array_equal(d.row(v), full[v])
+            assert d.cached_bytes <= graph_module.ROW_CACHE_BYTES
+        # row 0 was evicted by rows 3 and 4, so asking again rebuilt it
+        assert d.rows_computed == 6
+
+    def test_rows_are_read_only(self):
+        d = all_pairs_distances(random_tree(10, np.random.default_rng(12)))
+        with pytest.raises(ValueError):
+            d.row(0)[1] = 7
+
+
+class TestDescentMedian:
+    def test_equals_cost_argmin_on_trees(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            g = random_tree(int(rng.integers(2, 65)), rng)
+            d = all_pairs_distances(g)
+            st = init_from_distribution(
+                Distribution.from_weights(rng.uniform(1e-6, 1.0, size=g.n))
+            )
+            costs = exhaustive_costs(g, d, st.relative)
+            assert weighted_median(g, d, st) == int(np.argmin(costs))
+
+    def test_reply_sets_at_most_half_on_general_graphs(self):
+        rng = np.random.default_rng(14)
+        for i in range(150):
+            n = int(rng.integers(4, 65))
+            if i % 3 == 0:
+                g = gnm_graph(n, min(2 * n, n * (n - 1) // 2), rng)
+            elif i % 3 == 1:
+                g = cycle_graph(n)
+            else:
+                g = star_graph(n)
+            d = all_pairs_distances(g)
+            # skewed weights so the heaviest vertex is often not a median
+            w = rng.uniform(1e-6, 1.0, size=g.n) ** 4
+            st = init_from_distribution(Distribution.from_weights(w))
+            q = weighted_median(g, d, st)
+            for u in g.adjacency[q]:
+                cs = consistent_set(g, d, q, Answer(kind="neighbor", vertex=u))
+                assert float(st.relative[cs.mask].sum()) <= 0.5 + 1e-9
+
+    def test_median_costs_needs_a_layout(self):
+        g = star_graph(5)
+        with pytest.raises(ValueError, match="layout"):
+            median_costs(g, all_pairs_distances(g), np.full(5, 0.2))
 
 
 class TestConsistentSet:

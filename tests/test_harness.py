@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from noisysearch import graph, harness
 from noisysearch.harness import (
     ExperimentConfig,
     SummaryStats,
@@ -93,6 +94,30 @@ class TestRunExperiment:
         monkeypatch.delenv("NOISY_SEARCH_THREADS")
         seq = run_experiment(config(trials=16))
         assert par == seq
+
+    def test_pool_matches_sequential_on_random_tree(self):
+        # reaches the median descent and the lazy rows, which path runs skip
+        cfg = dict(scenario="graph-lv-adv", n=200, gen="random-tree", trials=24)
+        assert run_experiment(config(workers=1, **cfg)) == run_experiment(
+            config(workers=2, **cfg)
+        )
+
+    def test_large_random_tree_touches_few_rows(self, monkeypatch):
+        held = []
+
+        def capture(g):
+            held.append(graph.all_pairs_distances(g))
+            return held[-1]
+
+        monkeypatch.setattr(harness, "all_pairs_distances", capture)
+        n = 20_000
+        stats = run_experiment(
+            config(scenario="graph-lv-adv", n=n, gen="random-tree", trials=2, workers=1)
+        )
+        assert stats.trials == 2 and stats.flagged_trials == 0
+        (d,) = held
+        assert 0 < d.rows_computed < n // 20
+        assert d.cached_bytes <= graph.ROW_CACHE_BYTES
 
     def test_trial_reorder_stability(self):
         # a fixed-target run reproduces per-trial outcomes regardless of

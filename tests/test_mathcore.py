@@ -101,6 +101,11 @@ class TestDistribution:
         with pytest.raises(DomainError):
             Distribution(np.array([1.5, -0.5]))
 
+    def test_validates_finite(self):
+        # abs(nan - 1) > 1e-9 is False, so the sum check alone lets nan through
+        with pytest.raises(DomainError, match="finite"):
+            Distribution(np.array([np.nan, 1.0]))
+
     def test_uniform(self):
         mu = Distribution.uniform(8)
         assert mu.masses == pytest.approx(np.full(8, 0.125))
