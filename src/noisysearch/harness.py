@@ -449,16 +449,27 @@ def _run_many(ctx: _Context) -> list[TrialOutcome]:
         return list(pool.map(_pool_trial, indices, chunksize=64))
 
 
+def _check_output(path: str | None) -> None:
+    """Open the output file for appending, so an unwritable path fails
+    with an OSError naming it before any trial runs; emit rewrites it."""
+    if path:
+        with open(path, "a", encoding="utf-8"):
+            pass
+
+
 def run_experiment(config: ExperimentConfig) -> SummaryStats:
     """Execute config.trials independent trials and aggregate them.
 
-    Writes the output file when config.output is set. The returned stats
-    carry bound_satisfied; the CLI turns a False into a nonzero exit.
+    Writes the output file when config.output is set; a path that cannot
+    be written fails before the first trial. The returned stats carry
+    bound_satisfied; the CLI turns a False into a nonzero exit.
     """
     if config.scenario == "verify-invariants":
+        _check_output(config.output)
         stats = _run_invariant_scenario(config)
     else:
         ctx = _build_context(config)
+        _check_output(config.output)
         stats = _summarize(ctx, _run_many(ctx))
     if config.output:
         emit([stats], config.fmt, config.output, keep_transcripts=config.keep_transcripts)
@@ -482,6 +493,7 @@ def adversarial_sweep(config: ExperimentConfig) -> list[SummaryStats]:
         raise DomainError("verify-invariants has no targets to sweep")
     results = []
     base = _build_context(config)
+    _check_output(config.output)
     for target in range(config.n):
         cfg = ExperimentConfig(**{**config.__dict__, "fixed_target": target})
         ctx = _Context(
@@ -678,7 +690,7 @@ def fuzz_binary_invariants(
             oracle = _ContraryLinearOracle(n, rng, "greedy" if mode == 1 else "random")
         budget = min(worst_case_budget_linear(n, noise, 0.2).q, max_steps)
 
-        state = init_uniform(n)
+        state = linear_search.GapPosterior.uniform(n)
         epoch = linear_search.EpochState.fresh(n)
         steps = 0
         while steps < budget and len(epoch.marked) < n:

@@ -36,6 +36,7 @@ from .weights import (
 __all__ = [
     "EpochState",
     "CandidateSet",
+    "GapPosterior",
     "central_element",
     "comparison_update",
     "run_epoch",
@@ -84,6 +85,243 @@ class CandidateSet:
     @property
     def size(self) -> int:
         return len(self.members)
+
+
+class GapPosterior:
+    """Posterior of a comparison search, held per gap between queried pivots.
+
+    Every answer scales a whole side of its pivot, so after any answers an
+    element's weight is its prior times gamma^(answers consistent with it)
+    times (2p)^-(queries at it), up to a common factor. The first factor is
+    constant on each gap between queried pivots. The state is therefore the
+    prior, the K sorted pivots queried so far, the prior mass and the weight
+    of each gap (gap j lies just below pivot j, gap K above the last pivot;
+    its weight over its prior mass is the factor its elements share), one
+    weight per pivot, and a log2 scale. Gap and pivot weights interleave in
+    one block array, gap j at block 2j and pivot j at block 2j+1, so that an
+    answer scales one side with one slice. Element i of gap g weighs
+    prior[i] * weight[g] / prior_mass[g] * 2**log2_scale in absolute terms.
+    Every operation but .relative and log2_total, which are dense, costs
+    O(K) array work plus work on the one gap it touches.
+
+    central_element and comparison_update compute the same posterior densely
+    and serve as its reference.
+    """
+
+    # the largest weight grows by at most gamma per answer; renormalise once
+    # the growth since the last renormalisation could pass 2^RENORM_LOG2
+    RENORM_LOG2 = 512.0
+
+    def __init__(self, prior: np.ndarray):
+        prior = np.asarray(prior, dtype=np.float64)
+        if prior.ndim != 1 or prior.size == 0:
+            raise DomainError("a gap posterior needs a nonempty 1-D prior")
+        if not (np.isfinite(prior).all() and (prior > 0.0).all()):
+            raise DomainError("a gap posterior needs finite, strictly positive prior weights")
+        self.prior = prior
+        self.k = 0
+        cap = 64
+        self._pivots = np.empty(cap, dtype=np.int64)
+        self._blocks = np.empty(2 * cap + 1)
+        self._prior_mass = np.empty(cap + 1)
+        self._blocks[0] = self._prior_mass[0] = float(prior.sum())
+        self.log2_scale = 0.0
+        self._headroom = self.RENORM_LOG2
+
+    @classmethod
+    def uniform(cls, n: int) -> "GapPosterior":
+        """Uniform prior 1/n, the start of init_uniform."""
+        return cls(init_uniform(n).relative)
+
+    @property
+    def n(self) -> int:
+        return int(self.prior.size)
+
+    @property
+    def pivots(self) -> np.ndarray:
+        return self._pivots[: self.k]
+
+    def _gap_bounds(self, g: int) -> tuple[int, int]:
+        lo = int(self._pivots[g - 1]) + 1 if g > 0 else 0
+        hi = int(self._pivots[g]) if g < self.k else self.n
+        return lo, hi
+
+    def _factor(self, g: int) -> float:
+        return float(self._blocks[2 * g]) / float(self._prior_mass[g])
+
+    def median(self, with_pivots: bool) -> int:
+        """Smallest element splitting the counted mass in half.
+
+        Without pivots only the gaps count, as in phase one, where every
+        queried pivot is marked when an epoch starts; the result equals
+        central_element with the pivots as the marked set. With pivots every
+        element counts, as in verification.
+        """
+        k = self.k
+        step = 1 if with_pivots else 2
+        blocks = self._blocks[: 2 * k + 1 : step]
+        cum = blocks.cumsum()
+        total = float(cum[-1])
+        if total <= 0.0:
+            if not with_pivots and k >= self.n:
+                raise DomainError(
+                    "no unmarked elements remain; the epoch phase should have stopped"
+                )
+            raise DomainError("unmarked mass underflowed; instance is beyond float64 range")
+        # tolerance must scale with the counted mass, which can be 2^-hundreds
+        half = (0.5 + CENTRAL_TOL) * total
+        # The answer is the first element whose inclusive prefix reaches
+        # total - half (everything above it then holds at most half), provided
+        # its exclusive prefix is at most half. Rounding may put that element
+        # one block past the first block whose end reaches total - half.
+        reach = total - half
+        for c in range(int(cum.searchsorted(reach)), blocks.size):
+            if blocks[c] <= 0.0:
+                continue
+            before = float(cum[c - 1]) if c > 0 else 0.0
+            b = c * step
+            if b % 2 == 1:
+                if float(cum[c]) >= reach:
+                    return self._checked(int(self._pivots[b // 2]), before, half)
+                continue
+            lo, hi = self._gap_bounds(b // 2)
+            f = self._factor(b // 2)
+            csum = self.prior[lo:hi].cumsum()
+            i = int(csum.searchsorted((reach - before) / f))
+            if i < csum.size:
+                prefix = before + f * float(csum[i - 1]) if i else before
+                return self._checked(lo + i, prefix, half)
+        raise DomainError("no central element found; weights are inconsistent")
+
+    @staticmethod
+    def _checked(element: int, prefix: float, half: float) -> int:
+        if prefix > half:
+            raise DomainError("no central element found; weights are inconsistent")
+        return element
+
+    def update(self, pivot: int, kind: str, noise: NoiseParams) -> None:
+        """Fold in one comparison answer at the pivot.
+
+        Splits the gap holding a new pivot, then scales the answered side by
+        gamma and the pivot by 1/(2p); log2_scale takes the common factor p,
+        so absolute weights match comparison_update's (1-p, p, 1/2).
+        """
+        if kind != "less" and kind != "greater":
+            raise ProtocolError(f"comparison reply must be less/greater, got {kind!r}")
+        k = self.k
+        j = int(self._pivots[:k].searchsorted(pivot))
+        if j == k or self._pivots[j] != pivot:
+            self._split(j, pivot)
+            k += 1
+        b = 2 * j + 1
+        gamma = noise.gamma
+        if kind == "less":
+            self._blocks[:b] *= gamma
+        else:
+            self._blocks[b + 1 : 2 * k + 1] *= gamma
+        self._blocks[b] *= 0.5 / noise.p
+        self.log2_scale += math.log2(noise.p)
+        self._headroom -= math.log2(gamma)
+        if self._headroom < 0.0:
+            self._renormalise()
+
+    def _split(self, j: int, pivot: int) -> None:
+        """Insert a pivot at sorted slot j, cutting gap j at it."""
+        if not 0 <= pivot < self.n:
+            raise DomainError(f"pivot {pivot} out of range for n={self.n}")
+        k = self.k
+        if k == self._pivots.size:
+            self._grow()
+        lo, hi = self._gap_bounds(j)
+        f = self._factor(j)
+        prior, pivots, blocks, mass = self.prior, self._pivots, self._blocks, self._prior_mass
+        # sum each side's own slice: a difference of prefix sums rounds the
+        # tail of a fast-decaying prior to zero
+        left = np.add.reduce(prior[lo:pivot]) if pivot > lo else 0.0
+        right = np.add.reduce(prior[pivot + 1 : hi]) if hi > pivot + 1 else 0.0
+        pivots[j + 1 : k + 1] = pivots[j:k]
+        pivots[j] = pivot
+        mass[j + 2 : k + 2] = mass[j + 1 : k + 1]
+        mass[j], mass[j + 1] = left, right
+        b = 2 * j
+        blocks[b + 3 : 2 * k + 3] = blocks[b + 1 : 2 * k + 1]
+        blocks[b], blocks[b + 1], blocks[b + 2] = f * left, f * prior[pivot], f * right
+        self.k = k + 1
+
+    def _grow(self) -> None:
+        cap = 2 * self._pivots.size
+        for name, size in (("_pivots", cap), ("_blocks", 2 * cap + 1), ("_prior_mass", cap + 1)):
+            old = getattr(self, name)
+            new = np.empty(size, dtype=old.dtype)
+            new[: old.size] = old
+            setattr(self, name, new)
+
+    def _raw_total(self) -> float:
+        return float(self._blocks[: 2 * self.k + 1].sum())
+
+    def _renormalise(self) -> None:
+        total = self._raw_total()
+        self._blocks[: 2 * self.k + 1] /= total
+        self.log2_scale += math.log2(total)
+        self._headroom = self.RENORM_LOG2
+
+    def share(self, element: int) -> float:
+        """Share of the total mass on one element."""
+        j = int(self._pivots[: self.k].searchsorted(element))
+        if j < self.k and self._pivots[j] == element:
+            weight = float(self._blocks[2 * j + 1])
+        else:
+            weight = float(self.prior[element]) * self._factor(j)
+        return weight / self._raw_total()
+
+    def marked_share(self, unmarked: int | None = None) -> float:
+        """Share of the total mass on the pivots, leaving out `unmarked`.
+
+        `unmarked` is the pivot of a running epoch: queried, so it has its
+        own weight, but not yet marked.
+        """
+        k = self.k
+        weights = self._blocks[1 : 2 * k : 2]
+        j = k if unmarked is None else int(self._pivots[:k].searchsorted(unmarked))
+        if j < k and self._pivots[j] == unmarked:
+            marked = weights[:j].sum() + weights[j + 1 :].sum()
+        else:
+            marked = weights.sum()
+        return float(marked) / self._raw_total()
+
+    def log2_gap_mass(self) -> float:
+        """log2 of the absolute mass off the pivots (the unmarked mass)."""
+        rest = float(self._blocks[: 2 * self.k + 1 : 2].sum())
+        if rest <= 0.0:
+            return float("-inf")
+        return math.log2(rest) + self.log2_scale
+
+    def _dense(self) -> np.ndarray:
+        k = self.k
+        mass = self._prior_mass[: k + 1]
+        factors = np.divide(
+            self._blocks[: 2 * k + 1 : 2], mass, out=np.zeros(k + 1), where=mass > 0.0
+        )
+        # element i takes the factor of the gap ending at the first pivot >= i
+        counts = np.diff(np.concatenate(([-1], self.pivots, [self.n - 1])))
+        raw = self.prior * np.repeat(factors, counts)
+        raw[self.pivots] = self._blocks[1 : 2 * k : 2]
+        return raw
+
+    @property
+    def log2_total(self) -> float:
+        """log2 of the absolute total mass, as WeightState.log2_total.
+
+        Summed densely like .relative, not from the block weights, so checks
+        built on the two test the kernel's bookkeeping independently.
+        """
+        return math.log2(float(self._dense().sum())) + self.log2_scale
+
+    @property
+    def relative(self) -> np.ndarray:
+        """Dense normalized weights, built on request in O(n)."""
+        raw = self._dense()
+        return raw / raw.sum()
 
 
 def central_element(state: WeightState, marked_mask: np.ndarray) -> int:
@@ -162,13 +400,13 @@ def _finish_epoch(epoch: EpochState, noise: NoiseParams) -> None:
 
 
 def run_epoch(
-    state: WeightState,
+    state: GapPosterior,
     epoch: EpochState,
     noise: NoiseParams,
     oracle: LinearOracle,
     max_queries: int | None = None,
     stop_predicate=None,
-) -> tuple[WeightState, EpochState, str, int]:
+) -> tuple[GapPosterior, EpochState, str, int]:
     """Run one epoch: repeat the central pivot, update weights per answer.
 
     The epoch ends by completing its scheduled length ("completed") or by
@@ -177,9 +415,11 @@ def run_epoch(
     trigger ("stopped") returns immediately with the pivot unmarked, since
     the stopping rule is evaluated against the current marked set.
 
-    Returns (state, epoch, status, queries_run).
+    state is updated in place. Returns (state, epoch, status, queries_run).
     """
-    pivot = central_element(state, epoch.marked_mask)
+    # every queried pivot is marked when an epoch starts, so the unmarked
+    # mass is the gap mass
+    pivot = state.median(with_pivots=False)
     epoch.current_pivot = pivot
     scheduled = epoch_length(epoch.epoch_index, noise)
     budget = scheduled if max_queries is None else min(scheduled, max_queries)
@@ -188,7 +428,7 @@ def run_epoch(
     run = 0
     for _ in range(budget):
         answer = oracle.answer(pivot, state)
-        state = comparison_update(state, pivot, answer.kind, noise)
+        state.update(pivot, answer.kind, noise)
         run += 1
         epoch.within_epoch += 1
         if answer.kind == "less":
@@ -202,13 +442,6 @@ def run_epoch(
     return state, epoch, status, run
 
 
-def _log2_unmarked(state: WeightState, epoch: EpochState) -> float:
-    rest = float(state.relative[~epoch.marked_mask].sum())
-    if rest <= 0.0:
-        return float("-inf")
-    return math.log2(rest) + state.log2_total
-
-
 def verify_candidates(
     candidates: CandidateSet,
     noise: NoiseParams,
@@ -218,12 +451,12 @@ def verify_candidates(
 ) -> int:
     """Pick the target out of the candidate pool by comparison queries.
 
-    A weight search restricted to the candidates: uniform start, pivot at
-    the weighted median candidate, answers shift candidate weights by
-    their position relative to the pivot (pivot scales by 1/2), stop once
-    one candidate holds a 1-delta fraction. Comparisons are answered on
-    the original order, so answers stay informative about candidates even
-    when the true target fell outside the pool.
+    The comparison search of phase one restricted to the candidates: a
+    GapPosterior over candidate indices from a uniform start, pivot at the
+    weighted median candidate, stop once one candidate holds a 1-delta
+    fraction. Comparisons are answered on the original order, so answers
+    stay informative about candidates even when the true target fell
+    outside the pool.
     """
     members = candidates.members
     if len(members) == 0:
@@ -232,9 +465,8 @@ def verify_candidates(
         return members[0]
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-    positions = np.asarray(members, dtype=np.int64)
-    m = positions.size
-    w = np.full(m, 1.0 / m)
+    m = len(members)
+    post = GapPosterior.uniform(m)
     cap = int(
         math.ceil(
             cap_multiplier
@@ -242,34 +474,23 @@ def verify_candidates(
             / noise.info_rate
         )
     )
-    p = noise.p
     for _ in range(cap):
-        if float(w.max()) >= 1.0 - delta:
-            break
-        csum = np.cumsum(w)
-        prefix = csum - w
-        suffix = 1.0 - csum
-        half = 0.5 + CENTRAL_TOL
-        pivot_idx = int(np.flatnonzero((prefix <= half) & (suffix <= half))[0])
-        pivot = int(positions[pivot_idx])
-        answer = oracle.answer(pivot)
-        if answer.kind == "less":
-            mult = np.where(positions < pivot, 1.0 - p, p)
-        else:
-            mult = np.where(positions > pivot, 1.0 - p, p)
-        mult[pivot_idx] = 0.5
-        w = w * mult
-        w = w / w.sum()
-    return int(positions[int(np.argmax(w))])
+        # a candidate holding 1 - delta > 1/2 of the mass is the median
+        k = post.median(with_pivots=True)
+        if post.share(k) >= 1.0 - delta:
+            return int(members[k])
+        answer = oracle.answer(int(members[k]))
+        post.update(k, answer.kind, noise)
+    return int(members[int(np.argmax(post.relative))])
 
 
 def _epoch_phase(
-    state: WeightState,
+    state: GapPosterior,
     noise: NoiseParams,
     oracle: LinearOracle,
     max_total: int,
     stop_predicate=None,
-) -> tuple[WeightState, EpochState, int, bool, int, list[tuple[int, float, float]]]:
+) -> tuple[GapPosterior, EpochState, int, bool, int, list[tuple[int, float, float]]]:
     """Drive epochs until the budget, the stopping rule, or pivot exhaustion.
 
     Returns (state, epoch, queries_run, stopped_by_rule, completed_epochs,
@@ -278,7 +499,7 @@ def _epoch_phase(
     """
     n = state.n
     epoch = EpochState.fresh(n)
-    boundary_log: list[tuple[int, float, float]] = [(0, 0.0, _log2_unmarked(state, epoch))]
+    boundary_log: list[tuple[int, float, float]] = [(0, 0.0, state.log2_gap_mass())]
     steps = 0
     completed = 0
     stopped = False
@@ -298,7 +519,7 @@ def _epoch_phase(
             break
         if status == "completed":
             completed += 1
-        boundary_log.append((steps, epoch.coupled_log2, _log2_unmarked(state, epoch)))
+        boundary_log.append((steps, epoch.coupled_log2, state.log2_gap_mass()))
     if stop_predicate is not None and not stopped:
         stopped = stop_predicate(state, epoch)
     return state, epoch, steps, stopped, completed, boundary_log
@@ -323,9 +544,8 @@ def run_adversarial(
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
     q_budget = budget if budget is not None else worst_case_budget_linear(n, noise, delta, c_const).q
-    state = init_uniform(n)
     state, epoch, steps, _, completed, boundary_log = _epoch_phase(
-        state, noise, oracle, max_total=q_budget
+        GapPosterior.uniform(n), noise, oracle, max_total=q_budget
     )
     before_verify = oracle.queries_answered
     declared = verify_candidates(CandidateSet(tuple(epoch.marked)), noise, delta / 3.0, oracle)
@@ -360,8 +580,8 @@ def run_lv_distributional(
     """
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-    state = init_from_distribution(mu)
-    worst_bits = -math.log2(float(state.relative.min()))
+    prior = init_from_distribution(mu).relative
+    worst_bits = -math.log2(float(prior.min()))
     cap = int(
         math.ceil(
             cap_multiplier
@@ -371,11 +591,11 @@ def run_lv_distributional(
     )
     threshold = 1.0 - delta / 2.0
 
-    def stop_rule(st: WeightState, ep: EpochState) -> bool:
-        return float(st.relative[ep.marked_mask].sum()) >= threshold
+    def stop_rule(st: GapPosterior, ep: EpochState) -> bool:
+        return st.marked_share(ep.current_pivot) >= threshold
 
     state, epoch, steps, stopped, completed, boundary_log = _epoch_phase(
-        state, noise, oracle, max_total=cap, stop_predicate=stop_rule
+        GapPosterior(prior), noise, oracle, max_total=cap, stop_predicate=stop_rule
     )
     flagged = not stopped
     if epoch.marked:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from noisysearch import harness
 from noisysearch.cli import main
 
 
@@ -143,3 +144,19 @@ class TestCli:
         )
         assert code == 2
         assert "NOISY_SEARCH_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, extra", [("4096", ()), ("16", ("--sweep",))])
+    def test_unwritable_out_exits_2_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, n, extra
+    ):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the output path was checked")
+
+        monkeypatch.setattr(harness, "_run_trial", no_trials)
+        out = tmp_path / "missing" / "o.csv"
+        code = run_cli(
+            "bin-adversarial", "--n", n, "--p", "0.3", "--delta", "0.1",
+            "--trials", "100", "--seed", "1", "--out", str(out), *extra,
+        )
+        assert code == 2
+        assert str(out) in capsys.readouterr().err

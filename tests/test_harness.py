@@ -102,6 +102,25 @@ class TestRunExperiment:
             config(workers=2, **cfg)
         )
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(scenario="bin-adversarial", n=300),
+            dict(scenario="bin-lv-distr", n=64, mu=geometric_distribution(64)),
+        ],
+    )
+    def test_pool_matches_sequential_on_comparison_search(self, tmp_path, cfg):
+        # reaches the gap posterior of the comparison search
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.json"
+            stats = run_experiment(
+                config(gen=None, p=0.25, trials=80, workers=workers, output=str(out),
+                       fmt="json", **cfg)
+            )
+            runs.append((stats, out.read_bytes()))
+        assert runs[0] == runs[1]
+
     def test_large_random_tree_touches_few_rows(self, monkeypatch):
         held = []
 
