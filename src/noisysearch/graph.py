@@ -15,6 +15,7 @@ __all__ = [
     "DistanceMatrix",
     "all_pairs_distances",
     "weighted_median",
+    "weighted_medians",
     "consistent_set",
     "load_graph",
     "path_graph",
@@ -195,27 +196,32 @@ def _is_grid(g: Graph) -> bool:
 
 
 def _line_costs(w: np.ndarray) -> np.ndarray:
-    """Sum of |i - v| * w[i] for every v, via prefix sums, O(n)."""
-    idx = np.arange(w.size, dtype=np.float64)
-    cw = np.cumsum(w)
-    cwx = np.cumsum(w * idx)
-    total_w = cw[-1]
-    total_wx = cwx[-1]
+    """Sum of |i - v| * w[i] for every v, via prefix sums along the last
+    axis, O(n) per row."""
+    idx = np.arange(w.shape[-1], dtype=np.float64)
+    cw = np.cumsum(w, axis=-1)
+    cwx = np.cumsum(w * idx, axis=-1)
+    total_w = cw[..., -1:]
+    total_wx = cwx[..., -1:]
     # left part: v*sum(w[<=v]) - sum(i*w[i], i<=v); right part symmetric
     return idx * cw - cwx + (total_wx - cwx) - idx * (total_w - cw)
 
 
 def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
     """Weighted distance cost of every vertex, cost(v) = sum_u d(u,v) w(u),
-    by prefix sums on path and grid layouts; other graphs are rejected."""
+    by prefix sums on path and grid layouts; other graphs are rejected.
+
+    relative is one weight vector or a (rows, n) stack of them; each row
+    gets its own costs, computed exactly as for that row alone.
+    """
     if g.layout_hint == "path":
         return _line_costs(relative)
     if _is_grid(g):
         rows, cols = g.layout_shape
-        w2 = relative.reshape(rows, cols)
-        row_cost = _line_costs(w2.sum(axis=1))
-        col_cost = _line_costs(w2.sum(axis=0))
-        return np.add.outer(row_cost, col_cost).reshape(-1)
+        w2 = relative.reshape(*relative.shape[:-1], rows, cols)
+        row_cost = _line_costs(w2.sum(axis=-1))
+        col_cost = _line_costs(w2.sum(axis=-2))
+        return (row_cost[..., :, None] + col_cost[..., None, :]).reshape(relative.shape)
     raise ValueError("median_costs needs a path or grid layout")
 
 
@@ -263,6 +269,27 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     if g.layout_hint == "path" or _is_grid(g):
         return int(np.argmin(median_costs(g, d, rel)))
     return _descend(g, d, rel, top)
+
+
+def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
+    """weighted_median of every row of a (rows, n) weight matrix.
+
+    One argmax per row finds the heavy vertices; the other rows share one
+    prefix-sum pass on path and grid layouts and descend one by one
+    elsewhere. Each row's vertex is the one weighted_median returns for it.
+    """
+    tops = relative.argmax(axis=1)
+    light = relative[np.arange(len(tops)), tops] <= 0.5 + 1e-9
+    if not light.any():
+        return tops
+    qs = tops.copy()
+    if g.layout_hint == "path" or _is_grid(g):
+        sub = relative if light.all() else relative[light]
+        qs[light] = median_costs(g, d, sub).argmin(axis=1)
+    else:
+        for i in np.flatnonzero(light).tolist():
+            qs[i] = _descend(g, d, relative[i], int(tops[i]))
+    return qs
 
 
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
@@ -379,14 +406,24 @@ def random_tree(n: int, rng: np.random.Generator) -> Graph:
 
 
 def gnm_graph(n: int, m: int, rng: np.random.Generator, max_tries: int = 200) -> Graph:
-    """Uniform n-vertex m-edge graph conditioned on connectivity."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m < n - 1 or m > len(pairs):
+    """Uniform n-vertex m-edge graph conditioned on connectivity.
+
+    Each try draws m distinct indices into the n(n-1)/2 pairs (u, v),
+    u < v, in lexicographic order, and decodes them arithmetically, so no
+    list of all pairs is built.
+    """
+    pairs = n * (n - 1) // 2
+    if m < n - 1 or m > pairs:
         raise GraphFormatError(f"gnm needs n-1 <= m <= n(n-1)/2, got m={m}")
+    # offsets[u] is the index of the first pair (u, u + 1)
+    u_ids = np.arange(max(n - 1, 0), dtype=np.int64)
+    offsets = u_ids * (2 * n - u_ids - 1) // 2
     for _ in range(max_tries):
-        chosen = rng.choice(len(pairs), size=m, replace=False)
+        chosen = rng.choice(pairs, size=m, replace=False)
+        us = np.searchsorted(offsets, chosen, side="right") - 1
+        vs = us + 1 + (chosen - offsets[us])
         try:
-            return Graph.from_edges(n, [pairs[int(i)] for i in chosen])
+            return Graph.from_edges(n, zip(us.tolist(), vs.tolist()))
         except GraphFormatError:
             continue
     raise GraphFormatError(f"no connected graph with n={n}, m={m} after {max_tries} tries")

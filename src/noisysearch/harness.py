@@ -39,7 +39,7 @@ from .oracle import (
     TargetModel,
     load_distribution,
 )
-from .weights import init_uniform
+from .weights import init_uniform, log2_rest
 
 __all__ = [
     "SCENARIOS",
@@ -213,6 +213,7 @@ class _Context:
     dist: object | None
     mu: Distribution | None
     budget: int | None
+    plan: graph_search.SearchPlan | None = None
 
 
 def _is_graph_scenario(scenario: str) -> bool:
@@ -272,7 +273,16 @@ def _build_context(config: ExperimentConfig) -> _Context:
         budget = worst_case_budget_graph(config.n, noise, config.delta).q
     if config.scenario == "bin-adversarial":
         budget = worst_case_budget_linear(config.n, noise, config.delta, config.c_const).q
-    return _Context(config=config, noise=noise, graph=graph, dist=dist, mu=mu, budget=budget)
+    plan = None
+    if config.scenario == "graph-adversarial":
+        plan = graph_search.adversarial_plan(config.n, noise, config.delta, budget)
+    elif config.scenario == "graph-lv-distr":
+        plan = graph_search.lv_distributional_plan(mu, noise, config.delta)
+    elif config.scenario == "graph-lv-adv":
+        plan = graph_search.lv_adversarial_plan(config.n, noise, config.delta, config.c_prime)
+    return _Context(
+        config=config, noise=noise, graph=graph, dist=dist, mu=mu, budget=budget, plan=plan
+    )
 
 
 def _trial_rng(seed: int, trial: int, target: int | None = None) -> np.random.Generator:
@@ -280,7 +290,8 @@ def _trial_rng(seed: int, trial: int, target: int | None = None) -> np.random.Ge
     return np.random.default_rng(entropy)
 
 
-def _run_trial(ctx: _Context, index: int) -> TrialOutcome:
+def _trial_start(ctx: _Context, index: int) -> tuple[int, np.random.Generator]:
+    """The target of trial index and the rng stream the trial goes on with."""
     config = ctx.config
     rng = _trial_rng(config.seed, index, config.fixed_target)
     if config.fixed_target is not None:
@@ -289,45 +300,22 @@ def _run_trial(ctx: _Context, index: int) -> TrialOutcome:
         target = TargetModel(mode="sampled", mu=ctx.mu).realize(rng)
     else:
         target = int(rng.integers(config.n))
-    policy = NoisePolicy(
+    return target, rng
+
+
+def _policy(config: ExperimentConfig) -> NoisePolicy:
+    return NoisePolicy(
         p=config.p,
         truthful_tiebreak=config.truthful_tiebreak,
         lie_choice=config.lie_choice,
     )
-    keep = config.keep_transcripts and index < 5
-    scenario = config.scenario
-    if _is_graph_scenario(scenario):
-        oracle = GraphOracle(ctx.graph, ctx.dist, target, policy, rng)
-        if scenario == "graph-adversarial":
-            t = graph_search.run_adversarial(
-                ctx.graph, ctx.noise, config.delta, oracle,
-                budget=ctx.budget, record_queries=keep,
-            )
-        elif scenario == "graph-lv-distr":
-            t = graph_search.run_lv_distributional(
-                ctx.graph, ctx.mu, ctx.noise, config.delta, oracle, record_queries=keep
-            )
-        else:
-            t = graph_search.run_lv_adversarial(
-                ctx.graph, ctx.noise, config.delta, oracle,
-                c_prime=config.c_prime, record_queries=keep,
-            )
-    else:
-        oracle = LinearOracle(config.n, target, policy, rng)
-        if scenario == "bin-adversarial":
-            t = linear_search.run_adversarial(
-                config.n, ctx.noise, config.delta, oracle,
-                c_const=config.c_const, budget=ctx.budget,
-            )
-        elif scenario == "bin-lv-distr":
-            t = linear_search.run_lv_distributional(
-                config.n, ctx.mu, ctx.noise, config.delta, oracle, c_const=config.c_const
-            )
-        else:
-            t = linear_search.run_lv_adversarial(
-                config.n, ctx.noise, config.delta, oracle,
-                c_const=config.c_const, adv_margin=config.adv_margin,
-            )
+
+
+def _keeps_transcript(config: ExperimentConfig, index: int) -> bool:
+    return config.keep_transcripts and index < 5
+
+
+def _outcome(t, keep: bool) -> TrialOutcome:
     return TrialOutcome(
         hit=t.target_hit,
         queries=t.query_count,
@@ -340,6 +328,48 @@ def _run_trial(ctx: _Context, index: int) -> TrialOutcome:
     )
 
 
+def _run_graph_chunk(ctx: _Context, indices: range) -> list[TrialOutcome]:
+    """Trials indices of a graph scenario, run as one chunk of the engine."""
+    config = ctx.config
+    policy = _policy(config)
+    oracles = []
+    for index in indices:
+        target, rng = _trial_start(ctx, index)
+        oracles.append(GraphOracle(ctx.graph, ctx.dist, target, policy, rng))
+    keep = [_keeps_transcript(config, index) for index in indices]
+    transcripts = graph_search.search(ctx.graph, ctx.noise, ctx.plan, oracles, keep)
+    return [_outcome(t, k) for t, k in zip(transcripts, keep)]
+
+
+def _run_trial(ctx: _Context, index: int) -> TrialOutcome:
+    """One trial of a comparison scenario."""
+    config = ctx.config
+    target, rng = _trial_start(ctx, index)
+    oracle = LinearOracle(config.n, target, _policy(config), rng)
+    scenario = config.scenario
+    if scenario == "bin-adversarial":
+        t = linear_search.run_adversarial(
+            config.n, ctx.noise, config.delta, oracle,
+            c_const=config.c_const, budget=ctx.budget,
+        )
+    elif scenario == "bin-lv-distr":
+        t = linear_search.run_lv_distributional(
+            config.n, ctx.mu, ctx.noise, config.delta, oracle, c_const=config.c_const
+        )
+    else:
+        t = linear_search.run_lv_adversarial(
+            config.n, ctx.noise, config.delta, oracle,
+            c_const=config.c_const, adv_margin=config.adv_margin,
+        )
+    return _outcome(t, _keeps_transcript(config, index))
+
+
+def _run_task(ctx: _Context, indices: range) -> list[TrialOutcome]:
+    if _is_graph_scenario(ctx.config.scenario):
+        return _run_graph_chunk(ctx, indices)
+    return [_run_trial(ctx, i) for i in indices]
+
+
 _POOL_CTX: _Context | None = None
 
 
@@ -348,9 +378,9 @@ def _pool_init(ctx: _Context) -> None:
     _POOL_CTX = ctx
 
 
-def _pool_trial(index: int) -> TrialOutcome:
+def _pool_task(indices: range) -> list[TrialOutcome]:
     assert _POOL_CTX is not None
-    return _run_trial(_POOL_CTX, index)
+    return _run_task(_POOL_CTX, indices)
 
 
 def _worker_count(config: ExperimentConfig) -> int:
@@ -438,15 +468,23 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
 
 
 def _run_many(ctx: _Context) -> list[TrialOutcome]:
+    """Every trial, in tasks of consecutive indices: one engine chunk each
+    for graph scenarios (at most graph_search.chunk_rows trials, and split
+    so every worker gets some), runs of single trials otherwise. A trial's
+    outcome does not depend on the task it ran in."""
     config = ctx.config
     workers = _worker_count(config)
-    indices = range(config.trials)
+    if _is_graph_scenario(config.scenario):
+        size = min(graph_search.chunk_rows(config.n), -(-config.trials // workers))
+    else:
+        size = 64
+    tasks = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
     if workers <= 1:
-        return [_run_trial(ctx, i) for i in indices]
+        return [o for task in tasks for o in _run_task(ctx, task)]
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_pool_init, initargs=(ctx,)
     ) as pool:
-        return list(pool.map(_pool_trial, indices, chunksize=64))
+        return [o for chunk in pool.map(_pool_task, tasks) for o in chunk]
 
 
 def _check_output(path: str | None) -> None:
@@ -498,7 +536,7 @@ def adversarial_sweep(config: ExperimentConfig) -> list[SummaryStats]:
         cfg = ExperimentConfig(**{**config.__dict__, "fixed_target": target})
         ctx = _Context(
             config=cfg, noise=base.noise, graph=base.graph, dist=base.dist,
-            mu=base.mu, budget=base.budget,
+            mu=base.mu, budget=base.budget, plan=base.plan,
         )
         stats = _summarize(ctx, _run_many(ctx))
         stats.extras["target"] = target
@@ -571,13 +609,13 @@ def fuzz_graph_invariants(
         state = init_uniform(g.n)
         heavy_at_query: list[int | None] = []
         log_total = [state.log2_total]
-        log_rest = [_log2_rest(state)]
+        log_rest = [log2_rest(state.relative, state.log2_total)]
         for _ in range(budget):
             top = int(np.argmax(state.relative))
             heavy_at_query.append(top if state.relative[top] >= 0.5 else None)
             state, _, _, _ = graph_search.step_median_update(state, g, dist, oracle, noise)
             log_total.append(state.log2_total)
-            log_rest.append(_log2_rest(state))
+            log_rest.append(log2_rest(state.relative, state.log2_total))
         steps_total += budget
 
         for tau in range(budget + 1):
@@ -599,14 +637,6 @@ def fuzz_graph_invariants(
         "interval_violations": interval_violations,
         "worst_drop_excess": worst_excess,
     }
-
-
-def _log2_rest(state) -> float:
-    rel = state.relative
-    rest = float(rel.sum() - rel[int(np.argmax(rel))])
-    if rest <= 0.0:
-        return float("-inf")
-    return math.log2(rest) + state.log2_total
 
 
 def _check_heavy_intervals(heavy_at_query, log_total, log_rest, budget, tol) -> int:

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 CENTRAL_TOL = 1e-12
+# A stop rule fires when a share reaches its threshold less this slack, so a
+# share that is exactly the threshold (9/10 occurs at p = 0.1 and p = 0.25)
+# stops whatever the summation order rounded it to.
+STOP_SLACK = 1e-12
 
 
 @dataclass
@@ -477,7 +481,7 @@ def verify_candidates(
     for _ in range(cap):
         # a candidate holding 1 - delta > 1/2 of the mass is the median
         k = post.median(with_pivots=True)
-        if post.share(k) >= 1.0 - delta:
+        if post.share(k) >= 1.0 - delta - STOP_SLACK:
             return int(members[k])
         answer = oracle.answer(int(members[k]))
         post.update(k, answer.kind, noise)
@@ -589,7 +593,7 @@ def run_lv_distributional(
             / noise.info_rate
         )
     )
-    threshold = 1.0 - delta / 2.0
+    threshold = 1.0 - delta / 2.0 - STOP_SLACK
 
     def stop_rule(st: GapPosterior, ep: EpochState) -> bool:
         return st.marked_share(ep.current_pivot) >= threshold

@@ -22,6 +22,8 @@ __all__ = [
     "NoisePolicy",
     "TargetModel",
     "graph_answer",
+    "graph_reply",
+    "reply_answer",
     "linear_answer",
     "heavy_filter",
     "GraphOracle",
@@ -99,24 +101,91 @@ class TargetModel:
         raise DomainError(f"unknown target mode {self.mode!r}")
 
 
-def _truthful_graph_reply(
+def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[int]:
+    """Neighbours of q one hop closer to the target, in increasing id order;
+    closed form on path and grid layouts, read off d(target, .) otherwise."""
+    if g.layout_hint == "path":
+        return [q - 1] if target < q else [q + 1]
+    if g.layout_hint == "grid" and g.layout_shape is not None:
+        cols = g.layout_shape[1]
+        rq, cq = divmod(q, cols)
+        rt, ct = divmod(target, cols)
+        # up, left, right, down: increasing ids
+        steps = ((rt < rq, -cols), (ct < cq, -1), (ct > cq, 1), (rt > rq, cols))
+        return [q + step for closer, step in steps if closer]
+    to_target = d.row(target)
+    dq = int(to_target[q])
+    return [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
+
+
+def _truthful_reply(
     q: int,
     target: int,
     g: Graph,
     d: DistanceMatrix,
     policy: NoisePolicy,
     rng: np.random.Generator,
-) -> Answer:
+) -> int:
     if q == target:
-        return Answer(kind="yes", vertex=None, is_lie=False)
-    to_target = d.row(target)
-    dq = int(to_target[q])
-    closer = [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
+        return q
+    closer = _closer_neighbors(q, target, g, d)
     if policy.truthful_tiebreak == "random" and len(closer) > 1:
-        u = closer[int(rng.integers(len(closer)))]
-    else:
-        u = closer[0]
-    return Answer(kind="neighbor", vertex=u, is_lie=False)
+        return closer[int(rng.integers(len(closer)))]
+    return closer[0]
+
+
+def _corrupt_reply(
+    q: int,
+    truthful: int,
+    g: Graph,
+    d: DistanceMatrix,
+    policy: NoisePolicy,
+    rng: np.random.Generator,
+    relative: np.ndarray | None,
+) -> int:
+    wrong = [v for v in (q, *g.adjacency[q]) if v != truthful]
+    if not wrong:
+        # isolated target on a single-vertex graph: nothing to lie with
+        return truthful
+    if policy.lie_choice == "uniform-wrong":
+        return wrong[int(rng.integers(len(wrong)))]
+    if relative is None:
+        raise DomainError("adversarial-heaviest lies need the current weight state")
+    best, best_mass = wrong[0], -1.0
+    for v in wrong:
+        if v == q:
+            mass = float(relative[q])
+        else:
+            mass = float(relative[consistent_set(g, d, q, v).mask].sum())
+        if mass > best_mass:
+            best, best_mass = v, mass
+    return best
+
+
+def graph_reply(
+    q: int,
+    target: int,
+    g: Graph,
+    d: DistanceMatrix,
+    policy: NoisePolicy,
+    rng: np.random.Generator,
+    relative: np.ndarray | None = None,
+) -> tuple[int, int]:
+    """(reply, truthful reply) to a vertex query, each as a vertex: q
+    itself stands for yes, any other vertex is a neighbour reply.
+
+    The truthful reply is yes when q is the target, otherwise a neighbour
+    of q one hop closer to the target. With probability policy.p it is
+    replaced by one of the other legal replies at q (yes plus each
+    neighbour) per policy.lie_choice; the adversarial choice needs the
+    current relative weights. Draws come in a fixed order: the random
+    tiebreak (only when several neighbours are closer), the noise coin,
+    then the lie.
+    """
+    truthful = _truthful_reply(q, target, g, d, policy, rng)
+    if rng.random() < policy.p:
+        return _corrupt_reply(q, truthful, g, d, policy, rng, relative), truthful
+    return truthful, truthful
 
 
 def graph_answer(
@@ -128,43 +197,16 @@ def graph_answer(
     rng: np.random.Generator,
     weights: WeightState | None = None,
 ) -> Answer:
-    """Answer a vertex query, corrupted with probability policy.p.
+    """graph_reply as an Answer; the adversarial lie needs the weights."""
+    relative = None if weights is None else weights.relative
+    return reply_answer(q, *graph_reply(q, target, g, d, policy, rng, relative))
 
-    The truthful reply is yes when q is the target, otherwise a neighbor
-    of q one hop closer to the target. A corrupted reply is one of the
-    other legal replies at q (yes plus each neighbor), selected per
-    policy.lie_choice. The adversarial choice needs the current weights.
-    """
-    truthful = _truthful_graph_reply(q, target, g, d, policy, rng)
-    if rng.random() >= policy.p:
-        return truthful
 
-    wrong: list[Answer] = []
-    if truthful.kind != "yes":
-        wrong.append(Answer(kind="yes", vertex=None, is_lie=True))
-    for u in g.adjacency[q]:
-        if truthful.kind == "neighbor" and truthful.vertex == u:
-            continue
-        wrong.append(Answer(kind="neighbor", vertex=u, is_lie=True))
-    if not wrong:
-        # isolated target on a single-vertex graph: nothing to lie with
-        return truthful
-
-    if policy.lie_choice == "uniform-wrong":
-        return wrong[int(rng.integers(len(wrong)))]
-
-    if weights is None:
-        raise DomainError("adversarial-heaviest lies need the current weight state")
-    rel = weights.relative
-    best, best_mass = wrong[0], -1.0
-    for cand in wrong:
-        if cand.kind == "yes":
-            mass = float(rel[q])
-        else:
-            mass = float(rel[consistent_set(g, d, q, cand).mask].sum())
-        if mass > best_mass:
-            best, best_mass = cand, mass
-    return best
+def reply_answer(q: int, reply: int, truthful: int) -> Answer:
+    """The Answer for a reply given as a vertex (q itself for yes)."""
+    if reply == q:
+        return Answer(kind="yes", vertex=None, is_lie=reply != truthful)
+    return Answer(kind="neighbor", vertex=reply, is_lie=reply != truthful)
 
 
 def linear_answer(

@@ -26,6 +26,7 @@ __all__ = [
     "heaviest",
     "is_heavy",
     "absolute_log2_weight",
+    "log2_rest",
     "apply_multipliers",
 ]
 
@@ -188,3 +189,12 @@ def absolute_log2_weight(state: WeightState, subset) -> float:
     if rel <= 0.0:
         return float("-inf")
     return math.log2(rel) + state.log2_total
+
+
+def log2_rest(relative: np.ndarray, log2_total: float) -> float:
+    """log2 of the absolute mass outside the heaviest element, from one
+    normalized weight vector and its log2 total; -inf when that mass is 0."""
+    rest = float(relative.sum() - relative[int(np.argmax(relative))])
+    if rest <= 0.0:
+        return float("-inf")
+    return math.log2(rest) + float(log2_total)

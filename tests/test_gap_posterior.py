@@ -8,6 +8,7 @@ transcripts exactly.
 
 import copy
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from noisysearch import harness
 from noisysearch.linear_search import (
     CENTRAL_TOL,
+    STOP_SLACK,
     CandidateSet,
     EpochState,
     GapPosterior,
@@ -23,6 +25,7 @@ from noisysearch.linear_search import (
     comparison_update,
     run_adversarial,
     run_lv_distributional,
+    verify_candidates,
 )
 from noisysearch.mathcore import (
     Distribution,
@@ -31,7 +34,7 @@ from noisysearch.mathcore import (
     epoch_length,
     worst_case_budget_linear,
 )
-from noisysearch.oracle import LinearOracle, NoisePolicy, ProtocolError
+from noisysearch.oracle import Answer, LinearOracle, NoisePolicy, ProtocolError
 from noisysearch.weights import init_from_distribution, init_uniform
 
 
@@ -96,7 +99,7 @@ def dense_verify(members, noise, delta, oracle, cap_multiplier=50.0):
     )
     p = noise.p
     for _ in range(cap):
-        if float(w.max()) >= 1.0 - delta:
+        if float(w.max()) >= 1.0 - delta - STOP_SLACK:
             break
         csum = np.cumsum(w)
         prefix = csum - w
@@ -132,7 +135,7 @@ def dense_run_lv_distributional(n, mu, noise, delta, oracle, c_const=4.0, cap_mu
             / noise.info_rate
         )
     )
-    threshold = 1.0 - delta / 2.0
+    threshold = 1.0 - delta / 2.0 - STOP_SLACK
 
     def stop_rule(st, ep):
         return float(st.relative[ep.marked_mask].sum()) >= threshold
@@ -255,6 +258,47 @@ def test_rejects_bad_priors_replies_and_pivots():
         post.update(q, "less", noise)
     with pytest.raises(DomainError):
         post.median(with_pivots=False)
+
+
+class ScriptedOracle:
+    """Replies from a fixed list of answer kinds, then "less" forever."""
+
+    def __init__(self, kinds):
+        self.kinds = list(kinds)
+        self.queries_answered = 0
+
+    def answer(self, q, state=None):
+        kind = self.kinds[self.queries_answered] if self.queries_answered < len(self.kinds) else "less"
+        self.queries_answered += 1
+        return Answer(kind=kind)
+
+
+def test_exact_tie_at_the_stop_threshold_stops_both_loops():
+    # two candidates at p = 1/4: after these eight answers the leading
+    # candidate holds exactly 9/10 = 1 - delta of the mass; the kernel's
+    # share rounds to 0.9 and the dense loop's to 0.8999..., and the stop
+    # slack makes both stop here
+    p, delta = 0.25, 0.1
+    kinds = ["greater", "less", "less", "greater", "greater", "greater", "greater", "greater"]
+    noise = NoiseParams.from_p(p)
+    w = [Fraction(1, 2)] * 2
+    post, dense = GapPosterior.uniform(2), np.full(2, 0.5)
+    for kind in kinds:
+        k = post.median(with_pivots=True)
+        post.update(k, kind, noise)
+        factors = [Fraction(1, 2) if v == k else Fraction(3, 4) if (v < k) == (kind == "less")
+                   else Fraction(1, 4) for v in range(2)]
+        w = [a * f for a, f in zip(w, factors)]
+        mult = np.array([float(f) for f in factors])
+        dense = dense * mult
+        dense = dense / dense.sum()
+    assert max(w) / sum(w) == Fraction(9, 10)
+    assert float(dense.max()) < 0.9 <= post.share(post.median(with_pivots=True))
+
+    kernel_oracle, dense_oracle = ScriptedOracle(kinds), ScriptedOracle(kinds)
+    declared = verify_candidates(CandidateSet((0, 1)), noise, delta, kernel_oracle)
+    assert declared == dense_verify((0, 1), noise, delta, dense_oracle)
+    assert kernel_oracle.queries_answered == dense_oracle.queries_answered == len(kinds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Graph structure, distances, medians, consistent sets, loaders."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from noisysearch.graph import (
     random_tree,
     star_graph,
     weighted_median,
+    weighted_medians,
 )
 from noisysearch.mathcore import Distribution
 from noisysearch.oracle import Answer, ProtocolError
@@ -214,6 +218,31 @@ class TestDescentMedian:
                 cs = consistent_set(g, d, q, Answer(kind="neighbor", vertex=u))
                 assert float(st.relative[cs.mask].sum()) <= 0.5 + 1e-9
 
+    def test_batched_medians_equal_one_row_at_a_time(self):
+        # mixes heavy rows (short-circuit), prefix-sum rows and descent rows
+        rng = np.random.default_rng(15)
+        graphs = [path_graph(37), grid_graph(6, 7), random_tree(40, rng), cycle_graph(30),
+                  star_graph(25), gnm_graph(30, 60, rng)]
+        for g in graphs:
+            d = all_pairs_distances(g)
+            w = rng.uniform(1e-6, 1.0, size=(9, g.n)) ** 6
+            w[::3, int(rng.integers(g.n))] += w[::3].sum(axis=1)
+            w /= w.sum(axis=1, keepdims=True)
+            expected = [weighted_median(g, d, init_from_distribution(Distribution(row))) for row in w]
+            relative = np.stack([init_from_distribution(Distribution(row)).relative for row in w])
+            assert weighted_medians(g, d, relative).tolist() == expected
+            assert weighted_medians(g, d, relative[4:5]).tolist() == expected[4:5]
+
+    def test_batched_costs_equal_one_row_at_a_time(self):
+        rng = np.random.default_rng(16)
+        for g in (path_graph(50), grid_graph(7, 9)):
+            d = all_pairs_distances(g)
+            w = rng.uniform(0.0, 1.0, size=(5, g.n))
+            w /= w.sum(axis=1, keepdims=True)
+            batched = median_costs(g, d, w)
+            for row, costs in zip(w, batched):
+                assert np.array_equal(median_costs(g, d, row), costs)
+
     def test_median_costs_needs_a_layout(self):
         g = star_graph(5)
         with pytest.raises(ValueError, match="layout"):
@@ -332,3 +361,52 @@ class TestGenerators:
     def test_unknown_name(self):
         with pytest.raises(GraphFormatError):
             generate_graph("torus", 9)
+
+
+def list_gnm_graph(n, m, rng, max_tries=200):
+    """The list-of-all-pairs generator gnm_graph replaced, kept as its
+    reference: same rng call, pairs indexed in lexicographic order."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(max_tries):
+        chosen = rng.choice(len(pairs), size=m, replace=False)
+        try:
+            return Graph.from_edges(n, [pairs[int(i)] for i in chosen])
+        except GraphFormatError:
+            continue
+    raise GraphFormatError("no connected graph")
+
+
+class TestGnm:
+    @pytest.mark.parametrize("n", [2, 4, 5, 12, 31, 64])
+    def test_decoded_pairs_equal_the_pair_list(self, n):
+        for seed in range(6):
+            m = int(np.random.default_rng(seed).integers(n - 1, n * (n - 1) // 2 + 1))
+            new = gnm_graph(n, m, np.random.default_rng([seed, n]))
+            old = list_gnm_graph(n, m, np.random.default_rng([seed, n]))
+            assert new.adjacency == old.adjacency
+
+    def test_default_generator_unchanged(self):
+        for seed in range(5):
+            new = generate_graph("gnm", 40, np.random.default_rng(seed))
+            old = list_gnm_graph(40, 80, np.random.default_rng(seed))
+            assert new.adjacency == old.adjacency
+
+    def test_builds_at_ten_thousand_vertices(self):
+        # the pair list alone would be 5e7 tuples, several GB
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            g = gnm_graph(10_000, 60_000, np.random.default_rng(1))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 10_000 and sum(map(len, g.adjacency)) == 120_000
+        assert elapsed < 30.0
+        assert peak < 200 * 2**20
+
+    def test_rejects_bad_edge_counts(self):
+        rng = np.random.default_rng(0)
+        for n, m in ((5, 3), (5, 11)):
+            with pytest.raises(GraphFormatError, match="n-1 <= m"):
+                gnm_graph(n, m, rng)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from noisysearch import graph, harness
+from noisysearch import graph, graph_search, harness
 from noisysearch.harness import (
     ExperimentConfig,
     SummaryStats,
@@ -120,6 +120,34 @@ class TestRunExperiment:
             )
             runs.append((stats, out.read_bytes()))
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            dict(scenario="graph-adversarial", n=64, gen="grid"),
+            dict(scenario="graph-lv-adv", n=60, gen="random-tree"),
+        ],
+    )
+    def test_pool_matches_sequential_on_graph_chunks(self, tmp_path, monkeypatch, cfg):
+        # 37 trials in chunks of 8: the last chunk is short, and the two
+        # workers get different chunks than the sequential run
+        monkeypatch.setattr(graph_search, "CHUNK_BYTES", 8 * 8 * cfg["n"])
+        runs = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}.json"
+            stats = run_experiment(
+                config(trials=37, workers=workers, output=str(out), fmt="json",
+                       keep_transcripts=True, **cfg)
+            )
+            runs.append((stats, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0].transcript_sample) == 5
+
+    def test_chunked_run_equals_one_trial_per_chunk(self, monkeypatch):
+        cfg = config(scenario="graph-lv-adv", n=30, gen="cycle", trials=21, keep_transcripts=True)
+        chunked = run_experiment(cfg)
+        monkeypatch.setattr(graph_search, "CHUNK_BYTES", 1)
+        assert run_experiment(cfg) == chunked
 
     def test_large_random_tree_touches_few_rows(self, monkeypatch):
         held = []

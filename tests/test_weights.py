@@ -16,6 +16,7 @@ from noisysearch.weights import (
     init_from_distribution,
     init_uniform,
     is_heavy,
+    log2_rest,
 )
 
 
@@ -173,6 +174,20 @@ class TestAbsoluteLog2Weight:
         st = init_uniform(3)
         with pytest.raises(DomainError):
             absolute_log2_weight(st, [])
+
+
+class TestLog2Rest:
+    def test_mass_outside_the_heaviest(self):
+        st = bayesian_update(
+            init_from_distribution(Distribution(np.array([0.5, 0.25, 0.25]))),
+            CompatibleSet.singleton(3, 0),
+            NoiseParams.from_p(0.25),
+        )
+        expected = absolute_log2_weight(st, [1, 2])
+        assert log2_rest(st.relative, st.log2_total) == pytest.approx(expected, abs=1e-12)
+
+    def test_point_mass_has_no_rest(self):
+        assert log2_rest(np.array([0.0, 1.0, 0.0]), 3.0) == float("-inf")
 
 
 class TestApplyMultipliers:
