@@ -8,7 +8,6 @@ from .mathcore import (
     NoiseParams,
     binary_entropy,
     dist_entropy,
-    dist_entropy2,
     epoch_length,
     info_rate,
     solve_quadratic_threshold,
@@ -40,7 +39,6 @@ from .oracle import (
     LinearOracle,
     NoisePolicy,
     ProtocolError,
-    TargetModel,
     graph_answer,
     heavy_filter,
     linear_answer,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .graph import GraphFormatError
 from .harness import (
@@ -78,16 +79,26 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    """Run the command; exit 0 ok, 1 bound violated, 2 bad input, 3 internal error."""
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        if args.sweep:
-            results = adversarial_sweep(config)
-        else:
-            results = [run_experiment(config)]
+        return _run(args)
     except (DomainError, GraphFormatError, ProtocolError, OSError) as exc:
         print(f"noisy-search: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input: keep it apart from exit 1
+        traceback.print_exc(file=sys.stderr)
+        print(f"noisy-search: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args: argparse.Namespace) -> int:
+    config = config_from_args(args)
+    if args.sweep:
+        results = adversarial_sweep(config)
+    else:
+        results = [run_experiment(config)]
     ok = all(r.bound_satisfied for r in results)
     for r in results:
         target = r.extras.get("target")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,9 +15,11 @@ __all__ = [
     "GraphFormatError",
     "Graph",
     "DistanceMatrix",
+    "TreeIndex",
     "all_pairs_distances",
     "weighted_median",
     "weighted_medians",
+    "reply_set",
     "consistent_set",
     "load_graph",
     "path_graph",
@@ -102,8 +106,9 @@ class Graph:
 # Bytes of distance rows one DistanceMatrix keeps; past it the oldest rows are
 # dropped, so memory follows the rows a run touches instead of n^2.
 ROW_CACHE_BYTES = 32 << 20
-# Bytes of neighbour rows the median descent stacks at once (a star centre has
-# n - 1 neighbours, and their rows must not become an n x n array).
+# Bytes of neighbour rows whose reply sets the median descent stacks at once
+# (a hub of a graph that is not a tree may have ~n neighbours, and their
+# reply sets must not become an n x n array).
 _BLOCK_BYTES = 4 << 20
 # A reply set must beat half the weight by this much before descent steps into
 # it, so rounding in the mass sums cannot make it cycle.
@@ -130,6 +135,60 @@ def _bfs_row(adj: tuple[tuple[int, ...], ...], src: int) -> np.ndarray:
     return out
 
 
+class TreeIndex:
+    """DFS preorder numbering of a tree, rooted at vertex 0, children in id order.
+
+    order[i] is the vertex at preorder position i and start[v] the position
+    of v; v's subtree is order[start[v]:end[v]], and parent[v] is -1 at the
+    root. So every reply set of a tree is one preorder interval or its
+    complement: N(q, u) is u's subtree when u is a child of q, and all but
+    q's subtree when u is q's parent. Built in O(n) without recursion, so a
+    path of any length is fine.
+    """
+
+    def __init__(self, g: Graph):
+        n, adj = g.n, g.adjacency
+        parent = [-1] * n
+        order = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            kids = [u for u in adj[v] if u != parent[v]]
+            for u in kids:
+                parent[u] = v
+            stack.extend(reversed(kids))  # the smallest id is visited first
+        size = [1] * n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        self.order = np.array(order, dtype=np.int64)
+        self.start = np.empty(n, dtype=np.int64)
+        self.start[self.order] = np.arange(n)
+        self.end = self.start + np.array(size, dtype=np.int64)
+        self.parent = np.array(parent, dtype=np.int64)
+        # end of the subtree that begins at each preorder position
+        self.end_at = self.end[self.order]
+        # children grouped by parent, each group in preorder, for toward()
+        kids = self.order[1:][np.argsort(self.parent[self.order[1:]], kind="stable")]
+        kid_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.parent[kids], minlength=n), out=kid_ptr[1:])
+        self._start = self.start.tolist()
+        self._end = self.end.tolist()
+        self._parent = parent
+        self._kids = kids.tolist()
+        self._kid_starts = self.start[kids].tolist()
+        self._kid_ptr = kid_ptr.tolist()
+
+    def toward(self, q: int, target: int) -> int:
+        """The neighbour of q one hop closer to target (q != target): the
+        child whose interval holds the target, or else the parent."""
+        s = self._start[target]
+        if self._start[q] < s < self._end[q]:
+            lo, hi = self._kid_ptr[q], self._kid_ptr[q + 1]
+            return self._kids[bisect_right(self._kid_starts, s, lo, hi) - 1]
+        return self._parent[q]
+
+
 class DistanceMatrix:
     """Hop distances of one graph, computed one row at a time on first use.
 
@@ -137,6 +196,11 @@ class DistanceMatrix:
     layouts, one BFS otherwise. Rows are read-only and cached per instance
     up to ROW_CACHE_BYTES, oldest out first. rows_computed counts the rows
     built for the cache and cached_bytes what the cache holds now.
+
+    tree is the graph's TreeIndex when it has m = n - 1 edges and no layout
+    hint (random trees, stars, loaded tree files), built on first use, and
+    None otherwise. Medians, truthful replies and reply sets on a tree read
+    it instead of rows, so a tree run computes no row at all.
     """
 
     def __init__(self, g: Graph):
@@ -145,6 +209,13 @@ class DistanceMatrix:
         self.cached_bytes = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
         self._full: np.ndarray | None = None
+
+    @cached_property
+    def tree(self) -> TreeIndex | None:
+        g = self.graph
+        if g.layout_hint is not None or sum(map(len, g.adjacency)) != 2 * (g.n - 1):
+            return None
+        return TreeIndex(g)
 
     def _compute_row(self, v: int) -> np.ndarray:
         g = self.graph
@@ -173,10 +244,6 @@ class DistanceMatrix:
             self._rows[v] = row
             self.cached_bytes += row.nbytes
         return row
-
-    def rows(self, vs) -> np.ndarray:
-        """Rows d(v, .) for v in vs stacked into a (len(vs), n) array."""
-        return np.stack([self.row(v) for v in vs])
 
     @property
     def dist(self) -> np.ndarray:
@@ -236,11 +303,10 @@ def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
     """
     block = max(1, _BLOCK_BYTES // (4 * g.n))
     for _ in range(g.n):
-        closer = d.row(q) - 1
         nbrs = g.adjacency[q]
         for i in range(0, len(nbrs), block):
             chunk = nbrs[i : i + block]
-            mass = (d.rows(chunk) == closer) @ rel
+            mass = np.stack([reply_set(g, d, q, u) for u in chunk]) @ rel
             j = int(np.argmax(mass))
             if mass[j] > _MAJORITY:
                 q = chunk[j]
@@ -250,6 +316,25 @@ def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
     return q
 
 
+def _tree_medians(tree: TreeIndex, relative: np.ndarray) -> np.ndarray:
+    """The deepest vertex whose subtree holds more than half of each row.
+
+    The vertices whose subtree holds a majority form a path down from the
+    root, and depth grows with preorder position along it, so the deepest
+    is the one with the largest start. At it every child's subtree holds at
+    most half and the rest of the tree less than half: a median. One
+    gather into preorder and one cumsum give every subtree mass; each row
+    is summed on its own, so a row's vertex does not depend on the others.
+    """
+    rows, n = relative.shape
+    prefix = np.zeros((rows, n + 1))
+    np.cumsum(np.take(relative, tree.order, axis=1), axis=1, out=prefix[:, 1:])
+    mass = np.take(prefix, tree.end_at, axis=1)  # take: fancy indexing is slower
+    mass -= prefix[:, :-1]  # now the subtree mass at each preorder position
+    deepest = n - 1 - np.argmax(mass[:, ::-1] > _MAJORITY, axis=1)
+    return tree.order[deepest]
+
+
 def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     """A vertex at which every neighbour reply set holds at most half the weight.
 
@@ -257,39 +342,57 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     strictly more than half the weight is returned at once: every reply
     set at it misses that vertex. On path and grid layouts the result is
     the minimiser of the weighted distance cost, ties to the smallest id,
-    found by prefix sums. On every other graph it is where descent from
-    the heaviest vertex stops: a local minimiser of the cost, which on a
-    tree is a global one. Which of several valid vertices comes back
-    depends on the descent path, not on the vertex ids.
+    found by prefix sums. On a tree (d.tree) it is the deepest vertex, in
+    the preorder rooted at vertex 0, whose subtree holds more than half
+    the weight: the weighted centroid, which is the cost minimiser. On
+    every other graph it is where descent from the heaviest vertex stops:
+    a local minimiser of the cost. Which of several valid vertices comes
+    back (at an exact half split, say) depends on the tree's root or the
+    descent path, not on the vertex ids. weighted_medians gives the same
+    vertex for the same weights.
     """
-    rel = w.relative
-    top = int(np.argmax(rel))
-    if rel[top] > 0.5 + 1e-9:
-        return top
-    if g.layout_hint == "path" or _is_grid(g):
-        return int(np.argmin(median_costs(g, d, rel)))
-    return _descend(g, d, rel, top)
+    return int(weighted_medians(g, d, w.relative[None, :])[0])
 
 
 def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
     """weighted_median of every row of a (rows, n) weight matrix.
 
     One argmax per row finds the heavy vertices; the other rows share one
-    prefix-sum pass on path and grid layouts and descend one by one
-    elsewhere. Each row's vertex is the one weighted_median returns for it.
+    prefix-sum pass on path and grid layouts and one preorder pass on
+    trees, and descend one by one elsewhere.
     """
     tops = relative.argmax(axis=1)
     light = relative[np.arange(len(tops)), tops] <= 0.5 + 1e-9
     if not light.any():
         return tops
     qs = tops.copy()
-    if g.layout_hint == "path" or _is_grid(g):
-        sub = relative if light.all() else relative[light]
-        qs[light] = median_costs(g, d, sub).argmin(axis=1)
-    else:
+    laid_out = g.layout_hint == "path" or _is_grid(g)
+    if not laid_out and d.tree is None:
         for i in np.flatnonzero(light).tolist():
             qs[i] = _descend(g, d, relative[i], int(tops[i]))
+        return qs
+    sub = relative if light.all() else relative[light]
+    qs[light] = median_costs(g, d, sub).argmin(axis=1) if laid_out else _tree_medians(d.tree, sub)
     return qs
+
+
+def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
+    """N(q,u) = {x : d(u,x) = d(q,x) - 1} as a boolean mask over vertex ids,
+    for a neighbour u of q.
+
+    On a tree it is u's preorder interval when u is a child of q and the
+    complement of q's interval when u is q's parent, so no distance row is
+    read; elsewhere it compares the rows of u and q.
+    """
+    tree = d.tree
+    if tree is None:
+        return d.row(u) == d.row(q) - 1
+    inside = tree._parent[u] == q
+    v = u if inside else q
+    lo, hi = tree._start[v], tree._end[v]
+    # lo <= start < hi as one unsigned comparison: below lo wraps to huge
+    in_v = (tree.start - lo).view(np.uint64) < hi - lo
+    return in_v if inside else ~in_v
 
 
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
@@ -297,7 +400,7 @@ def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
 
     A yes reply is consistent with q alone. A neighbor reply u is
     consistent with every vertex having u on some shortest path from q,
-    i.e. d(u, x) = d(q, x) - 1.
+    i.e. the reply set N(q,u) (see reply_set).
     """
     from .oracle import Answer, ProtocolError  # cycle-free: oracle imports nothing from here
 
@@ -313,8 +416,7 @@ def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
             return CompatibleSet.singleton(g.n, q)
     if u is None or u not in g.adjacency[q]:
         raise ProtocolError(f"reply vertex {u} is not a neighbor of query {q}")
-    mask = d.row(u) == d.row(q) - 1
-    return CompatibleSet(mask)
+    return CompatibleSet(reply_set(g, d, q, u))
 
 
 # ---------------------------------------------------------------------------

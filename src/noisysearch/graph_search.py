@@ -12,13 +12,15 @@ stop threshold):
 
 One engine, search(), drives them all. It runs a chunk of trials as the
 rows of one (rows x n) weight matrix plus a per-row log2 total: per step,
-one median per row (batched on path and grid layouts), one reply per row
-from that trial's own oracle and rng in the per-trial draw order, and one
-multiply, row sum and divide for the whole chunk (a neighbour reply at a
-light vertex first scales its row by its reply set). Every row does the
-arithmetic a lone trial would, in the same order, so a trial's transcript
-does not depend on the chunk it ran in. The run_* functions are a chunk
-of one. step_median_update is the dense single-state step built from
+one median per row (batched by prefix sums on path and grid layouts and
+by preorder intervals on trees), one reply per row from that trial's own
+oracle and rng in the per-trial draw order, and one multiply, row sum and
+divide for the whole chunk (a neighbour reply at a light vertex first
+scales its row by its reply set, graph.reply_set, which on a tree is one
+preorder interval or its complement). Every row does the arithmetic a
+lone trial would, in the same order, so a trial's transcript does not
+depend on the chunk it ran in. The run_* functions are a chunk of one.
+step_median_update is the dense single-state step built from
 weighted_median, heavy_filter and bayesian_update; the invariant fuzzer
 and the tests use it as the reference.
 """
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import DistanceMatrix, Graph, weighted_median, weighted_medians
+from .graph import DistanceMatrix, Graph, reply_set, weighted_median, weighted_medians
 from .mathcore import Distribution, DomainError, NoiseParams, worst_case_budget_graph
 from .oracle import Answer, GraphOracle, graph_reply, heavy_filter, reply_answer
 from .weights import (
@@ -250,9 +252,9 @@ def search(
         # and bayesian_update would: kept weights scale by 1-p, the rest by
         # p. A yes keeps {q} and a no at a q holding half the weight keeps
         # all but q, so those rows scale by one factor off q and another at
-        # q, all rows in one multiply. Any other reply u keeps
-        # d(u, .) == d(q, .) - 1, which leaves q out; such a row is scaled
-        # on its own, and the chunk multiply passes it by with a factor 1.
+        # q, all rows in one multiply. Any other reply u keeps its reply
+        # set N(q, u), which leaves q out; such a row is scaled on its own,
+        # and the chunk multiply passes it by with a factor 1.
         # weights is this loop's own array (np.tile or a fancy-index copy).
         qs = weighted_medians(g, d, weights)
         at_q = weights[rows, qs]
@@ -270,7 +272,7 @@ def search(
                 at_q_mult.append(p)
                 size = n - 1
             else:
-                closer = d.row(reply) == d.row(q) - 1
+                closer = reply_set(g, d, q, reply)
                 weights[i] *= np.where(closer, keep, p)
                 fill.append(1.0)
                 at_q_mult.append(p)

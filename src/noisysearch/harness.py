@@ -36,7 +36,6 @@ from .oracle import (
     GraphOracle,
     LinearOracle,
     NoisePolicy,
-    TargetModel,
     load_distribution,
 )
 from .weights import init_uniform, log2_rest
@@ -297,7 +296,7 @@ def _trial_start(ctx: _Context, index: int) -> tuple[int, np.random.Generator]:
     if config.fixed_target is not None:
         target = config.fixed_target
     elif _is_distributional(config.scenario):
-        target = TargetModel(mode="sampled", mu=ctx.mu).realize(rng)
+        target = int(rng.choice(ctx.mu.n, p=ctx.mu.masses))
     else:
         target = int(rng.integers(config.n))
     return target, rng

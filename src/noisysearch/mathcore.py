@@ -29,7 +29,6 @@ __all__ = [
     "binary_entropy",
     "info_rate",
     "dist_entropy",
-    "dist_entropy2",
     "solve_quadratic_threshold",
     "worst_case_budget_graph",
     "worst_case_budget_linear",
@@ -146,22 +145,6 @@ def dist_entropy(mu: Distribution) -> float:
     m = mu.masses
     pos = m[m > 0.0]
     return float(-(pos * np.log2(pos)).sum())
-
-
-def dist_entropy2(mu: Distribution) -> float:
-    """Sum of mu(x) * log2(log2(1/mu(x))) over elements with positive mass.
-
-    Terms with log2(1/mu(x)) <= 1 (i.e. mass >= 1/2) are clamped to zero:
-    the inner log would be nonpositive there and the quantity is only
-    meaningful for light elements.
-    """
-    m = mu.masses
-    total = 0.0
-    for x in m[m > 0.0]:
-        inner = math.log2(1.0 / x)
-        if inner > 1.0:
-            total += x * math.log2(inner)
-    return total
 
 
 def solve_quadratic_threshold(a: float, b: float, c: float) -> float:

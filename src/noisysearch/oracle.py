@@ -20,7 +20,6 @@ __all__ = [
     "ProtocolError",
     "Answer",
     "NoisePolicy",
-    "TargetModel",
     "graph_answer",
     "graph_reply",
     "reply_answer",
@@ -78,32 +77,10 @@ class NoisePolicy:
             raise DomainError(f"unknown lie choice {self.lie_choice!r}")
 
 
-@dataclass
-class TargetModel:
-    """Where the hidden target comes from: fixed by an adversary or sampled.
-
-    realize() draws the target once, before the first query of a trial.
-    """
-
-    mode: str
-    element: int | None = None
-    mu: Distribution | None = None
-
-    def realize(self, rng: np.random.Generator) -> int:
-        if self.mode == "fixed":
-            if self.element is None:
-                raise DomainError("fixed target model needs an element")
-            return int(self.element)
-        if self.mode == "sampled":
-            if self.mu is None:
-                raise DomainError("sampled target model needs a distribution")
-            return int(rng.choice(self.mu.n, p=self.mu.masses))
-        raise DomainError(f"unknown target mode {self.mode!r}")
-
-
 def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[int]:
     """Neighbours of q one hop closer to the target, in increasing id order;
-    closed form on path and grid layouts, read off d(target, .) otherwise."""
+    closed form on path and grid layouts, the one neighbour toward the
+    target's preorder interval on a tree, read off d(target, .) otherwise."""
     if g.layout_hint == "path":
         return [q - 1] if target < q else [q + 1]
     if g.layout_hint == "grid" and g.layout_shape is not None:
@@ -113,6 +90,8 @@ def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[
         # up, left, right, down: increasing ids
         steps = ((rt < rq, -cols), (ct < cq, -1), (ct > cq, 1), (rt > rq, cols))
         return [q + step for closer, step in steps if closer]
+    if d.tree is not None:
+        return [d.tree.toward(q, target)]
     to_target = d.row(target)
     dq = int(to_target[q])
     return [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]

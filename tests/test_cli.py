@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from noisysearch import harness
+from noisysearch import cli, harness
 from noisysearch.cli import main
 
 
@@ -160,3 +160,17 @@ class TestCli:
         )
         assert code == 2
         assert str(out) in capsys.readouterr().err
+
+    def test_internal_error_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise RuntimeError("engine fault")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        code = run_cli(
+            "graph-adversarial", "--n", "8", "--p", "0.3", "--delta", "0.2",
+            "--trials", "5", "--seed", "1", "--gen", "path",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "RuntimeError: engine fault" in err and "Traceback" in err

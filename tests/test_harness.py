@@ -163,7 +163,7 @@ class TestRunExperiment:
         )
         assert stats.trials == 2 and stats.flagged_trials == 0
         (d,) = held
-        assert 0 < d.rows_computed < n // 20
+        assert d.rows_computed == 0
         assert d.cached_bytes <= graph.ROW_CACHE_BYTES
 
     def test_trial_reorder_stability(self):

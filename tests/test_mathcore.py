@@ -12,7 +12,6 @@ from noisysearch.mathcore import (
     NoiseParams,
     binary_entropy,
     dist_entropy,
-    dist_entropy2,
     epoch_length,
     info_rate,
     solve_quadratic_threshold,
@@ -127,19 +126,6 @@ class TestDistEntropy:
         with_zero = Distribution(np.array([0.5, 0.5, 0.0]))
         without = Distribution(np.array([0.5, 0.5]))
         assert dist_entropy(with_zero) == pytest.approx(dist_entropy(without), abs=1e-15)
-
-
-class TestDistEntropy2:
-    def test_uniform_sixteen(self):
-        assert dist_entropy2(Distribution.uniform(16)) == pytest.approx(2.0, abs=1e-12)
-
-    def test_half_quarter_quarter(self):
-        # the 1/2 term clamps to zero; each 1/4 term contributes 1/4 * log2(2)
-        mu = Distribution(np.array([0.5, 0.25, 0.25]))
-        assert dist_entropy2(mu) == pytest.approx(0.5, abs=1e-12)
-
-    def test_point_mass_clamps(self):
-        assert dist_entropy2(Distribution(np.array([1.0]))) == 0.0
 
 
 class TestQuadraticThreshold:

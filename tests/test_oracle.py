@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from noisysearch import harness
 from noisysearch.graph import all_pairs_distances, path_graph, star_graph
 from noisysearch.mathcore import DomainError, NoiseParams
 from noisysearch.oracle import (
@@ -12,7 +13,6 @@ from noisysearch.oracle import (
     GraphOracle,
     LinearOracle,
     NoisePolicy,
-    TargetModel,
     graph_answer,
     heavy_filter,
     linear_answer,
@@ -199,19 +199,16 @@ class TestHeavyFilter:
 
 
 class TestTargetModel:
-    def test_fixed(self):
-        assert TargetModel(mode="fixed", element=3).realize(np.random.default_rng(0)) == 3
-
     def test_sampled_respects_distribution(self):
         mu = Distribution(np.array([0.8, 0.2]))
-        rng = np.random.default_rng(11)
-        draws = [TargetModel(mode="sampled", mu=mu).realize(rng) for _ in range(5000)]
+        ctx = harness._build_context(
+            harness.ExperimentConfig(
+                scenario="bin-lv-distr", n=2, p=0.1, delta=0.2, trials=1, seed=11, mu=mu
+            )
+        )
+        draws = [harness._trial_start(ctx, index)[0] for index in range(5000)]
         freq = np.mean([x == 0 for x in draws])
         assert abs(freq - 0.8) < 0.02
-
-    def test_rejects_incomplete(self):
-        with pytest.raises(DomainError):
-            TargetModel(mode="fixed").realize(np.random.default_rng(0))
 
 
 class TestOracleObjects:
