@@ -188,6 +188,11 @@ class TreeIndex:
             return self._kids[bisect_right(self._kid_starts, s, lo, hi) - 1]
         return self._parent[q]
 
+    def subtree(self, v: int) -> np.ndarray:
+        """The vertices of v's subtree, ascending: the order in which a
+        boolean mask over vertex ids selects them."""
+        return np.sort(self.order[self._start[v] : self._end[v]])
+
 
 class DistanceMatrix:
     """Hop distances of one graph, computed one row at a time on first use.

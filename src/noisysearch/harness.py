@@ -719,7 +719,7 @@ def fuzz_binary_invariants(
             oracle = _ContraryLinearOracle(n, rng, "greedy" if mode == 1 else "random")
         budget = min(worst_case_budget_linear(n, noise, 0.2).q, max_steps)
 
-        state = linear_search.GapPosterior.uniform(n)
+        state = linear_search.TreePosterior.uniform(n)
         epoch = linear_search.EpochState.fresh(n)
         steps = 0
         while steps < budget and len(epoch.marked) < n:

@@ -11,7 +11,9 @@ target into the candidate pool.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,7 @@ from .weights import (
 __all__ = [
     "EpochState",
     "CandidateSet",
-    "GapPosterior",
+    "TreePosterior",
     "central_element",
     "comparison_update",
     "run_epoch",
@@ -91,83 +93,112 @@ class CandidateSet:
         return len(self.members)
 
 
-class GapPosterior:
-    """Posterior of a comparison search, held per gap between queried pivots.
+class TreePosterior:
+    """Posterior of a comparison search, held in one sum tree over the elements.
 
-    Every answer scales a whole side of its pivot, so after any answers an
-    element's weight is its prior times gamma^(answers consistent with it)
-    times (2p)^-(queries at it), up to a common factor. The first factor is
-    constant on each gap between queried pivots. The state is therefore the
-    prior, the K sorted pivots queried so far, the prior mass and the weight
-    of each gap (gap j lies just below pivot j, gap K above the last pivot;
-    its weight over its prior mass is the factor its elements share), one
-    weight per pivot, and a log2 scale. Gap and pivot weights interleave in
-    one block array, gap j at block 2j and pivot j at block 2j+1, so that an
-    answer scales one side with one slice. Element i of gap g weighs
-    prior[i] * weight[g] / prior_mass[g] * 2**log2_scale in absolute terms.
-    Every operation but .relative and log2_total, which are dense, costs
-    O(K) array work plus work on the one gap it touches.
+    Every answer scales a whole side of its pivot by gamma and the pivot by
+    1/(2p), up to the common factor p that log2_scale keeps. Both sides are
+    unions of O(log n) subtrees, so one leaf-to-root pass applies an answer,
+    and the median is one root-to-leaf descent.
+
+    The tree has a power-of-two number of leaves; leaf i (node size + i)
+    holds element i and padding leaves weigh 0. Three flat buffers hold it:
+    s[v] is the mass under node v, g[v] the part of it that is not on a
+    queried pivot, and t[v] one multiplicative tag per internal node. A
+    node's true sums are its stored sums times the tags of its strict
+    ancestors, and s[v] = t[v] * (s[2v] + s[2v+1]), likewise g; scaling a
+    subtree scales its root's s, g and t. Element i weighs its true leaf sum
+    times 2**log2_scale in absolute terms. median, update, share and
+    marked_share cost O(log n) scalar steps with no numpy call;
+    log2_gap_mass reads the root; .relative and log2_total, and the
+    renormalisation that bounds the tags, are dense O(n).
 
     central_element and comparison_update compute the same posterior densely
     and serve as its reference.
     """
 
-    # the largest weight grows by at most gamma per answer; renormalise once
-    # the growth since the last renormalisation could pass 2^RENORM_LOG2
+    # the root grows by at most gamma per answer, and so does the product of
+    # the tags on any path; renormalise once that growth since the last
+    # renormalisation could pass 2^RENORM_LOG2
     RENORM_LOG2 = 512.0
 
     def __init__(self, prior: np.ndarray):
         prior = np.asarray(prior, dtype=np.float64)
         if prior.ndim != 1 or prior.size == 0:
-            raise DomainError("a gap posterior needs a nonempty 1-D prior")
+            raise DomainError("a comparison posterior needs a nonempty 1-D prior")
         if not (np.isfinite(prior).all() and (prior > 0.0).all()):
-            raise DomainError("a gap posterior needs finite, strictly positive prior weights")
-        self.prior = prior
+            raise DomainError(
+                "a comparison posterior needs finite, strictly positive prior weights"
+            )
+        self.n = n = int(prior.size)
+        self._size = size = 1 << (n - 1).bit_length()
+        self._s = array("d", [0.0]) * (2 * size)
+        self._g = array("d", [0.0]) * (2 * size)
+        self._t = array("d", [1.0]) * size
+        self._queried = bytearray(n)
         self.k = 0
-        cap = 64
-        self._pivots = np.empty(cap, dtype=np.int64)
-        self._blocks = np.empty(2 * cap + 1)
-        self._prior_mass = np.empty(cap + 1)
-        self._blocks[0] = self._prior_mass[0] = float(prior.sum())
         self.log2_scale = 0.0
         self._headroom = self.RENORM_LOG2
+        self._fill(prior)
 
     @classmethod
-    def uniform(cls, n: int) -> "GapPosterior":
+    def uniform(cls, n: int) -> "TreePosterior":
         """Uniform prior 1/n, the start of init_uniform."""
         return cls(init_uniform(n).relative)
 
     @property
-    def n(self) -> int:
-        return int(self.prior.size)
-
-    @property
     def pivots(self) -> np.ndarray:
-        return self._pivots[: self.k]
+        """The queried pivots, ascending."""
+        return np.flatnonzero(np.frombuffer(self._queried, dtype=np.uint8))
 
-    def _gap_bounds(self, g: int) -> tuple[int, int]:
-        lo = int(self._pivots[g - 1]) + 1 if g > 0 else 0
-        hi = int(self._pivots[g]) if g < self.k else self.n
-        return lo, hi
+    def _fill(self, leaves: np.ndarray) -> None:
+        """Set the leaf weights, clear the tags and sum every level."""
+        n, size = self.n, self._size
+        s, g = np.frombuffer(self._s), np.frombuffer(self._g)
+        s[size : size + n] = leaves
+        g[size : size + n] = leaves
+        g[size : size + n][np.frombuffer(self._queried, dtype=bool)] = 0.0
+        lo = size // 2
+        while lo:
+            np.add(s[2 * lo : 4 * lo : 2], s[2 * lo + 1 : 4 * lo : 2], out=s[lo : 2 * lo])
+            np.add(g[2 * lo : 4 * lo : 2], g[2 * lo + 1 : 4 * lo : 2], out=g[lo : 2 * lo])
+            lo //= 2
+        np.frombuffer(self._t)[:] = 1.0
 
-    def _factor(self, g: int) -> float:
-        return float(self._blocks[2 * g]) / float(self._prior_mass[g])
+    def _leaf_weights(self) -> np.ndarray:
+        """True leaf weights of the n elements: each leaf times its tags,
+        pushed down one level at a time."""
+        size = self._size
+        t = np.frombuffer(self._t)
+        factor = 1.0
+        lo = 1
+        while lo < size:
+            factor = (factor * t[lo : 2 * lo]).repeat(2)
+            lo *= 2
+        return (np.frombuffer(self._s)[size:] * factor)[: self.n]
+
+    def _true(self, v: int) -> float:
+        """True mass of node v: its stored s times its ancestors' tags."""
+        t = self._t
+        w = self._s[v]
+        v >>= 1
+        while v:
+            w *= t[v]
+            v >>= 1
+        return w
 
     def median(self, with_pivots: bool) -> int:
         """Smallest element splitting the counted mass in half.
 
-        Without pivots only the gaps count, as in phase one, where every
-        queried pivot is marked when an epoch starts; the result equals
-        central_element with the pivots as the marked set. With pivots every
-        element counts, as in verification.
+        Without pivots only the unqueried elements count (g), as in phase
+        one, where every queried pivot is marked when an epoch starts; the
+        result equals central_element with the pivots as the marked set. With
+        pivots every element counts (s), as in verification.
         """
-        k = self.k
-        step = 1 if with_pivots else 2
-        blocks = self._blocks[: 2 * k + 1 : step]
-        cum = blocks.cumsum()
-        total = float(cum[-1])
+        a = self._s if with_pivots else self._g
+        total = a[1]
         if total <= 0.0:
-            if not with_pivots and k >= self.n:
+            if not with_pivots and self.k >= self.n:
                 raise DomainError(
                     "no unmarked elements remain; the epoch phase should have stopped"
                 )
@@ -176,155 +207,127 @@ class GapPosterior:
         half = (0.5 + CENTRAL_TOL) * total
         # The answer is the first element whose inclusive prefix reaches
         # total - half (everything above it then holds at most half), provided
-        # its exclusive prefix is at most half. Rounding may put that element
-        # one block past the first block whose end reaches total - half.
+        # its exclusive prefix is at most half. Descend into the left child
+        # while its mass reaches, carrying the exclusive prefix and the
+        # product of the tags above the current children.
         reach = total - half
-        for c in range(int(cum.searchsorted(reach)), blocks.size):
-            if blocks[c] <= 0.0:
-                continue
-            before = float(cum[c - 1]) if c > 0 else 0.0
-            b = c * step
-            if b % 2 == 1:
-                if float(cum[c]) >= reach:
-                    return self._checked(int(self._pivots[b // 2]), before, half)
-                continue
-            lo, hi = self._gap_bounds(b // 2)
-            f = self._factor(b // 2)
-            csum = self.prior[lo:hi].cumsum()
-            i = int(csum.searchsorted((reach - before) / f))
-            if i < csum.size:
-                prefix = before + f * float(csum[i - 1]) if i else before
-                return self._checked(lo + i, prefix, half)
-        raise DomainError("no central element found; weights are inconsistent")
-
-    @staticmethod
-    def _checked(element: int, prefix: float, half: float) -> int:
-        if prefix > half:
+        t, size = self._t, self._size
+        v, before, scale = 1, 0.0, 1.0
+        while v < size:
+            scale *= t[v]
+            v *= 2
+            left = a[v] * scale
+            if before + left < reach:
+                before += left
+                v += 1
+        if a[v] <= 0.0:
+            # rounding between a node and its children's sums walked onto a
+            # leaf with nothing counted (a queried pivot or padding): take the
+            # nearest counted leaf on the left, whose inclusive prefix is
+            # `before`
+            while not (v & 1 and a[v - 1] > 0.0):
+                v >>= 1
+                if v == 1:
+                    raise DomainError("no central element found; weights are inconsistent")
+            v -= 1
+            while v < size:
+                v = 2 * v + 1 if a[2 * v + 1] > 0.0 else 2 * v
+            # a counted leaf is not a queried pivot, so its s equals its g
+            before -= self._true(v)
+        if before > half:
             raise DomainError("no central element found; weights are inconsistent")
-        return element
+        return v - size
 
     def update(self, pivot: int, kind: str, noise: NoiseParams) -> None:
         """Fold in one comparison answer at the pivot.
 
-        Splits the gap holding a new pivot, then scales the answered side by
-        gamma and the pivot by 1/(2p); log2_scale takes the common factor p,
-        so absolute weights match comparison_update's (1-p, p, 1/2).
+        Scales the pivot's leaf by 1/(2p) and, on the way to the root, every
+        sibling subtree on the answered side by gamma; log2_scale takes the
+        common factor p, so absolute weights match comparison_update's
+        (1-p, p, 1/2).
         """
-        if kind != "less" and kind != "greater":
-            raise ProtocolError(f"comparison reply must be less/greater, got {kind!r}")
-        k = self.k
-        j = int(self._pivots[:k].searchsorted(pivot))
-        if j == k or self._pivots[j] != pivot:
-            self._split(j, pivot)
-            k += 1
-        b = 2 * j + 1
-        gamma = noise.gamma
         if kind == "less":
-            self._blocks[:b] *= gamma
+            side = 1  # scale a sibling that is a left child, i.e. when v is odd
+        elif kind == "greater":
+            side = 0
         else:
-            self._blocks[b + 1 : 2 * k + 1] *= gamma
-        self._blocks[b] *= 0.5 / noise.p
+            raise ProtocolError(f"comparison reply must be less/greater, got {kind!r}")
+        if not 0 <= pivot < self.n:
+            raise DomainError(f"pivot {pivot} out of range for n={self.n}")
+        s, g, t = self._s, self._g, self._t
+        gamma = noise.gamma
+        v = self._size + pivot
+        sv = s[v] = s[v] * (0.5 / noise.p)
+        if self._queried[pivot]:
+            gv = g[v]
+        else:
+            self._queried[pivot] = 1
+            self.k += 1
+            gv = g[v] = 0.0
+        # sv, gv: stored sums of v, the node on the path; w: its sibling
+        leaf = True
+        while v > 1:
+            w = v ^ 1
+            sw, gw = s[w], g[w]
+            if v & 1 == side:
+                sw = s[w] = sw * gamma
+                gw = g[w] = gw * gamma
+                if not leaf:
+                    t[w] *= gamma
+            leaf = False
+            v >>= 1
+            tv = t[v]
+            sv = s[v] = tv * (sv + sw)
+            gv = g[v] = tv * (gv + gw)
         self.log2_scale += math.log2(noise.p)
         self._headroom -= math.log2(gamma)
         if self._headroom < 0.0:
             self._renormalise()
 
-    def _split(self, j: int, pivot: int) -> None:
-        """Insert a pivot at sorted slot j, cutting gap j at it."""
-        if not 0 <= pivot < self.n:
-            raise DomainError(f"pivot {pivot} out of range for n={self.n}")
-        k = self.k
-        if k == self._pivots.size:
-            self._grow()
-        lo, hi = self._gap_bounds(j)
-        f = self._factor(j)
-        prior, pivots, blocks, mass = self.prior, self._pivots, self._blocks, self._prior_mass
-        # sum each side's own slice: a difference of prefix sums rounds the
-        # tail of a fast-decaying prior to zero
-        left = np.add.reduce(prior[lo:pivot]) if pivot > lo else 0.0
-        right = np.add.reduce(prior[pivot + 1 : hi]) if hi > pivot + 1 else 0.0
-        pivots[j + 1 : k + 1] = pivots[j:k]
-        pivots[j] = pivot
-        mass[j + 2 : k + 2] = mass[j + 1 : k + 1]
-        mass[j], mass[j + 1] = left, right
-        b = 2 * j
-        blocks[b + 3 : 2 * k + 3] = blocks[b + 1 : 2 * k + 1]
-        blocks[b], blocks[b + 1], blocks[b + 2] = f * left, f * prior[pivot], f * right
-        self.k = k + 1
-
-    def _grow(self) -> None:
-        cap = 2 * self._pivots.size
-        for name, size in (("_pivots", cap), ("_blocks", 2 * cap + 1), ("_prior_mass", cap + 1)):
-            old = getattr(self, name)
-            new = np.empty(size, dtype=old.dtype)
-            new[: old.size] = old
-            setattr(self, name, new)
-
-    def _raw_total(self) -> float:
-        return float(self._blocks[: 2 * self.k + 1].sum())
-
     def _renormalise(self) -> None:
-        total = self._raw_total()
-        self._blocks[: 2 * self.k + 1] /= total
+        w = self._leaf_weights()
+        total = float(w.sum())
+        self._fill(w / total)
         self.log2_scale += math.log2(total)
         self._headroom = self.RENORM_LOG2
 
     def share(self, element: int) -> float:
         """Share of the total mass on one element."""
-        j = int(self._pivots[: self.k].searchsorted(element))
-        if j < self.k and self._pivots[j] == element:
-            weight = float(self._blocks[2 * j + 1])
-        else:
-            weight = float(self.prior[element]) * self._factor(j)
-        return weight / self._raw_total()
+        return self._true(self._size + element) / self._s[1]
 
     def marked_share(self, unmarked: int | None = None) -> float:
         """Share of the total mass on the pivots, leaving out `unmarked`.
 
-        `unmarked` is the pivot of a running epoch: queried, so it has its
-        own weight, but not yet marked.
+        `unmarked` is the pivot of a running epoch: queried, so it counts as
+        a pivot in the tree, but not yet marked.
         """
-        k = self.k
-        weights = self._blocks[1 : 2 * k : 2]
-        j = k if unmarked is None else int(self._pivots[:k].searchsorted(unmarked))
-        if j < k and self._pivots[j] == unmarked:
-            marked = weights[:j].sum() + weights[j + 1 :].sum()
-        else:
-            marked = weights.sum()
-        return float(marked) / self._raw_total()
+        total = self._s[1]
+        marked = total - self._g[1]
+        if unmarked is not None and self._queried[unmarked]:
+            marked -= self._true(self._size + unmarked)
+        return marked / total
 
     def log2_gap_mass(self) -> float:
         """log2 of the absolute mass off the pivots (the unmarked mass)."""
-        rest = float(self._blocks[: 2 * self.k + 1 : 2].sum())
+        rest = self._g[1]
         if rest <= 0.0:
             return float("-inf")
         return math.log2(rest) + self.log2_scale
-
-    def _dense(self) -> np.ndarray:
-        k = self.k
-        mass = self._prior_mass[: k + 1]
-        factors = np.divide(
-            self._blocks[: 2 * k + 1 : 2], mass, out=np.zeros(k + 1), where=mass > 0.0
-        )
-        # element i takes the factor of the gap ending at the first pivot >= i
-        counts = np.diff(np.concatenate(([-1], self.pivots, [self.n - 1])))
-        raw = self.prior * np.repeat(factors, counts)
-        raw[self.pivots] = self._blocks[1 : 2 * k : 2]
-        return raw
 
     @property
     def log2_total(self) -> float:
         """log2 of the absolute total mass, as WeightState.log2_total.
 
-        Summed densely like .relative, not from the block weights, so checks
-        built on the two test the kernel's bookkeeping independently.
+        Summed from the leaves times their tags like .relative, not read
+        from the root, so checks built on the two test the tree's bookkeeping
+        independently.
         """
-        return math.log2(float(self._dense().sum())) + self.log2_scale
+        return math.log2(float(self._leaf_weights().sum())) + self.log2_scale
 
     @property
     def relative(self) -> np.ndarray:
         """Dense normalized weights, built on request in O(n)."""
-        raw = self._dense()
+        raw = self._leaf_weights()
         return raw / raw.sum()
 
 
@@ -390,8 +393,41 @@ def coupled_epoch_log2(x: int, y: int, noise: NoiseParams) -> float:
     return float(np.logaddexp2(x * l1p + y * lp, y * l1p + x * lp)) - 1.0
 
 
+class _EpochTable:
+    """epoch_length and coupled_epoch_log2 at one noise level, filled on demand.
+
+    The schedule never lengthens, so once an epoch has length 1 every later
+    one has too, and lengths stops there: at p = 0.25 it holds one entry, at
+    p = 0.3 two. coupled maps answer counts (x, y) to coupled_epoch_log2.
+    """
+
+    def __init__(self, noise: NoiseParams):
+        self.noise = noise
+        self.lengths = [epoch_length(1, noise)]
+        self.coupled: dict[tuple[int, int], float] = {}
+
+    def length(self, i: int) -> int:
+        lengths = self.lengths
+        while i > len(lengths) and lengths[-1] > 1:
+            lengths.append(epoch_length(len(lengths) + 1, self.noise))
+        return lengths[i - 1] if i <= len(lengths) else 1
+
+    def coupled_log2(self, x: int, y: int) -> float:
+        c = self.coupled.get((x, y))
+        if c is None:
+            c = self.coupled[x, y] = coupled_epoch_log2(x, y, self.noise)
+        return c
+
+
+@functools.lru_cache(maxsize=None)
+def _epoch_table(noise: NoiseParams) -> _EpochTable:
+    return _EpochTable(noise)
+
+
 def _finish_epoch(epoch: EpochState, noise: NoiseParams) -> None:
-    epoch.coupled_log2 += coupled_epoch_log2(epoch.less_count, epoch.greater_count, noise)
+    epoch.coupled_log2 += _epoch_table(noise).coupled_log2(
+        epoch.less_count, epoch.greater_count
+    )
     pivot = epoch.current_pivot
     assert pivot is not None
     epoch.marked.append(pivot)
@@ -404,13 +440,13 @@ def _finish_epoch(epoch: EpochState, noise: NoiseParams) -> None:
 
 
 def run_epoch(
-    state: GapPosterior,
+    state: TreePosterior,
     epoch: EpochState,
     noise: NoiseParams,
     oracle: LinearOracle,
     max_queries: int | None = None,
     stop_predicate=None,
-) -> tuple[GapPosterior, EpochState, str, int]:
+) -> tuple[TreePosterior, EpochState, str, int]:
     """Run one epoch: repeat the central pivot, update weights per answer.
 
     The epoch ends by completing its scheduled length ("completed") or by
@@ -422,10 +458,10 @@ def run_epoch(
     state is updated in place. Returns (state, epoch, status, queries_run).
     """
     # every queried pivot is marked when an epoch starts, so the unmarked
-    # mass is the gap mass
+    # mass is the mass off the pivots
     pivot = state.median(with_pivots=False)
     epoch.current_pivot = pivot
-    scheduled = epoch_length(epoch.epoch_index, noise)
+    scheduled = _epoch_table(noise).length(epoch.epoch_index)
     budget = scheduled if max_queries is None else min(scheduled, max_queries)
     if budget < 1:
         raise DomainError("an epoch needs at least one query of budget")
@@ -456,7 +492,7 @@ def verify_candidates(
     """Pick the target out of the candidate pool by comparison queries.
 
     The comparison search of phase one restricted to the candidates: a
-    GapPosterior over candidate indices from a uniform start, pivot at the
+    TreePosterior over candidate indices from a uniform start, pivot at the
     weighted median candidate, stop once one candidate holds a 1-delta
     fraction. Comparisons are answered on the original order, so answers
     stay informative about candidates even when the true target fell
@@ -470,7 +506,7 @@ def verify_candidates(
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
     m = len(members)
-    post = GapPosterior.uniform(m)
+    post = TreePosterior.uniform(m)
     cap = int(
         math.ceil(
             cap_multiplier
@@ -489,12 +525,12 @@ def verify_candidates(
 
 
 def _epoch_phase(
-    state: GapPosterior,
+    state: TreePosterior,
     noise: NoiseParams,
     oracle: LinearOracle,
     max_total: int,
     stop_predicate=None,
-) -> tuple[GapPosterior, EpochState, int, bool, int, list[tuple[int, float, float]]]:
+) -> tuple[TreePosterior, EpochState, int, bool, int, list[tuple[int, float, float]]]:
     """Drive epochs until the budget, the stopping rule, or pivot exhaustion.
 
     Returns (state, epoch, queries_run, stopped_by_rule, completed_epochs,
@@ -549,7 +585,7 @@ def run_adversarial(
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
     q_budget = budget if budget is not None else worst_case_budget_linear(n, noise, delta, c_const).q
     state, epoch, steps, _, completed, boundary_log = _epoch_phase(
-        GapPosterior.uniform(n), noise, oracle, max_total=q_budget
+        TreePosterior.uniform(n), noise, oracle, max_total=q_budget
     )
     before_verify = oracle.queries_answered
     declared = verify_candidates(CandidateSet(tuple(epoch.marked)), noise, delta / 3.0, oracle)
@@ -595,11 +631,11 @@ def run_lv_distributional(
     )
     threshold = 1.0 - delta / 2.0 - STOP_SLACK
 
-    def stop_rule(st: GapPosterior, ep: EpochState) -> bool:
+    def stop_rule(st: TreePosterior, ep: EpochState) -> bool:
         return st.marked_share(ep.current_pivot) >= threshold
 
     state, epoch, steps, stopped, completed, boundary_log = _epoch_phase(
-        GapPosterior(prior), noise, oracle, max_total=cap, stop_predicate=stop_rule
+        TreePosterior(prior), noise, oracle, max_total=cap, stop_predicate=stop_rule
     )
     flagged = not stopped
     if epoch.marked:

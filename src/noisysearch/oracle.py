@@ -131,9 +131,14 @@ def _corrupt_reply(
     if relative is None:
         raise DomainError("adversarial-heaviest lies need the current weight state")
     best, best_mass = wrong[0], -1.0
+    tree = d.tree
     for v in wrong:
         if v == q:
             mass = float(relative[q])
+        elif tree is not None and tree.parent[v] == q:
+            # a child's reply set is its subtree; gathering it in id order
+            # sums the same array as the mask would, bitwise, in O(subtree)
+            mass = float(relative[tree.subtree(v)].sum())
         else:
             mass = float(relative[consistent_set(g, d, q, v).mask].sum())
         if mass > best_mass:

@@ -1,4 +1,4 @@
-"""GapPosterior against the dense reference: central_element, comparison_update.
+"""TreePosterior against the dense reference: central_element, comparison_update.
 
 The dense drive loop below lives here only. It is the per-query comparison
 search built from central_element, comparison_update and an n-sized
@@ -8,10 +8,13 @@ transcripts exactly.
 
 import copy
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisysearch import harness
 from noisysearch.linear_search import (
@@ -19,7 +22,7 @@ from noisysearch.linear_search import (
     STOP_SLACK,
     CandidateSet,
     EpochState,
-    GapPosterior,
+    TreePosterior,
     _finish_epoch,
     central_element,
     comparison_update,
@@ -35,7 +38,7 @@ from noisysearch.mathcore import (
     worst_case_budget_linear,
 )
 from noisysearch.oracle import Answer, LinearOracle, NoisePolicy, ProtocolError
-from noisysearch.weights import init_from_distribution, init_uniform
+from noisysearch.weights import WeightState, init_from_distribution, init_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +212,7 @@ def test_every_answer_sequence_matches_dense(n, p):
             child.update(pivot, kind, noise)
             walk(child, comparison_update(dense, pivot, kind, noise), depth + 1)
 
-    walk(GapPosterior.uniform(n), init_uniform(n), 0)
+    walk(TreePosterior.uniform(n), init_uniform(n), 0)
     assert nodes == 2**9 - 1
 
 
@@ -218,7 +221,7 @@ def test_geometric_prior_tail_keeps_mass():
     # differences of a prefix array would cancel their digits
     mu = harness.geometric_distribution(64)
     prior = init_from_distribution(mu)
-    post = GapPosterior(prior.relative)
+    post = TreePosterior(prior.relative)
     dense = prior
     noise = NoiseParams.from_p(0.25)
     for pivot in (0, 1, 2, 3, 40):
@@ -234,7 +237,7 @@ def test_renormalisation_keeps_long_runs_finite():
     # the kernel renormalises
     p, n, reps = 0.05, 5, 3000
     noise = NoiseParams.from_p(p)
-    post = GapPosterior.uniform(n)
+    post = TreePosterior.uniform(n)
     for _ in range(reps):
         post.update(2, "less", noise)
     expected = math.log2(2 / n) + reps * math.log2(1 - p)
@@ -244,11 +247,99 @@ def test_renormalisation_keeps_long_runs_finite():
     assert post.share(1) == pytest.approx(0.5)
 
 
+def test_median_guard_steps_left_off_uncounted_leaves():
+    # rounding can leave a node's stored sum above its children's; inflating
+    # the root's counted mass drives the descent to the last leaf, a queried
+    # pivot or padding, and the guard must return the nearest counted
+    # element on its left
+    noise = NoiseParams.from_p(0.3)
+    for queried, expected in (([3], 2), ([2, 3], 1), ([1, 2, 3], 0)):
+        post = TreePosterior.uniform(4)
+        for q in queried:
+            post.update(q, "less", noise)
+        post._g[1] *= 10.0
+        assert post.median(with_pivots=False) == expected
+    post = TreePosterior.uniform(3)  # leaf 3 is padding
+    post._s[1] *= 10.0
+    assert post.median(with_pivots=True) == 2
+
+
+def _prior(shape, n, rng):
+    # masses from 1 down to about 2^-200: log-uniform, or the 0.5^i tail
+    # (held at 2^-200 past i = 200)
+    if shape == "log-uniform":
+        w = 2.0 ** (-200.0 * rng.random(n))
+    else:
+        w = 0.5 ** np.minimum(np.arange(n), 200.0)
+    return w / w.sum()
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.sampled_from([3, 5, 1000, 4097]),
+    p=st.sampled_from([0.05, 0.25, 0.3, 0.45]),
+    shape=st.sampled_from(["log-uniform", "geometric"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_long_runs_match_dense_through_renormalisations(n, p, shape, seed):
+    # n off a power of two, so padding leaves exist; enough answers for at
+    # least two renormalisations; pivots cycle through the phase-one
+    # median, the verification median and a random element, and answers
+    # come from a noisy comparison against a hidden target
+    rng = np.random.default_rng(seed)
+    noise = NoiseParams.from_p(p)
+    prior = _prior(shape, n, rng)
+    post = TreePosterior(prior)
+    dense = WeightState(relative=prior, log2_total=0.0, step=0)
+    renormalised = []
+    renormalise = post._renormalise
+    post._renormalise = lambda: (renormalised.append(1), renormalise())
+    target = int(rng.integers(n))
+    steps = math.ceil(2.5 * TreePosterior.RENORM_LOG2 / math.log2(noise.gamma))
+    pivot = None
+    for step in range(steps + 1):
+        marked = np.zeros(n, dtype=bool)
+        marked[post.pivots] = True
+        q = None if marked.all() else post.median(with_pivots=False)
+        if q is not None:
+            assert 0 <= q < n and not marked[q]
+            assert q == central_element(dense, marked)
+        r = post.median(with_pivots=True)
+        assert r == central_element(dense, np.zeros(n, dtype=bool))
+        if step % 64 == 0 or step == steps:
+            np.testing.assert_allclose(post.relative, dense.relative, rtol=1e-9, atol=1e-290)
+            assert post.log2_total == pytest.approx(dense.log2_total, rel=1e-12, abs=1e-9)
+            rest = float(dense.relative[~marked].sum())
+            expected = math.log2(rest) + dense.log2_total if rest > 0.0 else float("-inf")
+            assert post.log2_gap_mass() == pytest.approx(expected, rel=1e-12, abs=1e-9)
+            for i in (0, n - 1, target, r):
+                assert post.share(i) == pytest.approx(dense.relative[i], rel=1e-9, abs=1e-15)
+            held = marked.copy()
+            if pivot is not None:
+                held[pivot] = False
+            assert post.marked_share(pivot) == pytest.approx(
+                float(dense.relative[held].sum()), abs=1e-12
+            )
+        if step == steps:
+            break
+        if step % 3 == 0 and q is not None:
+            pivot = q
+        elif step % 3 == 1:
+            pivot = r
+        else:
+            pivot = int(rng.integers(n))
+        less = target < pivot or (target == pivot and rng.random() < 0.5)
+        kind = "less" if less != (rng.random() < p) else "greater"
+        post.update(pivot, kind, noise)
+        dense = comparison_update(dense, pivot, kind, noise)
+    assert len(renormalised) >= 2
+
+
 def test_rejects_bad_priors_replies_and_pivots():
     for prior in ([], [0.5, 0.0, 0.5], [0.5, np.nan]):
         with pytest.raises(DomainError):
-            GapPosterior(np.array(prior))
-    post = GapPosterior.uniform(4)
+            TreePosterior(np.array(prior))
+    post = TreePosterior.uniform(4)
     noise = NoiseParams.from_p(0.3)
     with pytest.raises(ProtocolError):
         post.update(1, "yes", noise)
@@ -282,7 +373,7 @@ def test_exact_tie_at_the_stop_threshold_stops_both_loops():
     kinds = ["greater", "less", "less", "greater", "greater", "greater", "greater", "greater"]
     noise = NoiseParams.from_p(p)
     w = [Fraction(1, 2)] * 2
-    post, dense = GapPosterior.uniform(2), np.full(2, 0.5)
+    post, dense = TreePosterior.uniform(2), np.full(2, 0.5)
     for kind in kinds:
         k = post.median(with_pivots=True)
         post.update(k, kind, noise)
@@ -333,13 +424,20 @@ def test_lv_distributional_transcripts_match_dense():
 
 
 def test_adversarial_at_a_million_elements():
-    # per-query work follows the pivots, not n; the dense path would need
-    # seconds per trial here
+    # per-query work is O(log n) scalar steps; the dense path would need
+    # seconds per trial here. The tree holds three float64 words per leaf
+    # of a power-of-two padded tree (40 MiB at n = 2^20), so memory is O(n)
     n = 2**20
-    stats = harness.run_experiment(
-        harness.ExperimentConfig(
-            scenario="bin-adversarial", n=n, p=0.3, delta=0.1, trials=2, seed=7, workers=1
+    tracemalloc.start()
+    try:
+        stats = harness.run_experiment(
+            harness.ExperimentConfig(
+                scenario="bin-adversarial", n=n, p=0.3, delta=0.1, trials=2, seed=7, workers=1
+            )
         )
-    )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
     q = worst_case_budget_linear(n, NoiseParams.from_p(0.3), 0.1, 4.0).q
     assert stats.extras["min_phase_one"] == stats.extras["max_phase_one"] == q

@@ -8,7 +8,7 @@ import pytest
 from noisysearch.linear_search import (
     CandidateSet,
     EpochState,
-    GapPosterior,
+    TreePosterior,
     central_element,
     comparison_update,
     coupled_epoch_log2,
@@ -106,7 +106,7 @@ class TestRunEpoch:
         # length-1 epoch at p=0.25: a "less" answer scales left by 0.75,
         # right by 0.25, pivot by 0.5; the coupled factor is exactly 1/2
         noise = NoiseParams.from_p(0.25)
-        st = GapPosterior.uniform(4)
+        st = TreePosterior.uniform(4)
         epoch = EpochState.fresh(4)
 
         class FixedOracle:
@@ -139,7 +139,7 @@ class TestRunEpoch:
 
     def test_truncation_marks_pivot(self):
         noise = NoiseParams.from_p(0.4)  # epsilon 0.1: first epoch has length 7
-        st = GapPosterior.uniform(8)
+        st = TreePosterior.uniform(8)
         epoch = EpochState.fresh(8)
         oracle = LinearOracle(8, 5, NoisePolicy(p=0.4), np.random.default_rng(31))
         st, epoch, status, run = run_epoch(st, epoch, noise, oracle, max_queries=3)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from noisysearch import harness
-from noisysearch.graph import all_pairs_distances, path_graph, star_graph
+from noisysearch import oracle as oracle_module
+from noisysearch.graph import (
+    all_pairs_distances,
+    consistent_set,
+    generate_graph,
+    path_graph,
+    star_graph,
+)
 from noisysearch.mathcore import DomainError, NoiseParams
 from noisysearch.oracle import (
     Answer,
@@ -109,6 +116,51 @@ class TestGraphAnswer:
         rng = np.random.default_rng(6)
         seen = {graph_answer(0, 2, g, d, policy, rng).vertex for _ in range(50)}
         assert seen == {1}
+
+
+def _masked_heaviest_lie(q, truthful, g, d, policy, rng, relative):
+    """Reference adversarial-heaviest lie: every wrong neighbour's reply mass
+    summed over its boolean mask, the first heaviest wins."""
+    wrong = [v for v in (q, *g.adjacency[q]) if v != truthful]
+    masses = [
+        float(relative[q]) if v == q else float(relative[consistent_set(g, d, q, v).mask].sum())
+        for v in wrong
+    ]
+    return wrong[int(np.argmax(masses))]
+
+
+class TestAdversarialLieOnTrees:
+    """A child's reply mass comes from its subtree; it must equal the masked
+    sum bitwise, so the same lie is told on every tie."""
+
+    @pytest.mark.parametrize("name", ["star", "random-tree"])
+    def test_lie_matches_masked_sums(self, name):
+        n = 2048 if name == "star" else 300
+        g = generate_graph(name, n, np.random.default_rng(5))
+        d = all_pairs_distances(g)
+        assert d.tree is not None
+        policy = NoisePolicy(p=0.3, lie_choice="adversarial-heaviest")
+        rng = np.random.default_rng(6)
+        uniform = np.full(n, 1.0 / n)  # exact ties among equal subtrees
+        for q in [0, 1, *rng.integers(n, size=20).tolist()]:
+            for relative in (uniform, rng.random(n) / n):
+                truthful = int(rng.choice(g.adjacency[q]))
+                args = (q, truthful, g, d, policy, rng, relative)
+                assert oracle_module._corrupt_reply(*args) == _masked_heaviest_lie(*args)
+
+    @pytest.mark.parametrize("name, n, trials", [("star", 2048, 2), ("random-tree", 300, 16)])
+    def test_transcripts_match_masked_reference(self, monkeypatch, name, n, trials):
+        config = harness.ExperimentConfig(
+            scenario="graph-lv-adv", n=n, p=0.3, delta=0.1, trials=trials, seed=7,
+            gen=name, lie_choice="adversarial-heaviest",
+        )
+        monkeypatch.setattr(harness, "_keeps_transcript", lambda config, index: True)
+        runs = []
+        for lie in (oracle_module._corrupt_reply, _masked_heaviest_lie):
+            monkeypatch.setattr(oracle_module, "_corrupt_reply", lie)
+            runs.append(harness._run_graph_chunk(harness._build_context(config), range(trials)))
+        assert runs[0] == runs[1]
+        assert all(t.transcript.queries for t in runs[0])
 
 
 class TestLinearAnswer:
