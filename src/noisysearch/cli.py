@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 
@@ -47,13 +48,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--c-const", type=float, default=4.0)
     parser.add_argument("--c-prime", type=float, default=64.0)
     parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--format", default="csv", choices=("csv", "json"))
+    parser.add_argument(
+        "--format", choices=("csv", "json"),
+        help="output format; default: from the --out suffix (.json or .csv), else csv",
+    )
     parser.add_argument("--keep-transcripts", action="store_true")
     parser.add_argument(
         "--sweep", action="store_true",
         help="run once per fixed target and report each (n <= 256)",
     )
     return parser
+
+
+_SUFFIX_FORMATS = {".csv": "csv", ".json": "json"}
+
+
+def _output_format(out: str, fmt: str | None) -> str:
+    """--format, or the format the --out suffix names; a disagreement is an error."""
+    suffix = os.path.splitext(out)[1].lower()
+    implied = _SUFFIX_FORMATS.get(suffix)
+    if fmt is None:
+        return implied or "csv"
+    if implied is not None and implied != fmt:
+        raise DomainError(f"--out {out} has suffix {suffix} but --format is {fmt}")
+    return fmt
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -73,7 +91,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         c_const=args.c_const,
         c_prime=args.c_prime,
         output=args.out,
-        fmt=args.format,
+        fmt=_output_format(args.out, args.format),
         keep_transcripts=args.keep_transcripts,
     )
 

@@ -240,6 +240,23 @@ def _resolve_mu(config: ExperimentConfig) -> Distribution:
     )
 
 
+def _check_memory(n: int) -> None:
+    """Refuse a comparison run that cannot fit in physical memory, before
+    anything of size n is allocated. The run holds the sum tree's three
+    float64 buffers (2, 2 and 1 words per leaf of a power-of-two tree) and
+    two n-word copies of the prior."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the platform does not say; let the allocation decide
+    need = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n)
+    if need > physical:
+        raise DomainError(
+            f"n={n} needs about {need} bytes for the comparison posterior, "
+            f"more than the {physical} bytes of physical memory"
+        )
+
+
 def _build_context(config: ExperimentConfig) -> _Context:
     if config.scenario not in SCENARIOS:
         raise DomainError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
@@ -247,6 +264,8 @@ def _build_context(config: ExperimentConfig) -> _Context:
         raise DomainError(f"trials must be >= 1, got {config.trials}")
     if config.n < 1:
         raise DomainError(f"n must be >= 1, got {config.n}")
+    if config.scenario.startswith("bin-"):
+        _check_memory(config.n)
     noise = NoiseParams.from_p(config.p)
     graph = None
     dist = None
@@ -742,10 +761,14 @@ def fuzz_binary_invariants(
 
 
 def _log2_unmarked_mass(state, epoch) -> float:
-    rest = float(state.relative[~epoch.marked_mask].sum())
+    """log2 of the absolute unmarked mass, summed off the leaves as
+    state.relative and state.log2_total are, from one pass over them."""
+    raw = state._leaf_weights()
+    total = float(raw.sum())
+    rest = float((raw / total)[~epoch.marked_mask].sum())
     if rest <= 0.0:
         return float("-inf")
-    return math.log2(rest) + state.log2_total
+    return math.log2(rest) + (math.log2(total) + state.log2_scale)
 
 
 def _run_invariant_scenario(config: ExperimentConfig) -> SummaryStats:

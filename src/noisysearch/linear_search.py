@@ -61,8 +61,11 @@ class EpochState:
     """Bookkeeping for the epoch schedule and the coupled weight bound.
 
     marked holds pivots in marking order; coupled_log2 is log2 of the
-    coupled process and changes only when an epoch ends; the answer
-    counters (less_count, greater_count) belong to the running epoch.
+    coupled process and changes only when an epoch ends; current_pivot,
+    within_epoch and the answer counters (less_count, greater_count) belong
+    to the running epoch, and between epochs they are None and 0 (the epoch
+    loop keeps them in locals and writes them only when the stop rule ends
+    the phase inside an epoch).
     """
 
     marked: list[int]
@@ -425,6 +428,8 @@ def _epoch_table(noise: NoiseParams) -> _EpochTable:
 
 
 def _finish_epoch(epoch: EpochState, noise: NoiseParams) -> None:
+    """Close the running epoch of an EpochState: what _run_epochs does with
+    its locals, for drive loops that keep their counters in the state."""
     epoch.coupled_log2 += _epoch_table(noise).coupled_log2(
         epoch.less_count, epoch.greater_count
     )
@@ -439,46 +444,107 @@ def _finish_epoch(epoch: EpochState, noise: NoiseParams) -> None:
     epoch.greater_count = 0
 
 
+def _run_epochs(
+    state: TreePosterior,
+    epoch: EpochState,
+    noise: NoiseParams,
+    oracle: LinearOracle,
+    max_total: float,
+    stop_share: float | None = None,
+    boundary_log: list[tuple[int, float, float]] | None = None,
+    max_epochs: float = math.inf,
+) -> tuple[int, int, bool]:
+    """The epoch loop: median, answers, updates, marking and the coupled bound.
+
+    Runs epochs until max_total queries, max_epochs epochs, every element
+    marked, or the stop rule. The rule, marked_share of the running epoch
+    >= stop_share, is checked before each epoch and after each query; when
+    it fires the running pivot stays unmarked. Every epoch that
+    ends, by its schedule or at max_total, marks its pivot, folds its answer
+    counts into the coupled bound and appends (step, coupled bound log2,
+    unmarked mass log2) to boundary_log. The epoch table is fetched once,
+    the counters live in locals and marked_mask takes the new pivots when
+    the loop returns.
+
+    state and epoch are updated in place. Returns (queries run, epochs
+    completed to their scheduled length, stopped by the rule).
+    """
+    table = _epoch_table(noise)
+    median, update, marked_share = state.median, state.update, state.marked_share
+    answer = oracle.answer
+    marked = epoch.marked
+    first_new, n = len(marked), state.n
+    index, bound = epoch.epoch_index, epoch.coupled_log2
+    steps = completed = 0
+    stopped = False
+    while steps < max_total and max_epochs > 0:
+        if stop_share is not None and marked_share() >= stop_share:
+            stopped = True
+            break
+        if len(marked) >= n:
+            break
+        # every queried pivot is marked when an epoch starts, so the
+        # unmarked mass is the mass off the pivots
+        pivot = median(False)
+        scheduled = table.length(index)
+        budget = min(scheduled, max_total - steps)
+        less = 0
+        for run in range(1, budget + 1):
+            kind = answer(pivot, state).kind
+            update(pivot, kind, noise)
+            if kind == "less":
+                less += 1
+            if stop_share is not None and marked_share(pivot) >= stop_share:
+                epoch.current_pivot = pivot
+                epoch.within_epoch = run
+                epoch.less_count, epoch.greater_count = less, run - less
+                stopped = True
+                break
+        if stopped:
+            steps += run
+            break
+        steps += budget
+        bound += table.coupled_log2(less, budget - less)
+        marked.append(pivot)
+        index += 1
+        completed += budget == scheduled
+        max_epochs -= 1
+        if boundary_log is not None:
+            boundary_log.append((steps, bound, state.log2_gap_mass()))
+    epoch.marked_mask[marked[first_new:]] = True
+    epoch.epoch_index, epoch.coupled_log2 = index, bound
+    return steps, completed, stopped
+
+
 def run_epoch(
     state: TreePosterior,
     epoch: EpochState,
     noise: NoiseParams,
     oracle: LinearOracle,
     max_queries: int | None = None,
-    stop_predicate=None,
+    stop_share: float | None = None,
 ) -> tuple[TreePosterior, EpochState, str, int]:
     """Run one epoch: repeat the central pivot, update weights per answer.
 
-    The epoch ends by completing its scheduled length ("completed") or by
-    exhausting max_queries ("truncated"); both outcomes mark the pivot and
-    fold the answer counts into the coupled bound. A stop_predicate
-    trigger ("stopped") returns immediately with the pivot unmarked, since
-    the stopping rule is evaluated against the current marked set.
+    The epoch loop of the search stopped after one epoch. The epoch ends by
+    completing its scheduled length ("completed") or by exhausting
+    max_queries ("truncated"); both outcomes mark the pivot and fold the
+    answer counts into the coupled bound. The stop rule (see _run_epochs)
+    returns "stopped" with the pivot unmarked, since it is evaluated
+    against the current marked set.
 
     state is updated in place. Returns (state, epoch, status, queries_run).
     """
-    # every queried pivot is marked when an epoch starts, so the unmarked
-    # mass is the mass off the pivots
-    pivot = state.median(with_pivots=False)
-    epoch.current_pivot = pivot
-    scheduled = _epoch_table(noise).length(epoch.epoch_index)
-    budget = scheduled if max_queries is None else min(scheduled, max_queries)
-    if budget < 1:
+    if max_queries is not None and max_queries < 1:
         raise DomainError("an epoch needs at least one query of budget")
-    run = 0
-    for _ in range(budget):
-        answer = oracle.answer(pivot, state)
-        state.update(pivot, answer.kind, noise)
-        run += 1
-        epoch.within_epoch += 1
-        if answer.kind == "less":
-            epoch.less_count += 1
-        else:
-            epoch.greater_count += 1
-        if stop_predicate is not None and stop_predicate(state, epoch):
-            return state, epoch, "stopped", run
-    _finish_epoch(epoch, noise)
-    status = "completed" if budget == scheduled else "truncated"
+    if len(epoch.marked) >= state.n:
+        raise DomainError("no unmarked elements remain; the epoch phase should have stopped")
+    run, completed, stopped = _run_epochs(
+        state, epoch, noise, oracle,
+        max_total=math.inf if max_queries is None else max_queries,
+        stop_share=stop_share, max_epochs=1,
+    )
+    status = "stopped" if stopped else "completed" if completed else "truncated"
     return state, epoch, status, run
 
 
@@ -514,13 +580,14 @@ def verify_candidates(
             / noise.info_rate
         )
     )
+    median, share, update, answer = post.median, post.share, post.update, oracle.answer
+    threshold = 1.0 - delta - STOP_SLACK
     for _ in range(cap):
         # a candidate holding 1 - delta > 1/2 of the mass is the median
-        k = post.median(with_pivots=True)
-        if post.share(k) >= 1.0 - delta - STOP_SLACK:
+        k = median(True)
+        if share(k) >= threshold:
             return int(members[k])
-        answer = oracle.answer(int(members[k]))
-        post.update(k, answer.kind, noise)
+        update(k, answer(members[k]).kind, noise)
     return int(members[int(np.argmax(post.relative))])
 
 
@@ -529,7 +596,7 @@ def _epoch_phase(
     noise: NoiseParams,
     oracle: LinearOracle,
     max_total: int,
-    stop_predicate=None,
+    stop_share: float | None = None,
 ) -> tuple[TreePosterior, EpochState, int, bool, int, list[tuple[int, float, float]]]:
     """Drive epochs until the budget, the stopping rule, or pivot exhaustion.
 
@@ -537,31 +604,13 @@ def _epoch_phase(
     boundary_log) where boundary_log rows are (step, coupled bound log2,
     actual unmarked mass log2) recorded at every epoch boundary.
     """
-    n = state.n
-    epoch = EpochState.fresh(n)
+    epoch = EpochState.fresh(state.n)
     boundary_log: list[tuple[int, float, float]] = [(0, 0.0, state.log2_gap_mass())]
-    steps = 0
-    completed = 0
-    stopped = False
-    while steps < max_total:
-        if stop_predicate is not None and stop_predicate(state, epoch):
-            stopped = True
-            break
-        if len(epoch.marked) >= n:
-            break
-        state, epoch, status, run = run_epoch(
-            state, epoch, noise, oracle,
-            max_queries=max_total - steps, stop_predicate=stop_predicate,
-        )
-        steps += run
-        if status == "stopped":
-            stopped = True
-            break
-        if status == "completed":
-            completed += 1
-        boundary_log.append((steps, epoch.coupled_log2, state.log2_gap_mass()))
-    if stop_predicate is not None and not stopped:
-        stopped = stop_predicate(state, epoch)
+    steps, completed, stopped = _run_epochs(
+        state, epoch, noise, oracle, max_total, stop_share, boundary_log
+    )
+    if stop_share is not None and not stopped:
+        stopped = state.marked_share() >= stop_share
     return state, epoch, steps, stopped, completed, boundary_log
 
 
@@ -629,13 +678,9 @@ def run_lv_distributional(
             / noise.info_rate
         )
     )
-    threshold = 1.0 - delta / 2.0 - STOP_SLACK
-
-    def stop_rule(st: TreePosterior, ep: EpochState) -> bool:
-        return st.marked_share(ep.current_pivot) >= threshold
-
     state, epoch, steps, stopped, completed, boundary_log = _epoch_phase(
-        TreePosterior(prior), noise, oracle, max_total=cap, stop_predicate=stop_rule
+        TreePosterior(prior), noise, oracle, max_total=cap,
+        stop_share=1.0 - delta / 2.0 - STOP_SLACK,
     )
     flagged = not stopped
     if epoch.marked:

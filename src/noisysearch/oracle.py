@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ class ProtocolError(ValueError):
     """A reply that the query model does not allow."""
 
 
-@dataclass(frozen=True)
-class Answer:
+class Answer(NamedTuple):
     """One reply. kind is yes / neighbor (graph) or less / greater (order).
 
     is_lie records whether the noise channel corrupted the truthful reply;
@@ -49,6 +49,13 @@ class Answer:
     kind: str
     vertex: int | None = None
     is_lie: bool = False
+
+
+# the four comparison replies, shared by every LinearOracle answer
+_LESS = Answer("less")
+_GREATER = Answer("greater")
+_LESS_LIE = Answer("less", None, True)
+_GREATER_LIE = Answer("greater", None, True)
 
 
 @dataclass(frozen=True)
@@ -202,15 +209,10 @@ def linear_answer(
     truthful reply is a fair coin, which makes either answer carry
     likelihood exactly 1/2 for the pivot hypothesis.
     """
-    if target < q:
-        truthful = "less"
-    elif target > q:
-        truthful = "greater"
-    else:
-        truthful = "less" if rng.random() < 0.5 else "greater"
+    less = rng.random() < 0.5 if target == q else target < q
     if rng.random() < policy.p:
-        return Answer(kind="greater" if truthful == "less" else "less", is_lie=True)
-    return Answer(kind=truthful, is_lie=False)
+        return _GREATER_LIE if less else _LESS_LIE
+    return _LESS if less else _GREATER
 
 
 def heavy_filter(
@@ -260,7 +262,17 @@ class GraphOracle:
 
 
 class LinearOracle:
-    """Per-trial answer source for comparison queries on 0..n-1."""
+    """Per-trial answer source for comparison queries on 0..n-1.
+
+    Answers as linear_answer does, coin for coin: the tie coin when the
+    target is the pivot, then the noise coin. The uniforms come from the
+    rng in blocks of COIN_BLOCK (Generator.random(k) yields the doubles of k
+    scalar calls), so a trial that owns its rng hears the same answers as
+    with one draw per coin; only the rng's position after the trial
+    differs. Each answer is one of four shared Answer values.
+    """
+
+    COIN_BLOCK = 64
 
     def __init__(self, n: int, target: int, policy: NoisePolicy, rng: np.random.Generator):
         if not 0 <= target < n:
@@ -270,10 +282,26 @@ class LinearOracle:
         self.policy = policy
         self.rng = rng
         self.queries_answered = 0
+        # unused uniforms of the current block, the next one last
+        self._coins: list[float] = []
+
+    def _refill(self) -> list[float]:
+        coins = self._coins = self.rng.random(self.COIN_BLOCK).tolist()
+        coins.reverse()
+        return coins
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1
-        return linear_answer(q, self.target, self.policy, self.rng)
+        coins = self._coins or self._refill()
+        target = self.target
+        if target == q:
+            less = coins.pop() < 0.5
+            coins = coins or self._refill()
+        else:
+            less = target < q
+        if coins.pop() < self.policy.p:
+            return _GREATER_LIE if less else _LESS_LIE
+        return _LESS if less else _GREATER
 
 
 def load_distribution(path, n: int) -> tuple[Distribution, float]:

@@ -174,3 +174,46 @@ class TestCli:
         assert code == 3
         err = capsys.readouterr().err
         assert "RuntimeError: engine fault" in err and "Traceback" in err
+
+    def test_json_suffix_without_format_writes_json(self, tmp_path):
+        out = tmp_path / "res.json"
+        code = run_cli(
+            "bin-lv-adv", "--n", "16", "--p", "0.25", "--delta", "0.2",
+            "--trials", "40", "--seed", "5", "--out", str(out),
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["results"][0]["n"] == 16
+
+    @pytest.mark.parametrize("name", ["res.csv", "res.txt", "res"])
+    def test_other_suffixes_without_format_write_csv(self, tmp_path, name):
+        out = tmp_path / name
+        code = run_cli(
+            "bin-lv-adv", "--n", "16", "--p", "0.25", "--delta", "0.2",
+            "--trials", "40", "--seed", "5", "--out", str(out),
+        )
+        assert code == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["n"] == "16"
+
+    @pytest.mark.parametrize("name, fmt", [("x.json", "csv"), ("x.csv", "json")])
+    def test_suffix_and_format_disagreeing_exit_2(self, tmp_path, capsys, name, fmt):
+        out = tmp_path / name
+        code = run_cli(
+            "bin-lv-adv", "--n", "16", "--p", "0.25", "--delta", "0.2",
+            "--trials", "40", "--seed", "5", "--out", str(out), "--format", fmt,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and f"--format is {fmt}" in err
+        assert not out.exists()
+
+    def test_n_beyond_physical_memory_exits_2(self, tmp_path, capsys):
+        code = run_cli(
+            "bin-adversarial", "--n", "10000000000000", "--p", "0.3", "--delta", "0.1",
+            "--trials", "2", "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n=10000000000000" in err and "physical memory" in err
+        assert "Traceback" not in err

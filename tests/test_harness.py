@@ -194,6 +194,24 @@ class TestRunExperiment:
             noise_allowance = 3 * math.sqrt(0.2 * 0.8 / 60)
             assert stats.error_rate <= 0.2 + noise_allowance
 
+    @pytest.mark.parametrize(
+        "scenario", [s for s in harness.SCENARIOS if s != "verify-invariants"]
+    )
+    def test_summary_serialises_as_the_benchmark_reads_it(self, scenario):
+        # bench/worker.py prints {"row", "extras"} with json.dumps, and
+        # bench/run.py reads the row and, for comparison runs, the phase split
+        graph_run = scenario.startswith("graph-")
+        stats = run_experiment(
+            config(scenario=scenario, n=16, gen="grid" if graph_run else None, trials=4)
+        )
+        doc = json.loads(
+            json.dumps({"row": stats.row(), "extras": stats.extras}, allow_nan=False)
+        )
+        assert tuple(doc["row"]) == harness.CSV_COLUMNS
+        assert doc["row"]["trials"] == 4
+        if not graph_run:
+            assert {"mean_phase_one", "min_phase_one", "max_phase_one"} <= set(doc["extras"])
+
     def test_verify_invariants_scenario(self):
         stats = run_experiment(config(scenario="verify-invariants", gen=None, trials=30))
         assert stats.bound_satisfied

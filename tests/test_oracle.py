@@ -174,6 +174,22 @@ class TestLinearAnswer:
         ans = linear_answer(5, 2, NoisePolicy(p=0.5 - 1e-9), rng)
         assert ans.kind == "greater" and ans.is_lie
 
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.45])
+    def test_oracle_coin_blocks_replay_the_per_call_stream(self, p):
+        # LinearOracle takes its coins from rng.random(64) blocks; on a twin
+        # rng it must hear what linear_answer hears one coin at a time, also
+        # after a target draw and across block refills (400 coins here)
+        policy = NoisePolicy(p=p)
+        n = 32
+        rng, twin = np.random.default_rng([17, 3]), np.random.default_rng([17, 3])
+        target = int(rng.integers(n))
+        assert int(twin.integers(n)) == target
+        oracle = LinearOracle(n, target, policy, rng)
+        pivots = [max(target - 3, 0), target, min(target + 5, n - 1)] * 100
+        for q in pivots:
+            assert oracle.answer(q) == linear_answer(q, target, policy, twin)
+        assert oracle.queries_answered == len(pivots)
+
     def test_pivot_coin_is_fair_regardless_of_noise(self):
         # p/2 + (1-p)/2 = 1/2 exactly, so the observed frequency of
         # "less" at the pivot is 1/2 for any p
