@@ -84,6 +84,8 @@ CSV_COLUMNS = (
 )
 
 Z95 = 1.959963984540054
+# trials per pool task in a comparison scenario
+COMPARISON_TASK_TRIALS = 64
 
 
 @dataclass
@@ -240,20 +242,25 @@ def _resolve_mu(config: ExperimentConfig) -> Distribution:
     )
 
 
-def _check_memory(n: int) -> None:
+def _check_memory(config: ExperimentConfig) -> None:
     """Refuse a comparison run that cannot fit in physical memory, before
-    anything of size n is allocated. The run holds the sum tree's three
+    anything of size n is allocated. A trial holds the sum tree's three
     float64 buffers (2, 2 and 1 words per leaf of a power-of-two tree) and
-    two n-word copies of the prior."""
+    two n-word copies of the prior, and each pool task runs on one worker,
+    one trial at a time. The bound is the machine's physical memory; a
+    lower limit set on the process (a cgroup or ulimit) is not seen."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the platform does not say; let the allocation decide
-    need = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n)
+    n = config.n
+    at_once = min(_worker_count(config), -(-config.trials // COMPARISON_TASK_TRIALS))
+    need = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n) * at_once
     if need > physical:
         raise DomainError(
-            f"n={n} needs about {need} bytes for the comparison posterior, "
-            f"more than the {physical} bytes of physical memory"
+            f"n={n} needs about {need} bytes for the comparison posteriors of "
+            f"{at_once} concurrent trial(s), more than the {physical} bytes of "
+            "physical memory"
         )
 
 
@@ -265,7 +272,7 @@ def _build_context(config: ExperimentConfig) -> _Context:
     if config.n < 1:
         raise DomainError(f"n must be >= 1, got {config.n}")
     if config.scenario.startswith("bin-"):
-        _check_memory(config.n)
+        _check_memory(config)
     noise = NoiseParams.from_p(config.p)
     graph = None
     dist = None
@@ -495,7 +502,7 @@ def _run_many(ctx: _Context) -> list[TrialOutcome]:
     if _is_graph_scenario(config.scenario):
         size = min(graph_search.chunk_rows(config.n), -(-config.trials // workers))
     else:
-        size = 64
+        size = COMPARISON_TASK_TRIALS
     tasks = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
     if workers <= 1:
         return [o for task in tasks for o in _run_task(ctx, task)]
@@ -763,12 +770,11 @@ def fuzz_binary_invariants(
 def _log2_unmarked_mass(state, epoch) -> float:
     """log2 of the absolute unmarked mass, summed off the leaves as
     state.relative and state.log2_total are, from one pass over them."""
-    raw = state._leaf_weights()
-    total = float(raw.sum())
-    rest = float((raw / total)[~epoch.marked_mask].sum())
+    relative, log2_total = state.dense()
+    rest = float(relative[~epoch.marked_mask].sum())
     if rest <= 0.0:
         return float("-inf")
-    return math.log2(rest) + (math.log2(total) + state.log2_scale)
+    return math.log2(rest) + log2_total
 
 
 def _run_invariant_scenario(config: ExperimentConfig) -> SummaryStats:

@@ -61,11 +61,8 @@ class EpochState:
     """Bookkeeping for the epoch schedule and the coupled weight bound.
 
     marked holds pivots in marking order; coupled_log2 is log2 of the
-    coupled process and changes only when an epoch ends; current_pivot,
-    within_epoch and the answer counters (less_count, greater_count) belong
-    to the running epoch, and between epochs they are None and 0 (the epoch
-    loop keeps them in locals and writes them only when the stop rule ends
-    the phase inside an epoch).
+    coupled process and changes only when an epoch ends; the answer
+    counters (less_count, greater_count) belong to the running epoch.
     """
 
     marked: list[int]
@@ -113,7 +110,7 @@ class TreePosterior:
     subtree scales its root's s, g and t. Element i weighs its true leaf sum
     times 2**log2_scale in absolute terms. median, update, share and
     marked_share cost O(log n) scalar steps with no numpy call;
-    log2_gap_mass reads the root; .relative and log2_total, and the
+    log2_gap_mass reads the root; dense, .relative and log2_total, and the
     renormalisation that bounds the tags, are dense O(n).
 
     central_element and comparison_update compute the same posterior densely
@@ -317,6 +314,12 @@ class TreePosterior:
             return float("-inf")
         return math.log2(rest) + self.log2_scale
 
+    def dense(self) -> tuple[np.ndarray, float]:
+        """(.relative, log2_total) from one pass over the leaves."""
+        raw = self._leaf_weights()
+        total = raw.sum()
+        return raw / total, math.log2(float(total)) + self.log2_scale
+
     @property
     def log2_total(self) -> float:
         """log2 of the absolute total mass, as WeightState.log2_total.
@@ -325,13 +328,12 @@ class TreePosterior:
         from the root, so checks built on the two test the tree's bookkeeping
         independently.
         """
-        return math.log2(float(self._leaf_weights().sum())) + self.log2_scale
+        return self.dense()[1]
 
     @property
     def relative(self) -> np.ndarray:
         """Dense normalized weights, built on request in O(n)."""
-        raw = self._leaf_weights()
-        return raw / raw.sum()
+        return self.dense()[0]
 
 
 def central_element(state: WeightState, marked_mask: np.ndarray) -> int:
@@ -470,24 +472,29 @@ def _run_epochs(
     completed to their scheduled length, stopped by the rule).
     """
     table = _epoch_table(noise)
+    coupled_log2 = table.coupled_log2
     median, update, marked_share = state.median, state.update, state.marked_share
+    gap_mass = state.log2_gap_mass
     answer = oracle.answer
     marked = epoch.marked
-    first_new, n = len(marked), state.n
+    first_new = len(marked)
+    # an epoch marks one new pivot, so at most n - |marked| more can run
+    epochs_left = min(max_epochs, state.n - first_new)
     index, bound = epoch.epoch_index, epoch.coupled_log2
-    steps = completed = 0
+    steps = completed = scheduled = 0
     stopped = False
-    while steps < max_total and max_epochs > 0:
+    while steps < max_total and epochs_left > 0:
         if stop_share is not None and marked_share() >= stop_share:
             stopped = True
-            break
-        if len(marked) >= n:
             break
         # every queried pivot is marked when an epoch starts, so the
         # unmarked mass is the mass off the pivots
         pivot = median(False)
-        scheduled = table.length(index)
-        budget = min(scheduled, max_total - steps)
+        if scheduled != 1:
+            # the schedule never lengthens: after an epoch of length 1
+            # every epoch has length 1
+            scheduled = table.length(index)
+        budget = scheduled if scheduled <= max_total - steps else max_total - steps
         less = 0
         for run in range(1, budget + 1):
             kind = answer(pivot, state).kind
@@ -495,22 +502,19 @@ def _run_epochs(
             if kind == "less":
                 less += 1
             if stop_share is not None and marked_share(pivot) >= stop_share:
-                epoch.current_pivot = pivot
-                epoch.within_epoch = run
-                epoch.less_count, epoch.greater_count = less, run - less
                 stopped = True
                 break
         if stopped:
             steps += run
             break
         steps += budget
-        bound += table.coupled_log2(less, budget - less)
+        bound += coupled_log2(less, budget - less)
         marked.append(pivot)
         index += 1
         completed += budget == scheduled
-        max_epochs -= 1
+        epochs_left -= 1
         if boundary_log is not None:
-            boundary_log.append((steps, bound, state.log2_gap_mass()))
+            boundary_log.append((steps, bound, gap_mass()))
     epoch.marked_mask[marked[first_new:]] = True
     epoch.epoch_index, epoch.coupled_log2 = index, bound
     return steps, completed, stopped
@@ -522,16 +526,13 @@ def run_epoch(
     noise: NoiseParams,
     oracle: LinearOracle,
     max_queries: int | None = None,
-    stop_share: float | None = None,
 ) -> tuple[TreePosterior, EpochState, str, int]:
     """Run one epoch: repeat the central pivot, update weights per answer.
 
     The epoch loop of the search stopped after one epoch. The epoch ends by
     completing its scheduled length ("completed") or by exhausting
     max_queries ("truncated"); both outcomes mark the pivot and fold the
-    answer counts into the coupled bound. The stop rule (see _run_epochs)
-    returns "stopped" with the pivot unmarked, since it is evaluated
-    against the current marked set.
+    answer counts into the coupled bound.
 
     state is updated in place. Returns (state, epoch, status, queries_run).
     """
@@ -539,13 +540,11 @@ def run_epoch(
         raise DomainError("an epoch needs at least one query of budget")
     if len(epoch.marked) >= state.n:
         raise DomainError("no unmarked elements remain; the epoch phase should have stopped")
-    run, completed, stopped = _run_epochs(
+    run, completed, _ = _run_epochs(
         state, epoch, noise, oracle,
-        max_total=math.inf if max_queries is None else max_queries,
-        stop_share=stop_share, max_epochs=1,
+        max_total=math.inf if max_queries is None else max_queries, max_epochs=1,
     )
-    status = "stopped" if stopped else "completed" if completed else "truncated"
-    return state, epoch, status, run
+    return state, epoch, "completed" if completed else "truncated", run
 
 
 def verify_candidates(

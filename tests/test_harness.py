@@ -212,6 +212,21 @@ class TestRunExperiment:
         if not graph_run:
             assert {"mean_phase_one", "min_phase_one", "max_phase_one"} <= set(doc["extras"])
 
+    def test_memory_check_counts_every_concurrent_trial(self, monkeypatch):
+        # one trial at n = 4096 needs 8 * (5 * 4096 + 2 * 4096) bytes; the
+        # stubbed machine holds that once but not four times
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 100}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        base = dict(scenario="bin-adversarial", n=4096, gen=None)
+        tasks = 4 * harness.COMPARISON_TASK_TRIALS
+        harness._build_context(config(**base, trials=tasks, workers=1))
+        with pytest.raises(DomainError, match="n=4096.*4 concurrent"):
+            harness._build_context(config(**base, trials=tasks, workers=4))
+        # the pool runs no more trials at once than there are tasks
+        harness._build_context(
+            config(**base, trials=harness.COMPARISON_TASK_TRIALS, workers=4)
+        )
+
     def test_verify_invariants_scenario(self):
         stats = run_experiment(config(scenario="verify-invariants", gen=None, trials=30))
         assert stats.bound_satisfied
