@@ -38,7 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, required=True)
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--graph", help="graph file path")
-    group.add_argument("--gen", help="built-in graph generator name")
+    group.add_argument(
+        "--gen",
+        help="built-in graph generator: path, cycle, star, grid, random-tree or gnm "
+        "(gnm: a connected uniform graph with min(ceil(n ln n / 2) + n, n(n-1)/2) "
+        "edges, just above the Erdos-Renyi connectivity threshold)",
+    )
     parser.add_argument(
         "--mu", default="uniform", help="distribution file path or 'uniform'"
     )

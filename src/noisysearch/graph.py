@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ __all__ = [
     "weighted_median",
     "weighted_medians",
     "reply_set",
+    "scale_by_reply_set",
     "consistent_set",
     "load_graph",
     "path_graph",
@@ -28,6 +30,7 @@ __all__ = [
     "grid_graph",
     "random_tree",
     "gnm_graph",
+    "gnm_edges",
     "generate_graph",
     "GENERATORS",
 ]
@@ -400,6 +403,30 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
     return in_v if inside else ~in_v
 
 
+def scale_by_reply_set(
+    g: Graph, d: DistanceMatrix, row: np.ndarray, q: int, u: int, inside: float, outside: float
+) -> None:
+    """row *= np.where(reply_set(g, d, q, u), inside, outside), in place.
+
+    On path and grid layouts N(q, u) is a half-line or a half-plane in one
+    coordinate, so the row is scaled in two slices and no mask is built;
+    each weight gets the same one multiply either way.
+    """
+    if g.layout_hint == "path" or _is_grid(g):
+        cols = g.layout_shape[1] if _is_grid(g) else 1
+        grid = row.reshape(-1, cols)  # a path is one column
+        # a step to the row above or below cuts between rows, else columns
+        lines, cut = (grid, q // cols) if abs(u - q) == cols else (grid.T, q % cols)
+        if u < q:
+            lines[:cut] *= inside
+            lines[cut:] *= outside
+        else:
+            lines[: cut + 1] *= outside
+            lines[cut + 1 :] *= inside
+        return
+    row *= np.where(reply_set(g, d, q, u), inside, outside)
+
+
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
     """Vertices for which the reply at query q could have been truthful.
 
@@ -536,6 +563,16 @@ def gnm_graph(n: int, m: int, rng: np.random.Generator, max_tries: int = 200) ->
     raise GraphFormatError(f"no connected graph with n={n}, m={m} after {max_tries} tries")
 
 
+def gnm_edges(n: int) -> int:
+    """Edge count of --gen gnm: min(ceil(n ln n / 2) + n, n(n-1)/2).
+
+    n ln n / 2 edges is the Erdos-Renyi connectivity threshold; the extra n
+    edges leave about n e^-2m/n = e^-2 isolated vertices in expectation, so
+    most draws are connected at any n.
+    """
+    return min(math.ceil(n * math.log(max(n, 1)) / 2) + n, n * (n - 1) // 2)
+
+
 def _square_factor(n: int) -> tuple[int, int]:
     r = int(np.sqrt(n))
     while r > 1 and n % r != 0:
@@ -561,8 +598,7 @@ def generate_graph(name: str, n: int, rng: np.random.Generator | None = None) ->
     if name == "gnm":
         if rng is None:
             raise GraphFormatError("gnm generator needs a seeded rng")
-        m = min(2 * n, n * (n - 1) // 2)
-        return gnm_graph(n, m, rng)
+        return gnm_graph(n, gnm_edges(n), rng)
     raise GraphFormatError(f"unknown graph generator {name!r}; choose from {sorted(GENERATORS)}")
 
 

@@ -10,32 +10,35 @@ stop threshold):
 * the same stopping strategy run from a uniform prior with a rescaled
   confidence threshold, which handles an adversarially placed target.
 
-One engine, search(), drives them all. It runs a chunk of trials as the
-rows of one (rows x n) weight matrix plus a per-row log2 total: per step,
-one median per row (batched by prefix sums on path and grid layouts and
-by preorder intervals on trees), one reply per row from that trial's own
-oracle and rng in the per-trial draw order, and one multiply, row sum and
-divide for the whole chunk (a neighbour reply at a light vertex first
-scales its row by its reply set, graph.reply_set, which on a tree is one
-preorder interval or its complement). Every row does the arithmetic a
-lone trial would, in the same order, so a trial's transcript does not
-depend on the chunk it ran in. The run_* functions are a chunk of one.
-step_median_update is the dense single-state step built from
-weighted_median, heavy_filter and bayesian_update; the invariant fuzzer
-and the tests use it as the reference.
+One engine, search(), drives them all. It runs a chunk of trials at once:
+a trial in which one vertex holds more than half the weight as two
+numbers, the others as the rows of one weight matrix (see search). Every
+trial does the arithmetic a lone trial would, in the same order, so its
+transcript does not depend on the chunk it ran in. The run_* functions
+are a chunk of one. step_median_update is the dense single-state step
+built from weighted_median, heavy_filter and bayesian_update; the
+invariant fuzzer and the tests use it as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graph import DistanceMatrix, Graph, reply_set, weighted_median, weighted_medians
+from .graph import (
+    DistanceMatrix,
+    Graph,
+    reply_set,
+    scale_by_reply_set,
+    weighted_median,
+    weighted_medians,
+)
 from .mathcore import Distribution, DomainError, NoiseParams, worst_case_budget_graph
-from .oracle import Answer, GraphOracle, graph_reply, heavy_filter, reply_answer
+from .oracle import Answer, GraphOracle, graph_reply, heavy_filter, heavy_reply, reply_answer
 from .weights import (
     WeightState,
     bayesian_update,
@@ -50,6 +53,7 @@ __all__ = [
     "SearchTranscript",
     "SearchPlan",
     "CHUNK_BYTES",
+    "HEAVY_SHARE",
     "chunk_rows",
     "adversarial_plan",
     "lv_distributional_plan",
@@ -66,6 +70,11 @@ __all__ = [
 # it in place, so it and the median's temporaries for the rows without a
 # heavy vertex are the memory a chunk adds; 256 KiB is 32 rows at n = 1024.
 CHUNK_BYTES = 256 << 10
+
+
+# A trial whose top share is above this is carried as two numbers (see
+# search); weighted_medians takes that top vertex as the row's median.
+HEAVY_SHARE = 0.5 + 1e-9
 
 
 def chunk_rows(n: int) -> int:
@@ -133,13 +142,20 @@ class SearchPlan:
 
     prior           start weights, summing to 1
     max_steps       query budget (fixed-budget) or hard cap (stopping)
-    stop_threshold  declare once a vertex holds this weight share; None
-                    spends the whole budget
+    stop_threshold  declare once a vertex holds this weight share, which
+                    must be above HEAVY_SHARE; None spends the whole budget
     """
 
     prior: np.ndarray
     max_steps: int
     stop_threshold: float | None
+
+    def __post_init__(self) -> None:
+        # search checks the stop rule on heavy rows only
+        if self.stop_threshold is not None and not self.stop_threshold > HEAVY_SHARE:
+            raise DomainError(
+                f"stop threshold must be above {HEAVY_SHARE}, got {self.stop_threshold}"
+            )
 
 
 def _check_delta(delta: float) -> None:
@@ -200,98 +216,225 @@ def search(
     record_queries: Sequence[bool] | None = None,
     track_weights: bool = False,
 ) -> list[SearchTranscript]:
-    """Run one trial per oracle, all as rows of one weight matrix.
+    """Run one trial per oracle, all in one chunk.
 
     The oracles share the graph, distances and noise policy; each keeps its
     own target and rng. record_queries says per trial whether to keep its
     QueryRecords; track_weights fills every weight_log. A stopping plan
-    checks each row before each step and drops the rows that stop.
+    checks each trial before each step and drops the trials that stop.
+
+    Heavy rows: a trial whose top share is above HEAVY_SHARE is carried
+    as its top vertex h, which is its median, and the share rest outside
+    h; its dense row stays frozen as it was when it turned heavy. A reply
+    at h reads as yes or "not h", so a step scales h by one factor a and
+    the rest by another f, in O(1): total = (1 - rest) * a + rest * f,
+    then rest = rest * f / total. Once h's share falls to HEAVY_SHARE or
+    below, the frozen row, scaled to the new rest and with h set, rejoins
+    the weight matrix. Only a heavy row can stop, since every stop
+    threshold is above HEAVY_SHARE.
+
+    Light rows: every other trial is a row of one (light rows x n) weight
+    matrix with a per-trial log2 total. A step takes one median per row
+    (batched by prefix sums on path and grid layouts and by preorder
+    intervals on trees) and one multiply, row sum and divide for all rows;
+    a neighbour reply at a light vertex first scales its row by its reply
+    set. A row whose top share rises above HEAVY_SHARE turns heavy.
+
+    Draw order: each trial hears its own oracle, which takes its uniforms
+    in blocks from its own rng and spends them in the order of
+    oracle.graph_reply: tiebreak, noise coin, lie. Every trial does the
+    arithmetic a lone trial would, in the same order, so its transcript
+    does not depend on the chunk it ran in.
     """
-    live = list(range(len(oracles)))
-    if not live:
+    k = len(oracles)
+    if not k:
         return []
     d, policy, n = oracles[0].dist, oracles[0].policy, g.n
     lie_weights = policy.lie_choice == "adversarial-heaviest"
-    record = list(record_queries) if record_queries is not None else [False] * len(live)
+    record = list(record_queries) if record_queries is not None else [False] * k
     p, keep, stop = noise.p, 1.0 - noise.p, plan.stop_threshold
-    weights = np.tile(plan.prior, (len(live), 1))
-    log2_totals = [0.0] * len(live)
-    rows = np.arange(len(live))
     records = [[] if kept else None for kept in record]
-    recording = any(record)
-    wlogs = [[] if track_weights else None for _ in live]
-    out: list[SearchTranscript] = [None] * len(live)  # type: ignore[list-item]
+    wlogs = [[] if track_weights else None for _ in range(k)]
+    out: list[SearchTranscript] = [None] * k  # type: ignore[list-item]
+    log2_totals = [0.0] * k
+    heavy = _HeavyRows(k)
+    # the light trials, in the order of their rows in weights
+    weights, light = heavy.take(np.tile(plan.prior, (k, 1)), list(range(k)))
+    live = list(range(k))
     step = 0
     while True:
         if track_weights:
-            for i, r in enumerate(live):
-                wlogs[r].append(_snapshot(weights[i], log2_totals[i], oracles[r].target))
+            for i, r in enumerate(light):
+                wlogs[r].append(_snapshot(weights[i], log2_totals[r], oracles[r].target))
+            for r in live:
+                if heavy.top[r] >= 0:
+                    wlogs[r].append(heavy.snapshot(r, log2_totals[r], oracles[r].target))
         at_cap = step == plan.max_steps
-        stopped = weights.max(axis=1) >= stop if stop is not None else None
-        if at_cap or (stopped is not None and stopped.any()):
-            done = [True] * len(live) if at_cap else stopped.tolist()
-            for i, r in enumerate(live):
-                if done[i]:
+        stopped = set() if stop is None else {r for r in live if heavy.share(r) >= stop}
+        if at_cap or stopped:
+            done = set(live) if at_cap else stopped
+            slot = {r: i for i, r in enumerate(light)}
+            for r in live:
+                if r in done:
                     oracles[r].queries_answered += step
+                    row = weights[slot[r]] if r in slot else heavy.row(r)
                     out[r] = _transcript(
-                        weights[i], log2_totals[i], oracles[r].target, step, records[r],
-                        wlogs[r], flagged=stopped is not None and not stopped[i],
+                        row, log2_totals[r], oracles[r].target, step, records[r], wlogs[r],
+                        flagged=stop is not None and r not in stopped,
                     )
-            if all(done):
+                    heavy.drop(r)
+            live = [r for r in live if r not in done]
+            if not live:
                 return out
-            going = [i for i, finished in enumerate(done) if not finished]
-            weights = weights[going]
-            log2_totals = [log2_totals[i] for i in going]
-            live = [live[i] for i in going]
-            rows = np.arange(len(live))
-            recording = any(records[r] is not None for r in live)
+            going = [i for i, r in enumerate(light) if r not in done]
+            if len(going) < len(light):
+                weights, light = weights[going], [light[i] for i in going]
         step += 1
+        heavy_live = [r for r in live if heavy.top[r] >= 0]
 
-        # Each row asks its median and hears its own oracle (its own rng, in
-        # the per-trial draw order), then folds the reply in as heavy_filter
-        # and bayesian_update would: kept weights scale by 1-p, the rest by
-        # p. A yes keeps {q} and a no at a q holding half the weight keeps
-        # all but q, so those rows scale by one factor off q and another at
-        # q, all rows in one multiply. Any other reply u keeps its reply
-        # set N(q, u), which leaves q out; such a row is scaled on its own,
-        # and the chunk multiply passes it by with a factor 1.
-        # weights is this loop's own array (np.tile or a fancy-index copy).
-        qs = weighted_medians(g, d, weights)
-        at_q = weights[rows, qs]
-        replies, fill, at_q_mult = [], [], []
-        for i, (q, w_q, r) in enumerate(zip(qs.tolist(), at_q.tolist(), live)):
-            o = oracles[r]
-            relative = weights[i] if lie_weights else None
-            reply, truth = graph_reply(q, o.target, g, d, policy, o.rng, relative)
-            if reply == q:
-                fill.append(p)
-                at_q_mult.append(keep)
-                size = 1
-            elif w_q >= 0.5:
-                fill.append(keep)
-                at_q_mult.append(p)
-                size = n - 1
-            else:
-                closer = reply_set(g, d, q, reply)
-                weights[i] *= np.where(closer, keep, p)
-                fill.append(1.0)
-                at_q_mult.append(p)
-                size = int(closer.sum()) if recording else 0
-            replies.append((reply, truth, size))
-        weights *= np.array(fill)[:, None]
-        weights[rows, qs] = at_q * at_q_mult
-        totals = weights.sum(axis=1)
-        if not (totals > 0.0).all():
-            raise DomainError("update annihilated all weight mass")
-        weights /= totals[:, None]
-        log2_totals = [a + math.log2(t) for a, t in zip(log2_totals, totals.tolist())]
-
-        if recording:
-            for i, r in enumerate(live):
+        # Each light row asks its median and hears its own oracle, then
+        # folds the reply in as heavy_filter and bayesian_update would:
+        # kept weights scale by 1-p, the rest by p. A yes keeps {q} and a no
+        # at a q holding half the weight keeps all but q, so those rows
+        # scale by one factor off q and another at q, all rows in one
+        # multiply. Any other reply u keeps its reply set N(q, u), which
+        # leaves q out; such a row is scaled on its own, and the chunk
+        # multiply passes it by with a factor 1. weights is this loop's own
+        # array (np.tile, a fancy-index copy or a concatenation).
+        if light:
+            rows = np.arange(len(light))
+            qs = weighted_medians(g, d, weights)
+            at_q = weights[rows, qs]
+            fill, at_q_mult = [], []
+            for i, (q, w_q, r) in enumerate(zip(qs.tolist(), at_q.tolist(), light)):
+                o = oracles[r]
+                relative = weights[i] if lie_weights else None
+                reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
+                if reply == q:
+                    fill.append(p)
+                    at_q_mult.append(keep)
+                    size = 1
+                elif w_q >= 0.5:
+                    fill.append(keep)
+                    at_q_mult.append(p)
+                    size = n - 1
+                else:
+                    scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
+                    fill.append(1.0)
+                    at_q_mult.append(p)
+                    size = None
                 if records[r] is not None:
-                    q = int(qs[i])
-                    reply, truth, size = replies[i]
+                    if size is None:
+                        size = int(reply_set(g, d, q, reply).sum())
                     records[r].append(QueryRecord(step, q, reply_answer(q, reply, truth), size))
+            weights *= np.array(fill)[:, None]
+            weights[rows, qs] = at_q * at_q_mult
+            totals = weights.sum(axis=1)
+            if not (totals > 0.0).all():
+                raise DomainError("update annihilated all weight mass")
+            weights /= totals[:, None]
+            for r, t in zip(light, totals.tolist()):
+                log2_totals[r] += math.log2(t)
+            weights, light = heavy.take(weights, light)
+
+        # Each heavy row asks its heavy vertex h; the reply scales h by a
+        # and the rest by f (yes keeps {h}, a no keeps all but h).
+        thawed = []
+        for r in heavy_live:
+            o, h = oracles[r], heavy.top[r]
+            named = records[r] is not None
+            build = functools.partial(heavy.row, r) if named else None
+            reply, truth = heavy_reply(h, o.target, g, d, policy, o.coin, build)
+            log2_totals[r] += heavy.update(r, reply == h, p)
+            if named:
+                size = 1 if reply == h else n - 1
+                records[r].append(QueryRecord(step, h, reply_answer(h, reply, truth), size))
+            if heavy.share(r) <= HEAVY_SHARE:
+                thawed.append(r)
+        if thawed:
+            weights = np.concatenate([weights, np.stack([heavy.thaw(r) for r in thawed])])
+            light = light + thawed
+
+
+class _HeavyRows:
+    """The heavy rows of one search. Per trial r, top[r] is its heavy
+    vertex (-1 for a light row) and rest[r] the share outside it. frozen[r]
+    is the dense row it had when it turned heavy, with 0 at top[r], and
+    rest0[r] that row's sum: the share outside top[r] then, summed, so a
+    rest too small to show in 1 - share is kept."""
+
+    def __init__(self, k: int):
+        self.top = [-1] * k
+        self.rest = [0.0] * k
+        self.rest0 = [0.0] * k
+        self.frozen: list[np.ndarray | None] = [None] * k
+
+    def share(self, r: int) -> float:
+        """Top share of a heavy row; 0 for a light one."""
+        return 1.0 - self.rest[r] if self.top[r] >= 0 else 0.0
+
+    def take(self, weights: np.ndarray, light: list[int]) -> tuple[np.ndarray, list[int]]:
+        """Freeze the rows of weights (those of trials light) whose top
+        share is above HEAVY_SHARE; the matrix and trials left light."""
+        tops = weights.argmax(axis=1)
+        turned = weights[np.arange(len(light)), tops] > HEAVY_SHARE
+        if not turned.any():
+            return weights, light
+        for i in np.flatnonzero(turned).tolist():
+            r, h = light[i], int(tops[i])
+            row = weights[i].copy()
+            row[h] = 0.0
+            self.top[r] = h
+            self.rest[r] = self.rest0[r] = float(row.sum())
+            self.frozen[r] = row
+        kept = np.flatnonzero(~turned)
+        return weights[kept], [light[i] for i in kept.tolist()]
+
+    def _scale(self, r: int) -> float:
+        rest0 = self.rest0[r]
+        return self.rest[r] / rest0 if rest0 > 0.0 else 0.0
+
+    def update(self, r: int, yes: bool, p: float) -> float:
+        """Fold a reply at top[r] into heavy row r, as heavy_filter and
+        bayesian_update would: a yes keeps {top[r]} and a no all but it;
+        kept mass scales by 1-p and the rest by p. Returns the log2 of the
+        row's total after scaling."""
+        rest = self.rest[r]
+        a, f = (1.0 - p, p) if yes else (p, 1.0 - p)
+        total = (1.0 - rest) * a + rest * f
+        if not total > 0.0:
+            raise DomainError("update annihilated all weight mass")
+        self.rest[r] = rest * f / total
+        return math.log2(total)
+
+    def row(self, r: int) -> np.ndarray:
+        """The dense row of heavy trial r."""
+        row = self.frozen[r] * self._scale(r)
+        row[self.top[r]] = 1.0 - self.rest[r]
+        return row
+
+    def thaw(self, r: int) -> np.ndarray:
+        """The dense row of heavy trial r, which turns light."""
+        row = self.row(r)
+        self.drop(r)
+        return row
+
+    def drop(self, r: int) -> None:
+        self.top[r] = -1
+        self.frozen[r] = None
+
+    def snapshot(self, r: int, log2_total: float, target: int) -> tuple[float, float]:
+        """_snapshot of heavy trial r's row, read off its two numbers."""
+        rest = self.rest[r]
+        if target == self.top[r]:
+            at = 1.0 - rest
+        else:
+            at = float(self.frozen[r][target] * self._scale(r))
+        return _log2_or_inf(rest) + log2_total, _log2_or_inf(at) + log2_total
+
+
+def _log2_or_inf(x: float) -> float:
+    return math.log2(x) if x > 0.0 else float("-inf")
 
 
 def _snapshot(relative: np.ndarray, log2_total: float, target: int) -> tuple[float, float]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "NoisePolicy",
     "graph_answer",
     "graph_reply",
+    "heavy_reply",
+    "NEIGHBOR",
     "reply_answer",
     "linear_answer",
     "heavy_filter",
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 TIEBREAKS = ("smallest-id", "random")
+# a neighbour reply that heavy_reply leaves unnamed
+NEIGHBOR = -1
 LIE_CHOICES = ("uniform-wrong", "adversarial-heaviest")
 
 
@@ -110,13 +114,13 @@ def _truthful_reply(
     g: Graph,
     d: DistanceMatrix,
     policy: NoisePolicy,
-    rng: np.random.Generator,
+    coin: Callable[[], float],
 ) -> int:
     if q == target:
         return q
     closer = _closer_neighbors(q, target, g, d)
     if policy.truthful_tiebreak == "random" and len(closer) > 1:
-        return closer[int(rng.integers(len(closer)))]
+        return closer[int(coin() * len(closer))]
     return closer[0]
 
 
@@ -126,7 +130,7 @@ def _corrupt_reply(
     g: Graph,
     d: DistanceMatrix,
     policy: NoisePolicy,
-    rng: np.random.Generator,
+    coin: Callable[[], float],
     relative: np.ndarray | None,
 ) -> int:
     wrong = [v for v in (q, *g.adjacency[q]) if v != truthful]
@@ -134,23 +138,29 @@ def _corrupt_reply(
         # isolated target on a single-vertex graph: nothing to lie with
         return truthful
     if policy.lie_choice == "uniform-wrong":
-        return wrong[int(rng.integers(len(wrong)))]
+        return wrong[int(coin() * len(wrong))]
     if relative is None:
         raise DomainError("adversarial-heaviest lies need the current weight state")
-    best, best_mass = wrong[0], -1.0
+    # the reply mass of each wrong reply, in wrong's order; the first
+    # heaviest wins. q's own mass and a leaf child's (its subtree is the
+    # leaf alone, and a one-element sum is that element) are one gather
+    ids = np.array(wrong)
+    masses = relative[ids]
     tree = d.tree
-    for v in wrong:
-        if v == q:
-            mass = float(relative[q])
-        elif tree is not None and tree.parent[v] == q:
+    if tree is None:
+        summed = [j for j, v in enumerate(wrong) if v != q]
+    else:
+        leaf_child = (tree.parent[ids] == q) & (tree.end[ids] - tree.start[ids] == 1)
+        summed = np.flatnonzero((ids != q) & ~leaf_child).tolist()
+    for j in summed:
+        v = wrong[j]
+        if tree is not None and tree.parent[v] == q:
             # a child's reply set is its subtree; gathering it in id order
             # sums the same array as the mask would, bitwise, in O(subtree)
-            mass = float(relative[tree.subtree(v)].sum())
+            masses[j] = relative[tree.subtree(v)].sum()
         else:
-            mass = float(relative[consistent_set(g, d, q, v).mask].sum())
-        if mass > best_mass:
-            best, best_mass = v, mass
-    return best
+            masses[j] = relative[consistent_set(g, d, q, v).mask].sum()
+    return wrong[int(np.argmax(masses))]
 
 
 def graph_reply(
@@ -159,7 +169,7 @@ def graph_reply(
     g: Graph,
     d: DistanceMatrix,
     policy: NoisePolicy,
-    rng: np.random.Generator,
+    coin: Callable[[], float],
     relative: np.ndarray | None = None,
 ) -> tuple[int, int]:
     """(reply, truthful reply) to a vertex query, each as a vertex: q
@@ -169,14 +179,62 @@ def graph_reply(
     of q one hop closer to the target. With probability policy.p it is
     replaced by one of the other legal replies at q (yes plus each
     neighbour) per policy.lie_choice; the adversarial choice needs the
-    current relative weights. Draws come in a fixed order: the random
-    tiebreak (only when several neighbours are closer), the noise coin,
-    then the lie.
+    current relative weights. coin() returns the trial's next uniform in
+    [0, 1); the uniforms go in a fixed order: the random tiebreak (only
+    when several neighbours are closer), the noise coin, then the uniform
+    lie. A choice among k items takes item int(u * k).
     """
-    truthful = _truthful_reply(q, target, g, d, policy, rng)
-    if rng.random() < policy.p:
-        return _corrupt_reply(q, truthful, g, d, policy, rng, relative), truthful
+    truthful = _truthful_reply(q, target, g, d, policy, coin)
+    if coin() < policy.p:
+        return _corrupt_reply(q, truthful, g, d, policy, coin, relative), truthful
     return truthful, truthful
+
+
+def heavy_reply(
+    h: int,
+    target: int,
+    g: Graph,
+    d: DistanceMatrix,
+    policy: NoisePolicy,
+    coin: Callable[[], float],
+    weights: Callable[[], np.ndarray] | None = None,
+) -> tuple[int, int]:
+    """graph_reply at a vertex h that holds more than half the weight.
+
+    It spends the same uniforms as graph_reply and gives a reply of the
+    same kind (yes or a neighbour). A search reads every neighbour reply
+    at h as "not h", though, so without weights a neighbour is named only
+    where that is free, and NEIGHBOR stands in for it elsewhere. Passing
+    weights (a function that builds the relative weights) asks for every
+    reply to be named, as a recorded trial needs. An adversarial-heaviest
+    lie when the truth is a neighbour is yes with no weights read: {h}
+    outweighs every reply set, since each of them leaves h out.
+    """
+    if h == target:
+        truthful = h
+    elif weights is not None or policy.truthful_tiebreak == "random":
+        truthful = _truthful_reply(h, target, g, d, policy, coin)
+    else:
+        truthful = NEIGHBOR  # the smallest-id tiebreak draws no coin
+    if coin() >= policy.p:
+        return truthful, truthful
+    adversarial = policy.lie_choice == "adversarial-heaviest"
+    if adversarial and truthful != h:
+        return h, truthful
+    if weights is not None:
+        relative = weights() if adversarial else None
+        return _corrupt_reply(h, truthful, g, d, policy, coin, relative), truthful
+    adj = g.adjacency[h]
+    if not adj:
+        return truthful, truthful
+    if adversarial:
+        return NEIGHBOR, truthful
+    # the wrong replies are h, unless it is the truth, then the neighbours
+    # other than the truth: len(adj) of them either way
+    j = int(coin() * len(adj))
+    if truthful == h:
+        return adj[j], truthful
+    return (h if j == 0 else NEIGHBOR), truthful
 
 
 def graph_answer(
@@ -188,9 +246,10 @@ def graph_answer(
     rng: np.random.Generator,
     weights: WeightState | None = None,
 ) -> Answer:
-    """graph_reply as an Answer; the adversarial lie needs the weights."""
+    """graph_reply as an Answer, one rng.random() per uniform; the
+    adversarial lie needs the weights."""
     relative = None if weights is None else weights.relative
-    return reply_answer(q, *graph_reply(q, target, g, d, policy, rng, relative))
+    return reply_answer(q, *graph_reply(q, target, g, d, policy, rng.random, relative))
 
 
 def reply_answer(q: int, reply: int, truthful: int) -> Answer:
@@ -234,8 +293,34 @@ def heavy_filter(
     return consistent_set(g, d, q, answer)
 
 
-class GraphOracle:
-    """Per-trial answer source for vertex queries; counts answers given."""
+class _CoinBlocks:
+    """The owner's uniforms, taken from self.rng in blocks of COIN_BLOCK.
+
+    Generator.random(k) yields the doubles of k scalar calls, so the
+    uniforms come in the order one draw per coin would give; only the
+    rng's position after the trial differs.
+    """
+
+    COIN_BLOCK = 64
+    rng: np.random.Generator
+    _coins: list[float]  # unused uniforms of the current block, the next one last
+
+    def _refill(self) -> list[float]:
+        coins = self._coins = self.rng.random(self.COIN_BLOCK).tolist()
+        coins.reverse()
+        return coins
+
+    def coin(self) -> float:
+        """The next uniform in [0, 1) of this trial."""
+        return (self._coins or self._refill()).pop()
+
+
+class GraphOracle(_CoinBlocks):
+    """Per-trial answer source for vertex queries; counts answers given.
+
+    Its uniforms come from its own rng in blocks (coin()), spent in the
+    order of graph_reply.
+    """
 
     def __init__(
         self,
@@ -253,26 +338,24 @@ class GraphOracle:
         self.policy = policy
         self.rng = rng
         self.queries_answered = 0
+        self._coins = []
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1
-        return graph_answer(
-            q, self.target, self.graph, self.dist, self.policy, self.rng, weights=state
-        )
+        relative = None if state is None else state.relative
+        g, d, target = self.graph, self.dist, self.target
+        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, relative))
 
 
-class LinearOracle:
+class LinearOracle(_CoinBlocks):
     """Per-trial answer source for comparison queries on 0..n-1.
 
     Answers as linear_answer does, coin for coin: the tie coin when the
-    target is the pivot, then the noise coin. The uniforms come from the
-    rng in blocks of COIN_BLOCK (Generator.random(k) yields the doubles of k
-    scalar calls), so a trial that owns its rng hears the same answers as
-    with one draw per coin; only the rng's position after the trial
-    differs. Each answer is one of four shared Answer values.
+    target is the pivot, then the noise coin, from the blocks of
+    _CoinBlocks. So a trial that owns its rng hears the same answers as
+    with one draw per coin. Each answer is one of four shared Answer
+    values.
     """
-
-    COIN_BLOCK = 64
 
     def __init__(self, n: int, target: int, policy: NoisePolicy, rng: np.random.Generator):
         if not 0 <= target < n:
@@ -282,13 +365,7 @@ class LinearOracle:
         self.policy = policy
         self.rng = rng
         self.queries_answered = 0
-        # unused uniforms of the current block, the next one last
-        self._coins: list[float] = []
-
-    def _refill(self) -> list[float]:
-        coins = self._coins = self.rng.random(self.COIN_BLOCK).tolist()
-        coins.reverse()
-        return coins
+        self._coins = []
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1

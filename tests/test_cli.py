@@ -53,6 +53,19 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
 
+    def test_gnm_runs_at_a_thousand_vertices(self, tmp_path):
+        # 16 error-free trials are the fewest whose Wilson upper limit is
+        # below delta = 0.2; one trial runs too, but its bound reads violated
+        for trials, status in (("1", 1), ("16", 0)):
+            out = tmp_path / f"gnm{trials}.csv"
+            code = run_cli(
+                "graph-adversarial", "--n", "1000", "--p", "0.3", "--delta", "0.2",
+                "--trials", trials, "--seed", "4", "--gen", "gnm", "--out", str(out),
+            )
+            assert code == status
+            with open(out) as fh:
+                assert len(list(csv.DictReader(fh))) == 1
+
     def test_invalid_input_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "graph-adversarial", "--n", "8", "--p", "0.7", "--delta", "0.2",

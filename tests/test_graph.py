@@ -1,5 +1,6 @@
 """Graph structure, distances, medians, consistent sets, loaders."""
 
+import math
 import time
 import tracemalloc
 
@@ -14,6 +15,7 @@ from noisysearch.graph import (
     consistent_set,
     cycle_graph,
     generate_graph,
+    gnm_edges,
     gnm_graph,
     grid_graph,
     load_graph,
@@ -386,10 +388,23 @@ class TestGnm:
             assert new.adjacency == old.adjacency
 
     def test_default_generator_unchanged(self):
+        # --gen gnm is the pair-list draw at gnm_edges(n) edges
         for seed in range(5):
             new = generate_graph("gnm", 40, np.random.default_rng(seed))
-            old = list_gnm_graph(40, 80, np.random.default_rng(seed))
+            old = list_gnm_graph(40, gnm_edges(40), np.random.default_rng(seed))
             assert new.adjacency == old.adjacency
+
+    def test_default_edge_count_is_the_connectivity_threshold(self):
+        for n in (2, 3, 4, 10, 1000, 10_000):
+            expected = min(math.ceil(n * math.log(n) / 2) + n, n * (n - 1) // 2)
+            assert gnm_edges(n) == expected
+        assert gnm_edges(1) == 0
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_default_generator_connects_at_cli_sizes(self, n):
+        # at m = 2n a connected draw almost never happens from n ~ 300 on
+        g = generate_graph("gnm", n, np.random.default_rng([7, n]))
+        assert g.n == n and sum(map(len, g.adjacency)) == 2 * gnm_edges(n)
 
     def test_builds_at_ten_thousand_vertices(self):
         # the pair list alone would be 5e7 tuples, several GB
@@ -410,3 +425,17 @@ class TestGnm:
         for n, m in ((5, 3), (5, 11)):
             with pytest.raises(GraphFormatError, match="n-1 <= m"):
                 gnm_graph(n, m, rng)
+
+
+@pytest.mark.parametrize(
+    "g", [path_graph(9), grid_graph(6, 7), grid_graph(5, 1), grid_graph(1, 6), star_graph(8)]
+)
+def test_scaling_by_a_reply_set_equals_the_mask(g):
+    d = all_pairs_distances(g)
+    row = np.random.default_rng(4).random(g.n)
+    for q in range(g.n):
+        for u in g.adjacency[q]:
+            got = row.copy()
+            graph_module.scale_by_reply_set(g, d, got, q, u, 0.7, 0.3)
+            mask = graph_module.reply_set(g, d, q, u)
+            assert np.array_equal(got, row * np.where(mask, 0.7, 0.3))

@@ -2,16 +2,22 @@
 
 The reference below lives here only. It is the one-trial-at-a-time loop the
 engine replaced: weighted_median, is_heavy, the noisy oracle, heavy_filter
-and bayesian_update, one WeightState per step. Its oracle is a copy of the
-per-trial graph_answer as it stood before the engine, so the engine must
-reproduce its rng draw order too. Every comparison is exact: the engine does
-the same arithmetic in the same order, row by row.
+and bayesian_update, one WeightState per step, while no vertex holds more
+than HEAVY_SHARE of the weight. While one does, it keeps that vertex h, the
+share outside it and the row frozen when h turned heavy, and scales the two
+shares by the scalar law. Its oracle takes its uniforms from rng.random(64)
+blocks in the order tiebreak, noise coin, lie, and reads a choice among k
+from one uniform u as int(u * k), so the engine must reproduce that draw
+order too. Every comparison is exact: the engine does the same arithmetic
+in the same order, row by row.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisysearch import graph_search
 from noisysearch.graph import (
@@ -26,6 +32,7 @@ from noisysearch.graph import (
     weighted_median,
 )
 from noisysearch.graph_search import (
+    HEAVY_SHARE,
     QueryRecord,
     adversarial_plan,
     lv_adversarial_plan,
@@ -41,7 +48,19 @@ from noisysearch.weights import WeightState, bayesian_update, is_heavy, log2_res
 # ---------------------------------------------------------------------------
 
 
-def ref_graph_answer(q, target, g, d, policy, rng, weights):
+class RefCoins:
+    """One trial's uniforms, read in order from rng.random(64) blocks."""
+
+    def __init__(self, rng):
+        self.rng, self.block = rng, []
+
+    def __call__(self):
+        if not self.block:
+            self.block = list(self.rng.random(64))[::-1]
+        return float(self.block.pop())
+
+
+def ref_graph_answer(q, target, g, d, policy, coin, relative):
     if q == target:
         truthful = Answer(kind="yes", vertex=None, is_lie=False)
     else:
@@ -49,11 +68,11 @@ def ref_graph_answer(q, target, g, d, policy, rng, weights):
         dq = int(to_target[q])
         closer = [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
         if policy.truthful_tiebreak == "random" and len(closer) > 1:
-            u = closer[int(rng.integers(len(closer)))]
+            u = closer[int(coin() * len(closer))]
         else:
             u = closer[0]
         truthful = Answer(kind="neighbor", vertex=u, is_lie=False)
-    if rng.random() >= policy.p:
+    if coin() >= policy.p:
         return truthful
     wrong = []
     if truthful.kind != "yes":
@@ -65,51 +84,101 @@ def ref_graph_answer(q, target, g, d, policy, rng, weights):
     if not wrong:
         return truthful
     if policy.lie_choice == "uniform-wrong":
-        return wrong[int(rng.integers(len(wrong)))]
-    rel = weights.relative
+        return wrong[int(coin() * len(wrong))]
     best, best_mass = wrong[0], -1.0
     for cand in wrong:
         if cand.kind == "yes":
-            mass = float(rel[q])
+            mass = float(relative[q])
         else:
-            mass = float(rel[consistent_set(g, d, q, cand).mask].sum())
+            mass = float(relative[consistent_set(g, d, q, cand).mask].sum())
         if mass > best_mass:
             best, best_mass = cand, mass
     return best
 
 
+class RefHeavy:
+    """A trial whose top share is above HEAVY_SHARE: its vertex h, the share
+    rest outside h, and its row frozen (0 at h) with the sum rest0 then."""
+
+    def __init__(self, relative):
+        self.h = int(np.argmax(relative))
+        self.frozen = relative.copy()
+        self.frozen[self.h] = 0.0
+        self.rest = self.rest0 = float(self.frozen.sum())
+
+    def scale(self):
+        return self.rest / self.rest0 if self.rest0 > 0.0 else 0.0
+
+    def relative(self):
+        row = self.frozen * self.scale()
+        row[self.h] = 1.0 - self.rest
+        return row
+
+
+def ref_freeze(relative):
+    return RefHeavy(relative) if relative.max() > HEAVY_SHARE else None
+
+
 def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_weights=True):
-    """One trial, one WeightState per step; returns the transcript fields
-    and the final state."""
+    """One trial, one WeightState per light step and the scalar law per
+    heavy step; returns the transcript fields and the final state."""
     d = all_pairs_distances(g)
-    state = WeightState(relative=plan.prior.copy(), log2_total=0.0, step=0)
+    coin = RefCoins(rng)
+    p = noise.p
+    relative, log2_total = plan.prior.copy(), 0.0
+    heavy = ref_freeze(relative)
     stop = plan.stop_threshold
     records = [] if record_queries else None
 
-    def snapshot(st):
-        rel = st.relative
-        return log2_rest(rel, st.log2_total), math.log2(rel[target]) + st.log2_total
+    def log2_or_inf(x):
+        return math.log2(x) if x > 0.0 else float("-inf")
 
-    wlog = [snapshot(state)] if track_weights else None
+    def snapshot():
+        if heavy is None:
+            return log2_rest(relative, log2_total), math.log2(relative[target]) + log2_total
+        at = 1.0 - heavy.rest if target == heavy.h else float(heavy.frozen[target] * heavy.scale())
+        return log2_or_inf(heavy.rest) + log2_total, log2_or_inf(at) + log2_total
+
+    def stops():
+        return stop is not None and heavy is not None and 1.0 - heavy.rest >= stop
+
+    wlog = [snapshot()] if track_weights else None
     steps = 0
     stopped = False
     while steps < plan.max_steps:
-        if stop is not None and float(state.relative.max()) >= stop:
+        if stops():
             stopped = True
             break
-        q = weighted_median(g, d, state)
-        was_heavy = is_heavy(state, q, 0.5)
-        answer = ref_graph_answer(q, target, g, d, policy, rng, state)
-        compatible = heavy_filter(answer, q, was_heavy, g, d)
-        state = bayesian_update(state, compatible, noise)
         steps += 1
+        if heavy is None:
+            state = WeightState(relative=relative, log2_total=log2_total, step=steps - 1)
+            q = weighted_median(g, d, state)
+            was_heavy = is_heavy(state, q, 0.5)
+            answer = ref_graph_answer(q, target, g, d, policy, coin, relative)
+            compatible = heavy_filter(answer, q, was_heavy, g, d)
+            state = bayesian_update(state, compatible, noise)
+            relative, log2_total = state.relative.copy(), state.log2_total
+            size = compatible.size
+            heavy = ref_freeze(relative)
+        else:
+            q = heavy.h
+            answer = ref_graph_answer(q, target, g, d, policy, coin, heavy.relative())
+            a, f = (1.0 - p, p) if answer.kind == "yes" else (p, 1.0 - p)
+            total = (1.0 - heavy.rest) * a + heavy.rest * f
+            heavy.rest = heavy.rest * f / total
+            log2_total += math.log2(total)
+            size = 1 if answer.kind == "yes" else g.n - 1
+            if 1.0 - heavy.rest <= HEAVY_SHARE:
+                relative, heavy = heavy.relative(), None
         if records is not None:
-            records.append(QueryRecord(steps, q, answer, compatible.size))
+            records.append(QueryRecord(steps, q, answer, size))
         if wlog is not None:
-            wlog.append(snapshot(state))
-    if stop is not None and not stopped:
-        stopped = float(state.relative.max()) >= stop
-    declared = int(np.argmax(state.relative))
+            wlog.append(snapshot())
+    if not stopped:
+        stopped = stops()
+    if heavy is not None:
+        relative = heavy.relative()
+    declared = int(np.argmax(relative))
     fields = dict(
         declared=declared,
         query_count=steps,
@@ -117,9 +186,9 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
         queries=records,
         flagged=stop is not None and not stopped,
         weight_log=wlog,
-        final_target_log2=math.log2(float(state.relative[target])) + state.log2_total,
+        final_target_log2=math.log2(float(relative[target])) + log2_total,
     )
-    return fields, state
+    return fields, WeightState(relative=relative, log2_total=log2_total, step=steps)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +288,56 @@ def test_engine_matches_per_trial_reference(graph, tiebreak, lie_choice, finals)
             assert np.array_equal(rel, state.relative), name
             assert log2 == state.log2_total, name
             assert o.queries_answered == t.query_count
+        # without records a heavy row leaves replies unnamed where it can;
+        # it must draw the same coins and reach the same rows
+        bare = search(g, noise, plan, make_oracles(g, policy, seed, 6, prior))
+        for t, (fields, state) in zip(bare, refs):
+            assert transcript_fields(t) == {**fields, "queries": None, "weight_log": None}, name
+            rel, log2 = final_of(finals, t)
+            assert np.array_equal(rel, state.relative) and log2 == state.log2_total, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+    share=st.floats(HEAVY_SHARE + 1e-6, 1.0 - 1e-12),
+    p=st.floats(0.05, 0.45),
+    replies=st.lists(st.booleans(), min_size=1, max_size=80),
+)
+def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
+    # a row with one vertex above HEAVY_SHARE, carried as two numbers,
+    # against heavy_filter + bayesian_update on the dense row, while the
+    # dense row still has that vertex above HEAVY_SHARE
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(n))
+    relative = rng.random(n) + 1e-3
+    relative[h] = 0.0
+    relative *= (1.0 - share) / relative.sum()
+    relative[h] = share
+    g = path_graph(n)
+    d = all_pairs_distances(g)
+    noise = NoiseParams.from_p(p)
+    no = Answer(kind="neighbor", vertex=h + 1 if h + 1 < n else h - 1)
+    rows = graph_search._HeavyRows(1)
+    _, light = rows.take(relative[None, :].copy(), [0])
+    assert light == [] and rows.top[0] == h
+    state, log2_total = WeightState(relative=relative, log2_total=0.0, step=0), 0.0
+    for yes in replies:
+        if state.relative[h] <= HEAVY_SHARE:
+            break
+        answer = Answer(kind="yes") if yes else no
+        state = bayesian_update(state, heavy_filter(answer, h, True, g, d), noise)
+        log2_total += rows.update(0, yes, p)
+        np.testing.assert_allclose(rows.row(0), state.relative, rtol=1e-12, atol=0.0)
+        assert math.isclose(log2_total, state.log2_total, rel_tol=1e-12)
+
+
+def test_a_choice_among_k_stays_below_k():
+    # int(u * k) for the largest uniform below 1 must name the last item
+    u = np.nextafter(1.0, 0.0)
+    for k in range(1, 9):
+        assert int(u * k) == k - 1
 
 
 @pytest.mark.parametrize(
@@ -275,6 +394,15 @@ def test_plans_validate_delta():
             lv_adversarial_plan(8, noise, bad)
         with pytest.raises(DomainError):
             lv_distributional_plan(Distribution.uniform(8), noise, bad)
+
+
+def test_plans_stop_only_above_the_heavy_share():
+    # search checks the stop rule on heavy rows only
+    prior = np.full(4, 0.25)
+    for bad in (0.5, HEAVY_SHARE):
+        with pytest.raises(DomainError):
+            graph_search.SearchPlan(prior, 3, bad)
+    assert graph_search.SearchPlan(prior, 3, 2 / 3).stop_threshold == 2 / 3
 
 
 def test_chunk_rows_follow_the_byte_budget():
