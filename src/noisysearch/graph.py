@@ -362,14 +362,18 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     return int(weighted_medians(g, d, w.relative[None, :])[0])
 
 
-def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
+def weighted_medians(
+    g: Graph, d: DistanceMatrix, relative: np.ndarray, tops: np.ndarray | None = None
+) -> np.ndarray:
     """weighted_median of every row of a (rows, n) weight matrix.
 
-    One argmax per row finds the heavy vertices; the other rows share one
-    prefix-sum pass on path and grid layouts and one preorder pass on
-    trees, and descend one by one elsewhere.
+    One argmax per row (tops, if the caller has them) finds the heavy
+    vertices; the other rows share one prefix-sum pass on path and grid
+    layouts and one preorder pass on trees, and descend one by one
+    elsewhere.
     """
-    tops = relative.argmax(axis=1)
+    if tops is None:
+        tops = relative.argmax(axis=1)
     light = relative[np.arange(len(tops)), tops] <= 0.5 + 1e-9
     if not light.any():
         return tops

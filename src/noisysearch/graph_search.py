@@ -184,6 +184,11 @@ def lv_distributional_plan(
     flagged failures instead of hangs.
     """
     _check_delta(delta)
+    if not 1.0 - delta > HEAVY_SHARE:
+        # the stop threshold 1 - delta must be above HEAVY_SHARE (SearchPlan)
+        raise DomainError(
+            f"a stopping search needs 1 - delta above {HEAVY_SHARE}, got delta = {delta}"
+        )
     prior = init_from_distribution(mu).relative
     worst_bits = -math.log2(float(prior.min()))
     cap = int(
@@ -258,8 +263,9 @@ def search(
     out: list[SearchTranscript] = [None] * k  # type: ignore[list-item]
     log2_totals = [0.0] * k
     heavy = _HeavyRows(k)
-    # the light trials, in the order of their rows in weights
-    weights, light = heavy.take(np.tile(plan.prior, (k, 1)), list(range(k)))
+    # the light trials, in the order of their rows in weights, and the
+    # argmax of each row
+    weights, light, tops = heavy.take(np.tile(plan.prior, (k, 1)), list(range(k)))
     live = list(range(k))
     step = 0
     while True:
@@ -268,7 +274,7 @@ def search(
                 wlogs[r].append(_snapshot(weights[i], log2_totals[r], oracles[r].target))
             for r in live:
                 if heavy.top[r] >= 0:
-                    wlogs[r].append(heavy.snapshot(r, log2_totals[r], oracles[r].target))
+                    wlogs[r].append(_snapshot(heavy.row(r), log2_totals[r], oracles[r].target))
         at_cap = step == plan.max_steps
         stopped = set() if stop is None else {r for r in live if heavy.share(r) >= stop}
         if at_cap or stopped:
@@ -288,7 +294,7 @@ def search(
                 return out
             going = [i for i, r in enumerate(light) if r not in done]
             if len(going) < len(light):
-                weights, light = weights[going], [light[i] for i in going]
+                weights, light, tops = weights[going], [light[i] for i in going], tops[going]
         step += 1
         heavy_live = [r for r in live if heavy.top[r] >= 0]
 
@@ -303,7 +309,7 @@ def search(
         # array (np.tile, a fancy-index copy or a concatenation).
         if light:
             rows = np.arange(len(light))
-            qs = weighted_medians(g, d, weights)
+            qs = weighted_medians(g, d, weights, tops)
             at_q = weights[rows, qs]
             fill, at_q_mult = [], []
             for i, (q, w_q, r) in enumerate(zip(qs.tolist(), at_q.tolist(), light)):
@@ -335,7 +341,7 @@ def search(
             weights /= totals[:, None]
             for r, t in zip(light, totals.tolist()):
                 log2_totals[r] += math.log2(t)
-            weights, light = heavy.take(weights, light)
+            weights, light, tops = heavy.take(weights, light)
 
         # Each heavy row asks its heavy vertex h; the reply scales h by a
         # and the rest by f (yes keeps {h}, a no keeps all but h).
@@ -352,7 +358,9 @@ def search(
             if heavy.share(r) <= HEAVY_SHARE:
                 thawed.append(r)
         if thawed:
-            weights = np.concatenate([weights, np.stack([heavy.thaw(r) for r in thawed])])
+            rebuilt = np.stack([heavy.thaw(r) for r in thawed])
+            weights = np.concatenate([weights, rebuilt])
+            tops = np.concatenate([tops, rebuilt.argmax(axis=1)])
             light = light + thawed
 
 
@@ -373,13 +381,16 @@ class _HeavyRows:
         """Top share of a heavy row; 0 for a light one."""
         return 1.0 - self.rest[r] if self.top[r] >= 0 else 0.0
 
-    def take(self, weights: np.ndarray, light: list[int]) -> tuple[np.ndarray, list[int]]:
+    def take(
+        self, weights: np.ndarray, light: list[int]
+    ) -> tuple[np.ndarray, list[int], np.ndarray]:
         """Freeze the rows of weights (those of trials light) whose top
-        share is above HEAVY_SHARE; the matrix and trials left light."""
+        share is above HEAVY_SHARE; the matrix, trials and row argmaxes
+        left light."""
         tops = weights.argmax(axis=1)
         turned = weights[np.arange(len(light)), tops] > HEAVY_SHARE
         if not turned.any():
-            return weights, light
+            return weights, light, tops
         for i in np.flatnonzero(turned).tolist():
             r, h = light[i], int(tops[i])
             row = weights[i].copy()
@@ -388,11 +399,7 @@ class _HeavyRows:
             self.rest[r] = self.rest0[r] = float(row.sum())
             self.frozen[r] = row
         kept = np.flatnonzero(~turned)
-        return weights[kept], [light[i] for i in kept.tolist()]
-
-    def _scale(self, r: int) -> float:
-        rest0 = self.rest0[r]
-        return self.rest[r] / rest0 if rest0 > 0.0 else 0.0
+        return weights[kept], [light[i] for i in kept.tolist()], tops[kept]
 
     def update(self, r: int, yes: bool, p: float) -> float:
         """Fold a reply at top[r] into heavy row r, as heavy_filter and
@@ -409,7 +416,8 @@ class _HeavyRows:
 
     def row(self, r: int) -> np.ndarray:
         """The dense row of heavy trial r."""
-        row = self.frozen[r] * self._scale(r)
+        rest0 = self.rest0[r]
+        row = self.frozen[r] * (self.rest[r] / rest0 if rest0 > 0.0 else 0.0)
         row[self.top[r]] = 1.0 - self.rest[r]
         return row
 
@@ -422,19 +430,6 @@ class _HeavyRows:
     def drop(self, r: int) -> None:
         self.top[r] = -1
         self.frozen[r] = None
-
-    def snapshot(self, r: int, log2_total: float, target: int) -> tuple[float, float]:
-        """_snapshot of heavy trial r's row, read off its two numbers."""
-        rest = self.rest[r]
-        if target == self.top[r]:
-            at = 1.0 - rest
-        else:
-            at = float(self.frozen[r][target] * self._scale(r))
-        return _log2_or_inf(rest) + log2_total, _log2_or_inf(at) + log2_total
-
-
-def _log2_or_inf(x: float) -> float:
-    return math.log2(x) if x > 0.0 else float("-inf")
 
 
 def _snapshot(relative: np.ndarray, log2_total: float, target: int) -> tuple[float, float]:

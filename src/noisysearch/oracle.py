@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 TIEBREAKS = ("smallest-id", "random")
-# a neighbour reply that heavy_reply leaves unnamed
+# an adversarial lie that heavy_reply leaves unnamed
 NEIGHBOR = -1
 LIE_CHOICES = ("uniform-wrong", "adversarial-heaviest")
 
@@ -201,40 +201,24 @@ def heavy_reply(
 ) -> tuple[int, int]:
     """graph_reply at a vertex h that holds more than half the weight.
 
-    It spends the same uniforms as graph_reply and gives a reply of the
-    same kind (yes or a neighbour). A search reads every neighbour reply
-    at h as "not h", though, so without weights a neighbour is named only
-    where that is free, and NEIGHBOR stands in for it elsewhere. Passing
-    weights (a function that builds the relative weights) asks for every
-    reply to be named, as a recorded trial needs. An adversarial-heaviest
-    lie when the truth is a neighbour is yes with no weights read: {h}
-    outweighs every reply set, since each of them leaves h out.
+    It spends the same uniforms as graph_reply and gives the same reply,
+    but an adversarial-heaviest lie reads no weights unless it must name a
+    neighbour. When the truth is a neighbour the lie is yes: {h} outweighs
+    every other reply set, since each of them leaves h out. When the truth
+    is yes the lie is a neighbour, which a search reads only as "not h";
+    weights (a function that builds the relative weights) names it, and
+    without them NEIGHBOR stands in for it.
     """
-    if h == target:
-        truthful = h
-    elif weights is not None or policy.truthful_tiebreak == "random":
-        truthful = _truthful_reply(h, target, g, d, policy, coin)
-    else:
-        truthful = NEIGHBOR  # the smallest-id tiebreak draws no coin
+    truthful = _truthful_reply(h, target, g, d, policy, coin)
     if coin() >= policy.p:
         return truthful, truthful
-    adversarial = policy.lie_choice == "adversarial-heaviest"
-    if adversarial and truthful != h:
+    if policy.lie_choice != "adversarial-heaviest":
+        return _corrupt_reply(h, truthful, g, d, policy, coin, None), truthful
+    if truthful != h or not g.adjacency[h]:
         return h, truthful
-    if weights is not None:
-        relative = weights() if adversarial else None
-        return _corrupt_reply(h, truthful, g, d, policy, coin, relative), truthful
-    adj = g.adjacency[h]
-    if not adj:
-        return truthful, truthful
-    if adversarial:
+    if weights is None:
         return NEIGHBOR, truthful
-    # the wrong replies are h, unless it is the truth, then the neighbours
-    # other than the truth: len(adj) of them either way
-    j = int(coin() * len(adj))
-    if truthful == h:
-        return adj[j], truthful
-    return (h if j == 0 else NEIGHBOR), truthful
+    return _corrupt_reply(h, truthful, g, d, policy, coin, weights()), truthful
 
 
 def graph_answer(

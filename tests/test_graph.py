@@ -234,6 +234,8 @@ class TestDescentMedian:
             relative = np.stack([init_from_distribution(Distribution(row)).relative for row in w])
             assert weighted_medians(g, d, relative).tolist() == expected
             assert weighted_medians(g, d, relative[4:5]).tolist() == expected[4:5]
+            tops = relative.argmax(axis=1)
+            assert weighted_medians(g, d, relative, tops).tolist() == expected
 
     def test_batched_costs_equal_one_row_at_a_time(self):
         rng = np.random.default_rng(16)

@@ -106,11 +106,8 @@ class RefHeavy:
         self.frozen[self.h] = 0.0
         self.rest = self.rest0 = float(self.frozen.sum())
 
-    def scale(self):
-        return self.rest / self.rest0 if self.rest0 > 0.0 else 0.0
-
     def relative(self):
-        row = self.frozen * self.scale()
+        row = self.frozen * (self.rest / self.rest0 if self.rest0 > 0.0 else 0.0)
         row[self.h] = 1.0 - self.rest
         return row
 
@@ -130,14 +127,9 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
     stop = plan.stop_threshold
     records = [] if record_queries else None
 
-    def log2_or_inf(x):
-        return math.log2(x) if x > 0.0 else float("-inf")
-
     def snapshot():
-        if heavy is None:
-            return log2_rest(relative, log2_total), math.log2(relative[target]) + log2_total
-        at = 1.0 - heavy.rest if target == heavy.h else float(heavy.frozen[target] * heavy.scale())
-        return log2_or_inf(heavy.rest) + log2_total, log2_or_inf(at) + log2_total
+        row = relative if heavy is None else heavy.relative()
+        return log2_rest(row, log2_total), math.log2(row[target]) + log2_total
 
     def stops():
         return stop is not None and heavy is not None and 1.0 - heavy.rest >= stop
@@ -320,7 +312,7 @@ def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
     noise = NoiseParams.from_p(p)
     no = Answer(kind="neighbor", vertex=h + 1 if h + 1 < n else h - 1)
     rows = graph_search._HeavyRows(1)
-    _, light = rows.take(relative[None, :].copy(), [0])
+    _, light, _ = rows.take(relative[None, :].copy(), [0])
     assert light == [] and rows.top[0] == h
     state, log2_total = WeightState(relative=relative, log2_total=0.0, step=0), 0.0
     for yes in replies:
@@ -403,6 +395,12 @@ def test_plans_stop_only_above_the_heavy_share():
         with pytest.raises(DomainError):
             graph_search.SearchPlan(prior, 3, bad)
     assert graph_search.SearchPlan(prior, 3, 2 / 3).stop_threshold == 2 / 3
+    # a delta just below 1/2 puts 1 - delta at or below HEAVY_SHARE: the
+    # stopping plan rejects the delta, and the fixed-budget plan takes it
+    noise = NoiseParams.from_p(0.3)
+    with pytest.raises(DomainError, match="delta = "):
+        lv_distributional_plan(Distribution.uniform(8), noise, 0.5 - 1e-10)
+    assert adversarial_plan(8, noise, 0.5 - 1e-10).stop_threshold is None
 
 
 def test_chunk_rows_follow_the_byte_budget():
