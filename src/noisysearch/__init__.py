@@ -17,7 +17,6 @@ from .mathcore import (
 from .weights import (
     CompatibleSet,
     WeightState,
-    absolute_log2_weight,
     bayesian_update,
     heaviest,
     init_from_distribution,

@@ -133,6 +133,16 @@ def _run(args: argparse.Namespace) -> int:
         )
     if not ok:
         print("noisy-search: bound violated", file=sys.stderr)
+        for r in results:
+            need = r.extras.get("min_trials_for_bound", 0)
+            if not r.bound_satisfied and r.trials < need:
+                print(
+                    f"noisy-search: {r.trials} trial(s) cannot show an error bound of "
+                    f"delta={r.delta}: with no errors the Wilson 95% upper limit reaches "
+                    f"it only from {need} trials (min_trials_for_bound)",
+                    file=sys.stderr,
+                )
+                break
         return 1
     return 0
 

@@ -24,6 +24,7 @@ __all__ = [
     "scale_by_reply_set",
     "consistent_set",
     "load_graph",
+    "read_fields",
     "path_graph",
     "cycle_graph",
     "star_graph",
@@ -460,47 +461,64 @@ def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
 # ---------------------------------------------------------------------------
 
 
+def read_fields(path):
+    """(line number, whitespace-split fields) of each line of a UTF-8 text
+    file that is not blank or a '#' comment. A byte that is not UTF-8 reads
+    as a lone surrogate, which no number parses, so a caller's parse error
+    names its line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line.split()
+
+
 def load_graph(path) -> Graph:
     """Read a graph file: header "n m", then m lines "u v", 0-based ids.
 
-    Blank lines and lines starting with '#' are ignored. Self-loops,
-    out-of-range ids, malformed lines, and disconnected graphs are
-    rejected with the offending line named where one exists.
+    Blank lines and lines starting with '#' are ignored. A header with
+    fewer than n - 1 edges (no connected graph), self-loops, out-of-range
+    ids, malformed lines, and disconnected graphs are rejected with the
+    file and, where one exists, the offending line named.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 2:
-                    raise GraphFormatError(f"{path}:{lineno}: expected header 'n m'")
-                try:
-                    header = (int(parts[0]), int(parts[1]))
-                except ValueError as exc:
-                    raise GraphFormatError(f"{path}:{lineno}: non-integer header") from exc
-                continue
+    for lineno, parts in read_fields(path):
+        if header is None:
             if len(parts) != 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected edge 'u v'")
+                raise GraphFormatError(f"{path}:{lineno}: expected header 'n m'")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                header = (int(parts[0]), int(parts[1]))
             except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer vertex id") from exc
-            n = header[0]
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"{path}:{lineno}: vertex id out of range [0, {n})")
-            if u == v:
-                raise GraphFormatError(f"{path}:{lineno}: self-loop {u} {v}")
-            edges.append((u, v))
+                raise GraphFormatError(f"{path}:{lineno}: non-integer header") from exc
+            if header[0] < 1:
+                raise GraphFormatError(f"{path}:{lineno}: header needs n >= 1, got {header[0]}")
+            if header[1] < header[0] - 1:
+                raise GraphFormatError(
+                    f"{path}:{lineno}: {header[1]} edges leave {header[0]} vertices disconnected"
+                )
+            continue
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}:{lineno}: expected edge 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: non-integer vertex id") from exc
+        n = header[0]
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"{path}:{lineno}: vertex id out of range [0, {n})")
+        if u == v:
+            raise GraphFormatError(f"{path}:{lineno}: self-loop {u} {v}")
+        edges.append((u, v))
     if header is None:
         raise GraphFormatError(f"{path}: empty graph file")
     n, m = header
     if len(edges) != m:
         raise GraphFormatError(f"{path}: header promises {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, edges)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from exc
 
 
 def path_graph(n: int) -> Graph:

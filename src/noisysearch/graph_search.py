@@ -10,10 +10,12 @@ stop threshold):
 * the same stopping strategy run from a uniform prior with a rescaled
   confidence threshold, which handles an adversarially placed target.
 
-One engine, search(), drives them all. It runs a chunk of trials at once:
-a trial in which one vertex holds more than half the weight as two
-numbers, the others as the rows of one weight matrix (see search). Every
-trial does the arithmetic a lone trial would, in the same order, so its
+One engine, search(), drives them all. It runs a chunk of trials, each
+with its own step count: the trials in which no vertex holds more than
+half the weight step together as the rows of one weight matrix, and a
+trial in which one vertex does leaves the matrix and runs ahead on its
+own, as two numbers, until it ends or rejoins (see search). Every trial
+does the arithmetic a lone trial would, in the same order, so its
 transcript does not depend on the chunk it ran in. The run_* functions
 are a chunk of one. step_median_update is the dense single-state step
 built from weighted_median, heavy_filter and bayesian_update; the
@@ -38,7 +40,16 @@ from .graph import (
     weighted_medians,
 )
 from .mathcore import Distribution, DomainError, NoiseParams, worst_case_budget_graph
-from .oracle import Answer, GraphOracle, graph_reply, heavy_filter, heavy_reply, reply_answer
+from .oracle import (
+    Answer,
+    GraphOracle,
+    _truthful_reply,
+    graph_reply,
+    heavy_filter,
+    heavy_lie,
+    reply_answer,
+    truthful_choices,
+)
 from .weights import (
     WeightState,
     bayesian_update,
@@ -225,25 +236,26 @@ def search(
 
     The oracles share the graph, distances and noise policy; each keeps its
     own target and rng. record_queries says per trial whether to keep its
-    QueryRecords; track_weights fills every weight_log. A stopping plan
-    checks each trial before each step and drops the trials that stop.
+    QueryRecords; track_weights fills every weight_log. Each trial keeps
+    its own step count, ends at the cap or, under a stopping plan, once its
+    top share reaches the stop threshold.
 
-    Heavy rows: a trial whose top share is above HEAVY_SHARE is carried
-    as its top vertex h, which is its median, and the share rest outside
-    h; its dense row stays frozen as it was when it turned heavy. A reply
-    at h reads as yes or "not h", so a step scales h by one factor a and
-    the rest by another f, in O(1): total = (1 - rest) * a + rest * f,
-    then rest = rest * f / total. Once h's share falls to HEAVY_SHARE or
-    below, the frozen row, scaled to the new rest and with h set, rejoins
-    the weight matrix. Only a heavy row can stop, since every stop
-    threshold is above HEAVY_SHARE.
+    Light rows: a trial whose top share is HEAVY_SHARE or below is a row
+    of one (light rows x n) weight matrix with a per-trial log2 total. A
+    step takes one median per row (batched by prefix sums on path and grid
+    layouts and by preorder intervals on trees) and one multiply, row sum
+    and divide for all rows; a neighbour reply at a light vertex first
+    scales its row by its reply set. A row at its cap ends there.
 
-    Light rows: every other trial is a row of one (light rows x n) weight
-    matrix with a per-trial log2 total. A step takes one median per row
-    (batched by prefix sums on path and grid layouts and by preorder
-    intervals on trees) and one multiply, row sum and divide for all rows;
-    a neighbour reply at a light vertex first scales its row by its reply
-    set. A row whose top share rises above HEAVY_SHARE turns heavy.
+    Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
+    matrix, and one scalar loop (run_heavy below) runs that trial ahead on
+    its own. Its top vertex h is its median, and a reply at h reads as yes or
+    "not h", so the trial is carried as h and the share rest outside it;
+    its dense row stays frozen as it was when it turned heavy. The loop
+    steps until the trial stops, reaches the cap, or h's share falls to
+    HEAVY_SHARE or below; then the frozen row, scaled to the new rest and
+    with h set, rejoins the matrix at its own step count. Only a heavy
+    trial can stop, since every stop threshold is above HEAVY_SHARE.
 
     Draw order: each trial hears its own oracle, which takes its uniforms
     in blocks from its own rng and spends them in the order of
@@ -257,46 +269,104 @@ def search(
     d, policy, n = oracles[0].dist, oracles[0].policy, g.n
     lie_weights = policy.lie_choice == "adversarial-heaviest"
     record = list(record_queries) if record_queries is not None else [False] * k
-    p, keep, stop = noise.p, 1.0 - noise.p, plan.stop_threshold
+    p, keep, cap, stop = noise.p, 1.0 - noise.p, plan.max_steps, plan.stop_threshold
+    # the oracles' lie rate (policy.p) may differ from the update's (noise.p)
+    lie_p, log2 = policy.p, math.log2
     records = [[] if kept else None for kept in record]
     wlogs = [[] if track_weights else None for _ in range(k)]
     out: list[SearchTranscript] = [None] * k  # type: ignore[list-item]
     log2_totals = [0.0] * k
-    heavy = _HeavyRows(k)
-    # the light trials, in the order of their rows in weights, and the
-    # argmax of each row
-    weights, light, tops = heavy.take(np.tile(plan.prior, (k, 1)), list(range(k)))
-    live = list(range(k))
-    step = 0
+    steps = [0] * k
+
+    def run_heavy(r: int, row: np.ndarray, h: int) -> np.ndarray | None:
+        """Run trial r, whose row holds h above HEAVY_SHARE, step by step at
+        h: snapshot, cap and stop checks, reply, two-number update, log2
+        total. Returns its rebuilt dense row once h's share falls to
+        HEAVY_SHARE or below, None once the trial has ended."""
+        o, rec, wlog = oracles[r], records[r], wlogs[r]
+        target, coin = o.target, o.coin
+        frozen = row.copy()
+        frozen[h] = 0.0
+        # the share outside h, summed, so a rest too small to show in
+        # 1 - share is kept
+        rest = rest0 = float(frozen.sum())
+        choices = truthful_choices(h, target, g, d, policy)
+        truthful = choices[0] if len(choices) == 1 else None
+        step, log2_total = steps[r], log2_totals[r]
+        while True:
+            if wlog is not None:
+                wlog.append(_snapshot(_heavy_row(frozen, rest0, rest, h), log2_total, target))
+            share = 1.0 - rest
+            stopped = stop is not None and share >= stop
+            if step == cap or stopped:
+                o.queries_answered += step
+                out[r] = _transcript(
+                    _heavy_row(frozen, rest0, rest, h), log2_total, target, step, rec, wlog,
+                    flagged=stop is not None and not stopped,
+                )
+                return None
+            if share <= HEAVY_SHARE:
+                steps[r], log2_totals[r] = step, log2_total
+                return _heavy_row(frozen, rest0, rest, h)
+            step += 1
+            # the reply as graph_reply gives it: truth, noise coin, lie
+            truth = truthful
+            if truth is None:
+                truth = _truthful_reply(h, target, g, d, policy, coin)
+            reply = truth
+            if coin() < lie_p:
+                build = None
+                if rec is not None:
+                    build = functools.partial(_heavy_row, frozen, rest0, rest, h)
+                reply = heavy_lie(h, truth, g, d, policy, coin, build)
+            # as heavy_filter and bayesian_update would: a yes keeps {h} and
+            # a no all but h; kept mass scales by 1-p and the rest by p
+            if reply == h:
+                total = share * keep + rest * p
+                rest = rest * p / total
+            else:
+                total = share * p + rest * keep
+                rest = rest * keep / total
+            if not total > 0.0:
+                raise DomainError("update annihilated all weight mass")
+            log2_total += log2(total)
+            if rec is not None:
+                size = 1 if reply == h else n - 1
+                rec.append(QueryRecord(step, h, reply_answer(h, reply, truth), size))
+
+    # the light trials, in the order of their rows in weights
+    weights, light = np.tile(plan.prior, (k, 1)), list(range(k))
     while True:
-        if track_weights:
-            for i, r in enumerate(light):
+        # every row of weights has just folded in a reply (or is a prior):
+        # it leaves for a heavy run, ends at its cap, or steps on
+        tops = weights.argmax(axis=1)
+        heavy = (weights[np.arange(len(light)), tops] > HEAVY_SHARE).tolist()
+        kept, thawed = [], []
+        for i, r in enumerate(light):
+            if heavy[i]:
+                row = run_heavy(r, weights[i], int(tops[i]))
+                if row is not None:
+                    thawed.append((r, row))
+                continue
+            if track_weights:
                 wlogs[r].append(_snapshot(weights[i], log2_totals[r], oracles[r].target))
-            for r in live:
-                if heavy.top[r] >= 0:
-                    wlogs[r].append(_snapshot(heavy.row(r), log2_totals[r], oracles[r].target))
-        at_cap = step == plan.max_steps
-        stopped = set() if stop is None else {r for r in live if heavy.share(r) >= stop}
-        if at_cap or stopped:
-            done = set(live) if at_cap else stopped
-            slot = {r: i for i, r in enumerate(light)}
-            for r in live:
-                if r in done:
-                    oracles[r].queries_answered += step
-                    row = weights[slot[r]] if r in slot else heavy.row(r)
-                    out[r] = _transcript(
-                        row, log2_totals[r], oracles[r].target, step, records[r], wlogs[r],
-                        flagged=stop is not None and r not in stopped,
-                    )
-                    heavy.drop(r)
-            live = [r for r in live if r not in done]
-            if not live:
-                return out
-            going = [i for i, r in enumerate(light) if r not in done]
-            if len(going) < len(light):
-                weights, light, tops = weights[going], [light[i] for i in going], tops[going]
-        step += 1
-        heavy_live = [r for r in live if heavy.top[r] >= 0]
+            if steps[r] == cap:
+                oracles[r].queries_answered += cap
+                out[r] = _transcript(
+                    weights[i], log2_totals[r], oracles[r].target, cap, records[r], wlogs[r],
+                    flagged=stop is not None,
+                )
+            else:
+                kept.append(i)
+        if len(kept) < len(light):
+            weights, light, tops = weights[kept], [light[i] for i in kept], tops[kept]
+        if thawed:
+            rebuilt = np.stack([row for _, row in thawed])
+            weights = np.concatenate([weights, rebuilt])
+            tops = np.concatenate([tops, rebuilt.argmax(axis=1)])
+            light = light + [r for r, _ in thawed]
+        if not light:
+            return out
 
         # Each light row asks its median and hears its own oracle, then
         # folds the reply in as heavy_filter and bayesian_update would:
@@ -307,129 +377,48 @@ def search(
         # leaves q out; such a row is scaled on its own, and the chunk
         # multiply passes it by with a factor 1. weights is this loop's own
         # array (np.tile, a fancy-index copy or a concatenation).
-        if light:
-            rows = np.arange(len(light))
-            qs = weighted_medians(g, d, weights, tops)
-            at_q = weights[rows, qs]
-            fill, at_q_mult = [], []
-            for i, (q, w_q, r) in enumerate(zip(qs.tolist(), at_q.tolist(), light)):
-                o = oracles[r]
-                relative = weights[i] if lie_weights else None
-                reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
-                if reply == q:
-                    fill.append(p)
-                    at_q_mult.append(keep)
-                    size = 1
-                elif w_q >= 0.5:
-                    fill.append(keep)
-                    at_q_mult.append(p)
-                    size = n - 1
-                else:
-                    scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
-                    fill.append(1.0)
-                    at_q_mult.append(p)
-                    size = None
-                if records[r] is not None:
-                    if size is None:
-                        size = int(reply_set(g, d, q, reply).sum())
-                    records[r].append(QueryRecord(step, q, reply_answer(q, reply, truth), size))
-            weights *= np.array(fill)[:, None]
-            weights[rows, qs] = at_q * at_q_mult
-            totals = weights.sum(axis=1)
-            if not (totals > 0.0).all():
-                raise DomainError("update annihilated all weight mass")
-            weights /= totals[:, None]
-            for r, t in zip(light, totals.tolist()):
-                log2_totals[r] += math.log2(t)
-            weights, light, tops = heavy.take(weights, light)
-
-        # Each heavy row asks its heavy vertex h; the reply scales h by a
-        # and the rest by f (yes keeps {h}, a no keeps all but h).
-        thawed = []
-        for r in heavy_live:
-            o, h = oracles[r], heavy.top[r]
-            named = records[r] is not None
-            build = functools.partial(heavy.row, r) if named else None
-            reply, truth = heavy_reply(h, o.target, g, d, policy, o.coin, build)
-            log2_totals[r] += heavy.update(r, reply == h, p)
-            if named:
-                size = 1 if reply == h else n - 1
-                records[r].append(QueryRecord(step, h, reply_answer(h, reply, truth), size))
-            if heavy.share(r) <= HEAVY_SHARE:
-                thawed.append(r)
-        if thawed:
-            rebuilt = np.stack([heavy.thaw(r) for r in thawed])
-            weights = np.concatenate([weights, rebuilt])
-            tops = np.concatenate([tops, rebuilt.argmax(axis=1)])
-            light = light + thawed
-
-
-class _HeavyRows:
-    """The heavy rows of one search. Per trial r, top[r] is its heavy
-    vertex (-1 for a light row) and rest[r] the share outside it. frozen[r]
-    is the dense row it had when it turned heavy, with 0 at top[r], and
-    rest0[r] that row's sum: the share outside top[r] then, summed, so a
-    rest too small to show in 1 - share is kept."""
-
-    def __init__(self, k: int):
-        self.top = [-1] * k
-        self.rest = [0.0] * k
-        self.rest0 = [0.0] * k
-        self.frozen: list[np.ndarray | None] = [None] * k
-
-    def share(self, r: int) -> float:
-        """Top share of a heavy row; 0 for a light one."""
-        return 1.0 - self.rest[r] if self.top[r] >= 0 else 0.0
-
-    def take(
-        self, weights: np.ndarray, light: list[int]
-    ) -> tuple[np.ndarray, list[int], np.ndarray]:
-        """Freeze the rows of weights (those of trials light) whose top
-        share is above HEAVY_SHARE; the matrix, trials and row argmaxes
-        left light."""
-        tops = weights.argmax(axis=1)
-        turned = weights[np.arange(len(light)), tops] > HEAVY_SHARE
-        if not turned.any():
-            return weights, light, tops
-        for i in np.flatnonzero(turned).tolist():
-            r, h = light[i], int(tops[i])
-            row = weights[i].copy()
-            row[h] = 0.0
-            self.top[r] = h
-            self.rest[r] = self.rest0[r] = float(row.sum())
-            self.frozen[r] = row
-        kept = np.flatnonzero(~turned)
-        return weights[kept], [light[i] for i in kept.tolist()], tops[kept]
-
-    def update(self, r: int, yes: bool, p: float) -> float:
-        """Fold a reply at top[r] into heavy row r, as heavy_filter and
-        bayesian_update would: a yes keeps {top[r]} and a no all but it;
-        kept mass scales by 1-p and the rest by p. Returns the log2 of the
-        row's total after scaling."""
-        rest = self.rest[r]
-        a, f = (1.0 - p, p) if yes else (p, 1.0 - p)
-        total = (1.0 - rest) * a + rest * f
-        if not total > 0.0:
+        rows = np.arange(len(light))
+        qs = weighted_medians(g, d, weights, tops)
+        at_q = weights[rows, qs]
+        fill, at_q_mult = [], []
+        for i, (q, w_q, r) in enumerate(zip(qs.tolist(), at_q.tolist(), light)):
+            o = oracles[r]
+            steps[r] += 1
+            relative = weights[i] if lie_weights else None
+            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
+            if reply == q:
+                fill.append(p)
+                at_q_mult.append(keep)
+                size = 1
+            elif w_q >= 0.5:
+                fill.append(keep)
+                at_q_mult.append(p)
+                size = n - 1
+            else:
+                scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
+                fill.append(1.0)
+                at_q_mult.append(p)
+                size = None
+            if records[r] is not None:
+                if size is None:
+                    size = int(reply_set(g, d, q, reply).sum())
+                records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth), size))
+        weights *= np.array(fill)[:, None]
+        weights[rows, qs] = at_q * at_q_mult
+        totals = weights.sum(axis=1)
+        if not (totals > 0.0).all():
             raise DomainError("update annihilated all weight mass")
-        self.rest[r] = rest * f / total
-        return math.log2(total)
+        weights /= totals[:, None]
+        for r, t in zip(light, totals.tolist()):
+            log2_totals[r] += log2(t)
 
-    def row(self, r: int) -> np.ndarray:
-        """The dense row of heavy trial r."""
-        rest0 = self.rest0[r]
-        row = self.frozen[r] * (self.rest[r] / rest0 if rest0 > 0.0 else 0.0)
-        row[self.top[r]] = 1.0 - self.rest[r]
-        return row
 
-    def thaw(self, r: int) -> np.ndarray:
-        """The dense row of heavy trial r, which turns light."""
-        row = self.row(r)
-        self.drop(r)
-        return row
-
-    def drop(self, r: int) -> None:
-        self.top[r] = -1
-        self.frozen[r] = None
+def _heavy_row(frozen: np.ndarray, rest0: float, rest: float, h: int) -> np.ndarray:
+    """The dense row of a heavy trial: frozen (its row when h turned heavy,
+    with 0 at h, summing to rest0) scaled to the share rest, with h set."""
+    row = frozen * (rest / rest0 if rest0 > 0.0 else 0.0)
+    row[h] = 1.0 - rest
+    return row
 
 
 def _snapshot(relative: np.ndarray, log2_total: float, target: int) -> tuple[float, float]:

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,6 +49,7 @@ __all__ = [
     "adversarial_sweep",
     "emit",
     "wilson_interval",
+    "min_trials_for_bound",
     "lv_linear_overhead",
     "dyadic_distribution",
     "geometric_distribution",
@@ -159,6 +161,28 @@ def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, 
     center = phat + z2 / (2.0 * total)
     half = z * math.sqrt(phat * (1.0 - phat) / total + z2 / (4.0 * total * total))
     return (max(0.0, (center - half) / denom), min(1.0, (center + half) / denom))
+
+
+def min_trials_for_bound(delta: float, z: float = Z95) -> int:
+    """The fewest trials whose Wilson upper limit with no errors is at most
+    delta: fewer trials cannot show an error bound of delta however they go.
+    The upper limit is z^2 / (trials + z^2), so the count is about
+    z^2 (1 - delta) / delta (16 at delta = 0.2, 35 at delta = 0.1); the
+    steps around that estimate settle it on wilson_interval itself, where
+    rounding can move it by one either way."""
+    if not delta > 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
+    estimate = z * z * (1.0 - delta) / delta
+    if not estimate < 2.0**52:
+        # a tiny delta: steps of one trial no longer move a float, and the
+        # estimate may overflow
+        return math.ceil(min(estimate, sys.float_info.max))
+    trials = max(1, math.ceil(estimate))
+    while trials > 1 and wilson_interval(0, trials - 1, z)[1] <= delta:
+        trials -= 1
+    while wilson_interval(0, trials, z)[1] > delta:
+        trials += 1
+    return trials
 
 
 def lv_linear_overhead(n: int, delta: float, c_const: float) -> float:
@@ -290,7 +314,8 @@ def _build_context(config: ExperimentConfig) -> _Context:
                 f"scenario {config.scenario} needs graph_path or a generator name in gen"
             )
         if graph.n != config.n:
-            raise DomainError(f"graph has {graph.n} vertices but config.n={config.n}")
+            source = config.graph_path or f"--gen {config.gen}"
+            raise DomainError(f"{source}: graph has {graph.n} vertices but config.n={config.n}")
         dist = all_pairs_distances(graph)
     if _is_distributional(config.scenario):
         mu = _resolve_mu(config)
@@ -458,11 +483,12 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     sem_q = std_q / math.sqrt(trials) if trials > 0 else 0.0
     error_rate = errors / trials
     bound = _theoretical_bound(ctx)
+    extras = {"sem_queries": sem_q, "errors": errors}
     if config.scenario in ("graph-adversarial", "bin-adversarial"):
         satisfied = ci_high <= bound
+        extras["min_trials_for_bound"] = min_trials_for_bound(bound)
     else:
         satisfied = (mean_q <= bound + sem_q) and (error_rate <= config.delta)
-    extras = {"sem_queries": sem_q, "errors": errors}
     phase = [o.phase_one for o in outcomes if o.phase_one >= 0]
     if phase:
         extras["mean_phase_one"] = float(np.mean(phase))

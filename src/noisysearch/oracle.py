@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import DistanceMatrix, Graph, consistent_set
+from .graph import DistanceMatrix, Graph, consistent_set, read_fields
 from .mathcore import Distribution, DomainError
 from .weights import CompatibleSet, WeightState
 
@@ -23,7 +23,8 @@ __all__ = [
     "NoisePolicy",
     "graph_answer",
     "graph_reply",
-    "heavy_reply",
+    "heavy_lie",
+    "truthful_choices",
     "NEIGHBOR",
     "reply_answer",
     "linear_answer",
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 TIEBREAKS = ("smallest-id", "random")
-# an adversarial lie that heavy_reply leaves unnamed
+# an adversarial lie that heavy_lie leaves unnamed
 NEIGHBOR = -1
 LIE_CHOICES = ("uniform-wrong", "adversarial-heaviest")
 
@@ -108,6 +109,18 @@ def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[
     return [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
 
 
+def truthful_choices(
+    q: int, target: int, g: Graph, d: DistanceMatrix, policy: NoisePolicy
+) -> list[int]:
+    """The truthful replies at q that the tiebreak picks among: [q] when q
+    is the target, else the closer neighbours (only the first of them under
+    the smallest-id tiebreak)."""
+    if q == target:
+        return [q]
+    closer = _closer_neighbors(q, target, g, d)
+    return closer if policy.truthful_tiebreak == "random" else closer[:1]
+
+
 def _truthful_reply(
     q: int,
     target: int,
@@ -116,12 +129,10 @@ def _truthful_reply(
     policy: NoisePolicy,
     coin: Callable[[], float],
 ) -> int:
-    if q == target:
-        return q
-    closer = _closer_neighbors(q, target, g, d)
-    if policy.truthful_tiebreak == "random" and len(closer) > 1:
-        return closer[int(coin() * len(closer))]
-    return closer[0]
+    choices = truthful_choices(q, target, g, d, policy)
+    if len(choices) == 1:
+        return choices[0]
+    return choices[int(coin() * len(choices))]
 
 
 def _corrupt_reply(
@@ -133,14 +144,20 @@ def _corrupt_reply(
     coin: Callable[[], float],
     relative: np.ndarray | None,
 ) -> int:
-    wrong = [v for v in (q, *g.adjacency[q]) if v != truthful]
-    if not wrong:
+    adjacent = g.adjacency[q]
+    if not adjacent:
         # isolated target on a single-vertex graph: nothing to lie with
         return truthful
     if policy.lie_choice == "uniform-wrong":
-        return wrong[int(coin() * len(wrong))]
+        # wrong = (q, *adjacent) without truthful, so it has len(adjacent)
+        # items; wrong[j] is read off adjacent by index, no list is built
+        j = int(coin() * len(adjacent))
+        if truthful == q or j > adjacent.index(truthful):
+            return adjacent[j]
+        return adjacent[j - 1] if j else q
     if relative is None:
         raise DomainError("adversarial-heaviest lies need the current weight state")
+    wrong = [v for v in (q, *adjacent) if v != truthful]
     # the reply mass of each wrong reply, in wrong's order; the first
     # heaviest wins. q's own mass and a leaf child's (its subtree is the
     # leaf alone, and a one-element sum is that element) are one gather
@@ -190,35 +207,32 @@ def graph_reply(
     return truthful, truthful
 
 
-def heavy_reply(
+def heavy_lie(
     h: int,
-    target: int,
+    truthful: int,
     g: Graph,
     d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
     weights: Callable[[], np.ndarray] | None = None,
-) -> tuple[int, int]:
-    """graph_reply at a vertex h that holds more than half the weight.
+) -> int:
+    """The lie graph_reply tells at a vertex h that holds more than half
+    the weight, after its noise coin came up, from the same uniforms.
 
-    It spends the same uniforms as graph_reply and gives the same reply,
-    but an adversarial-heaviest lie reads no weights unless it must name a
-    neighbour. When the truth is a neighbour the lie is yes: {h} outweighs
-    every other reply set, since each of them leaves h out. When the truth
-    is yes the lie is a neighbour, which a search reads only as "not h";
-    weights (a function that builds the relative weights) names it, and
-    without them NEIGHBOR stands in for it.
+    An adversarial-heaviest lie there reads no weights unless it must name
+    a neighbour. When the truth is a neighbour the lie is yes: {h}
+    outweighs every other reply set, since each of them leaves h out. When
+    the truth is yes the lie is a neighbour, which a search reads only as
+    "not h"; weights (a function that builds the relative weights) names
+    it, and without them NEIGHBOR stands in for it.
     """
-    truthful = _truthful_reply(h, target, g, d, policy, coin)
-    if coin() >= policy.p:
-        return truthful, truthful
     if policy.lie_choice != "adversarial-heaviest":
-        return _corrupt_reply(h, truthful, g, d, policy, coin, None), truthful
+        return _corrupt_reply(h, truthful, g, d, policy, coin, None)
     if truthful != h or not g.adjacency[h]:
-        return h, truthful
+        return h
     if weights is None:
-        return NEIGHBOR, truthful
-    return _corrupt_reply(h, truthful, g, d, policy, coin, weights()), truthful
+        return NEIGHBOR
+    return _corrupt_reply(h, truthful, g, d, policy, coin, weights())
 
 
 def graph_answer(
@@ -373,25 +387,24 @@ def load_distribution(path, n: int) -> tuple[Distribution, float]:
     callers can report how far the file was from a proper distribution.
     """
     masses = np.zeros(n, dtype=np.float64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise DomainError(f"{path}:{lineno}: expected 'element_id mass'")
-            try:
-                idx, mass = int(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: non-numeric id or mass") from exc
-            if not math.isfinite(mass):
-                raise DomainError(f"{path}:{lineno}: mass {parts[1]} is not finite")
-            if not 0 <= idx < n:
-                raise DomainError(f"{path}:{lineno}: element id {idx} out of range [0, {n})")
-            if mass < 0:
-                raise DomainError(f"{path}:{lineno}: negative mass {mass}")
-            masses[idx] += mass
+    running = 0.0  # no sum of masses below it can overflow
+    for lineno, parts in read_fields(path):
+        if len(parts) != 2:
+            raise DomainError(f"{path}:{lineno}: expected 'element_id mass'")
+        try:
+            idx, mass = int(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise DomainError(f"{path}:{lineno}: non-numeric id or mass") from exc
+        if not math.isfinite(mass):
+            raise DomainError(f"{path}:{lineno}: mass {parts[1]} is not finite")
+        if not 0 <= idx < n:
+            raise DomainError(f"{path}:{lineno}: element id {idx} out of range [0, {n})")
+        if mass < 0:
+            raise DomainError(f"{path}:{lineno}: negative mass {mass}")
+        running += mass
+        if not math.isfinite(running):
+            raise DomainError(f"{path}:{lineno}: the masses sum past the largest float")
+        masses[idx] += mass
     total = float(masses.sum())
     if total <= 0.0:
         raise DomainError(f"{path}: distribution file carries no mass")

@@ -4,7 +4,7 @@ Weights are kept normalized (they sum to 1) together with a log2 tally of
 the true unnormalized total mass. Raw products of p / (1-p) factors
 underflow double precision after roughly a thousand answers; the split
 representation keeps relative comparisons exact while the absolute mass of
-any subset stays recoverable through absolute_log2_weight.
+any subset stays recoverable as log2 of its relative sum plus log2_total.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "bayesian_update",
     "heaviest",
     "is_heavy",
-    "absolute_log2_weight",
     "log2_rest",
     "apply_multipliers",
 ]
@@ -166,29 +165,6 @@ def is_heavy(state: WeightState, v: int, c: float = 0.5) -> bool:
     if not 0.0 <= c <= 1.0:
         raise DomainError(f"heaviness threshold must be in [0, 1], got {c}")
     return bool(state.relative[v] >= c)
-
-
-def absolute_log2_weight(state: WeightState, subset) -> float:
-    """log2 of the absolute (unnormalized) mass of a subset of elements.
-
-    subset is a boolean mask or an iterable of element ids; it must be
-    nonempty. Returns -inf when the subset mass underflows to zero, which
-    cannot happen through updates alone (multipliers are strictly positive)
-    but may for handcrafted states.
-    """
-    mask = np.asarray(subset)
-    if mask.dtype != bool:
-        mask = np.zeros(state.n, dtype=bool)
-        ids = list(subset)
-        if not ids:
-            raise DomainError("subset must be nonempty")
-        mask[ids] = True
-    if not mask.any():
-        raise DomainError("subset must be nonempty")
-    rel = float(state.relative[mask].sum())
-    if rel <= 0.0:
-        return float("-inf")
-    return math.log2(rel) + state.log2_total
 
 
 def log2_rest(relative: np.ndarray, log2_total: float) -> float:

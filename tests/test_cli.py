@@ -67,6 +67,18 @@ class TestCli:
             with open(out) as fh:
                 assert len(list(csv.DictReader(fh))) == 1
 
+    def test_too_few_trials_name_the_count_that_can_show_the_bound(self, tmp_path, capsys):
+        # one error-free trial has a Wilson upper limit of 0.79: the run
+        # still exits 1, and the message names the 16 trials delta = 0.2 needs
+        code = run_cli(
+            "graph-adversarial", "--n", "16", "--p", "0.1", "--delta", "0.2",
+            "--trials", "1", "--seed", "1", "--gen", "grid",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bound violated" in err and "from 16 trials" in err
+
     def test_invalid_input_exits_2(self, tmp_path, capsys):
         code = run_cli(
             "graph-adversarial", "--n", "8", "--p", "0.7", "--delta", "0.2",

@@ -1,6 +1,7 @@
 """Graph structure, distances, medians, consistent sets, loaders."""
 
 import math
+import re
 import time
 import tracemalloc
 
@@ -329,9 +330,35 @@ class TestLoader:
             load_graph(path)
 
     def test_disconnected_rejected(self, tmp_path):
+        # the message starts with the path, whose directory pytest names
+        # after this test, so the match names the header line too
         path = tmp_path / "disc.txt"
         path.write_text("4 2\n0 1\n2 3\n")
-        with pytest.raises(GraphFormatError, match="disconnected"):
+        message = f"{path}:1: 2 edges leave 4 vertices disconnected"
+        with pytest.raises(GraphFormatError, match=re.escape(message)):
+            load_graph(path)
+
+    def test_too_few_edges_for_the_header_fail_at_the_header(self, tmp_path):
+        # n - 1 edges are the fewest that connect n vertices; a header with
+        # fewer fails before any vertex is allocated, however large its n
+        path = tmp_path / "few.txt"
+        path.write_text("# big\n1000000000000 0\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}:2: 0 edges leave")):
+            load_graph(path)
+        path.write_text("0 0\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}:1: header needs n >= 1")):
+            load_graph(path)
+
+    def test_a_disconnected_graph_names_the_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("4 3\n0 1\n1 0\n2 3\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}: graph is disconnected")):
+            load_graph(path)
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"# caf\xe9 comment\n2 1\n0 1\xff\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"{path}:3: non-integer vertex id")):
             load_graph(path)
 
     def test_edge_count_mismatch(self, tmp_path):

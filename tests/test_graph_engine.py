@@ -13,6 +13,7 @@ in the same order, row by row.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,6 +290,17 @@ def test_engine_matches_per_trial_reference(graph, tiebreak, lie_choice, finals)
             assert np.array_equal(rel, state.relative) and log2 == state.log2_total, name
 
 
+class ScriptedOracle(GraphOracle):
+    """A GraphOracle whose uniforms come from a given list, in order."""
+
+    def __init__(self, g, d, target, policy, coins):
+        super().__init__(g, d, target, policy, np.random.default_rng(0))
+        self.script = list(reversed(coins))
+
+    def coin(self):
+        return self.script.pop()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(2, 40),
@@ -298,9 +310,11 @@ def test_engine_matches_per_trial_reference(graph, tiebreak, lie_choice, finals)
     replies=st.lists(st.booleans(), min_size=1, max_size=80),
 )
 def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
-    # a row with one vertex above HEAVY_SHARE, carried as two numbers,
-    # against heavy_filter + bayesian_update on the dense row, while the
-    # dense row still has that vertex above HEAVY_SHARE
+    # a row with one vertex h above HEAVY_SHARE, run ahead by the engine as
+    # two numbers, against heavy_filter + bayesian_update on the dense row,
+    # while the dense row still has h above HEAVY_SHARE. The oracle's target
+    # is h, so a uniform at or above p is a yes and one below p a lie, a
+    # neighbour, whose index takes one more uniform.
     rng = np.random.default_rng(seed)
     h = int(rng.integers(n))
     relative = rng.random(n) + 1e-3
@@ -311,17 +325,27 @@ def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
     d = all_pairs_distances(g)
     noise = NoiseParams.from_p(p)
     no = Answer(kind="neighbor", vertex=h + 1 if h + 1 < n else h - 1)
-    rows = graph_search._HeavyRows(1)
-    _, light, _ = rows.take(relative[None, :].copy(), [0])
-    assert light == [] and rows.top[0] == h
-    state, log2_total = WeightState(relative=relative, log2_total=0.0, step=0), 0.0
+    states, coins = [WeightState(relative=relative, log2_total=0.0, step=0)], []
     for yes in replies:
-        if state.relative[h] <= HEAVY_SHARE:
+        if states[-1].relative[h] <= HEAVY_SHARE:
             break
         answer = Answer(kind="yes") if yes else no
-        state = bayesian_update(state, heavy_filter(answer, h, True, g, d), noise)
-        log2_total += rows.update(0, yes, p)
-        np.testing.assert_allclose(rows.row(0), state.relative, rtol=1e-12, atol=0.0)
+        states.append(bayesian_update(states[-1], heavy_filter(answer, h, True, g, d), noise))
+        coins += [0.99] if yes else [0.0, 0.0]
+    plan = graph_search.SearchPlan(relative, len(states) - 1, None)
+    oracle = ScriptedOracle(g, d, h, NoisePolicy(p=p), coins)
+    seen = []
+
+    def snapshot(row, log2_total, target):
+        seen.append((row.copy(), log2_total))
+        return 0.0, 0.0
+
+    with mock.patch.object(graph_search, "_snapshot", snapshot):
+        (t,) = search(g, noise, plan, [oracle], track_weights=True)
+    assert t.query_count == len(states) - 1 and not oracle.script
+    assert len(seen) == len(states)
+    for (row, log2_total), state in zip(seen, states):
+        np.testing.assert_allclose(row, state.relative, rtol=1e-12, atol=0.0)
         assert math.isclose(log2_total, state.log2_total, rel_tol=1e-12)
 
 
@@ -346,6 +370,58 @@ def test_every_row_of_a_chunk_equals_a_batch_of_one(graph, finals):
             assert transcript_fields(t) == transcript_fields(alone)
             rel, log2 = final_of(finals, t)
             rel1, log21 = final_of(finals, alone)
+            assert np.array_equal(rel, rel1) and log2 == log21
+
+
+@pytest.mark.parametrize("lie_choice", ["uniform-wrong", "adversarial-heaviest"])
+def test_a_grid_chunk_of_recorded_and_bare_trials_with_thaws_equals_lone_runs(
+    lie_choice, finals, monkeypatch
+):
+    # Heavy trials run ahead of the chunk and rejoin it when they thaw, at
+    # their own step counts. Each trial, recorded or bare, must still equal
+    # its lone run. The chunk's oracles log each uniform they hand out as
+    # drawn in a light step (l, inside graph_reply) or a heavy one (H), so
+    # a heavy step followed by a light one shows that the chunk thawed.
+    g = grid_graph(32, 32)
+    noise = NoiseParams.from_p(0.3)
+    policy = NoisePolicy(p=0.3, lie_choice=lie_choice)
+    in_light = [False]
+    real_reply = graph_search.graph_reply
+
+    def light_reply(*args):
+        in_light[0] = True
+        try:
+            return real_reply(*args)
+        finally:
+            in_light[0] = False
+
+    monkeypatch.setattr(graph_search, "graph_reply", light_reply)
+
+    def watch(o):
+        o.drawn, draw = "", o.coin
+
+        def coin():
+            o.drawn += "l" if in_light[0] else "H"
+            return draw()
+
+        o.coin = coin
+
+    k = 10
+    record = [i % 3 == 0 for i in range(k)]
+    for plan in (adversarial_plan(g.n, noise, 0.1), lv_adversarial_plan(g.n, noise, 0.2)):
+        oracles = make_oracles(g, policy, 23, k)
+        for o in oracles:
+            watch(o)
+        chunk = search(g, noise, plan, oracles, record)
+        assert any("Hl" in o.drawn for o in oracles)
+        for i, t in enumerate(chunk):
+            alone = make_oracles(g, policy, 23, k)[i : i + 1]
+            (lone,) = search(g, noise, plan, alone, record[i : i + 1])
+            assert (t.queries is not None) == record[i]
+            assert transcript_fields(t) == transcript_fields(lone)
+            assert oracles[i].queries_answered == t.query_count
+            rel, log2 = final_of(finals, t)
+            rel1, log21 = final_of(finals, lone)
             assert np.array_equal(rel, rel1) and log2 == log21
 
 

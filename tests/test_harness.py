@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisysearch import graph, graph_search, harness
 from noisysearch.harness import (
@@ -18,6 +20,7 @@ from noisysearch.harness import (
     fuzz_graph_invariants,
     geometric_distribution,
     lv_linear_overhead,
+    min_trials_for_bound,
     run_experiment,
     wilson_interval,
 )
@@ -50,6 +53,37 @@ class TestWilson:
 
     def test_degenerate_total(self):
         assert wilson_interval(0, 0) == (0.0, 1.0)
+
+    def test_min_trials_for_bound_at_the_usual_deltas(self):
+        assert min_trials_for_bound(0.2) == 16
+        assert min_trials_for_bound(0.1) == 35
+        assert min_trials_for_bound(1e-320) > 10**300  # no float step, no overflow
+        with pytest.raises(DomainError):
+            min_trials_for_bound(0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        delta=st.floats(1e-6, 1.0)
+        | st.builds(
+            lambda n, toward: math.nextafter(wilson_interval(0, n)[1], toward),
+            st.integers(1, 10**6),
+            st.sampled_from([0.0, 1.0]),
+        )
+    )
+    def test_min_trials_for_bound_is_the_first_count_that_shows_delta(self, delta):
+        # the count's error-free Wilson upper limit is within delta, and one
+        # trial fewer is not; deltas one ulp off a count's own limit are
+        # where the closed-form estimate misses by one either way
+        trials = min_trials_for_bound(delta)
+        assert wilson_interval(0, trials)[1] <= delta
+        assert trials == 1 or wilson_interval(0, trials - 1)[1] > delta
+
+    @pytest.mark.parametrize("scenario", ["graph-adversarial", "bin-adversarial"])
+    def test_fixed_budget_summaries_carry_min_trials_for_bound(self, scenario):
+        gen = "grid" if scenario.startswith("graph-") else None
+        stats = run_experiment(config(scenario=scenario, n=16, gen=gen, trials=1))
+        assert stats.extras["min_trials_for_bound"] == 16
+        assert not stats.bound_satisfied  # one trial cannot show delta = 0.2
 
 
 class TestRunExperiment:

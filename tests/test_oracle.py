@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisysearch import harness
 from noisysearch import oracle as oracle_module
 from noisysearch.graph import (
+    Graph,
     all_pairs_distances,
     consistent_set,
     generate_graph,
@@ -163,6 +166,43 @@ class TestAdversarialLieOnTrees:
         assert all(t.transcript.queries for t in runs[0])
 
 
+@st.composite
+def _lie_cases(draw):
+    """A connected graph (a random tree plus extra edges), a query q, a
+    truthful reply at q (q itself or a neighbour) and a uniform u."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [(a, b) for a, b in draw(st.lists(pairs, max_size=2 * n)) if a != b]
+    g = Graph.from_edges(n, edges)
+    q = draw(st.integers(0, n - 1))
+    truthful = draw(st.sampled_from((q, *g.adjacency[q])))
+    u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return g, q, truthful, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_lie_cases())
+def test_uniform_lie_index_pick_matches_the_wrong_list(case):
+    # _corrupt_reply reads the lie off the adjacency by index; it must name
+    # wrong[int(u * len(wrong))] of the list of every legal reply but the
+    # truth, and spend exactly one uniform (none when there is no lie)
+    g, q, truthful, u = case
+    wrong = [v for v in (q, *g.adjacency[q]) if v != truthful]
+    drawn = []
+
+    def coin():
+        drawn.append(u)
+        return u
+
+    got = oracle_module._corrupt_reply(
+        q, truthful, g, all_pairs_distances(g), NoisePolicy(p=0.3), coin, None
+    )
+    assert got == (wrong[int(u * len(wrong))] if wrong else truthful)
+    assert len(drawn) == (1 if wrong else 0)
+
+
 class TestLinearAnswer:
     def test_truthful_sides(self):
         rng = np.random.default_rng(7)
@@ -312,3 +352,17 @@ class TestDistributionLoader:
         path.write_text("\n")
         with pytest.raises(DomainError):
             load_distribution(path, 3)
+
+    def test_masses_summing_past_the_largest_float_name_the_file(self, tmp_path):
+        path = tmp_path / "mu.txt"
+        path.write_text("0 1e308\n1 1e308\n")
+        with pytest.raises(DomainError, match="largest float") as exc:
+            load_distribution(path, 3)
+        assert str(exc.value).startswith(f"{path}:2:")
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "mu.txt"
+        path.write_bytes(b"0 1\n1 0.5\xff\n")
+        with pytest.raises(DomainError, match="non-numeric") as exc:
+            load_distribution(path, 3)
+        assert str(exc.value).startswith(f"{path}:2:")

@@ -9,7 +9,6 @@ import pytest
 from noisysearch.mathcore import Distribution, DomainError, NoiseParams
 from noisysearch.weights import (
     CompatibleSet,
-    absolute_log2_weight,
     apply_multipliers,
     bayesian_update,
     heaviest,
@@ -150,32 +149,6 @@ class TestIsHeavy:
             is_heavy(st, 0, 1.5)
 
 
-class TestAbsoluteLog2Weight:
-    def test_full_set_at_start(self):
-        st = init_uniform(4)
-        assert absolute_log2_weight(st, np.ones(4, dtype=bool)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_after_uniform_scaling(self):
-        noise = NoiseParams.from_p(0.3)
-        st = bayesian_update(init_uniform(4), CompatibleSet.full(4), noise)
-        got = absolute_log2_weight(st, np.ones(4, dtype=bool))
-        assert got == pytest.approx(math.log2(0.7), abs=1e-12)
-
-    def test_singleton_definition(self):
-        st = init_from_distribution(Distribution(np.array([0.5, 0.25, 0.25])))
-        got = absolute_log2_weight(st, [1])
-        assert got == pytest.approx(math.log2(0.25), abs=1e-12)
-
-    def test_accepts_id_lists(self):
-        st = init_uniform(4)
-        assert absolute_log2_weight(st, [0, 1]) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_empty(self):
-        st = init_uniform(3)
-        with pytest.raises(DomainError):
-            absolute_log2_weight(st, [])
-
-
 class TestLog2Rest:
     def test_mass_outside_the_heaviest(self):
         st = bayesian_update(
@@ -183,7 +156,7 @@ class TestLog2Rest:
             CompatibleSet.singleton(3, 0),
             NoiseParams.from_p(0.25),
         )
-        expected = absolute_log2_weight(st, [1, 2])
+        expected = math.log2(st.relative[1] + st.relative[2]) + st.log2_total
         assert log2_rest(st.relative, st.log2_total) == pytest.approx(expected, abs=1e-12)
 
     def test_point_mass_has_no_rest(self):
