@@ -47,8 +47,8 @@ class Graph:
 
     layout_hint marks graphs whose vertex numbering encodes the metric
     ("path": id distance, "grid": Manhattan on a rows x cols lattice),
-    enabling O(n) medians and closed-form distance rows. Loaded graphs
-    never carry a hint.
+    enabling closed-form distance rows, and on grids O(n) medians by
+    prefix sums. Loaded graphs never carry a hint.
     """
 
     n: int
@@ -147,7 +147,13 @@ class TreeIndex:
     root. So every reply set of a tree is one preorder interval or its
     complement: N(q, u) is u's subtree when u is a child of q, and all but
     q's subtree when u is q's parent. Built in O(n) without recursion, so a
-    path of any length is fine.
+    path of any length is fine; rooted at vertex 0, a path's preorder is
+    the identity.
+
+    A weight row held in preorder columns (column i weighs order[i]) has
+    its median found by medians and is scaled by a reply set by scale,
+    with no gather; the vertex-order entry points weighted_medians and
+    scale_by_reply_set gather into preorder and call the same two.
     """
 
     def __init__(self, g: Graph):
@@ -183,6 +189,44 @@ class TreeIndex:
         self._kid_starts = self.start[kids].tolist()
         self._kid_ptr = kid_ptr.tolist()
 
+    def reply_interval(self, q: int, u: int) -> tuple[int, int, bool]:
+        """N(q, u) for a neighbour u of q as preorder positions (lo, hi,
+        inside): the interval [lo, hi) when inside, else its complement."""
+        inside = self._parent[u] == q
+        v = u if inside else q
+        return self._start[v], self._end[v], inside
+
+    def medians(self, pre: np.ndarray) -> np.ndarray:
+        """The preorder position of the median of each row of a (rows, n)
+        weight matrix held in preorder columns: the deepest vertex whose
+        subtree holds more than half of its row.
+
+        The vertices whose subtree holds a majority form a path down from
+        the root, and depth grows with preorder position along it, so the
+        deepest is the one with the largest start. At it every child's
+        subtree holds at most half and the rest of the tree less than half:
+        a median. One cumsum gives every subtree mass, as the difference of
+        two reads at its ends; each row is summed on its own, so a row's
+        median does not depend on the others.
+        """
+        rows, n = pre.shape
+        prefix = np.zeros((rows, n + 1))
+        np.cumsum(pre, axis=1, out=prefix[:, 1:])
+        mass = np.take(prefix, self.end_at, axis=1)  # take: fancy indexing is slower
+        mass -= prefix[:, :-1]  # now the subtree mass at each preorder position
+        return n - 1 - np.argmax(mass[:, ::-1] > _MAJORITY, axis=1)
+
+    def scale(self, pre: np.ndarray, q: int, u: int, inside: float, outside: float) -> None:
+        """Scale a weight row held in preorder columns by inside on N(q, u)
+        and by outside elsewhere, in place: three slices, one multiply per
+        weight, as a mask multiply of the vertex-order row would do."""
+        lo, hi, into = self.reply_interval(q, u)
+        if not into:
+            inside, outside = outside, inside
+        pre[:lo] *= outside
+        pre[lo:hi] *= inside
+        pre[hi:] *= outside
+
     def toward(self, q: int, target: int) -> int:
         """The neighbour of q one hop closer to target (q != target): the
         child whose interval holds the target, or else the parent."""
@@ -207,9 +251,11 @@ class DistanceMatrix:
     built for the cache and cached_bytes what the cache holds now.
 
     tree is the graph's TreeIndex when it has m = n - 1 edges and no layout
-    hint (random trees, stars, loaded tree files), built on first use, and
-    None otherwise. Medians, truthful replies and reply sets on a tree read
-    it instead of rows, so a tree run computes no row at all.
+    hint but "path" (paths, random trees, stars, loaded tree files), built
+    on first use, and None otherwise (grids, even a one-row grid, keep their
+    own prefix sums). Medians, truthful replies and reply sets on a tree
+    read it instead of rows, so a tree run computes no row at all, and
+    graph_search.search keeps a tree's weight rows in its preorder columns.
     """
 
     def __init__(self, g: Graph):
@@ -222,7 +268,7 @@ class DistanceMatrix:
     @cached_property
     def tree(self) -> TreeIndex | None:
         g = self.graph
-        if g.layout_hint is not None or sum(map(len, g.adjacency)) != 2 * (g.n - 1):
+        if g.layout_hint not in (None, "path") or sum(map(len, g.adjacency)) != 2 * (g.n - 1):
             return None
         return TreeIndex(g)
 
@@ -285,20 +331,19 @@ def _line_costs(w: np.ndarray) -> np.ndarray:
 
 def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
     """Weighted distance cost of every vertex, cost(v) = sum_u d(u,v) w(u),
-    by prefix sums on path and grid layouts; other graphs are rejected.
+    by prefix sums over the row and column marginals of a grid layout;
+    other graphs are rejected (a path's median is its tree's, d.tree).
 
     relative is one weight vector or a (rows, n) stack of them; each row
     gets its own costs, computed exactly as for that row alone.
     """
-    if g.layout_hint == "path":
-        return _line_costs(relative)
-    if _is_grid(g):
-        rows, cols = g.layout_shape
-        w2 = relative.reshape(*relative.shape[:-1], rows, cols)
-        row_cost = _line_costs(w2.sum(axis=-1))
-        col_cost = _line_costs(w2.sum(axis=-2))
-        return (row_cost[..., :, None] + col_cost[..., None, :]).reshape(relative.shape)
-    raise ValueError("median_costs needs a path or grid layout")
+    if not _is_grid(g):
+        raise ValueError("median_costs needs a grid layout")
+    rows, cols = g.layout_shape
+    w2 = relative.reshape(*relative.shape[:-1], rows, cols)
+    row_cost = _line_costs(w2.sum(axis=-1))
+    col_cost = _line_costs(w2.sum(axis=-2))
+    return (row_cost[..., :, None] + col_cost[..., None, :]).reshape(relative.shape)
 
 
 def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
@@ -325,35 +370,18 @@ def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
     return q
 
 
-def _tree_medians(tree: TreeIndex, relative: np.ndarray) -> np.ndarray:
-    """The deepest vertex whose subtree holds more than half of each row.
-
-    The vertices whose subtree holds a majority form a path down from the
-    root, and depth grows with preorder position along it, so the deepest
-    is the one with the largest start. At it every child's subtree holds at
-    most half and the rest of the tree less than half: a median. One
-    gather into preorder and one cumsum give every subtree mass; each row
-    is summed on its own, so a row's vertex does not depend on the others.
-    """
-    rows, n = relative.shape
-    prefix = np.zeros((rows, n + 1))
-    np.cumsum(np.take(relative, tree.order, axis=1), axis=1, out=prefix[:, 1:])
-    mass = np.take(prefix, tree.end_at, axis=1)  # take: fancy indexing is slower
-    mass -= prefix[:, :-1]  # now the subtree mass at each preorder position
-    deepest = n - 1 - np.argmax(mass[:, ::-1] > _MAJORITY, axis=1)
-    return tree.order[deepest]
-
-
 def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     """A vertex at which every neighbour reply set holds at most half the weight.
 
     Reply sets are N(q,u) = {x : d(u,x) = d(q,x) - 1}. A vertex holding
     strictly more than half the weight is returned at once: every reply
-    set at it misses that vertex. On path and grid layouts the result is
-    the minimiser of the weighted distance cost, ties to the smallest id,
-    found by prefix sums. On a tree (d.tree) it is the deepest vertex, in
-    the preorder rooted at vertex 0, whose subtree holds more than half
-    the weight: the weighted centroid, which is the cost minimiser. On
+    set at it misses that vertex. On grid layouts the result is the
+    minimiser of the weighted distance cost, ties to the smallest id,
+    found by prefix sums. On a tree (d.tree, paths included) it is the
+    deepest vertex, in the preorder rooted at vertex 0, whose subtree holds
+    more than half the weight: the weighted centroid, which is the cost
+    minimiser (at an exact half split either end of the middle edge is
+    one, and rounding in the prefix sums picks which). On
     every other graph it is where descent from the heaviest vertex stops:
     a local minimiser of the cost. Which of several valid vertices comes
     back (at an exact half split, say) depends on the tree's root or the
@@ -366,12 +394,13 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
 def weighted_medians(
     g: Graph, d: DistanceMatrix, relative: np.ndarray, tops: np.ndarray | None = None
 ) -> np.ndarray:
-    """weighted_median of every row of a (rows, n) weight matrix.
+    """weighted_median of every row of a (rows, n) weight matrix whose
+    columns are vertex ids.
 
     One argmax per row (tops, if the caller has them) finds the heavy
-    vertices; the other rows share one prefix-sum pass on path and grid
-    layouts and one preorder pass on trees, and descend one by one
-    elsewhere.
+    vertices; the other rows share one prefix-sum pass on grid layouts
+    and, on trees, one gather into preorder and TreeIndex.medians, and
+    descend one by one elsewhere.
     """
     if tops is None:
         tops = relative.argmax(axis=1)
@@ -379,13 +408,16 @@ def weighted_medians(
     if not light.any():
         return tops
     qs = tops.copy()
-    laid_out = g.layout_hint == "path" or _is_grid(g)
-    if not laid_out and d.tree is None:
+    tree = d.tree
+    if tree is None and not _is_grid(g):
         for i in np.flatnonzero(light).tolist():
             qs[i] = _descend(g, d, relative[i], int(tops[i]))
         return qs
     sub = relative if light.all() else relative[light]
-    qs[light] = median_costs(g, d, sub).argmin(axis=1) if laid_out else _tree_medians(d.tree, sub)
+    if tree is None:
+        qs[light] = median_costs(g, d, sub).argmin(axis=1)
+    else:
+        qs[light] = tree.order[tree.medians(np.take(sub, tree.order, axis=1))]
     return qs
 
 
@@ -400,9 +432,7 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
     tree = d.tree
     if tree is None:
         return d.row(u) == d.row(q) - 1
-    inside = tree._parent[u] == q
-    v = u if inside else q
-    lo, hi = tree._start[v], tree._end[v]
+    lo, hi, inside = tree.reply_interval(q, u)
     # lo <= start < hi as one unsigned comparison: below lo wraps to huge
     in_v = (tree.start - lo).view(np.uint64) < hi - lo
     return in_v if inside else ~in_v
@@ -411,15 +441,17 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
 def scale_by_reply_set(
     g: Graph, d: DistanceMatrix, row: np.ndarray, q: int, u: int, inside: float, outside: float
 ) -> None:
-    """row *= np.where(reply_set(g, d, q, u), inside, outside), in place.
+    """row *= np.where(reply_set(g, d, q, u), inside, outside), in place,
+    for a row whose columns are vertex ids.
 
-    On path and grid layouts N(q, u) is a half-line or a half-plane in one
-    coordinate, so the row is scaled in two slices and no mask is built;
-    each weight gets the same one multiply either way.
+    On a grid layout N(q, u) is a half-plane in one coordinate, so the row
+    is scaled in two slices; on a tree the row is gathered into preorder,
+    scaled by TreeIndex.scale and put back. Each weight gets the same one
+    multiply as under the mask.
     """
-    if g.layout_hint == "path" or _is_grid(g):
-        cols = g.layout_shape[1] if _is_grid(g) else 1
-        grid = row.reshape(-1, cols)  # a path is one column
+    if _is_grid(g):
+        cols = g.layout_shape[1]
+        grid = row.reshape(-1, cols)
         # a step to the row above or below cuts between rows, else columns
         lines, cut = (grid, q // cols) if abs(u - q) == cols else (grid.T, q % cols)
         if u < q:
@@ -429,7 +461,13 @@ def scale_by_reply_set(
             lines[: cut + 1] *= outside
             lines[cut + 1 :] *= inside
         return
-    row *= np.where(reply_set(g, d, q, u), inside, outside)
+    tree = d.tree
+    if tree is None:
+        row *= np.where(reply_set(g, d, q, u), inside, outside)
+        return
+    pre = row[tree.order]
+    tree.scale(pre, q, u, inside, outside)
+    row[tree.order] = pre
 
 
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:

@@ -240,12 +240,19 @@ def search(
     its own step count, ends at the cap or, under a stopping plan, once its
     top share reaches the stop threshold.
 
+    Columns: on a tree (d.tree, paths included) column i of every weight
+    row weighs the vertex at preorder position i (d.tree.order[i]), and
+    on other graphs vertex i. Positions become vertex ids only where an
+    oracle, a query record or a transcript needs them; snapshots and row
+    sums add up in column order.
+
     Light rows: a trial whose top share is HEAVY_SHARE or below is a row
     of one (light rows x n) weight matrix with a per-trial log2 total. A
-    step takes one median per row (batched by prefix sums on path and grid
-    layouts and by preorder intervals on trees) and one multiply, row sum
-    and divide for all rows; a neighbour reply at a light vertex first
-    scales its row by its reply set. A row at its cap ends there.
+    step takes one median per row (batched by prefix sums on grid layouts
+    and by TreeIndex.medians, with no gather, on trees) and one multiply,
+    row sum and divide for all rows; a neighbour reply at a light vertex
+    first scales its row by its reply set (two slices on a grid, three on
+    a tree, a mask elsewhere). A row at its cap ends there.
 
     Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
     matrix, and one scalar loop (run_heavy below) runs that trial ahead on
@@ -267,6 +274,10 @@ def search(
     if not k:
         return []
     d, policy, n = oracles[0].dist, oracles[0].policy, g.n
+    tree = d.tree
+    order = None if tree is None else tree.order
+    # the column of each trial's target
+    target_cols = [o.target if tree is None else int(tree.start[o.target]) for o in oracles]
     lie_weights = policy.lie_choice == "adversarial-heaviest"
     record = list(record_queries) if record_queries is not None else [False] * k
     p, keep, cap, stop = noise.p, 1.0 - noise.p, plan.max_steps, plan.stop_threshold
@@ -278,15 +289,17 @@ def search(
     log2_totals = [0.0] * k
     steps = [0] * k
 
-    def run_heavy(r: int, row: np.ndarray, h: int) -> np.ndarray | None:
-        """Run trial r, whose row holds h above HEAVY_SHARE, step by step at
-        h: snapshot, cap and stop checks, reply, two-number update, log2
-        total. Returns its rebuilt dense row once h's share falls to
-        HEAVY_SHARE or below, None once the trial has ended."""
-        o, rec, wlog = oracles[r], records[r], wlogs[r]
+    def run_heavy(r: int, row: np.ndarray, col: int) -> np.ndarray | None:
+        """Run trial r, whose row holds the vertex h in column col above
+        HEAVY_SHARE, step by step at h: snapshot, cap and stop checks, reply,
+        two-number update, log2 total. Returns its rebuilt dense row once
+        h's share falls to HEAVY_SHARE or below, None once the trial has
+        ended."""
+        o, rec, wlog, tcol = oracles[r], records[r], wlogs[r], target_cols[r]
         target, coin = o.target, o.coin
+        h = col if order is None else int(order[col])
         frozen = row.copy()
-        frozen[h] = 0.0
+        frozen[col] = 0.0
         # the share outside h, summed, so a rest too small to show in
         # 1 - share is kept
         rest = rest0 = float(frozen.sum())
@@ -295,19 +308,19 @@ def search(
         step, log2_total = steps[r], log2_totals[r]
         while True:
             if wlog is not None:
-                wlog.append(_snapshot(_heavy_row(frozen, rest0, rest, h), log2_total, target))
+                wlog.append(_snapshot(_heavy_row(frozen, rest0, rest, col), log2_total, tcol))
             share = 1.0 - rest
             stopped = stop is not None and share >= stop
             if step == cap or stopped:
                 o.queries_answered += step
                 out[r] = _transcript(
-                    _heavy_row(frozen, rest0, rest, h), log2_total, target, step, rec, wlog,
-                    flagged=stop is not None and not stopped,
+                    _heavy_row(frozen, rest0, rest, col, order), log2_total, target, step,
+                    rec, wlog, flagged=stop is not None and not stopped,
                 )
                 return None
             if share <= HEAVY_SHARE:
                 steps[r], log2_totals[r] = step, log2_total
-                return _heavy_row(frozen, rest0, rest, h)
+                return _heavy_row(frozen, rest0, rest, col)
             step += 1
             # the reply as graph_reply gives it: truth, noise coin, lie
             truth = truthful
@@ -317,7 +330,7 @@ def search(
             if coin() < lie_p:
                 build = None
                 if rec is not None:
-                    build = functools.partial(_heavy_row, frozen, rest0, rest, h)
+                    build = functools.partial(_heavy_row, frozen, rest0, rest, col, order)
                 reply = heavy_lie(h, truth, g, d, policy, coin, build)
             # as heavy_filter and bayesian_update would: a yes keeps {h} and
             # a no all but h; kept mass scales by 1-p and the rest by p
@@ -335,7 +348,8 @@ def search(
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth), size))
 
     # the light trials, in the order of their rows in weights
-    weights, light = np.tile(plan.prior, (k, 1)), list(range(k))
+    prior = plan.prior if order is None else plan.prior[order]
+    weights, light = np.tile(prior, (k, 1)), list(range(k))
     while True:
         # every row of weights has just folded in a reply (or is a prior):
         # it leaves for a heavy run, ends at its cap, or steps on
@@ -349,12 +363,12 @@ def search(
                     thawed.append((r, row))
                 continue
             if track_weights:
-                wlogs[r].append(_snapshot(weights[i], log2_totals[r], oracles[r].target))
+                wlogs[r].append(_snapshot(weights[i], log2_totals[r], target_cols[r]))
             if steps[r] == cap:
                 oracles[r].queries_answered += cap
                 out[r] = _transcript(
-                    weights[i], log2_totals[r], oracles[r].target, cap, records[r], wlogs[r],
-                    flagged=stop is not None,
+                    _in_vertex_order(weights[i], order), log2_totals[r], oracles[r].target,
+                    cap, records[r], wlogs[r], flagged=stop is not None,
                 )
             else:
                 kept.append(i)
@@ -376,16 +390,24 @@ def search(
         # multiply. Any other reply u keeps its reply set N(q, u), which
         # leaves q out; such a row is scaled on its own, and the chunk
         # multiply passes it by with a factor 1. weights is this loop's own
-        # array (np.tile, a fancy-index copy or a concatenation).
+        # array (np.tile, a fancy-index copy or a concatenation). qs are
+        # the medians' columns; every row here is light.
         rows = np.arange(len(light))
-        qs = weighted_medians(g, d, weights, tops)
+        if tree is None:
+            qs = weighted_medians(g, d, weights, tops)
+            vertices = qs.tolist()
+        else:
+            qs = tree.medians(weights)
+            vertices = order[qs].tolist()
         at_q = weights[rows, qs]
         fill, at_q_mult = [], []
-        for i, (q, w_q, r) in enumerate(zip(qs.tolist(), at_q.tolist(), light)):
+        for i, (q, w_q, r) in enumerate(zip(vertices, at_q.tolist(), light)):
             o = oracles[r]
             steps[r] += 1
-            relative = weights[i] if lie_weights else None
-            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
+            vertex_row = None
+            if lie_weights:
+                vertex_row = functools.partial(_in_vertex_order, weights[i], order)
+            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, vertex_row)
             if reply == q:
                 fill.append(p)
                 at_q_mult.append(keep)
@@ -395,7 +417,10 @@ def search(
                 at_q_mult.append(p)
                 size = n - 1
             else:
-                scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
+                if tree is None:
+                    scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
+                else:
+                    tree.scale(weights[i], q, reply, keep, p)
                 fill.append(1.0)
                 at_q_mult.append(p)
                 size = None
@@ -413,16 +438,30 @@ def search(
             log2_totals[r] += log2(t)
 
 
-def _heavy_row(frozen: np.ndarray, rest0: float, rest: float, h: int) -> np.ndarray:
-    """The dense row of a heavy trial: frozen (its row when h turned heavy,
-    with 0 at h, summing to rest0) scaled to the share rest, with h set."""
+def _heavy_row(
+    frozen: np.ndarray, rest0: float, rest: float, col: int, order: np.ndarray | None = None
+) -> np.ndarray:
+    """The dense row of a heavy trial: frozen (its row when h, in column
+    col, turned heavy, with 0 there, summing to rest0) scaled to the share
+    rest, with h set; in vertex order when the columns' order is given."""
     row = frozen * (rest / rest0 if rest0 > 0.0 else 0.0)
-    row[h] = 1.0 - rest
-    return row
+    row[col] = 1.0 - rest
+    return _in_vertex_order(row, order)
 
 
-def _snapshot(relative: np.ndarray, log2_total: float, target: int) -> tuple[float, float]:
-    return log2_rest(relative, log2_total), math.log2(relative[target]) + float(log2_total)
+def _in_vertex_order(row: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """A weight row whose column i weighs vertex order[i], over vertex ids
+    (row itself when order is None)."""
+    if order is None:
+        return row
+    out = np.empty_like(row)
+    out[order] = row
+    return out
+
+
+def _snapshot(row: np.ndarray, log2_total: float, target_col: int) -> tuple[float, float]:
+    """A weight_log pair from a row in the engine's columns."""
+    return log2_rest(row, log2_total), math.log2(row[target_col]) + float(log2_total)
 
 
 def _transcript(

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graph_search, linear_search
-from .graph import Graph, all_pairs_distances, generate_graph, load_graph
+from .graph import Graph, all_pairs_distances, generate_graph, gnm_edges, load_graph
 from .mathcore import (
     Distribution,
     DomainError,
@@ -266,37 +266,67 @@ def _resolve_mu(config: ExperimentConfig) -> Distribution:
     )
 
 
+def _graph_bytes(config: ExperimentConfig) -> int:
+    """About the bytes one worker of a graph scenario holds at once, as
+    tracemalloc measured them on path, star, random-tree, grid, cycle and
+    gnm graphs:
+    the adjacency while Graph.from_edges builds it (a set, then a tuple,
+    per vertex: under 300 bytes a vertex and 100 an edge end), the preorder
+    index of a graph that may be a tree (under 320 bytes a vertex), three
+    n-word copies of the prior, and one chunk of the engine with the
+    median's temporaries (four words a cell)."""
+    n = config.n
+    edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
+    index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
+    chunk = 32 * graph_search.chunk_rows(n) * n
+    return 300 * n + 200 * edges + index + 24 * n + chunk
+
+
 def _check_memory(config: ExperimentConfig) -> None:
-    """Refuse a comparison run that cannot fit in physical memory, before
-    anything of size n is allocated. A trial holds the sum tree's three
+    """Refuse a run that cannot fit in physical memory, before anything of
+    size n is allocated. A comparison trial holds the sum tree's three
     float64 buffers (2, 2 and 1 words per leaf of a power-of-two tree) and
-    two n-word copies of the prior, and each pool task runs on one worker,
-    one trial at a time. The bound is the machine's physical memory; a
-    lower limit set on the process (a cgroup or ulimit) is not seen."""
+    two n-word copies of the prior; a graph worker holds what _graph_bytes
+    counts. Each pool task runs on one worker, one trial (comparison) or
+    one chunk (graph) at a time. The bound is the machine's physical
+    memory; a lower limit set on the process (a cgroup or ulimit) is not
+    seen."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the platform does not say; let the allocation decide
-    n = config.n
-    at_once = min(_worker_count(config), -(-config.trials // COMPARISON_TASK_TRIALS))
-    need = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n) * at_once
+    n, workers = config.n, _worker_count(config)
+    if _is_graph_scenario(config.scenario):
+        task = min(graph_search.chunk_rows(n), -(-config.trials // workers))
+        each, what = _graph_bytes(config), "graph, preorder index, prior and engine chunk"
+        unit = "worker(s)"
+    else:
+        task = COMPARISON_TASK_TRIALS
+        each, what = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n), "comparison posteriors"
+        unit = "trial(s)"
+    at_once = min(workers, -(-config.trials // task))
+    need = each * at_once
     if need > physical:
         raise DomainError(
-            f"n={n} needs about {need} bytes for the comparison posteriors of "
-            f"{at_once} concurrent trial(s), more than the {physical} bytes of "
-            "physical memory"
+            f"n={n} needs about {need} bytes for the {what} of {at_once} concurrent "
+            f"{unit}, more than the {physical} bytes of physical memory"
         )
+
+
+def _check_counts(config: ExperimentConfig) -> None:
+    if config.trials < 1:
+        raise DomainError(f"trials must be >= 1, got {config.trials}")
+    if config.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {config.seed}")
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
     if config.scenario not in SCENARIOS:
         raise DomainError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
-    if config.trials < 1:
-        raise DomainError(f"trials must be >= 1, got {config.trials}")
+    _check_counts(config)
     if config.n < 1:
         raise DomainError(f"n must be >= 1, got {config.n}")
-    if config.scenario.startswith("bin-"):
-        _check_memory(config)
+    _check_memory(config)
     noise = NoiseParams.from_p(config.p)
     graph = None
     dist = None
@@ -554,6 +584,7 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     bound_satisfied; the CLI turns a False into a nonzero exit.
     """
     if config.scenario == "verify-invariants":
+        _check_counts(config)
         _check_output(config.output)
         stats = _run_invariant_scenario(config)
     else:

@@ -9,9 +9,13 @@ they are, at the smoke trial counts and without tracing.
 
 import importlib.util
 import json
+from importlib import import_module
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from noisysearch.graph import all_pairs_distances, random_tree
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,3 +45,19 @@ def test_worker_result_passes_the_check_and_is_strict_json(name, tmp_path):
     # so every step of every trial counts, whether its row is heavy or light
     assert run.check(result, config, bounded=False) == []
     json.dumps(result, allow_nan=False)
+
+
+
+def test_every_traced_name_exists_and_distances_keep_a_dict():
+    # a hook whose target moved leaves its metrics absent, and the traced
+    # worker sums the nbytes of what vars() finds on each DistanceMatrix, so
+    # one without a __dict__ would fail it and null every per-layer value
+    for _, module, attr in load("tracer").HOOKS:
+        owner = import_module(f"noisysearch.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+    d = all_pairs_distances(random_tree(64, np.random.default_rng(0)))
+    d.row(3)
+    assert d.tree is not None
+    held = sum(v.nbytes for v in vars(d).values() if hasattr(v, "nbytes"))
+    json.dumps(held, allow_nan=False)

@@ -8,8 +8,11 @@ share outside it and the row frozen when h turned heavy, and scales the two
 shares by the scalar law. Its oracle takes its uniforms from rng.random(64)
 blocks in the order tiebreak, noise coin, lie, and reads a choice among k
 from one uniform u as int(u * k), so the engine must reproduce that draw
-order too. Every comparison is exact: the engine does the same arithmetic
-in the same order, row by row.
+order too. On a tree (paths included) it keeps its row in the engine's
+columns, the tree's DFS preorder, so its row sums add up in the engine's
+order; it reads medians, replies and reply sets off the row in vertex
+order. Every comparison is exact: the engine does the same arithmetic in
+the same order, row by row.
 """
 
 import math
@@ -42,7 +45,7 @@ from noisysearch.graph_search import (
 )
 from noisysearch.mathcore import Distribution, DomainError, NoiseParams
 from noisysearch.oracle import Answer, GraphOracle, NoisePolicy, heavy_filter
-from noisysearch.weights import WeightState, bayesian_update, is_heavy, log2_rest
+from noisysearch.weights import CompatibleSet, WeightState, bayesian_update, is_heavy, log2_rest
 
 # ---------------------------------------------------------------------------
 # per-trial reference
@@ -98,8 +101,9 @@ def ref_graph_answer(q, target, g, d, policy, coin, relative):
 
 
 class RefHeavy:
-    """A trial whose top share is above HEAVY_SHARE: its vertex h, the share
-    rest outside h, and its row frozen (0 at h) with the sum rest0 then."""
+    """A trial whose top share is above HEAVY_SHARE: the column h of its top
+    vertex, the share rest outside it, and its row frozen (0 at h) with the
+    sum rest0 then."""
 
     def __init__(self, relative):
         self.h = int(np.argmax(relative))
@@ -119,18 +123,28 @@ def ref_freeze(relative):
 
 def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_weights=True):
     """One trial, one WeightState per light step and the scalar law per
-    heavy step; returns the transcript fields and the final state."""
+    heavy step; returns the transcript fields and the final state, in
+    vertex order. relative holds the weights in columns: column i weighs
+    vertex order[i], the tree's preorder on a tree and the identity
+    elsewhere."""
     d = all_pairs_distances(g)
+    order = np.arange(g.n) if d.tree is None else d.tree.order
+    target_col = int(np.flatnonzero(order == target)[0])
     coin = RefCoins(rng)
     p = noise.p
-    relative, log2_total = plan.prior.copy(), 0.0
+    relative, log2_total = plan.prior[order], 0.0
     heavy = ref_freeze(relative)
     stop = plan.stop_threshold
     records = [] if record_queries else None
 
+    def in_vertex_order(cols):
+        row = np.empty_like(cols)
+        row[order] = cols
+        return row
+
     def snapshot():
         row = relative if heavy is None else heavy.relative()
-        return log2_rest(row, log2_total), math.log2(row[target]) + log2_total
+        return log2_rest(row, log2_total), math.log2(row[target_col]) + log2_total
 
     def stops():
         return stop is not None and heavy is not None and 1.0 - heavy.rest >= stop
@@ -144,18 +158,23 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
             break
         steps += 1
         if heavy is None:
-            state = WeightState(relative=relative, log2_total=log2_total, step=steps - 1)
-            q = weighted_median(g, d, state)
-            was_heavy = is_heavy(state, q, 0.5)
-            answer = ref_graph_answer(q, target, g, d, policy, coin, relative)
+            vertex_state = WeightState(
+                relative=in_vertex_order(relative), log2_total=log2_total, step=steps - 1
+            )
+            q = weighted_median(g, d, vertex_state)
+            was_heavy = is_heavy(vertex_state, q, 0.5)
+            answer = ref_graph_answer(q, target, g, d, policy, coin, vertex_state.relative)
             compatible = heavy_filter(answer, q, was_heavy, g, d)
-            state = bayesian_update(state, compatible, noise)
+            state = WeightState(relative=relative, log2_total=log2_total, step=steps - 1)
+            state = bayesian_update(state, CompatibleSet(compatible.mask[order]), noise)
             relative, log2_total = state.relative.copy(), state.log2_total
             size = compatible.size
             heavy = ref_freeze(relative)
         else:
-            q = heavy.h
-            answer = ref_graph_answer(q, target, g, d, policy, coin, heavy.relative())
+            q = int(order[heavy.h])
+            answer = ref_graph_answer(
+                q, target, g, d, policy, coin, in_vertex_order(heavy.relative())
+            )
             a, f = (1.0 - p, p) if answer.kind == "yes" else (p, 1.0 - p)
             total = (1.0 - heavy.rest) * a + heavy.rest * f
             heavy.rest = heavy.rest * f / total
@@ -171,6 +190,7 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
         stopped = stops()
     if heavy is not None:
         relative = heavy.relative()
+    relative = in_vertex_order(relative)
     declared = int(np.argmax(relative))
     fields = dict(
         declared=declared,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisysearch import graph, graph_search, harness
+from noisysearch import cli, graph, graph_search, harness
 from noisysearch.harness import (
     ExperimentConfig,
     SummaryStats,
@@ -90,6 +90,14 @@ class TestRunExperiment:
     def test_rejects_zero_trials(self):
         with pytest.raises(DomainError):
             run_experiment(config(trials=0))
+
+    @pytest.mark.parametrize("scenario", ["graph-adversarial", "bin-lv-adv", "verify-invariants"])
+    @pytest.mark.parametrize("bad, match", [(dict(trials=0), "trials"), (dict(seed=-1), "seed")])
+    def test_rejects_no_trials_and_negative_seeds_in_every_scenario(self, scenario, bad, match):
+        # verify-invariants divided by zero trials, and a negative seed
+        # reached numpy's seeding: both were internal errors
+        with pytest.raises(DomainError, match=match):
+            run_experiment(config(scenario=scenario, **bad))
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(DomainError):
@@ -260,6 +268,35 @@ class TestRunExperiment:
         harness._build_context(
             config(**base, trials=harness.COMPARISON_TASK_TRIALS, workers=4)
         )
+
+    @pytest.mark.parametrize("gen", ["path", "random-tree", "grid", "gnm"])
+    def test_graph_memory_check_runs_before_the_graph_is_built(self, monkeypatch, gen):
+        # the stubbed machine holds one worker's graph, index, prior and
+        # chunk at n = 4096 but not two; nothing of size n is built first
+        one = harness._graph_bytes(config(gen=gen, n=4096))
+        pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": one}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        harness._build_context(config(gen=gen, n=4096, trials=64, workers=1))
+
+        def no_graph(*args):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(harness, "generate_graph", no_graph)
+        with pytest.raises(DomainError, match="n=4096.*2 concurrent worker"):
+            harness._build_context(config(gen=gen, n=4096, trials=64, workers=2))
+        with pytest.raises(DomainError, match=f"n={10**13} "):
+            harness._build_context(config(gen=gen, n=10**13, trials=1, workers=1))
+
+    def test_cli_exits_2_naming_n_for_a_graph_larger_than_memory(self, monkeypatch, tmp_path, capsys):
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 20}
+        monkeypatch.setattr(harness.os, "sysconf", pages.__getitem__)
+        code = cli.main([
+            "graph-lv-adv", "--gen", "path", "--n", str(10**9), "--p", "0.3",
+            "--delta", "0.2", "--trials", "1", "--seed", "1",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert f"n={10**9} needs about" in capsys.readouterr().err
 
     def test_verify_invariants_scenario(self):
         stats = run_experiment(config(scenario="verify-invariants", gen=None, trials=30))

@@ -1,5 +1,6 @@
 """Property tests: arbitrary file contents fed to the two loaders, directly
-and through the command line.
+and through the command line, and arbitrary values of the other command
+line arguments.
 
 A loader either returns or raises its input error (GraphFormatError,
 DomainError) with the file named. The CLI exits 0, 1 or 2, and an exit 2
@@ -8,14 +9,18 @@ names the file on stderr; no input gives a traceback or exit 3.
 
 import contextlib
 import io
+import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from noisysearch.cli import main
-from noisysearch.graph import GraphFormatError, load_graph
+from noisysearch.cli import LIE_CHOICE_ALIASES, main
+from noisysearch.graph import GENERATORS, GraphFormatError, load_graph
+from noisysearch.harness import SCENARIOS
 from noisysearch.mathcore import DomainError
 from noisysearch.oracle import load_distribution
 
@@ -75,6 +80,7 @@ def _cli(*args):
 
 
 def _check_exit(code: int, err: str, path: Path) -> None:
+    event(f"exit {code}")
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     if code == 2:
@@ -130,3 +136,49 @@ def _check_distribution_file(path: Path) -> None:
             "--seed", "1", *source, "--mu", str(path), "--out", str(out),
         )
         _check_exit(code, err, path)
+
+
+def _mostly(valid, invalid):
+    """Valid about four times in five, so that most command lines run."""
+    return st.integers(0, 4).flatmap(lambda k: invalid if k == 4 else valid)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    scenario=st.sampled_from([*SCENARIOS, "graph-bogus"]),
+    # an n that runs stays small; the huge ones must be refused before they run
+    n=_mostly(st.integers(1, 300), st.integers(-2, 0) | st.sampled_from([10**13, 10**18])),
+    p=_mostly(
+        st.floats(0.05, 0.4), st.sampled_from([0.0, -0.1, 0.5, 0.7, 1e-300, math.nan, math.inf])
+    ),
+    delta=_mostly(
+        st.floats(1e-3, 0.45), st.sampled_from([0.0, -1.0, 0.5, 1.0, math.nan, math.inf])
+    ),
+    trials=_mostly(st.integers(1, 12), st.integers(-2, 0)),
+    gen=_mostly(st.sampled_from(GENERATORS), st.sampled_from([None, "hypercube"])),
+    seed=_mostly(st.integers(0, 2**70), st.integers(-3, -1)),
+    lie=_mostly(st.sampled_from(sorted(LIE_CHOICE_ALIASES)), st.just("sneaky")),
+    workers=st.sampled_from(["1", "2"]),
+)
+def test_other_arguments(scenario, n, p, delta, trials, gen, seed, lie, workers):
+    # the CLI has no --workers flag: the worker count comes from
+    # NOISY_SEARCH_THREADS
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [
+            scenario, "--n", str(n), "--p", repr(p), "--delta", repr(delta),
+            "--trials", str(trials), "--seed", str(seed), "--lie-choice", lie,
+            "--out", str(Path(tmp) / "out.csv"),
+        ]
+        if gen is not None:
+            args += ["--gen", gen]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"NOISY_SEARCH_THREADS": workers}):
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(args)
+                except SystemExit as exc:  # argparse refuses the command line
+                    code = exc.code
+        err = err.getvalue()
+    event(f"exit {code}")
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err

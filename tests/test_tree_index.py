@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisysearch import graph as graph_module
 from noisysearch import harness
@@ -16,6 +18,7 @@ from noisysearch.graph import (
     reply_set,
     star_graph,
     weighted_median,
+    weighted_medians,
 )
 from noisysearch.harness import ExperimentConfig, run_experiment
 from noisysearch.mathcore import Distribution
@@ -64,9 +67,10 @@ class TestTreeDetection:
         rng = np.random.default_rng(1)
         assert all_pairs_distances(random_tree(30, rng)).tree is not None
         assert all_pairs_distances(star_graph(9)).tree is not None
+        path = all_pairs_distances(graph_module.path_graph(9)).tree
+        assert path.order.tolist() == list(range(9))  # rooted at 0: the identity
         for g in (
-            graph_module.path_graph(9),  # layout hint keeps the prefix sums
-            graph_module.grid_graph(1, 9),
+            graph_module.grid_graph(1, 9),  # a grid keeps its prefix sums
             graph_module.cycle_graph(9),
             graph_module.gnm_graph(12, 20, rng),
         ):
@@ -114,6 +118,44 @@ class TestIntervalMedian:
         q = weighted_median(g, d, st)
         for u in g.adjacency[q]:
             assert float(st.relative[bfs_reply_set(d, q, u)].sum()) <= 0.5 + 1e-9
+
+
+@st.composite
+def tree_with_rows(draw):
+    """A random tree, star or path and a few weight rows over its vertex
+    ids; small integer weights make exact half splits common."""
+    kind = draw(st.sampled_from(["random-tree", "star", "path"]))
+    n = draw(st.integers(2, 40))
+    if kind == "random-tree":
+        g = random_tree(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        g = star_graph(n) if kind == "star" else graph_module.path_graph(n)
+    cells = st.integers(0, 3).map(float) | st.floats(1e-9, 1.0)
+    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=4))
+    w = np.array(rows) + 1e-300  # no row sums to 0
+    return g, w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tree_with_rows())
+def test_preorder_cores_equal_the_vertex_order_entry_points(case):
+    g, rel = case
+    d = all_pairs_distances(g)
+    tree = d.tree
+    pre = rel[:, tree.order]
+    medians = tree.order[tree.medians(pre)]
+    assert medians.tolist() == weighted_medians(g, d, rel).tolist()
+    for row, q in zip(rel, medians.tolist()):
+        # a median: at an exact half split either end of the middle edge
+        for u in g.adjacency[q]:
+            assert float(row[bfs_reply_set(d, q, u)].sum()) <= 0.5 + 1e-9
+    row = rel[0]
+    for q in range(g.n):
+        for u in g.adjacency[q]:
+            scaled = pre[0].copy()
+            tree.scale(scaled, q, u, 0.7, 0.3)
+            masked = row * np.where(reply_set(g, d, q, u), 0.7, 0.3)
+            assert np.array_equal(scaled, masked[tree.order])
 
 
 class TestIntervalReplies:
