@@ -152,8 +152,8 @@ class TreeIndex:
 
     A weight row held in preorder columns (column i weighs order[i]) has
     its median found by medians and is scaled by a reply set by scale,
-    with no gather; the vertex-order entry points weighted_medians and
-    scale_by_reply_set gather into preorder and call the same two.
+    with no gather; the vertex-order entry point weighted_medians gathers
+    into preorder and calls the same medians.
     """
 
     def __init__(self, g: Graph):
@@ -182,6 +182,7 @@ class TreeIndex:
         kids = self.order[1:][np.argsort(self.parent[self.order[1:]], kind="stable")]
         kid_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.parent[kids], minlength=n), out=kid_ptr[1:])
+        self._order = order
         self._start = self.start.tolist()
         self._end = self.end.tolist()
         self._parent = parent
@@ -205,16 +206,36 @@ class TreeIndex:
         the root, and depth grows with preorder position along it, so the
         deepest is the one with the largest start. At it every child's
         subtree holds at most half and the rest of the tree less than half:
-        a median. One cumsum gives every subtree mass, as the difference of
-        two reads at its ends; each row is summed on its own, so a row's
-        median does not depend on the others.
+        a median. One cumsum per row gives every subtree mass, as the
+        difference of two reads at its ends.
+
+        A subtree's positions are one interval, and an interval holding
+        more than half of a row whose total S is at most 2 * _MAJORITY
+        contains the position where the prefix sum first exceeds S / 2
+        (the prefix sums never fall, as the weights are not negative). So
+        the median is the first vertex with a majority on the walk up from
+        the vertex there, two reads per step. A row with another total
+        (never one the engine normalised) has every subtree mass compared.
+        Each row is summed on its own, so a row's median does not depend on
+        the others.
         """
         rows, n = pre.shape
         prefix = np.zeros((rows, n + 1))
         np.cumsum(pre, axis=1, out=prefix[:, 1:])
-        mass = np.take(prefix, self.end_at, axis=1)  # take: fancy indexing is slower
-        mass -= prefix[:, :-1]  # now the subtree mass at each preorder position
-        return n - 1 - np.argmax(mass[:, ::-1] > _MAJORITY, axis=1)
+        out = np.empty(rows, dtype=np.int64)
+        start, end, parent, order = self._start, self._end, self._parent, self._order
+        for i in range(rows):
+            row = prefix[i]
+            total = row[n]
+            if not _MAJORITY < total <= 2 * _MAJORITY:
+                mass = row[self.end_at] - row[:-1]
+                out[i] = n - 1 - np.argmax(mass[::-1] > _MAJORITY)
+                continue
+            v = order[row.searchsorted(0.5 * total, side="right") - 1]
+            while row[end[v]] - row[start[v]] <= _MAJORITY:
+                v = parent[v]
+            out[i] = start[v]
+        return out
 
     def scale(self, pre: np.ndarray, q: int, u: int, inside: float, outside: float) -> None:
         """Scale a weight row held in preorder columns by inside on N(q, u)
@@ -381,7 +402,7 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     deepest vertex, in the preorder rooted at vertex 0, whose subtree holds
     more than half the weight: the weighted centroid, which is the cost
     minimiser (at an exact half split either end of the middle edge is
-    one, and rounding in the prefix sums picks which). On
+    one, and this takes the end nearer the root). On
     every other graph it is where descent from the heaviest vertex stops:
     a local minimiser of the cost. Which of several valid vertices comes
     back (at an exact half split, say) depends on the tree's root or the
@@ -445,9 +466,9 @@ def scale_by_reply_set(
     for a row whose columns are vertex ids.
 
     On a grid layout N(q, u) is a half-plane in one coordinate, so the row
-    is scaled in two slices; on a tree the row is gathered into preorder,
-    scaled by TreeIndex.scale and put back. Each weight gets the same one
-    multiply as under the mask.
+    is scaled in two slices and no mask is built; each weight gets the same
+    one multiply either way. A tree's mask comes from its preorder interval
+    (reply_set); a row held in preorder columns is scaled by TreeIndex.scale.
     """
     if _is_grid(g):
         cols = g.layout_shape[1]
@@ -461,13 +482,7 @@ def scale_by_reply_set(
             lines[: cut + 1] *= outside
             lines[cut + 1 :] *= inside
         return
-    tree = d.tree
-    if tree is None:
-        row *= np.where(reply_set(g, d, q, u), inside, outside)
-        return
-    pre = row[tree.order]
-    tree.scale(pre, q, u, inside, outside)
-    row[tree.order] = pre
+    row *= np.where(reply_set(g, d, q, u), inside, outside)
 
 
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:

@@ -404,10 +404,8 @@ def search(
         for i, (q, w_q, r) in enumerate(zip(vertices, at_q.tolist(), light)):
             o = oracles[r]
             steps[r] += 1
-            vertex_row = None
-            if lie_weights:
-                vertex_row = functools.partial(_in_vertex_order, weights[i], order)
-            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, vertex_row)
+            relative = _in_vertex_order(weights[i], order) if lie_weights else None
+            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
             if reply == q:
                 fill.append(p)
                 at_q_mult.append(keep)

@@ -296,12 +296,11 @@ def _check_memory(config: ExperimentConfig) -> None:
     except (AttributeError, ValueError, OSError):
         return  # the platform does not say; let the allocation decide
     n, workers = config.n, _worker_count(config)
+    task = _task_trials(config, workers)
     if _is_graph_scenario(config.scenario):
-        task = min(graph_search.chunk_rows(n), -(-config.trials // workers))
         each, what = _graph_bytes(config), "graph, preorder index, prior and engine chunk"
         unit = "worker(s)"
     else:
-        task = COMPARISON_TASK_TRIALS
         each, what = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n), "comparison posteriors"
         unit = "trial(s)"
     at_once = min(workers, -(-config.trials // task))
@@ -548,17 +547,21 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     )
 
 
+def _task_trials(config: ExperimentConfig, workers: int) -> int:
+    """Trials in one pool task: one engine chunk for graph scenarios (at
+    most graph_search.chunk_rows trials, and split so every worker gets
+    some), COMPARISON_TASK_TRIALS single trials otherwise."""
+    if _is_graph_scenario(config.scenario):
+        return min(graph_search.chunk_rows(config.n), -(-config.trials // workers))
+    return COMPARISON_TASK_TRIALS
+
+
 def _run_many(ctx: _Context) -> list[TrialOutcome]:
-    """Every trial, in tasks of consecutive indices: one engine chunk each
-    for graph scenarios (at most graph_search.chunk_rows trials, and split
-    so every worker gets some), runs of single trials otherwise. A trial's
+    """Every trial, in tasks of _task_trials consecutive indices. A trial's
     outcome does not depend on the task it ran in."""
     config = ctx.config
     workers = _worker_count(config)
-    if _is_graph_scenario(config.scenario):
-        size = min(graph_search.chunk_rows(config.n), -(-config.trials // workers))
-    else:
-        size = COMPARISON_TASK_TRIALS
+    size = _task_trials(config, workers)
     tasks = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
     if workers <= 1:
         return [o for task in tasks for o in _run_task(ctx, task)]

@@ -186,7 +186,7 @@ def graph_reply(
     d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
-    weights: Callable[[], np.ndarray] | None = None,
+    relative: np.ndarray | None = None,
 ) -> tuple[int, int]:
     """(reply, truthful reply) to a vertex query, each as a vertex: q
     itself stands for yes, any other vertex is a neighbour reply.
@@ -195,15 +195,13 @@ def graph_reply(
     of q one hop closer to the target. With probability policy.p it is
     replaced by one of the other legal replies at q (yes plus each
     neighbour) per policy.lie_choice; the adversarial choice needs the
-    current relative weights over vertex ids, which weights() returns, so
-    they are built only for a lie. coin() returns the trial's next uniform in
+    current relative weights. coin() returns the trial's next uniform in
     [0, 1); the uniforms go in a fixed order: the random tiebreak (only
     when several neighbours are closer), the noise coin, then the uniform
     lie. A choice among k items takes item int(u * k).
     """
     truthful = _truthful_reply(q, target, g, d, policy, coin)
     if coin() < policy.p:
-        relative = None if weights is None else weights()
         return _corrupt_reply(q, truthful, g, d, policy, coin, relative), truthful
     return truthful, truthful
 
@@ -247,8 +245,8 @@ def graph_answer(
 ) -> Answer:
     """graph_reply as an Answer, one rng.random() per uniform; the
     adversarial lie needs the weights."""
-    relative_of = None if weights is None else (lambda: weights.relative)
-    return reply_answer(q, *graph_reply(q, target, g, d, policy, rng.random, relative_of))
+    relative = None if weights is None else weights.relative
+    return reply_answer(q, *graph_reply(q, target, g, d, policy, rng.random, relative))
 
 
 def reply_answer(q: int, reply: int, truthful: int) -> Answer:
@@ -341,9 +339,9 @@ class GraphOracle(_CoinBlocks):
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1
-        relative_of = None if state is None else (lambda: state.relative)
+        relative = None if state is None else state.relative
         g, d, target = self.graph, self.dist, self.target
-        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, relative_of))
+        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, relative))
 
 
 class LinearOracle(_CoinBlocks):

@@ -158,6 +158,22 @@ def test_preorder_cores_equal_the_vertex_order_entry_points(case):
             assert np.array_equal(scaled, masked[tree.order])
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=tree_with_rows(), total=st.sampled_from([1.0, 0.5, 1.5, 3.0]))
+def test_median_walk_equals_the_scan_of_every_subtree(case, total):
+    # the deepest preorder position whose subtree mass, from the same
+    # prefix sums, is above _MAJORITY; totals other than 1 take medians'
+    # own scan
+    g, rel = case
+    tree = all_pairs_distances(g).tree
+    pre = rel[:, tree.order] * total
+    prefix = np.zeros((len(pre), g.n + 1))
+    np.cumsum(pre, axis=1, out=prefix[:, 1:])
+    mass = prefix[:, tree.end_at] - prefix[:, :-1]
+    scan = g.n - 1 - np.argmax(mass[:, ::-1] > graph_module._MAJORITY, axis=1)
+    assert tree.medians(pre).tolist() == scan.tolist()
+
+
 class TestIntervalReplies:
     def test_reply_sets_equal_the_distance_rows(self, tmp_path):
         rng = np.random.default_rng(23)
