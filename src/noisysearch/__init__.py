@@ -38,7 +38,6 @@ from .oracle import (
     LinearOracle,
     NoisePolicy,
     ProtocolError,
-    graph_answer,
     heavy_filter,
     linear_answer,
     load_distribution,

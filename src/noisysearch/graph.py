@@ -284,7 +284,6 @@ class DistanceMatrix:
         self.rows_computed = 0
         self.cached_bytes = 0
         self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._full: np.ndarray | None = None
 
     @cached_property
     def tree(self) -> TreeIndex | None:
@@ -320,13 +319,6 @@ class DistanceMatrix:
             self._rows[v] = row
             self.cached_bytes += row.nbytes
         return row
-
-    @property
-    def dist(self) -> np.ndarray:
-        """The full n x n matrix, built once on first access; for tests."""
-        if self._full is None:
-            self._full = np.stack([self._compute_row(v) for v in range(self.graph.n)])
-        return self._full
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:

@@ -17,9 +17,9 @@ trial in which one vertex does leaves the matrix and runs ahead on its
 own, as two numbers, until it ends or rejoins (see search). Every trial
 does the arithmetic a lone trial would, in the same order, so its
 transcript does not depend on the chunk it ran in. The run_* functions
-are a chunk of one. step_median_update is the dense single-state step
-built from weighted_median, heavy_filter and bayesian_update; the
-invariant fuzzer and the tests use it as the reference.
+are a chunk of one, and so is each transcript of the invariant fuzzer
+(fuzz.fuzz_graph_invariants), which reads the weight-drop laws off
+track_weights' weight_log.
 """
 
 from __future__ import annotations
@@ -31,14 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    reply_set,
-    scale_by_reply_set,
-    weighted_median,
-    weighted_medians,
-)
+# weighted_median, heavy_filter, bayesian_update: unused, bound for bench/tracer.py (ROADMAP item 1)
+from .graph import Graph, reply_set, scale_by_reply_set, weighted_median, weighted_medians
 from .mathcore import Distribution, DomainError, NoiseParams, worst_case_budget_graph
 from .oracle import (
     Answer,
@@ -50,14 +44,7 @@ from .oracle import (
     reply_answer,
     truthful_choices,
 )
-from .weights import (
-    WeightState,
-    bayesian_update,
-    init_from_distribution,
-    init_uniform,
-    is_heavy,
-    log2_rest,
-)
+from .weights import bayesian_update, init_from_distribution, init_uniform, log2_rest
 
 __all__ = [
     "QueryRecord",
@@ -70,7 +57,6 @@ __all__ = [
     "lv_distributional_plan",
     "lv_adversarial_plan",
     "search",
-    "step_median_update",
     "run_adversarial",
     "run_lv_distributional",
     "run_lv_adversarial",
@@ -105,11 +91,14 @@ class QueryRecord:
 class SearchTranscript:
     """Full record of one run: what was asked, answered, and declared.
 
-    weight_log, when tracking is on, holds per-step pairs of absolute log2
-    weights: (mass outside the currently-heaviest element, mass of the
-    realized target). Binary-search runs additionally fill the phase
-    split, the marked candidate list, and per-epoch coupled-bound rows
-    (step, coupled log2 bound, actual log2 unmarked mass).
+    weight_log, when tracking is on, holds one entry per step, before its
+    query, and one after the last: (log2 of the absolute mass outside the
+    heaviest vertex, log2 of the target's absolute mass, log2 of the
+    absolute total, the heavy vertex: the top vertex when its share is at
+    least 1/2, as heavy_filter reads it, else None). Binary-search runs
+    additionally fill the phase split, the marked candidate list, and
+    per-epoch coupled-bound rows (step, coupled log2 bound, actual log2
+    unmarked mass).
     """
 
     declared: int
@@ -117,34 +106,13 @@ class SearchTranscript:
     target_hit: bool
     queries: list[QueryRecord] | None = None
     flagged: bool = False
-    weight_log: list[tuple[float, float]] | None = None
+    weight_log: list[tuple[float, float, float, int | None]] | None = None
     final_target_log2: float | None = None
     phase_one_queries: int | None = None
     verify_queries: int | None = None
     marked: list[int] | None = None
     epoch_log: list[tuple[int, float, float]] | None = None
     completed_epochs: int | None = None
-
-
-def step_median_update(
-    state: WeightState,
-    g: Graph,
-    d: DistanceMatrix,
-    oracle: GraphOracle,
-    noise: NoiseParams,
-) -> tuple[WeightState, int, Answer, int]:
-    """Query the current weighted median, fold the answer into the weights.
-
-    Returns (new state, queried vertex, answer, compatible-set size). The
-    heavy filter is applied against the weights as they stood when the
-    query was issued.
-    """
-    q = weighted_median(g, d, state)
-    was_heavy = is_heavy(state, q, 0.5)
-    answer = oracle.answer(q, state)
-    compatible = heavy_filter(answer, q, was_heavy, g, d)
-    new_state = bayesian_update(state, compatible, noise)
-    return new_state, q, answer, compatible.size
 
 
 @dataclass(frozen=True)
@@ -308,7 +276,9 @@ def search(
         step, log2_total = steps[r], log2_totals[r]
         while True:
             if wlog is not None:
-                wlog.append(_snapshot(_heavy_row(frozen, rest0, rest, col), log2_total, tcol))
+                wlog.append(
+                    _snapshot(_heavy_row(frozen, rest0, rest, col), log2_total, tcol, order)
+                )
             share = 1.0 - rest
             stopped = stop is not None and share >= stop
             if step == cap or stopped:
@@ -363,7 +333,7 @@ def search(
                     thawed.append((r, row))
                 continue
             if track_weights:
-                wlogs[r].append(_snapshot(weights[i], log2_totals[r], target_cols[r]))
+                wlogs[r].append(_snapshot(weights[i], log2_totals[r], target_cols[r], order))
             if steps[r] == cap:
                 oracles[r].queries_answered += cap
                 out[r] = _transcript(
@@ -457,9 +427,15 @@ def _in_vertex_order(row: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _snapshot(row: np.ndarray, log2_total: float, target_col: int) -> tuple[float, float]:
-    """A weight_log pair from a row in the engine's columns."""
-    return log2_rest(row, log2_total), math.log2(row[target_col]) + float(log2_total)
+def _snapshot(
+    row: np.ndarray, log2_total: float, target_col: int, order: np.ndarray | None
+) -> tuple[float, float, float, int | None]:
+    """A weight_log entry from a row in the engine's columns (see
+    SearchTranscript), its heavy column mapped back to a vertex id."""
+    top = int(np.argmax(row))
+    heavy = None if row[top] < 0.5 else top if order is None else int(order[top])
+    log2_total = float(log2_total)
+    return log2_rest(row, log2_total), math.log2(row[target_col]) + log2_total, log2_total, heavy
 
 
 def _transcript(
@@ -522,8 +498,8 @@ def rescaled_confidence(n: int, delta: float, c_prime: float = 64.0) -> float:
     The square and the division by the squared log term pay for a union
     bound over the near-declarations a wrong vertex can survive.
     """
-    if c_prime <= 0.0:
-        raise DomainError(f"c_prime must be positive, got {c_prime}")
+    if not 0.0 < c_prime < math.inf:
+        raise DomainError(f"c_prime must be positive and finite, got {c_prime}")
     denom = c_prime * (math.log2(max(n, 1)) + math.log2(1.0 / delta)) ** 2
     return min(1.0 / 3.0, delta * delta / denom)
 

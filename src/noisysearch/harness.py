@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,14 +32,9 @@ from .mathcore import (
     worst_case_budget_graph,
     worst_case_budget_linear,
 )
-from .oracle import (
-    Answer,
-    GraphOracle,
-    LinearOracle,
-    NoisePolicy,
-    load_distribution,
-)
-from .weights import init_uniform, log2_rest
+from .fuzz import fuzz_binary_invariants, fuzz_graph_invariants
+from .oracle import GraphOracle, LinearOracle, NoisePolicy, load_distribution
+from .weights import init_from_distribution
 
 __all__ = [
     "SCENARIOS",
@@ -88,6 +83,11 @@ CSV_COLUMNS = (
 Z95 = 1.959963984540054
 # trials per pool task in a comparison scenario
 COMPARISON_TASK_TRIALS = 64
+# The most queries a trial may be given, as a fixed budget or a stopping
+# search's cap (a comparison trial's phase one). Both grow as 1/(1 - H(p)),
+# about 3e16 at p = 0.4999999, so a run above this is refused, not left to
+# run; tier-1's configurations need at most about 2.7e4, tree-stop's 1.3e4.
+MAX_TRIAL_QUERIES = 10**6
 
 
 @dataclass
@@ -252,9 +252,7 @@ def _is_distributional(scenario: str) -> bool:
 def _resolve_mu(config: ExperimentConfig) -> Distribution:
     if config.mu is not None:
         if config.mu.n != config.n:
-            raise DomainError(
-                f"mu has {config.mu.n} masses but the instance has n={config.n}"
-            )
+            raise DomainError(f"mu has {config.mu.n} masses but the instance has n={config.n}")
         return config.mu
     if config.mu_path is not None:
         mu, _ = load_distribution(config.mu_path, config.n)
@@ -312,25 +310,57 @@ def _check_memory(config: ExperimentConfig) -> None:
         )
 
 
-def _check_counts(config: ExperimentConfig) -> None:
+def _check_inputs(config: ExperimentConfig) -> NoiseParams:
+    """Check the numbers every scenario takes; returns the noise of p."""
     if config.trials < 1:
         raise DomainError(f"trials must be >= 1, got {config.trials}")
     if config.seed < 0:
         raise DomainError(f"seed must be >= 0, got {config.seed}")
+    if config.n < 1:
+        raise DomainError(f"n must be >= 1, got {config.n}")
+    if not 0.0 < config.delta < 0.5:
+        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {config.delta}")
+    return NoiseParams.from_p(config.p)
+
+
+def _trial_queries(ctx: _Context) -> int:
+    """The budget or cap of one trial, as MAX_TRIAL_QUERIES counts it."""
+    config = ctx.config
+    if ctx.plan is not None:
+        return ctx.plan.max_steps
+    if ctx.budget is not None:
+        return ctx.budget
+    if config.scenario == "bin-lv-distr":
+        worst_bits = -math.log2(float(init_from_distribution(ctx.mu).relative.min()))
+        delta = config.delta
+    else:
+        worst_bits, delta = math.log2(config.n), config.delta / config.adv_margin
+    return linear_search.lv_query_cap(worst_bits, ctx.noise, delta, config.c_const)
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
     if config.scenario not in SCENARIOS:
         raise DomainError(f"unknown scenario {config.scenario!r}; choose from {SCENARIOS}")
-    _check_counts(config)
-    if config.n < 1:
-        raise DomainError(f"n must be >= 1, got {config.n}")
+    noise = _check_inputs(config)
     _check_memory(config)
-    noise = NoiseParams.from_p(config.p)
-    graph = None
-    dist = None
-    mu = None
-    budget = None
+    mu = _resolve_mu(config) if _is_distributional(config.scenario) else None
+    budget = plan = None
+    if config.scenario == "graph-adversarial":
+        budget = worst_case_budget_graph(config.n, noise, config.delta).q
+        plan = graph_search.adversarial_plan(config.n, noise, config.delta, budget)
+    elif config.scenario == "graph-lv-distr":
+        plan = graph_search.lv_distributional_plan(mu, noise, config.delta)
+    elif config.scenario == "graph-lv-adv":
+        plan = graph_search.lv_adversarial_plan(config.n, noise, config.delta, config.c_prime)
+    elif config.scenario == "bin-adversarial":
+        budget = worst_case_budget_linear(config.n, noise, config.delta, config.c_const).q
+    ctx = _Context(config, noise, graph=None, dist=None, mu=mu, budget=budget, plan=plan)
+    queries = _trial_queries(ctx)
+    if queries > MAX_TRIAL_QUERIES:
+        raise DomainError(
+            f"p={config.p} gives each trial a budget or cap of {queries} queries, "
+            f"more than MAX_TRIAL_QUERIES={MAX_TRIAL_QUERIES}"
+        )
     if _is_graph_scenario(config.scenario):
         if config.graph_path is not None:
             graph = load_graph(config.graph_path)
@@ -345,23 +375,8 @@ def _build_context(config: ExperimentConfig) -> _Context:
         if graph.n != config.n:
             source = config.graph_path or f"--gen {config.gen}"
             raise DomainError(f"{source}: graph has {graph.n} vertices but config.n={config.n}")
-        dist = all_pairs_distances(graph)
-    if _is_distributional(config.scenario):
-        mu = _resolve_mu(config)
-    if config.scenario == "graph-adversarial":
-        budget = worst_case_budget_graph(config.n, noise, config.delta).q
-    if config.scenario == "bin-adversarial":
-        budget = worst_case_budget_linear(config.n, noise, config.delta, config.c_const).q
-    plan = None
-    if config.scenario == "graph-adversarial":
-        plan = graph_search.adversarial_plan(config.n, noise, config.delta, budget)
-    elif config.scenario == "graph-lv-distr":
-        plan = graph_search.lv_distributional_plan(mu, noise, config.delta)
-    elif config.scenario == "graph-lv-adv":
-        plan = graph_search.lv_adversarial_plan(config.n, noise, config.delta, config.c_prime)
-    return _Context(
-        config=config, noise=noise, graph=graph, dist=dist, mu=mu, budget=budget, plan=plan
-    )
+        ctx.graph, ctx.dist = graph, all_pairs_distances(graph)
+    return ctx
 
 
 def _trial_rng(seed: int, trial: int, target: int | None = None) -> np.random.Generator:
@@ -504,7 +519,7 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     config = ctx.config
     trials = len(outcomes)
     queries = np.array([o.queries for o in outcomes], dtype=np.float64)
-    errors = sum(1 for o in outcomes if not o.hit)
+    errors = sum(1 for o in outcomes if not o.hit or o.flagged)
     flagged = sum(1 for o in outcomes if o.flagged)
     ci_low, ci_high = wilson_interval(errors, trials)
     mean_q = float(queries.mean())
@@ -587,7 +602,7 @@ def run_experiment(config: ExperimentConfig) -> SummaryStats:
     bound_satisfied; the CLI turns a False into a nonzero exit.
     """
     if config.scenario == "verify-invariants":
-        _check_counts(config)
+        _check_inputs(config)
         _check_output(config.output)
         stats = _run_invariant_scenario(config)
     else:
@@ -618,11 +633,7 @@ def adversarial_sweep(config: ExperimentConfig) -> list[SummaryStats]:
     base = _build_context(config)
     _check_output(config.output)
     for target in range(config.n):
-        cfg = ExperimentConfig(**{**config.__dict__, "fixed_target": target})
-        ctx = _Context(
-            config=cfg, noise=base.noise, graph=base.graph, dist=base.dist,
-            mu=base.mu, budget=base.budget, plan=base.plan,
-        )
+        ctx = replace(base, config=replace(config, fixed_target=target))
         stats = _summarize(ctx, _run_many(ctx))
         stats.extras["target"] = target
         results.append(stats)
@@ -631,213 +642,8 @@ def adversarial_sweep(config: ExperimentConfig) -> list[SummaryStats]:
     return results
 
 
-# ---------------------------------------------------------------------------
-# Deterministic invariant fuzzing (also exposed as a CLI scenario)
-# ---------------------------------------------------------------------------
-
-_FUZZ_PS = (0.1, 0.25, 0.4)
-
-
-def _fuzz_graph(rng: np.random.Generator) -> Graph:
-    kind = int(rng.integers(6))
-    n = int(rng.integers(2, 65))
-    if kind == 0:
-        return generate_graph("path", n)
-    if kind == 1:
-        return generate_graph("cycle", max(n, 3))
-    if kind == 2:
-        return generate_graph("star", n)
-    if kind == 3:
-        return generate_graph("grid", n)
-    if kind == 4:
-        return generate_graph("random-tree", max(n, 2), rng)
-    return generate_graph("gnm", max(n, 4), rng)
-
-
-def fuzz_graph_invariants(
-    transcripts: int = 1000,
-    seed: int = 0,
-    max_steps: int = 100,
-    tol: float = 1e-6,
-) -> dict:
-    """Fuzz graph searches and check every deterministic weight-drop law.
-
-    Checked per transcript, for every answer sequence the noise and lie
-    policies produce:
-      * excluded-heaviest drop: absolute mass outside the heaviest vertex
-        is at most 2^-t after t queries;
-      * halving: any query at a step without a heavy vertex at least
-        halves the absolute total;
-      * heavy intervals: across a maximal run of steps sharing one heavy
-        vertex x, the total drops by 2^-k when the run ends, and the mass
-        outside x is down by 2^-k at every point the run is still live.
-    """
-    drop_violations = 0
-    halving_violations = 0
-    interval_violations = 0
-    steps_total = 0
-    worst_excess = float("-inf")
-    for i in range(transcripts):
-        rng = np.random.default_rng([seed, i])
-        g = _fuzz_graph(rng)
-        dist = all_pairs_distances(g)
-        noise = NoiseParams.from_p(_FUZZ_PS[int(rng.integers(len(_FUZZ_PS)))])
-        policy = NoisePolicy(
-            p=noise.p,
-            truthful_tiebreak="random" if rng.integers(2) else "smallest-id",
-            lie_choice="adversarial-heaviest" if rng.integers(2) else "uniform-wrong",
-        )
-        target = int(rng.integers(g.n))
-        oracle = GraphOracle(g, dist, target, policy, rng)
-        budget = min(worst_case_budget_graph(g.n, noise, 0.2).q, max_steps)
-
-        state = init_uniform(g.n)
-        heavy_at_query: list[int | None] = []
-        log_total = [state.log2_total]
-        log_rest = [log2_rest(state.relative, state.log2_total)]
-        for _ in range(budget):
-            top = int(np.argmax(state.relative))
-            heavy_at_query.append(top if state.relative[top] >= 0.5 else None)
-            state, _, _, _ = graph_search.step_median_update(state, g, dist, oracle, noise)
-            log_total.append(state.log2_total)
-            log_rest.append(log2_rest(state.relative, state.log2_total))
-        steps_total += budget
-
-        for tau in range(budget + 1):
-            excess = log_rest[tau] - (-float(tau))
-            worst_excess = max(worst_excess, excess)
-            if excess > tol:
-                drop_violations += 1
-        for t, heavy in enumerate(heavy_at_query):
-            if heavy is None and log_total[t + 1] > log_total[t] - 1.0 + 1e-9:
-                halving_violations += 1
-        interval_violations += _check_heavy_intervals(
-            heavy_at_query, log_total, log_rest, budget, tol
-        )
-    return {
-        "transcripts": transcripts,
-        "steps": steps_total,
-        "drop_violations": drop_violations,
-        "halving_violations": halving_violations,
-        "interval_violations": interval_violations,
-        "worst_drop_excess": worst_excess,
-    }
-
-
-def _check_heavy_intervals(heavy_at_query, log_total, log_rest, budget, tol) -> int:
-    """Maximal same-heavy-vertex runs: ended runs must halve the total per
-    query; live runs must halve the mass outside the heavy vertex."""
-    violations = 0
-    t = 0
-    while t < budget:
-        x = heavy_at_query[t]
-        if x is None:
-            t += 1
-            continue
-        start = t
-        while t < budget and heavy_at_query[t] == x:
-            t += 1
-        # live checkpoints: x still heavy after tau - start queries of the run
-        for tau in range(start + 1, t):
-            if log_rest[tau] > log_total[start] - (tau - start) + tol:
-                violations += 1
-        ended = t < budget  # a different heavy vertex (or none) took over
-        if ended:
-            if log_total[t] > log_total[start] - (t - start) + tol:
-                violations += 1
-        else:
-            if log_rest[t] > log_total[start] - (t - start) + tol:
-                violations += 1
-    return violations
-
-
-class _ContraryLinearOracle:
-    """Adversarial answer source: steers mass away from concentration.
-
-    Ignores any target; answers toward whichever side of the pivot holds
-    more weight (or uniformly at random), which maximally slows the
-    decay of the unmarked mass. Used to stress deterministic bounds that
-    must hold on every answer sequence.
-    """
-
-    def __init__(self, n: int, rng: np.random.Generator, mode: str):
-        self.n = n
-        self.rng = rng
-        self.mode = mode
-        self.target = -1
-        self.queries_answered = 0
-
-    def answer(self, q: int, state=None) -> Answer:
-        self.queries_answered += 1
-        if self.mode == "random" or state is None:
-            kind = "less" if self.rng.random() < 0.5 else "greater"
-        else:
-            left = float(state.relative[:q].sum())
-            right = float(state.relative[q + 1 :].sum())
-            kind = "less" if left >= right else "greater"
-        return Answer(kind=kind, is_lie=False)
-
-
-def fuzz_binary_invariants(
-    transcripts: int = 1000,
-    seed: int = 0,
-    max_steps: int = 160,
-    tol: float = 1e-6,
-) -> dict:
-    """Fuzz comparison-search epochs and check the coupled bound.
-
-    At every epoch boundary (including a final budget-truncated epoch),
-    the absolute mass of the unmarked elements must not exceed the
-    coupled process, whatever the answers; noisy, adversarial, and
-    uniformly random answer sources are mixed.
-    """
-    violations = 0
-    boundaries = 0
-    worst_excess = float("-inf")
-    for i in range(transcripts):
-        rng = np.random.default_rng([seed, 1 + i])
-        n = int(rng.integers(2, 129))
-        noise = NoiseParams.from_p(_FUZZ_PS[int(rng.integers(len(_FUZZ_PS)))])
-        mode = int(rng.integers(3))
-        if mode == 0:
-            oracle = LinearOracle(n, int(rng.integers(n)), NoisePolicy(p=noise.p), rng)
-        else:
-            oracle = _ContraryLinearOracle(n, rng, "greedy" if mode == 1 else "random")
-        budget = min(worst_case_budget_linear(n, noise, 0.2).q, max_steps)
-
-        state = linear_search.TreePosterior.uniform(n)
-        epoch = linear_search.EpochState.fresh(n)
-        steps = 0
-        while steps < budget and len(epoch.marked) < n:
-            state, epoch, status, run = linear_search.run_epoch(
-                state, epoch, noise, oracle, max_queries=budget - steps
-            )
-            steps += run
-            boundaries += 1
-            actual = _log2_unmarked_mass(state, epoch)
-            excess = actual - epoch.coupled_log2
-            worst_excess = max(worst_excess, excess)
-            if excess > tol:
-                violations += 1
-    return {
-        "transcripts": transcripts,
-        "boundaries": boundaries,
-        "coupled_violations": violations,
-        "worst_coupled_excess": worst_excess,
-    }
-
-
-def _log2_unmarked_mass(state, epoch) -> float:
-    """log2 of the absolute unmarked mass, summed off the leaves as
-    state.relative and state.log2_total are, from one pass over them."""
-    relative, log2_total = state.dense()
-    rest = float(relative[~epoch.marked_mask].sum())
-    if rest <= 0.0:
-        return float("-inf")
-    return math.log2(rest) + log2_total
-
-
 def _run_invariant_scenario(config: ExperimentConfig) -> SummaryStats:
+    """verify-invariants: both fuzzers of the fuzz module, one row."""
     g = fuzz_graph_invariants(transcripts=config.trials, seed=config.seed)
     b = fuzz_binary_invariants(transcripts=config.trials, seed=config.seed)
     violations = (

@@ -47,6 +47,7 @@ __all__ = [
     "run_lv_adversarial",
     "verify_candidates",
     "coupled_epoch_log2",
+    "lv_query_cap",
 ]
 
 CENTRAL_TOL = 1e-12
@@ -60,19 +61,15 @@ STOP_SLACK = 1e-12
 class EpochState:
     """Bookkeeping for the epoch schedule and the coupled weight bound.
 
-    marked holds pivots in marking order; coupled_log2 is log2 of the
-    coupled process and changes only when an epoch ends; the answer
-    counters (less_count, greater_count) belong to the running epoch.
+    marked holds pivots in marking order; epoch_index is the running
+    epoch's, 1-based; coupled_log2 is log2 of the coupled process and
+    changes only when an epoch ends.
     """
 
     marked: list[int]
     marked_mask: np.ndarray
     epoch_index: int = 1
-    within_epoch: int = 0
-    current_pivot: int | None = None
     coupled_log2: float = 0.0
-    less_count: int = 0
-    greater_count: int = 0
 
     @classmethod
     def fresh(cls, n: int) -> "EpochState":
@@ -429,23 +426,6 @@ def _epoch_table(noise: NoiseParams) -> _EpochTable:
     return _EpochTable(noise)
 
 
-def _finish_epoch(epoch: EpochState, noise: NoiseParams) -> None:
-    """Close the running epoch of an EpochState: what _run_epochs does with
-    its locals, for drive loops that keep their counters in the state."""
-    epoch.coupled_log2 += _epoch_table(noise).coupled_log2(
-        epoch.less_count, epoch.greater_count
-    )
-    pivot = epoch.current_pivot
-    assert pivot is not None
-    epoch.marked.append(pivot)
-    epoch.marked_mask[pivot] = True
-    epoch.epoch_index += 1
-    epoch.within_epoch = 0
-    epoch.current_pivot = None
-    epoch.less_count = 0
-    epoch.greater_count = 0
-
-
 def _run_epochs(
     state: TreePosterior,
     epoch: EpochState,
@@ -650,6 +630,27 @@ def run_adversarial(
     )
 
 
+def lv_query_cap(
+    worst_bits: float,
+    noise: NoiseParams,
+    delta: float,
+    c_const: float = 4.0,
+    cap_multiplier: float = 50.0,
+) -> int:
+    """Phase-one query cap of run_lv_distributional: cap_multiplier times
+    its expected length for a target whose prior mass is 2^-worst_bits,
+    the least likely one."""
+    if not 1.0 <= c_const < math.inf:
+        raise DomainError(f"c_const must be >= 1 and finite, got {c_const}")
+    return int(
+        math.ceil(
+            cap_multiplier
+            * (worst_bits + math.log2(1.0 / delta) + 3.0 + math.log2(c_const))
+            / noise.info_rate
+        )
+    )
+
+
 def run_lv_distributional(
     n: int,
     mu: Distribution,
@@ -669,14 +670,7 @@ def run_lv_distributional(
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
     prior = init_from_distribution(mu).relative
-    worst_bits = -math.log2(float(prior.min()))
-    cap = int(
-        math.ceil(
-            cap_multiplier
-            * (worst_bits + math.log2(1.0 / delta) + 3.0 + math.log2(c_const))
-            / noise.info_rate
-        )
-    )
+    cap = lv_query_cap(-math.log2(float(prior.min())), noise, delta, c_const, cap_multiplier)
     state, epoch, steps, stopped, completed, boundary_log = _epoch_phase(
         TreePosterior(prior), noise, oracle, max_total=cap,
         stop_share=1.0 - delta / 2.0 - STOP_SLACK,

@@ -232,8 +232,8 @@ def worst_case_budget_linear(
         raise DomainError(f"n must be >= 1, got {n}")
     if not 0.0 < delta < 0.5:
         raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-    if c_const < 1.0:
-        raise DomainError(f"c_const must be >= 1, got {c_const}")
+    if not 1.0 <= c_const < math.inf:
+        raise DomainError(f"c_const must be >= 1 and finite, got {c_const}")
     b = math.log2(n) + math.log2(3.0 * c_const / delta)
     c = math.log2(noise.gamma) * math.sqrt(math.log(3.0 / delta) / 2.0)
     return _minimal_budget(noise.info_rate, b, c, strict=True)

@@ -21,7 +21,6 @@ __all__ = [
     "ProtocolError",
     "Answer",
     "NoisePolicy",
-    "graph_answer",
     "graph_reply",
     "heavy_lie",
     "truthful_choices",
@@ -232,21 +231,6 @@ def heavy_lie(
     if weights is None:
         return NEIGHBOR
     return _corrupt_reply(h, truthful, g, d, policy, coin, weights())
-
-
-def graph_answer(
-    q: int,
-    target: int,
-    g: Graph,
-    d: DistanceMatrix,
-    policy: NoisePolicy,
-    rng: np.random.Generator,
-    weights: WeightState | None = None,
-) -> Answer:
-    """graph_reply as an Answer, one rng.random() per uniform; the
-    adversarial lie needs the weights."""
-    relative = None if weights is None else weights.relative
-    return reply_answer(q, *graph_reply(q, target, g, d, policy, rng.random, relative))
 
 
 def reply_answer(q: int, reply: int, truthful: int) -> Answer:

@@ -130,6 +130,53 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows[0]["bound_satisfied"] == "true"
 
+    @pytest.mark.parametrize(
+        "p, delta, named",
+        [("nan", "nan", "delta"), ("0.3", "nan", "delta"), ("0.5", "0.2", "noise parameter")],
+    )
+    def test_verify_invariants_checks_p_and_delta(self, tmp_path, capsys, p, delta, named):
+        # it used to run and write p=nan delta=nan into its row
+        out = tmp_path / "inv.csv"
+        code = run_cli(
+            "verify-invariants", "--n", "1", "--p", p, "--delta", delta,
+            "--trials", "1", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2 and not out.exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario",
+        ["graph-adversarial", "graph-lv-distr", "graph-lv-adv",
+         "bin-adversarial", "bin-lv-distr", "bin-lv-adv"],
+    )
+    def test_a_p_near_one_half_is_refused_before_any_trial(self, tmp_path, capsys, scenario):
+        # 1 - H(p) is about 3e-14 here: budgets and caps of 1e14 queries and more
+        code = run_cli(
+            scenario, "--n", "8", "--p", "0.4999999", "--delta", "0.2",
+            "--trials", "2", "--seed", "1", "--gen", "path", "--out", str(tmp_path / "x.csv"),
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and not (tmp_path / "x.csv").exists()
+        assert "p=0.4999999" in err and f"MAX_TRIAL_QUERIES={harness.MAX_TRIAL_QUERIES}" in err
+        count = int(err.split(" queries")[0].split()[-1])
+        assert count > harness.MAX_TRIAL_QUERIES
+
+    @pytest.mark.parametrize(
+        "scenario, flag, value",
+        [(s, "--c-const", v) for s in ("bin-adversarial", "bin-lv-distr", "bin-lv-adv")
+         for v in ("0", "nan", "inf")]
+        + [("graph-lv-adv", "--c-prime", v) for v in ("0", "nan", "inf")],
+    )
+    def test_constants_outside_their_range_exit_2(self, tmp_path, capsys, scenario, flag, value):
+        # a NaN or infinite constant used to reach int() (exit 3) or, for
+        # c_prime = nan, to run at the loosest confidence
+        code = run_cli(
+            scenario, "--n", "8", "--p", "0.3", "--delta", "0.2", "--trials", "2",
+            "--seed", "1", "--gen", "path", flag, value, "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
     def test_unknown_scenario_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run_cli(

@@ -23,9 +23,9 @@ from noisysearch.linear_search import (
     CandidateSet,
     EpochState,
     TreePosterior,
-    _finish_epoch,
     central_element,
     comparison_update,
+    coupled_epoch_log2,
     run_adversarial,
     run_lv_distributional,
     verify_candidates,
@@ -64,24 +64,27 @@ def dense_epoch_phase(state, noise, oracle, max_total, stop_rule=None):
         if len(epoch.marked) >= n:
             break
         pivot = central_element(state, epoch.marked_mask)
-        epoch.current_pivot = pivot
         scheduled = epoch_length(epoch.epoch_index, noise)
         budget = min(scheduled, max_total - steps)
+        less = greater = 0
         for _ in range(budget):
             kind = oracle.answer(pivot).kind
             state = comparison_update(state, pivot, kind, noise)
             steps += 1
-            epoch.within_epoch += 1
             if kind == "less":
-                epoch.less_count += 1
+                less += 1
             else:
-                epoch.greater_count += 1
+                greater += 1
             if stop_rule is not None and stop_rule(state, epoch):
                 stopped = True
                 break
         if stopped:
             break
-        _finish_epoch(epoch, noise)
+        # close the epoch: fold its counts into the coupled bound, mark its pivot
+        epoch.coupled_log2 += coupled_epoch_log2(less, greater, noise)
+        epoch.marked.append(pivot)
+        epoch.marked_mask[pivot] = True
+        epoch.epoch_index += 1
         completed += budget == scheduled
         log.append((steps, epoch.coupled_log2, _log2_unmarked(state, epoch)))
     if stop_rule is not None and not stopped:

@@ -32,36 +32,42 @@ from noisysearch.oracle import Answer, ProtocolError
 from noisysearch.weights import init_from_distribution, init_uniform
 
 
+def full_matrix(d):
+    """The n x n hop distances of a DistanceMatrix, one row per vertex."""
+    return np.stack([d.row(v) for v in range(d.graph.n)])
+
+
 def exhaustive_costs(g, d, rel):
     """Reference cost: explicit double loop over vertices."""
     n = g.n
-    return [sum(int(d.dist[u, v]) * rel[u] for u in range(n)) for v in range(n)]
+    dist = full_matrix(d)
+    return [sum(int(dist[u, v]) * rel[u] for u in range(n)) for v in range(n)]
 
 
 class TestDistances:
     def test_path_endpoints(self):
         g = path_graph(3)
         d = all_pairs_distances(g)
-        assert d.dist[0, 2] == 2
+        assert full_matrix(d)[0, 2] == 2
 
     def test_star_leaves(self):
         g = star_graph(5)
         d = all_pairs_distances(g)
-        assert d.dist[1, 2] == 2
-        assert d.dist[0, 3] == 1
+        assert full_matrix(d)[1, 2] == 2
+        assert full_matrix(d)[0, 3] == 1
 
     def test_complete_graph(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         g = Graph.from_edges(4, edges)
         d = all_pairs_distances(g)
-        off = d.dist[~np.eye(4, dtype=bool)]
+        off = full_matrix(d)[~np.eye(4, dtype=bool)]
         assert np.all(off == 1)
 
     def test_matrix_properties(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             g = random_tree(int(rng.integers(2, 30)), rng)
-            d = all_pairs_distances(g).dist
+            d = full_matrix(all_pairs_distances(g))
             assert np.all(np.diag(d) == 0)
             assert np.array_equal(d, d.T)
             n = g.n
@@ -176,7 +182,7 @@ class TestLazyRows:
 
     def test_cache_stays_within_budget(self, monkeypatch):
         g = random_tree(50, np.random.default_rng(11))
-        full = all_pairs_distances(g).dist
+        full = full_matrix(all_pairs_distances(g))
         monkeypatch.setattr(graph_module, "ROW_CACHE_BYTES", 3 * 50 * 4)
         d = all_pairs_distances(g)
         for v in (0, 1, 2, 3, 4, 0):

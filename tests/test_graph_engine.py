@@ -144,7 +144,10 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
 
     def snapshot():
         row = relative if heavy is None else heavy.relative()
-        return log2_rest(row, log2_total), math.log2(row[target_col]) + log2_total
+        top = int(np.argmax(row))
+        top_vertex = int(order[top]) if row[top] >= 0.5 else None
+        target_log2 = math.log2(row[target_col]) + log2_total
+        return log2_rest(row, log2_total), target_log2, log2_total, top_vertex
 
     def stops():
         return stop is not None and heavy is not None and 1.0 - heavy.rest >= stop
@@ -356,7 +359,7 @@ def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
     oracle = ScriptedOracle(g, d, h, NoisePolicy(p=p), coins)
     seen = []
 
-    def snapshot(row, log2_total, target):
+    def snapshot(row, log2_total, target, order):
         seen.append((row.copy(), log2_total))
         return 0.0, 0.0
 

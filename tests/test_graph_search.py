@@ -7,11 +7,12 @@ import pytest
 
 from noisysearch.graph import all_pairs_distances, grid_graph, path_graph, star_graph
 from noisysearch.graph_search import (
+    SearchPlan,
     rescaled_confidence,
     run_adversarial,
     run_lv_adversarial,
     run_lv_distributional,
-    step_median_update,
+    search,
 )
 from noisysearch.mathcore import (
     Distribution,
@@ -20,52 +21,70 @@ from noisysearch.mathcore import (
     worst_case_budget_graph,
 )
 from noisysearch.oracle import GraphOracle, NoisePolicy
-from noisysearch.weights import init_from_distribution, init_uniform
 
 
 def make_oracle(g, d, target, p, seed, **policy_kwargs):
     return GraphOracle(g, d, target, NoisePolicy(p=p, **policy_kwargs), np.random.default_rng(seed))
 
 
+def one_step(g, masses, target, oracle_p, update_p, seed):
+    """One median query from the weights masses, as search runs it: a
+    one-step plan, the query recorded and the weights tracked."""
+    d = all_pairs_distances(g)
+    oracle = make_oracle(g, d, target=target, p=oracle_p, seed=seed)
+    plan = SearchPlan(np.asarray(masses, dtype=np.float64), 1, None)
+    (t,) = search(g, NoiseParams.from_p(update_p), plan, [oracle], [True], True)
+    (record,) = t.queries
+    return t, record
+
+
 class TestStepMedianUpdate:
     def test_point_mass_gets_yes(self):
-        g = star_graph(6)
-        d = all_pairs_distances(g)
         masses = np.full(6, 1e-9)
         masses[4] = 1 - 5e-9
-        st = init_from_distribution(Distribution.from_weights(masses))
-        oracle = make_oracle(g, d, target=4, p=0.0, seed=0)
-        new, q, answer, csize = step_median_update(st, g, d, oracle, NoiseParams.from_p(0.25))
-        assert q == 4
-        assert answer.kind == "yes"
-        assert csize == 1
-        assert new.relative[4] > st.relative[4] - 1e-12
+        t, record = one_step(star_graph(6), masses, 4, 0.0, 0.25, seed=0)
+        assert record.query == 4
+        assert record.answer.kind == "yes"
+        assert record.compatible_size == 1
+        # vertex 4, the target, is heavy before and after and gains share
+        (rest0, target0, total0, heavy0), (_, target1, total1, heavy1) = t.weight_log
+        assert heavy0 == heavy1 == 4
+        assert rest0 == pytest.approx(math.log2(5e-9))
+        assert t.final_target_log2 == target1 == pytest.approx(math.log2(0.75 * (1 - 5e-9)))
+        assert target1 - total1 > target0 - total0 - 1e-12
 
     def test_path_trace_by_hand(self):
         # uniform on a 3-path, truthful target at the right end: the
         # median is the middle vertex, the answer points right, and the
         # consistent set is exactly the right endpoint
-        g = path_graph(3)
-        d = all_pairs_distances(g)
-        st = init_uniform(3)
-        oracle = make_oracle(g, d, target=2, p=0.0, seed=1)
-        new, q, answer, csize = step_median_update(st, g, d, oracle, NoiseParams.from_p(0.25))
-        assert q == 1
-        assert answer.kind == "neighbor" and answer.vertex == 2
-        assert csize == 1
-        assert new.relative == pytest.approx([0.2, 0.2, 0.6], abs=1e-12)
+        t, record = one_step(path_graph(3), np.full(3, 1 / 3), 2, 0.0, 0.25, seed=1)
+        assert record.query == 1
+        assert record.answer.kind == "neighbor" and record.answer.vertex == 2
+        assert record.compatible_size == 1
+        # the target keeps 3/4 of its third: 1/4 absolute; the total is
+        # 5/12 and the relative weights (0.2, 0.2, 0.6)
+        assert t.final_target_log2 == pytest.approx(-2.0, abs=1e-12)
+        assert t.weight_log[0][:3] == pytest.approx((math.log2(2 / 3), math.log2(1 / 3), 0.0))
+        assert t.weight_log[0][3] is None
+        rest, target, total, heavy = t.weight_log[1]
+        assert total == pytest.approx(math.log2(5 / 12))
+        assert 2.0 ** (target - total) == pytest.approx(0.6)
+        assert 2.0 ** (rest - total) == pytest.approx(0.4)
+        assert heavy == 2
 
     def test_heavy_query_no_answer_decreases_weight(self):
-        g = path_graph(5)
-        d = all_pairs_distances(g)
-        masses = np.array([0.1, 0.6, 0.1, 0.1, 0.1])
-        st = init_from_distribution(Distribution(masses))
-        oracle = make_oracle(g, d, target=4, p=0.0, seed=2)
-        new, q, answer, csize = step_median_update(st, g, d, oracle, NoiseParams.from_p(0.3))
-        assert q == 1  # the heavy vertex is the median
-        assert answer.kind == "neighbor"
-        assert csize == 4  # direction discarded: everything but q
-        assert new.relative[1] < st.relative[1]
+        masses = [0.1, 0.6, 0.1, 0.1, 0.1]
+        t, record = one_step(path_graph(5), masses, 4, 0.0, 0.3, seed=2)
+        assert record.query == 1  # the heavy vertex is the median
+        assert record.answer.kind == "neighbor"
+        assert record.compatible_size == 4  # direction discarded: everything but q
+        # vertex 1 falls from 0.6 to 0.6 * 0.3 = 0.18 of a total of 0.46
+        # and is no longer heavy; the target keeps 0.7 of its 0.1
+        (_, _, total0, heavy0), (rest, _, total, heavy) = t.weight_log
+        assert (total0, heavy0, heavy) == (0.0, 1, None)
+        assert total == pytest.approx(math.log2(0.46))
+        assert 2.0**total - 2.0**rest == pytest.approx(0.18)
+        assert t.final_target_log2 == pytest.approx(math.log2(0.07))
 
 
 class TestRunAdversarial:
@@ -109,7 +128,7 @@ class TestRunAdversarial:
         noise = NoiseParams.from_p(0.3)
         oracle = make_oracle(g, d, target=9, p=0.3, seed=7)
         t = run_adversarial(g, noise, 0.1, oracle, track_weights=True)
-        for tau, (log_rest, _) in enumerate(t.weight_log):
+        for tau, (log_rest, *_) in enumerate(t.weight_log):
             assert log_rest <= -tau + 1e-6
 
     def test_reproducible_given_seed(self):

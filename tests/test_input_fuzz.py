@@ -148,8 +148,10 @@ def _mostly(valid, invalid):
     scenario=st.sampled_from([*SCENARIOS, "graph-bogus"]),
     # an n that runs stays small; the huge ones must be refused before they run
     n=_mostly(st.integers(1, 300), st.integers(-2, 0) | st.sampled_from([10**13, 10**18])),
+    # a p so near 1/2 that a trial's budget or cap passes MAX_TRIAL_QUERIES exits 2
     p=_mostly(
-        st.floats(0.05, 0.4), st.sampled_from([0.0, -0.1, 0.5, 0.7, 1e-300, math.nan, math.inf])
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.0, -0.1, 0.5, 0.7, 1e-300, math.nan, math.inf]),
     ),
     delta=_mostly(
         st.floats(1e-3, 0.45), st.sampled_from([0.0, -1.0, 0.5, 1.0, math.nan, math.inf])

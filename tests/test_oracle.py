@@ -23,7 +23,6 @@ from noisysearch.oracle import (
     GraphOracle,
     LinearOracle,
     NoisePolicy,
-    graph_answer,
     heavy_filter,
     linear_answer,
     load_distribution,
@@ -36,13 +35,13 @@ class TestGraphAnswer:
     def test_truthful_yes_at_target(self):
         g = path_graph(4)
         d = all_pairs_distances(g)
-        ans = graph_answer(2, 2, g, d, NoisePolicy(p=0.0), np.random.default_rng(0))
+        ans = GraphOracle(g, d, 2, NoisePolicy(p=0.0), np.random.default_rng(0)).answer(2)
         assert ans.kind == "yes" and not ans.is_lie
 
     def test_truthful_unique_shortest_path(self):
         g = path_graph(3)
         d = all_pairs_distances(g)
-        ans = graph_answer(0, 2, g, d, NoisePolicy(p=0.0), np.random.default_rng(0))
+        ans = GraphOracle(g, d, 2, NoisePolicy(p=0.0), np.random.default_rng(0)).answer(0)
         assert ans.kind == "neighbor" and ans.vertex == 1
 
     def test_neighbor_answers_are_neighbors(self):
@@ -53,7 +52,7 @@ class TestGraphAnswer:
         for _ in range(500):
             q = int(rng.integers(6))
             t = int(rng.integers(6))
-            ans = graph_answer(q, t, g, d, policy, rng)
+            ans = GraphOracle(g, d, t, policy, rng).answer(q)
             if ans.kind == "neighbor":
                 assert ans.vertex in g.adjacency[q]
 
@@ -63,12 +62,12 @@ class TestGraphAnswer:
         g = star_graph(7)
         d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.5 - 1e-9)  # force (almost) every answer to lie
-        rng = np.random.default_rng(2)
+        oracle = GraphOracle(g, d, 0, policy, np.random.default_rng(2))
         counts = np.zeros(7)
         draws = 20000
         lies = 0
         for _ in range(draws):
-            ans = graph_answer(0, 0, g, d, policy, rng)
+            ans = oracle.answer(0)
             if ans.is_lie:
                 lies += 1
                 counts[ans.vertex] += 1
@@ -87,17 +86,17 @@ class TestGraphAnswer:
         # target 0, query 2: truthful reply is neighbor 1; the wrong
         # replies are yes, neighbor 3; side {3,4} outweighs {2}, so the
         # adversarial lie is neighbor 3
-        ans = graph_answer(2, 0, g, d, policy, rng, weights=st)
+        ans = GraphOracle(g, d, 0, policy, rng).answer(2, st)
         assert ans.is_lie and ans.kind == "neighbor" and ans.vertex == 3
 
     def test_adversarial_lie_requires_weights(self):
         g = path_graph(3)
         d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.5 - 1e-9, lie_choice="adversarial-heaviest")
-        rng = np.random.default_rng(4)
+        oracle = GraphOracle(g, d, 2, policy, np.random.default_rng(4))
         with pytest.raises(DomainError):
             for _ in range(64):  # the lie coin comes up within a few draws
-                graph_answer(0, 2, g, d, policy, rng)
+                oracle.answer(0)
 
     def test_random_tiebreak_covers_all_shortest_neighbors(self):
         # 4-cycle: two shortest paths from 0 to 2
@@ -106,8 +105,8 @@ class TestGraphAnswer:
         g = cycle_graph(4)
         d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.0, truthful_tiebreak="random")
-        rng = np.random.default_rng(5)
-        seen = {graph_answer(0, 2, g, d, policy, rng).vertex for _ in range(200)}
+        oracle = GraphOracle(g, d, 2, policy, np.random.default_rng(5))
+        seen = {oracle.answer(0).vertex for _ in range(200)}
         assert seen == {1, 3}
 
     def test_smallest_id_tiebreak_deterministic(self):
@@ -116,8 +115,8 @@ class TestGraphAnswer:
         g = cycle_graph(4)
         d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.0)
-        rng = np.random.default_rng(6)
-        seen = {graph_answer(0, 2, g, d, policy, rng).vertex for _ in range(50)}
+        oracle = GraphOracle(g, d, 2, policy, np.random.default_rng(6))
+        seen = {oracle.answer(0).vertex for _ in range(50)}
         assert seen == {1}
 
 
