@@ -20,6 +20,9 @@ __all__ = [
     "all_pairs_distances",
     "weighted_median",
     "weighted_medians",
+    "grid_medians",
+    "grid_cut",
+    "scale_grid_lines",
     "reply_set",
     "scale_by_reply_set",
     "consistent_set",
@@ -348,7 +351,8 @@ def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarra
     other graphs are rejected (a path's median is its tree's, d.tree).
 
     relative is one weight vector or a (rows, n) stack of them; each row
-    gets its own costs, computed exactly as for that row alone.
+    gets its own costs, computed exactly as for that row alone. The
+    engine's grid medians (grid_medians) need only its two cost lines.
     """
     if not _is_grid(g):
         raise ValueError("median_costs needs a grid layout")
@@ -357,6 +361,70 @@ def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarra
     row_cost = _line_costs(w2.sum(axis=-1))
     col_cost = _line_costs(w2.sum(axis=-2))
     return (row_cost[..., :, None] + col_cost[..., None, :]).reshape(relative.shape)
+
+
+def grid_medians(g: Graph, relative: np.ndarray) -> np.ndarray:
+    """median_costs(g, d, relative).argmin(axis=1) of a (k, n) weight
+    matrix on a grid layout, bit for bit, from the two cost lines alone:
+    cost(r * cols + c) = R[r] + C[c].
+
+    R and C are the line costs of the row and column marginals, as in
+    median_costs, taken in one _line_costs call: both marginals are padded
+    with zeros to one length, and a zero added to a sum of weights leaves
+    it as it was, so the prefix sums and totals at the real positions are
+    unchanged. A rounded sum never falls when an addend grows, so the
+    least flat cost fl(R[r] + C[c]) is m = fl(min R + min C), and a row r
+    holds a cell at m exactly when fl(R[r] + min C) = m. The first such
+    row, then the first column c with fl(R[r] + C[c]) = m in it, is the
+    first cell at m in id order: the argmin with its smallest-id ties, in
+    O(rows + cols) a row once the marginals are summed.
+    """
+    rows, cols = g.layout_shape
+    k = len(relative)
+    w2 = relative.reshape(k, rows, cols)
+    marginals = np.zeros((2, k, max(rows, cols)))
+    marginals[0, :, :rows] = w2.sum(axis=-1)
+    marginals[1, :, :cols] = w2.sum(axis=-2)
+    costs = _line_costs(marginals)
+    row_cost, col_cost = costs[0, :, :rows], costs[1, :, :cols]
+    col_min = col_cost.min(axis=1)[:, None]
+    least = row_cost.min(axis=1)[:, None] + col_min
+    r = (row_cost + col_min == least).argmax(axis=1)
+    c = (row_cost[np.arange(k), r][:, None] + col_cost == least).argmax(axis=1)
+    return r * cols + c
+
+
+def grid_cut(g: Graph, q: int, u: int, inside: float, outside: float) -> tuple:
+    """The factors that scale a weight row by inside on N(q, u) and by
+    outside elsewhere, for a neighbour u of q on a grid layout, as
+    (row split, row lo, row hi, column split, column lo, column hi) for
+    scale_grid_lines.
+
+    N(q, u) is a half-plane in one coordinate: a step to the row above or
+    below cuts between rows, else between columns, and the other axis is
+    left at 1.0."""
+    cols = g.layout_shape[1]
+    vertical = abs(u - q) == cols
+    line = q // cols if vertical else q % cols
+    # N(q, u) is the lines before q's when u < q, else the lines after it
+    cut = (line, inside, outside) if u < q else (line + 1, outside, inside)
+    return (*cut, 0, 1.0, 1.0) if vertical else (0, 1.0, 1.0, *cut)
+
+
+def scale_grid_lines(g: Graph, weights: np.ndarray, cuts) -> None:
+    """Scale each row of a (k, n) weight matrix on a grid layout in place
+    by its cut (see grid_cut): grid row j by row lo when j < row split,
+    else row hi, and grid column j likewise by the column factors. Two
+    broadcast multiplies over the whole matrix; each weight gets its two
+    factors in turn, and as one of them is 1.0 it ends as one multiply by
+    the other would leave it."""
+    if not weights.flags.c_contiguous:
+        raise ValueError("scale_grid_lines scales a C-contiguous matrix through a reshaped view")
+    rows, cols = g.layout_shape
+    row_cut, row_lo, row_hi, col_cut, col_lo, col_hi = np.array(cuts).T[:, :, None]
+    grid = weights.reshape(len(weights), rows, cols)
+    grid *= np.where(np.arange(rows) < row_cut, row_lo, row_hi)[:, :, None]
+    grid *= np.where(np.arange(cols) < col_cut, col_lo, col_hi)[:, None, :]
 
 
 def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
@@ -390,7 +458,8 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     strictly more than half the weight is returned at once: every reply
     set at it misses that vertex. On grid layouts the result is the
     minimiser of the weighted distance cost, ties to the smallest id,
-    found by prefix sums. On a tree (d.tree, paths included) it is the
+    found by prefix sums over its row and column cost lines
+    (grid_medians). On a tree (d.tree, paths included) it is the
     deepest vertex, in the preorder rooted at vertex 0, whose subtree holds
     more than half the weight: the weighted centroid, which is the cost
     minimiser (at an exact half split either end of the middle edge is
@@ -411,9 +480,10 @@ def weighted_medians(
     columns are vertex ids.
 
     One argmax per row (tops, if the caller has them) finds the heavy
-    vertices; the other rows share one prefix-sum pass on grid layouts
-    and, on trees, one gather into preorder and TreeIndex.medians, and
-    descend one by one elsewhere.
+    vertices; the other rows share grid_medians on grid layouts (the two
+    cost lines of every row, no cost matrix) and, on trees, one gather
+    into preorder and TreeIndex.medians, and descend one by one
+    elsewhere.
     """
     if tops is None:
         tops = relative.argmax(axis=1)
@@ -428,7 +498,7 @@ def weighted_medians(
         return qs
     sub = relative if light.all() else relative[light]
     if tree is None:
-        qs[light] = median_costs(g, d, sub).argmin(axis=1)
+        qs[light] = grid_medians(g, sub)
     else:
         qs[light] = tree.order[tree.medians(np.take(sub, tree.order, axis=1))]
     return qs
@@ -457,23 +527,10 @@ def scale_by_reply_set(
     """row *= np.where(reply_set(g, d, q, u), inside, outside), in place,
     for a row whose columns are vertex ids.
 
-    On a grid layout N(q, u) is a half-plane in one coordinate, so the row
-    is scaled in two slices and no mask is built; each weight gets the same
-    one multiply either way. A tree's mask comes from its preorder interval
-    (reply_set); a row held in preorder columns is scaled by TreeIndex.scale.
+    A tree's mask comes from its preorder interval (reply_set); a row held
+    in preorder columns is scaled by TreeIndex.scale, and a grid's weight
+    matrix by scale_grid_lines.
     """
-    if _is_grid(g):
-        cols = g.layout_shape[1]
-        grid = row.reshape(-1, cols)
-        # a step to the row above or below cuts between rows, else columns
-        lines, cut = (grid, q // cols) if abs(u - q) == cols else (grid.T, q % cols)
-        if u < q:
-            lines[:cut] *= inside
-            lines[cut:] *= outside
-        else:
-            lines[: cut + 1] *= outside
-            lines[cut + 1 :] *= inside
-        return
     row *= np.where(reply_set(g, d, q, u), inside, outside)
 
 

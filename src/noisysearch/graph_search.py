@@ -32,7 +32,17 @@ from typing import Sequence
 import numpy as np
 
 # weighted_median, heavy_filter, bayesian_update: unused, bound for bench/tracer.py (ROADMAP item 1)
-from .graph import Graph, reply_set, scale_by_reply_set, weighted_median, weighted_medians
+from .graph import (
+    Graph,
+    _is_grid,
+    grid_cut,
+    grid_medians,
+    reply_set,
+    scale_by_reply_set,
+    scale_grid_lines,
+    weighted_median,
+    weighted_medians,
+)
 from .mathcore import Distribution, DomainError, NoiseParams, worst_case_budget_graph
 from .oracle import (
     Answer,
@@ -216,11 +226,16 @@ def search(
 
     Light rows: a trial whose top share is HEAVY_SHARE or below is a row
     of one (light rows x n) weight matrix with a per-trial log2 total. A
-    step takes one median per row (batched by prefix sums on grid layouts
-    and by TreeIndex.medians, with no gather, on trees) and one multiply,
-    row sum and divide for all rows; a neighbour reply at a light vertex
-    first scales its row by its reply set (two slices on a grid, three on
-    a tree, a mask elsewhere). A row at its cap ends there.
+    step takes one median per row (grid_medians on grid layouts, from
+    each row's two cost lines; TreeIndex.medians, with no gather, on
+    trees) and one multiply, row sum and divide for all rows; a
+    neighbour reply at a light vertex first scales its row by its reply
+    set (three slices on a tree, a mask elsewhere). On a grid the reply
+    sets and the yes/no factors of all rows are one kernel instead: each
+    row records a cut and two factors along the grid's rows or columns
+    (grid_cut), and two broadcast multiplies (scale_grid_lines) scale the
+    whole matrix, each weight by its factor and by 1.0, bit for bit as
+    one multiply. A row at its cap ends there.
 
     Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
     matrix, and one scalar loop (run_heavy below) runs that trial ahead on
@@ -243,6 +258,7 @@ def search(
         return []
     d, policy, n = oracles[0].dist, oracles[0].policy, g.n
     tree = d.tree
+    grid = _is_grid(g)
     order = None if tree is None else tree.order
     # the column of each trial's target
     target_cols = [o.target if tree is None else int(tree.start[o.target]) for o in oracles]
@@ -317,6 +333,12 @@ def search(
                 size = 1 if reply == h else n - 1
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth), size))
 
+    # a light row's factor for the chunk multiply after a yes and after a
+    # no at its median; on a grid its line factors (grid_cut) instead
+    yes_factor, no_factor = p, keep
+    if grid:
+        yes_factor, no_factor = (0, p, p, 0, 1.0, 1.0), (0, keep, keep, 0, 1.0, 1.0)
+
     # the light trials, in the order of their rows in weights
     prior = plan.prior if order is None else plan.prior[order]
     weights, light = np.tile(prior, (k, 1)), list(range(k))
@@ -358,45 +380,53 @@ def search(
         # at a q holding half the weight keeps all but q, so those rows
         # scale by one factor off q and another at q, all rows in one
         # multiply. Any other reply u keeps its reply set N(q, u), which
-        # leaves q out; such a row is scaled on its own, and the chunk
-        # multiply passes it by with a factor 1. weights is this loop's own
-        # array (np.tile, a fancy-index copy or a concatenation). qs are
-        # the medians' columns; every row here is light.
+        # leaves q out; on a tree or a graph without a layout such a row is
+        # scaled on its own, and the chunk multiply passes it by with a
+        # factor 1. On a grid every row instead records its factors along
+        # the grid's rows and columns (grid_cut), and two broadcast
+        # multiplies scale the whole matrix. weights is this loop's own
+        # C-contiguous array (np.tile, a fancy-index copy or a
+        # concatenation). qs are the medians' columns; every row here is
+        # light.
         rows = np.arange(len(light))
-        if tree is None:
-            qs = weighted_medians(g, d, weights, tops)
-            vertices = qs.tolist()
-        else:
+        if tree is not None:
             qs = tree.medians(weights)
             vertices = order[qs].tolist()
+        elif grid:
+            qs = grid_medians(g, weights)
+            vertices = qs.tolist()
+        else:
+            qs = weighted_medians(g, d, weights, tops)
+            vertices = qs.tolist()
         at_q = weights[rows, qs]
-        fill, at_q_mult = [], []
+        factors, at_q_mult = [], []
         for i, (q, w_q, r) in enumerate(zip(vertices, at_q.tolist(), light)):
             o = oracles[r]
             steps[r] += 1
             relative = _in_vertex_order(weights[i], order) if lie_weights else None
             reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
             if reply == q:
-                fill.append(p)
-                at_q_mult.append(keep)
-                size = 1
+                factor, at_f, size = yes_factor, keep, 1
             elif w_q >= 0.5:
-                fill.append(keep)
-                at_q_mult.append(p)
-                size = n - 1
+                factor, at_f, size = no_factor, p, n - 1
+            elif grid:
+                factor, at_f, size = grid_cut(g, q, reply, keep, p), p, None
             else:
                 if tree is None:
                     scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
                 else:
                     tree.scale(weights[i], q, reply, keep, p)
-                fill.append(1.0)
-                at_q_mult.append(p)
-                size = None
+                factor, at_f, size = 1.0, p, None
+            factors.append(factor)
+            at_q_mult.append(at_f)
             if records[r] is not None:
                 if size is None:
                     size = int(reply_set(g, d, q, reply).sum())
                 records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth), size))
-        weights *= np.array(fill)[:, None]
+        if grid:
+            scale_grid_lines(g, weights, factors)
+        else:
+            weights *= np.array(factors)[:, None]
         weights[rows, qs] = at_q * at_q_mult
         totals = weights.sum(axis=1)
         if not (totals > 0.0).all():

@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graph_search, linear_search
-from .graph import Graph, all_pairs_distances, generate_graph, gnm_edges, load_graph
+from .graph import (
+    ROW_CACHE_BYTES,
+    Graph,
+    all_pairs_distances,
+    generate_graph,
+    gnm_edges,
+    load_graph,
+)
 from .mathcore import (
     Distribution,
     DomainError,
@@ -270,14 +277,20 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     gnm graphs:
     the adjacency while Graph.from_edges builds it (a set, then a tuple,
     per vertex: under 300 bytes a vertex and 100 an edge end), the preorder
-    index of a graph that may be a tree (under 320 bytes a vertex), three
-    n-word copies of the prior, and one chunk of the engine with the
-    median's temporaries (four words a cell)."""
+    index of a graph that may be a tree (under 320 bytes a vertex), the
+    distance rows a graph that is neither a tree nor a grid caches (int32
+    rows, n at most, up to ROW_CACHE_BYTES), three n-word copies of the
+    prior, and one chunk of the engine with a pass's temporaries (four
+    words a cell; one chunk of each generator at n = 512 reads under three
+    above the built graph)."""
     n = config.n
     edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
     index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
+    rows = min(4 * n * n, ROW_CACHE_BYTES)
+    if config.gen in ("path", "star", "random-tree", "grid"):
+        rows = 0
     chunk = 32 * graph_search.chunk_rows(n) * n
-    return 300 * n + 200 * edges + index + 24 * n + chunk
+    return 300 * n + 200 * edges + index + rows + 24 * n + chunk
 
 
 def _check_memory(config: ExperimentConfig) -> None:
@@ -296,7 +309,8 @@ def _check_memory(config: ExperimentConfig) -> None:
     n, workers = config.n, _worker_count(config)
     task = _task_trials(config, workers)
     if _is_graph_scenario(config.scenario):
-        each, what = _graph_bytes(config), "graph, preorder index, prior and engine chunk"
+        each = _graph_bytes(config)
+        what = "graph, preorder index, distance rows, prior and engine chunk"
         unit = "worker(s)"
     else:
         each, what = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n), "comparison posteriors"

@@ -81,9 +81,24 @@ class NoiseParams:
 
     @classmethod
     def from_p(cls, p: float) -> "NoiseParams":
+        """The constants of p; a p in (0, 1/2) whose constants float64
+        cannot hold (a ratio that overflows, or a rate that rounds to 1 near
+        0 or to 0 near 1/2) is refused with p named."""
         if not 0.0 < p < 0.5:
             raise DomainError(f"noise parameter must satisfy 0 < p < 1/2, got {p}")
-        return cls(p=p, epsilon=0.5 - p, gamma=(1.0 - p) / p, info_rate=info_rate(p))
+        gamma = (1.0 - p) / p
+        if math.isinf(gamma):
+            raise DomainError(
+                f"p = {p} is too close to 0: the likelihood ratio (1-p)/p overflows float64"
+            )
+        rate = info_rate(p)
+        if not 0.0 < rate < 1.0:
+            edge = "0" if p < 0.25 else "1/2"
+            raise DomainError(
+                f"p = {p} is too close to {edge}: float64 rounds the information rate "
+                f"1 - H(p) to {rate}, outside (0, 1)"
+            )
+        return cls(p=p, epsilon=0.5 - p, gamma=gamma, info_rate=rate)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 0.5:

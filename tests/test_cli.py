@@ -144,6 +144,16 @@ class TestCli:
         assert code == 2 and not out.exists()
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["1e-300", "5e-324"])
+    def test_a_p_float64_cannot_hold_exits_2_naming_p(self, tmp_path, capsys, p):
+        # these used to name only a derived constant (info_rate or gamma)
+        code = run_cli(
+            "graph-adversarial", "--n", "8", "--p", p, "--delta", "0.2",
+            "--trials", "2", "--seed", "1", "--gen", "path", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2 and not (tmp_path / "x.csv").exists()
+        assert f"p = {float(p)} is too close to 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "scenario",
         ["graph-adversarial", "graph-lv-distr", "graph-lv-adv",

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,6 +269,22 @@ class TestRunExperiment:
         harness._build_context(
             config(**base, trials=harness.COMPARISON_TASK_TRIALS, workers=4)
         )
+
+    @pytest.mark.parametrize("gen", graph.GENERATORS)
+    def test_graph_bytes_is_within_twice_the_traced_peak_of_one_chunk(self, gen):
+        # what one worker holds: the built graph and its distances, then one
+        # engine chunk; a smaller estimate lets the memory check pass runs
+        # that do not fit, a much larger one refuses runs that do
+        cfg = config(gen=gen, n=512, p=0.1, delta=0.4, trials=64)
+        harness.run_experiment(config(gen=gen, n=16, trials=2))  # lazy imports
+        tracemalloc.start()
+        try:
+            ctx = harness._build_context(cfg)
+            harness._run_graph_chunk(ctx, range(graph_search.chunk_rows(cfg.n)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= harness._graph_bytes(cfg) <= 2 * peak
 
     @pytest.mark.parametrize("gen", ["path", "random-tree", "grid", "gnm"])
     def test_graph_memory_check_runs_before_the_graph_is_built(self, monkeypatch, gen):

@@ -86,6 +86,17 @@ class TestNoiseParams:
             with pytest.raises(DomainError):
                 NoiseParams.from_p(p)
 
+    @pytest.mark.parametrize(
+        "p, held",
+        [(1e-20, "information rate"), (1e-300, "information rate"),
+         (0.49999999999, "information rate"), (5e-324, "overflows")],
+    )
+    def test_p_whose_constants_float64_cannot_hold_is_named(self, p, held):
+        # inside (0, 1/2), but 1 - H(p) rounds to 1 (or to 0 near 1/2) and
+        # (1-p)/p overflows at a subnormal p
+        with pytest.raises(DomainError, match=rf"p = {p} is too close to .*{held}"):
+            NoiseParams.from_p(p)
+
     def test_rejects_inconsistent_fields(self):
         with pytest.raises(DomainError):
             NoiseParams(p=0.3, epsilon=0.1, gamma=7 / 3, info_rate=I_POINT3)
