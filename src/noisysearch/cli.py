@@ -80,7 +80,6 @@ def _output_format(out: str, fmt: str | None) -> str:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    mu_path = None if args.mu == "uniform" else args.mu
     return ExperimentConfig(
         scenario=args.scenario,
         n=args.n,
@@ -90,8 +89,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         graph_path=args.graph,
         gen=args.gen,
-        mu_path=mu_path,
-        mu_name="uniform" if mu_path is None else "file",
+        mu_path=None if args.mu == "uniform" else args.mu,
         lie_choice=LIE_CHOICE_ALIASES[args.lie_choice],
         c_const=args.c_const,
         c_prime=args.c_prime,

@@ -48,25 +48,18 @@ class GraphFormatError(ValueError):
 class Graph:
     """Undirected, unweighted, connected graph with sorted adjacency lists.
 
-    layout_hint marks graphs whose vertex numbering encodes the metric
-    ("path": id distance, "grid": Manhattan on a rows x cols lattice),
-    enabling closed-form distance rows, and on grids O(n) medians by
-    prefix sums. Loaded graphs never carry a hint.
+    grid_shape, (rows, cols), marks a grid whose vertex r * cols + c sits
+    at row r and column c of the lattice, so its distance rows are
+    Manhattan in closed form and its medians O(n) by prefix sums. Loaded
+    graphs never carry one.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    layout_hint: str | None = None
-    layout_shape: tuple[int, int] | None = None
+    grid_shape: tuple[int, int] | None = None
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges,
-        layout_hint: str | None = None,
-        layout_shape: tuple[int, int] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges, grid_shape: tuple[int, int] | None = None) -> "Graph":
         if n < 1:
             raise GraphFormatError(f"graph needs at least one vertex, got n={n}")
         neighbors: list[set[int]] = [set() for _ in range(n)]
@@ -80,8 +73,7 @@ class Graph:
         g = cls(
             n=n,
             adjacency=tuple(tuple(sorted(s)) for s in neighbors),
-            layout_hint=layout_hint,
-            layout_shape=layout_shape,
+            grid_shape=grid_shape,
         )
         unreachable = g._first_unreachable()
         if unreachable is not None:
@@ -269,13 +261,13 @@ class TreeIndex:
 class DistanceMatrix:
     """Hop distances of one graph, computed one row at a time on first use.
 
-    row(v) is the int32 vector d(v, .): closed form on path and grid
-    layouts, one BFS otherwise. Rows are read-only and cached per instance
+    row(v) is the int32 vector d(v, .): closed form on a grid layout, one
+    BFS otherwise. Rows are read-only and cached per instance
     up to ROW_CACHE_BYTES, oldest out first. rows_computed counts the rows
     built for the cache and cached_bytes what the cache holds now.
 
-    tree is the graph's TreeIndex when it has m = n - 1 edges and no layout
-    hint but "path" (paths, random trees, stars, loaded tree files), built
+    tree is the graph's TreeIndex when it has m = n - 1 edges and no grid
+    shape (paths, random trees, stars, loaded tree files), built
     on first use, and None otherwise (grids, even a one-row grid, keep their
     own prefix sums). Medians, truthful replies and reply sets on a tree
     read it instead of rows, so a tree run computes no row at all, and
@@ -291,17 +283,15 @@ class DistanceMatrix:
     @cached_property
     def tree(self) -> TreeIndex | None:
         g = self.graph
-        if g.layout_hint not in (None, "path") or sum(map(len, g.adjacency)) != 2 * (g.n - 1):
+        if g.grid_shape is not None or sum(map(len, g.adjacency)) != 2 * (g.n - 1):
             return None
         return TreeIndex(g)
 
     def _compute_row(self, v: int) -> np.ndarray:
         g = self.graph
         v = int(v)
-        if g.layout_hint == "path":
-            row = np.abs(np.arange(g.n, dtype=np.int32) - v)
-        elif _is_grid(g):
-            rows, cols = g.layout_shape
+        if _is_grid(g):
+            rows, cols = g.grid_shape
             rv, cv = divmod(v, cols)
             row = np.add.outer(
                 np.abs(np.arange(rows, dtype=np.int32) - rv),
@@ -330,7 +320,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 
 def _is_grid(g: Graph) -> bool:
-    return g.layout_hint == "grid" and g.layout_shape is not None
+    return g.grid_shape is not None
 
 
 def _line_costs(w: np.ndarray) -> np.ndarray:
@@ -356,7 +346,7 @@ def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarra
     """
     if not _is_grid(g):
         raise ValueError("median_costs needs a grid layout")
-    rows, cols = g.layout_shape
+    rows, cols = g.grid_shape
     w2 = relative.reshape(*relative.shape[:-1], rows, cols)
     row_cost = _line_costs(w2.sum(axis=-1))
     col_cost = _line_costs(w2.sum(axis=-2))
@@ -379,7 +369,7 @@ def grid_medians(g: Graph, relative: np.ndarray) -> np.ndarray:
     first cell at m in id order: the argmin with its smallest-id ties, in
     O(rows + cols) a row once the marginals are summed.
     """
-    rows, cols = g.layout_shape
+    rows, cols = g.grid_shape
     k = len(relative)
     w2 = relative.reshape(k, rows, cols)
     marginals = np.zeros((2, k, max(rows, cols)))
@@ -403,7 +393,7 @@ def grid_cut(g: Graph, q: int, u: int, inside: float, outside: float) -> tuple:
     N(q, u) is a half-plane in one coordinate: a step to the row above or
     below cuts between rows, else between columns, and the other axis is
     left at 1.0."""
-    cols = g.layout_shape[1]
+    cols = g.grid_shape[1]
     vertical = abs(u - q) == cols
     line = q // cols if vertical else q % cols
     # N(q, u) is the lines before q's when u < q, else the lines after it
@@ -420,7 +410,7 @@ def scale_grid_lines(g: Graph, weights: np.ndarray, cuts) -> None:
     the other would leave it."""
     if not weights.flags.c_contiguous:
         raise ValueError("scale_grid_lines scales a C-contiguous matrix through a reshaped view")
-    rows, cols = g.layout_shape
+    rows, cols = g.grid_shape
     row_cut, row_lo, row_hi, col_cut, col_lo, col_hi = np.array(cuts).T[:, :, None]
     grid = weights.reshape(len(weights), rows, cols)
     grid *= np.where(np.arange(rows) < row_cut, row_lo, row_hi)[:, :, None]
@@ -624,7 +614,7 @@ def load_graph(path) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], layout_hint="path")
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
@@ -652,9 +642,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
                 edges.append((v, v + 1))
             if r + 1 < rows:
                 edges.append((v, v + cols))
-    return Graph.from_edges(
-        rows * cols, edges, layout_hint="grid", layout_shape=(rows, cols)
-    )
+    return Graph.from_edges(rows * cols, edges, grid_shape=(rows, cols))
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:

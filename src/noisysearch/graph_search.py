@@ -43,7 +43,14 @@ from .graph import (
     weighted_median,
     weighted_medians,
 )
-from .mathcore import Distribution, DomainError, NoiseParams, worst_case_budget_graph
+from .mathcore import (
+    CAP_MULTIPLIER,
+    Distribution,
+    DomainError,
+    NoiseParams,
+    check_delta,
+    worst_case_budget_graph,
+)
 from .oracle import (
     Answer,
     GraphOracle,
@@ -147,32 +154,25 @@ class SearchPlan:
             )
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-
-
 def adversarial_plan(
     n: int, noise: NoiseParams, delta: float, budget: int | None = None
 ) -> SearchPlan:
     """Uniform start, exactly Q median queries (the worst-case budget
     unless one is given), then the heaviest vertex."""
-    _check_delta(delta)
+    check_delta(delta)
     q_budget = budget if budget is not None else worst_case_budget_graph(n, noise, delta).q
     return SearchPlan(init_uniform(n).relative, q_budget, None)
 
 
-def lv_distributional_plan(
-    mu: Distribution, noise: NoiseParams, delta: float, cap_multiplier: float = 50.0
-) -> SearchPlan:
+def lv_distributional_plan(mu: Distribution, noise: NoiseParams, delta: float) -> SearchPlan:
     """Start at the prior, stop once a vertex holds 1-delta of the weight.
 
     The expected length is (log2(1/mu(target)) + log2(1/delta) + 1) divided
-    by the information rate; the hard cap at cap_multiplier times the
+    by the information rate; the hard cap at CAP_MULTIPLIER times the
     worst-target value of that bound converts pathological tails into
     flagged failures instead of hangs.
     """
-    _check_delta(delta)
+    check_delta(delta)
     if not 1.0 - delta > HEAVY_SHARE:
         # the stop threshold 1 - delta must be above HEAVY_SHARE (SearchPlan)
         raise DomainError(
@@ -182,23 +182,19 @@ def lv_distributional_plan(
     worst_bits = -math.log2(float(prior.min()))
     cap = int(
         math.ceil(
-            cap_multiplier * (worst_bits + math.log2(1.0 / delta) + 1.0) / noise.info_rate
+            CAP_MULTIPLIER * (worst_bits + math.log2(1.0 / delta) + 1.0) / noise.info_rate
         )
     )
     return SearchPlan(prior, cap, 1.0 - delta)
 
 
 def lv_adversarial_plan(
-    n: int,
-    noise: NoiseParams,
-    delta: float,
-    c_prime: float = 64.0,
-    cap_multiplier: float = 50.0,
+    n: int, noise: NoiseParams, delta: float, c_prime: float = 64.0
 ) -> SearchPlan:
     """The stopping plan from a uniform prior at the rescaled confidence."""
-    _check_delta(delta)
+    check_delta(delta)
     return lv_distributional_plan(
-        Distribution.uniform(n), noise, rescaled_confidence(n, delta, c_prime), cap_multiplier
+        Distribution.uniform(n), noise, rescaled_confidence(n, delta, c_prime)
     )
 
 
@@ -511,13 +507,12 @@ def run_lv_distributional(
     noise: NoiseParams,
     delta: float,
     oracle: GraphOracle,
-    cap_multiplier: float = 50.0,
     record_queries: bool = True,
     track_weights: bool = False,
 ) -> SearchTranscript:
     """Stopping search from a prior: declare once a vertex holds 1-delta
     of the weight; a cap hit comes back flagged (see lv_distributional_plan)."""
-    plan = lv_distributional_plan(mu, noise, delta, cap_multiplier)
+    plan = lv_distributional_plan(mu, noise, delta)
     return search(g, noise, plan, [oracle], [record_queries], track_weights)[0]
 
 
@@ -540,10 +535,9 @@ def run_lv_adversarial(
     delta: float,
     oracle: GraphOracle,
     c_prime: float = 64.0,
-    cap_multiplier: float = 50.0,
     record_queries: bool = True,
     track_weights: bool = False,
 ) -> SearchTranscript:
     """Stopping search without a prior: uniform start, tightened threshold."""
-    plan = lv_adversarial_plan(g.n, noise, delta, c_prime, cap_multiplier)
+    plan = lv_adversarial_plan(g.n, noise, delta, c_prime)
     return search(g, noise, plan, [oracle], [record_queries], track_weights)[0]

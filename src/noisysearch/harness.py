@@ -35,13 +35,13 @@ from .mathcore import (
     Distribution,
     DomainError,
     NoiseParams,
+    check_delta,
     dist_entropy,
     worst_case_budget_graph,
     worst_case_budget_linear,
 )
 from .fuzz import fuzz_binary_invariants, fuzz_graph_invariants
 from .oracle import GraphOracle, LinearOracle, NoisePolicy, load_distribution
-from .weights import init_from_distribution
 
 __all__ = [
     "SCENARIOS",
@@ -110,13 +110,11 @@ class ExperimentConfig:
     graph_path: str | None = None
     gen: str | None = None
     mu_path: str | None = None
-    mu_name: str = "uniform"
     mu: Distribution | None = None
     lie_choice: str = "uniform-wrong"
     truthful_tiebreak: str = "smallest-id"
     c_const: float = 4.0
     c_prime: float = 64.0
-    adv_margin: float = 4.0
     output: str | None = None
     fmt: str = "csv"
     keep_transcripts: bool = False
@@ -244,8 +242,7 @@ class _Context:
     graph: Graph | None
     dist: object | None
     mu: Distribution | None
-    budget: int | None
-    plan: graph_search.SearchPlan | None = None
+    plan: graph_search.SearchPlan | linear_search.ComparisonPlan | None = None
 
 
 def _is_graph_scenario(scenario: str) -> bool:
@@ -264,11 +261,7 @@ def _resolve_mu(config: ExperimentConfig) -> Distribution:
     if config.mu_path is not None:
         mu, _ = load_distribution(config.mu_path, config.n)
         return mu
-    if config.mu_name == "uniform":
-        return Distribution.uniform(config.n)
-    raise DomainError(
-        f"scenario {config.scenario} needs --mu <path> or 'uniform', got {config.mu_name!r}"
-    )
+    return Distribution.uniform(config.n)
 
 
 def _graph_bytes(config: ExperimentConfig) -> int:
@@ -332,24 +325,8 @@ def _check_inputs(config: ExperimentConfig) -> NoiseParams:
         raise DomainError(f"seed must be >= 0, got {config.seed}")
     if config.n < 1:
         raise DomainError(f"n must be >= 1, got {config.n}")
-    if not 0.0 < config.delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {config.delta}")
+    check_delta(config.delta)
     return NoiseParams.from_p(config.p)
-
-
-def _trial_queries(ctx: _Context) -> int:
-    """The budget or cap of one trial, as MAX_TRIAL_QUERIES counts it."""
-    config = ctx.config
-    if ctx.plan is not None:
-        return ctx.plan.max_steps
-    if ctx.budget is not None:
-        return ctx.budget
-    if config.scenario == "bin-lv-distr":
-        worst_bits = -math.log2(float(init_from_distribution(ctx.mu).relative.min()))
-        delta = config.delta
-    else:
-        worst_bits, delta = math.log2(config.n), config.delta / config.adv_margin
-    return linear_search.lv_query_cap(worst_bits, ctx.noise, delta, config.c_const)
 
 
 def _build_context(config: ExperimentConfig) -> _Context:
@@ -358,23 +335,28 @@ def _build_context(config: ExperimentConfig) -> _Context:
     noise = _check_inputs(config)
     _check_memory(config)
     mu = _resolve_mu(config) if _is_distributional(config.scenario) else None
-    budget = plan = None
-    if config.scenario == "graph-adversarial":
-        budget = worst_case_budget_graph(config.n, noise, config.delta).q
-        plan = graph_search.adversarial_plan(config.n, noise, config.delta, budget)
-    elif config.scenario == "graph-lv-distr":
-        plan = graph_search.lv_distributional_plan(mu, noise, config.delta)
-    elif config.scenario == "graph-lv-adv":
-        plan = graph_search.lv_adversarial_plan(config.n, noise, config.delta, config.c_prime)
-    elif config.scenario == "bin-adversarial":
-        budget = worst_case_budget_linear(config.n, noise, config.delta, config.c_const).q
-    ctx = _Context(config, noise, graph=None, dist=None, mu=mu, budget=budget, plan=plan)
-    queries = _trial_queries(ctx)
-    if queries > MAX_TRIAL_QUERIES:
+    n, delta, c_const = config.n, config.delta, config.c_const
+    scenario = config.scenario
+    if scenario == "graph-adversarial":
+        budget = worst_case_budget_graph(n, noise, delta).q
+        plan = graph_search.adversarial_plan(n, noise, delta, budget)
+    elif scenario == "graph-lv-distr":
+        plan = graph_search.lv_distributional_plan(mu, noise, delta)
+    elif scenario == "graph-lv-adv":
+        plan = graph_search.lv_adversarial_plan(n, noise, delta, config.c_prime)
+    elif scenario == "bin-adversarial":
+        budget = worst_case_budget_linear(n, noise, delta, c_const).q
+        plan = linear_search.adversarial_plan(n, noise, delta, c_const, budget)
+    elif scenario == "bin-lv-distr":
+        plan = linear_search.lv_distributional_plan(mu, noise, delta, c_const)
+    else:
+        plan = linear_search.lv_adversarial_plan(n, noise, delta, c_const)
+    if plan.max_steps > MAX_TRIAL_QUERIES:
         raise DomainError(
-            f"p={config.p} gives each trial a budget or cap of {queries} queries, "
+            f"p={config.p} gives each trial a budget or cap of {plan.max_steps} queries, "
             f"more than MAX_TRIAL_QUERIES={MAX_TRIAL_QUERIES}"
         )
+    ctx = _Context(config, noise, graph=None, dist=None, mu=mu, plan=plan)
     if _is_graph_scenario(config.scenario):
         if config.graph_path is not None:
             graph = load_graph(config.graph_path)
@@ -454,21 +436,7 @@ def _run_trial(ctx: _Context, index: int) -> TrialOutcome:
     config = ctx.config
     target, rng = _trial_start(ctx, index)
     oracle = LinearOracle(config.n, target, _policy(config), rng)
-    scenario = config.scenario
-    if scenario == "bin-adversarial":
-        t = linear_search.run_adversarial(
-            config.n, ctx.noise, config.delta, oracle,
-            c_const=config.c_const, budget=ctx.budget,
-        )
-    elif scenario == "bin-lv-distr":
-        t = linear_search.run_lv_distributional(
-            config.n, ctx.mu, ctx.noise, config.delta, oracle, c_const=config.c_const
-        )
-    else:
-        t = linear_search.run_lv_adversarial(
-            config.n, ctx.noise, config.delta, oracle,
-            c_const=config.c_const, adv_margin=config.adv_margin,
-        )
+    t = linear_search.search(ctx.plan, ctx.noise, oracle)
     return _outcome(t, _keeps_transcript(config, index))
 
 
@@ -521,7 +489,7 @@ def _theoretical_bound(ctx: _Context) -> float:
             dist_entropy(ctx.mu) + math.log2(1.0 / config.delta) + overhead
         ) / noise.info_rate
     if scenario == "bin-lv-adv":
-        rescaled = config.delta / config.adv_margin
+        rescaled = config.delta / linear_search.ADV_MARGIN
         overhead = lv_linear_overhead(config.n, rescaled, config.c_const)
         return (
             math.log2(config.n) + math.log2(1.0 / rescaled) + overhead

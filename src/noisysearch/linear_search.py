@@ -7,6 +7,19 @@ boundaries from the answer counts, dominates the absolute weight of the
 unmarked elements on every answer sequence; the fixed-budget variant sizes
 its budget so the target's weight must exceed that bound, forcing the
 target into the candidate pool.
+
+Three variants differ only in their ComparisonPlan (start weights,
+phase-one budget or cap, stop share, verification confidence):
+
+* a fixed-budget strategy that spends exactly its budget in phase one and
+  verifies at delta/3 (bounded error probability),
+* a stopping strategy for a known prior whose phase one ends once the
+  marked pivots hold 1-delta/2 of the weight, verified at delta/2, and
+* the same stopping strategy from a uniform prior at confidence
+  delta / ADV_MARGIN, which handles an adversarially placed target.
+
+One engine, search(), runs a trial of any plan; the run_* functions build
+a plan and call it.
 """
 
 from __future__ import annotations
@@ -20,34 +33,35 @@ import numpy as np
 
 from .graph_search import SearchTranscript
 from .mathcore import (
+    CAP_MULTIPLIER,
     Distribution,
     DomainError,
     NoiseParams,
+    check_delta,
     epoch_length,
     worst_case_budget_linear,
 )
 from .oracle import LinearOracle, ProtocolError
-from .weights import (
-    WeightState,
-    apply_multipliers,
-    heaviest,
-    init_from_distribution,
-    init_uniform,
-)
+from .weights import WeightState, apply_multipliers, init_from_distribution, init_uniform
 
 __all__ = [
+    "ADV_MARGIN",
     "EpochState",
     "CandidateSet",
     "TreePosterior",
+    "ComparisonPlan",
     "central_element",
     "comparison_update",
     "run_epoch",
+    "adversarial_plan",
+    "lv_distributional_plan",
+    "lv_adversarial_plan",
+    "search",
     "run_adversarial",
     "run_lv_distributional",
     "run_lv_adversarial",
     "verify_candidates",
     "coupled_epoch_log2",
-    "lv_query_cap",
 ]
 
 CENTRAL_TOL = 1e-12
@@ -55,6 +69,9 @@ CENTRAL_TOL = 1e-12
 # share that is exactly the threshold (9/10 occurs at p = 0.1 and p = 0.25)
 # stops whatever the summation order rounded it to.
 STOP_SLACK = 1e-12
+# The adversarial stopping search runs at confidence delta / ADV_MARGIN (see
+# lv_adversarial_plan).
+ADV_MARGIN = 4.0
 
 
 @dataclass
@@ -527,12 +544,21 @@ def run_epoch(
     return state, epoch, "completed" if completed else "truncated", run
 
 
+def _verify_cap(m: int, noise: NoiseParams, delta: float) -> int:
+    """Most queries verify_candidates asks of m candidates at confidence
+    delta: CAP_MULTIPLIER times the expected length of that search."""
+    return int(
+        math.ceil(
+            CAP_MULTIPLIER * (math.log2(m) + math.log2(1.0 / delta) + 1.0) / noise.info_rate
+        )
+    )
+
+
 def verify_candidates(
     candidates: CandidateSet,
     noise: NoiseParams,
     delta: float,
     oracle: LinearOracle,
-    cap_multiplier: float = 50.0,
 ) -> int:
     """Pick the target out of the candidate pool by comparison queries.
 
@@ -541,27 +567,20 @@ def verify_candidates(
     weighted median candidate, stop once one candidate holds a 1-delta
     fraction. Comparisons are answered on the original order, so answers
     stay informative about candidates even when the true target fell
-    outside the pool.
+    outside the pool. At its cap (_verify_cap) it returns the heaviest
+    candidate; search flags such a trial.
     """
     members = candidates.members
     if len(members) == 0:
         raise DomainError("candidate set is empty")
     if len(members) == 1:
         return members[0]
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
+    check_delta(delta)
     m = len(members)
     post = TreePosterior.uniform(m)
-    cap = int(
-        math.ceil(
-            cap_multiplier
-            * (math.log2(m) + math.log2(1.0 / delta) + 1.0)
-            / noise.info_rate
-        )
-    )
     median, share, update, answer = post.median, post.share, post.update, oracle.answer
     threshold = 1.0 - delta - STOP_SLACK
-    for _ in range(cap):
+    for _ in range(_verify_cap(m, noise, delta)):
         # a candidate holding 1 - delta > 1/2 of the mass is the median
         k = median(True)
         if share(k) >= threshold:
@@ -570,27 +589,114 @@ def verify_candidates(
     return int(members[int(np.argmax(post.relative))])
 
 
-def _epoch_phase(
-    state: TreePosterior,
-    noise: NoiseParams,
-    oracle: LinearOracle,
-    max_total: int,
-    stop_share: float | None = None,
-) -> tuple[TreePosterior, EpochState, int, bool, int, list[tuple[int, float, float]]]:
-    """Drive epochs until the budget, the stopping rule, or pivot exhaustion.
+@dataclass(frozen=True)
+class ComparisonPlan:
+    """What a comparison strategy fixes before its first query.
 
-    Returns (state, epoch, queries_run, stopped_by_rule, completed_epochs,
-    boundary_log) where boundary_log rows are (step, coupled bound log2,
-    actual unmarked mass log2) recorded at every epoch boundary.
+    prior         start weights, summing to 1
+    max_steps     phase-one query budget (fixed-budget) or cap (stopping)
+    stop_share    end phase one once the marked pivots hold this share of
+                  the weight; None spends the whole budget
+    verify_delta  confidence of the verification over the marked pivots
     """
-    epoch = EpochState.fresh(state.n)
-    boundary_log: list[tuple[int, float, float]] = [(0, 0.0, state.log2_gap_mass())]
-    steps, completed, stopped = _run_epochs(
-        state, epoch, noise, oracle, max_total, stop_share, boundary_log
+
+    prior: np.ndarray
+    max_steps: int
+    stop_share: float | None
+    verify_delta: float
+
+
+def adversarial_plan(
+    n: int,
+    noise: NoiseParams,
+    delta: float,
+    c_const: float = 4.0,
+    budget: int | None = None,
+) -> ComparisonPlan:
+    """Uniform start, exactly Q phase-one queries (the worst-case budget
+    unless one is given), then verification at confidence delta/3."""
+    check_delta(delta)
+    if budget is None:
+        budget = worst_case_budget_linear(n, noise, delta, c_const).q
+    return ComparisonPlan(init_uniform(n).relative, budget, None, delta / 3.0)
+
+
+def lv_distributional_plan(
+    mu: Distribution, noise: NoiseParams, delta: float, c_const: float = 4.0
+) -> ComparisonPlan:
+    """Start at the prior; phase one stops once the marked pivots hold a
+    1-delta/2 fraction of the weight, and the candidates are verified at
+    confidence delta/2. Phase one is capped at CAP_MULTIPLIER times its
+    expected length for the least likely target."""
+    check_delta(delta)
+    if not 1.0 <= c_const < math.inf:
+        raise DomainError(f"c_const must be >= 1 and finite, got {c_const}")
+    prior = init_from_distribution(mu).relative
+    worst_bits = -math.log2(float(prior.min()))
+    cap = int(
+        math.ceil(
+            CAP_MULTIPLIER
+            * (worst_bits + math.log2(1.0 / delta) + 3.0 + math.log2(c_const))
+            / noise.info_rate
+        )
     )
-    if stop_share is not None and not stopped:
-        stopped = state.marked_share() >= stop_share
-    return state, epoch, steps, stopped, completed, boundary_log
+    return ComparisonPlan(prior, cap, 1.0 - delta / 2.0 - STOP_SLACK, delta / 2.0)
+
+
+def lv_adversarial_plan(
+    n: int, noise: NoiseParams, delta: float, c_const: float = 4.0
+) -> ComparisonPlan:
+    """The stopping plan from the uniform prior at confidence delta / ADV_MARGIN.
+
+    From the uniform prior the expected length is per-target in
+    log2(1/prior(target)) and hence log2(n) for every target at once.
+    Without randomizing the order, a fixed target adjacent to the earliest
+    pivots sees only a handful of queries that separate it from its
+    neighbors, which inflates its error by a small constant factor over the
+    target-averaged guarantee; the margin buys that factor back for
+    log2(ADV_MARGIN) extra bits of work.
+    """
+    check_delta(delta)
+    return lv_distributional_plan(Distribution.uniform(n), noise, delta / ADV_MARGIN, c_const)
+
+
+def search(plan: ComparisonPlan, noise: NoiseParams, oracle: LinearOracle) -> SearchTranscript:
+    """Run one trial of a plan: phase one, then verification over the pivots.
+
+    Phase one runs epochs until plan.max_steps queries, every element
+    marked, or, under a stopping plan, the stop rule (see _run_epochs); a
+    final epoch cut at the budget still marks its pivot. So the first
+    epoch always marks its pivot, since every builder's budget is at least
+    one query and the stop rule reads no marked mass while that epoch runs,
+    and the candidate pool is never empty. The trial is flagged when a
+    stopping plan reached its cap before its rule fired, or when
+    verification spent its whole cap.
+    """
+    state = TreePosterior(plan.prior)
+    epoch = EpochState.fresh(state.n)
+    epoch_log = [(0, 0.0, state.log2_gap_mass())]
+    stop = plan.stop_share
+    steps, completed, stopped = _run_epochs(
+        state, epoch, noise, oracle, plan.max_steps, stop, epoch_log
+    )
+    if stop is not None and not stopped:
+        stopped = state.marked_share() >= stop
+    candidates = CandidateSet(tuple(epoch.marked))
+    before_verify = oracle.queries_answered
+    declared = verify_candidates(candidates, noise, plan.verify_delta, oracle)
+    verify_queries = oracle.queries_answered - before_verify
+    verify_capped = verify_queries == _verify_cap(candidates.size, noise, plan.verify_delta)
+    return SearchTranscript(
+        declared=declared,
+        query_count=steps + verify_queries,
+        target_hit=declared == oracle.target,
+        flagged=(stop is not None and not stopped) or verify_capped,
+        phase_one_queries=steps,
+        verify_queries=verify_queries,
+        marked=list(epoch.marked),
+        epoch_log=epoch_log,
+        completed_epochs=completed,
+    )
 
 
 def run_adversarial(
@@ -601,54 +707,8 @@ def run_adversarial(
     c_const: float = 4.0,
     budget: int | None = None,
 ) -> SearchTranscript:
-    """Fixed-budget comparison search, then verification over the pivots.
-
-    Exactly Q epoch-phase queries (the final epoch is cut at the budget
-    and its pivot still marked), followed by candidate verification at
-    confidence delta/3. When fewer than Q queries suffice to mark every
-    element, the epoch phase stops early: all elements are candidates and
-    further pivotless queries would teach the verifier nothing.
-    """
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-    q_budget = budget if budget is not None else worst_case_budget_linear(n, noise, delta, c_const).q
-    state, epoch, steps, _, completed, boundary_log = _epoch_phase(
-        TreePosterior.uniform(n), noise, oracle, max_total=q_budget
-    )
-    before_verify = oracle.queries_answered
-    declared = verify_candidates(CandidateSet(tuple(epoch.marked)), noise, delta / 3.0, oracle)
-    verify_queries = oracle.queries_answered - before_verify
-    return SearchTranscript(
-        declared=declared,
-        query_count=steps + verify_queries,
-        target_hit=declared == oracle.target,
-        phase_one_queries=steps,
-        verify_queries=verify_queries,
-        marked=list(epoch.marked),
-        epoch_log=boundary_log,
-        completed_epochs=completed,
-    )
-
-
-def lv_query_cap(
-    worst_bits: float,
-    noise: NoiseParams,
-    delta: float,
-    c_const: float = 4.0,
-    cap_multiplier: float = 50.0,
-) -> int:
-    """Phase-one query cap of run_lv_distributional: cap_multiplier times
-    its expected length for a target whose prior mass is 2^-worst_bits,
-    the least likely one."""
-    if not 1.0 <= c_const < math.inf:
-        raise DomainError(f"c_const must be >= 1 and finite, got {c_const}")
-    return int(
-        math.ceil(
-            cap_multiplier
-            * (worst_bits + math.log2(1.0 / delta) + 3.0 + math.log2(c_const))
-            / noise.info_rate
-        )
-    )
+    """Fixed-budget comparison search (see adversarial_plan)."""
+    return search(adversarial_plan(n, noise, delta, c_const, budget), noise, oracle)
 
 
 def run_lv_distributional(
@@ -658,44 +718,9 @@ def run_lv_distributional(
     delta: float,
     oracle: LinearOracle,
     c_const: float = 4.0,
-    cap_multiplier: float = 50.0,
 ) -> SearchTranscript:
-    """Stopping comparison search from a prior.
-
-    Epochs run until the marked set holds a 1-delta/2 fraction of the
-    weight (checked after every query and after every marking), then the
-    candidates are verified at confidence delta/2. The cap converts
-    pathological tails into flagged failures.
-    """
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-    prior = init_from_distribution(mu).relative
-    cap = lv_query_cap(-math.log2(float(prior.min())), noise, delta, c_const, cap_multiplier)
-    state, epoch, steps, stopped, completed, boundary_log = _epoch_phase(
-        TreePosterior(prior), noise, oracle, max_total=cap,
-        stop_share=1.0 - delta / 2.0 - STOP_SLACK,
-    )
-    flagged = not stopped
-    if epoch.marked:
-        before_verify = oracle.queries_answered
-        declared = verify_candidates(
-            CandidateSet(tuple(epoch.marked)), noise, delta / 2.0, oracle
-        )
-        verify_queries = oracle.queries_answered - before_verify
-    else:
-        declared = heaviest(state)
-        verify_queries = 0
-    return SearchTranscript(
-        declared=declared,
-        query_count=steps + verify_queries,
-        target_hit=declared == oracle.target,
-        flagged=flagged,
-        phase_one_queries=steps,
-        verify_queries=verify_queries,
-        marked=list(epoch.marked),
-        epoch_log=boundary_log,
-        completed_epochs=completed,
-    )
+    """Stopping comparison search from a prior (see lv_distributional_plan)."""
+    return search(lv_distributional_plan(mu, noise, delta, c_const), noise, oracle)
 
 
 def run_lv_adversarial(
@@ -704,25 +729,6 @@ def run_lv_adversarial(
     delta: float,
     oracle: LinearOracle,
     c_const: float = 4.0,
-    cap_multiplier: float = 50.0,
-    adv_margin: float = 4.0,
 ) -> SearchTranscript:
-    """Stopping comparison search without a prior.
-
-    Runs the distributional strategy from the uniform prior, whose
-    expected length is per-target in log2(1/prior(target)) and hence
-    log2(n) for every target simultaneously. The confidence is tightened
-    to delta / adv_margin: without randomizing the order, a fixed target
-    adjacent to the earliest pivots sees only a handful of queries that
-    separate it from its neighbors, which inflates its error by a small
-    constant factor over the target-averaged guarantee; the margin buys
-    that factor back for log2(adv_margin) extra bits of work.
-    """
-    if adv_margin < 1.0:
-        raise DomainError(f"adv_margin must be >= 1, got {adv_margin}")
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
-    return run_lv_distributional(
-        n, Distribution.uniform(n), noise, delta / adv_margin, oracle,
-        c_const=c_const, cap_multiplier=cap_multiplier,
-    )
+    """Stopping comparison search without a prior (see lv_adversarial_plan)."""
+    return search(lv_adversarial_plan(n, noise, delta, c_const), noise, oracle)

@@ -26,6 +26,8 @@ __all__ = [
     "NoiseParams",
     "Distribution",
     "BudgetResult",
+    "CAP_MULTIPLIER",
+    "check_delta",
     "binary_entropy",
     "info_rate",
     "dist_entropy",
@@ -36,10 +38,20 @@ __all__ = [
 ]
 
 LOG2 = math.log(2.0)
+# A stopping search, and a verification, is capped at this many times its
+# expected length for the least likely target, so a pathological tail ends
+# as a flagged failure instead of a hang.
+CAP_MULTIPLIER = 50.0
 
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
+
+
+def check_delta(delta: float) -> None:
+    """Refuse a confidence outside 0 < delta < 1/2."""
+    if not 0.0 < delta < 0.5:
+        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
 
 
 def binary_entropy(p: float) -> float:
@@ -223,8 +235,7 @@ def worst_case_budget_graph(n: int, noise: NoiseParams, delta: float) -> BudgetR
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
+    check_delta(delta)
     b = math.log2(n)
     c = math.log2(noise.gamma) * math.sqrt(math.log(1.0 / delta) / 2.0)
     return _minimal_budget(noise.info_rate, b, c, strict=False)
@@ -245,8 +256,7 @@ def worst_case_budget_linear(
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not 0.0 < delta < 0.5:
-        raise DomainError(f"delta must satisfy 0 < delta < 1/2, got {delta}")
+    check_delta(delta)
     if not 1.0 <= c_const < math.inf:
         raise DomainError(f"c_const must be >= 1 and finite, got {c_const}")
     b = math.log2(n) + math.log2(3.0 * c_const / delta)

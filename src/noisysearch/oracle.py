@@ -93,8 +93,8 @@ def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[
     closed form on grid layouts, the one neighbour toward the target's
     preorder interval on a tree (paths included), read off d(target, .)
     otherwise."""
-    if g.layout_hint == "grid" and g.layout_shape is not None:
-        cols = g.layout_shape[1]
+    if g.grid_shape is not None:
+        cols = g.grid_shape[1]
         rq, cq = divmod(q, cols)
         rt, ct = divmod(target, cols)
         # up, left, right, down: increasing ids

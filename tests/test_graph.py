@@ -125,7 +125,7 @@ class TestWeightedMedian:
                 w = rng.uniform(0.01, 1.0, size=g.n)
                 st = init_from_distribution(Distribution.from_weights(w))
                 ref = exhaustive_costs(g, d, st.relative)
-                if g.layout_hint == "grid":
+                if g.grid_shape is not None:
                     assert median_costs(g, d, st.relative) == pytest.approx(ref, abs=1e-9)
                 assert ref[weighted_median(g, d, st)] == pytest.approx(min(ref), abs=1e-9)
                 generic = Graph.from_edges(g.n, [(u, v) for u in range(g.n) for v in g.adjacency[u] if u < v])
@@ -384,7 +384,7 @@ class TestGenerators:
 
     def test_grid_square_factorization(self):
         g = generate_graph("grid", 1024)
-        assert g.layout_shape == (32, 32)
+        assert g.grid_shape == (32, 32)
 
     def test_random_generators_connected(self):
         rng = np.random.default_rng(9)

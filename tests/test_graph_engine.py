@@ -15,6 +15,7 @@ order. Every comparison is exact: the engine does the same arithmetic in
 the same order, row by row.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -272,9 +273,13 @@ GRAPHS = {
 def plans(g, noise):
     skewed = np.arange(1, g.n + 1, dtype=np.float64) ** 2
     mu = Distribution(skewed / skewed.sum())
+    stop_prior = lv_distributional_plan(mu, noise, 0.2)
+    # the stopping plan capped at 3 times its worst-target length, not CAP_MULTIPLIER
+    worst_bits = -math.log2(float(stop_prior.prior.min()))
+    cap = int(math.ceil(3.0 * (worst_bits + math.log2(1.0 / 0.2) + 1.0) / noise.info_rate))
     return {
         "fixed": (adversarial_plan(g.n, noise, 0.2), None),
-        "stop-prior": (lv_distributional_plan(mu, noise, 0.2, cap_multiplier=3.0), mu.masses),
+        "stop-prior": (dataclasses.replace(stop_prior, max_steps=cap), mu.masses),
         "stop-uniform": (lv_adversarial_plan(g.n, noise, 0.2), None),
     }
 

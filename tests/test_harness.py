@@ -326,7 +326,7 @@ class TestRunExperiment:
         stats = run_experiment(
             config(
                 scenario="bin-lv-distr", n=16, gen=None, p=0.25, delta=0.2,
-                trials=50, mu_path=str(mu_file), mu_name="file",
+                trials=50, mu_path=str(mu_file),
             )
         )
         assert stats.trials == 50

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from noisysearch import harness
 from noisysearch.linear_search import (
     CandidateSet,
+    ComparisonPlan,
     EpochState,
     TreePosterior,
     central_element,
@@ -16,6 +18,7 @@ from noisysearch.linear_search import (
     run_epoch,
     run_lv_adversarial,
     run_lv_distributional,
+    search,
     verify_candidates,
 )
 from noisysearch.mathcore import (
@@ -25,7 +28,7 @@ from noisysearch.mathcore import (
     epoch_length,
     worst_case_budget_linear,
 )
-from noisysearch.oracle import LinearOracle, NoisePolicy
+from noisysearch.oracle import Answer, LinearOracle, NoisePolicy
 from noisysearch.weights import init_from_distribution, init_uniform
 
 
@@ -203,6 +206,56 @@ class TestVerifyCandidates:
             got = verify_candidates(CandidateSet(members), noise, delta, oracle)
             errors += got != target
         assert errors / trials <= delta
+
+
+class AwayOracle:
+    """Answers every comparison away from its pivot, as a liar would that
+    keeps the target between candidates 2 and 8: "greater" below 5, "less"
+    from 5 on."""
+
+    target = 5
+
+    def __init__(self):
+        self.queries_answered = 0
+
+    def answer(self, q, state=None):
+        self.queries_answered += 1
+        return Answer(kind="greater" if q < 5 else "less")
+
+
+class TestVerificationCap:
+    # answered away from each pivot, the two candidates trade the lead
+    # forever, so verification runs to its cap: ceil(50 (log2 m + log2(1/delta)
+    # + 1) / (1 - H(p))) with m = 2, delta = 0.1
+    CAPS = {0.1: 502, 0.3: 2242}
+
+    @pytest.mark.parametrize("p", sorted(CAPS))
+    def test_verification_runs_to_its_cap(self, p):
+        noise = NoiseParams.from_p(p)
+        cap = math.ceil(50.0 * (1.0 + math.log2(1 / 0.1) + 1.0) / noise.info_rate)
+        assert cap == self.CAPS[p]
+        oracle = AwayOracle()
+        verify_candidates(CandidateSet((2, 8)), noise, 0.1, oracle)
+        assert oracle.queries_answered == cap
+
+    @pytest.mark.parametrize("p", sorted(CAPS))
+    def test_a_verification_cap_hit_is_flagged_and_counted(self, p):
+        # nearly all the prior on 2 and 8: phase one asks 2 (answered
+        # "greater"), then 8, and ends at its budget with the pool (2, 8)
+        noise = NoiseParams.from_p(p)
+        prior = np.full(10, 0.005)
+        prior[[2, 8]] = 0.5, 0.46
+        budget = epoch_length(1, noise) + epoch_length(2, noise)
+        t = search(ComparisonPlan(prior, budget, None, 0.1), noise, AwayOracle())
+        assert t.marked == [2, 8] and t.phase_one_queries == budget
+        assert t.verify_queries == self.CAPS[p]
+        assert t.flagged
+        config = harness.ExperimentConfig(
+            scenario="bin-adversarial", n=10, p=p, delta=0.3, trials=1, seed=0
+        )
+        ctx = harness._Context(config, noise, graph=None, dist=None, mu=None)
+        stats = harness._summarize(ctx, [harness._outcome(t, False)])
+        assert stats.flagged_trials == 1 and stats.extras["errors"] == 1
 
 
 class TestRunAdversarial:

@@ -1,4 +1,4 @@
-"""Per-trial results of bare graph_search.search runs, pinned by digest.
+"""Per-trial results of bare graph and comparison searches, pinned by digest.
 
 A fixed-budget summary (mean queries = budget, error 0) reads the same
 whatever each trial declared, so a change that moves single trials (a
@@ -13,6 +13,14 @@ were taken with numpy 2.4.6 on x86-64; another numpy may draw or
 round differently, so a mismatch there first means: recompute on the
 older code with that numpy.
 
+The comparison configs run linear_search's run_* entry points one trial at
+a time and hash, trial by trial, (declared, query count, flagged, phase-one
+queries, verify queries, marked pivots, completed epochs) and the epoch_log
+rows with their floats as hex. Their digests were computed on the code in
+which the three comparison entry points each carried their own verify and
+transcript block; the one comparison search must reproduce them bit for
+bit.
+
 Run on its own (as CI does, before tier-1) with
     PYTHONPATH=src python -m pytest -q tests/test_seeded_digest.py
 """
@@ -22,10 +30,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from noisysearch import linear_search
 from noisysearch.graph import all_pairs_distances, grid_graph, path_graph, random_tree
 from noisysearch.graph_search import adversarial_plan, lv_adversarial_plan, search
 from noisysearch.mathcore import NoiseParams
-from noisysearch.oracle import GraphOracle, NoisePolicy
+from noisysearch.harness import dyadic_distribution, geometric_distribution
+from noisysearch.mathcore import Distribution
+from noisysearch.oracle import GraphOracle, LinearOracle, NoisePolicy
 
 # name: (graph builder, plan, p, delta, noise policy fields, trials)
 CONFIGS = {
@@ -67,6 +78,33 @@ DIGESTS = {
         "24695dad36445956da3be4ab6deba325d0e610f495a79d3259814dd904f476c6",
 }
 
+# name: (variant, n, p, delta, prior of lv-distr, trials)
+COMPARISON_CONFIGS = {
+    "bin-adversarial": ("adversarial", 300, 0.3, 0.1, None, 64),
+    "bin-lv-distr-geometric": ("lv-distr", 64, 0.3, 0.2, geometric_distribution, 64),
+    "bin-lv-distr-dyadic": ("lv-distr", 200, 0.2, 0.2, dyadic_distribution, 64),
+    "bin-lv-adv": ("lv-adv", 256, 0.3, 0.2, None, 64),
+}
+
+COMPARISON_DIGESTS = {
+    ('bin-adversarial', 1):
+        "0412b68e883d923d1a9339ca37969d24d8036ed070d8f1e39e52477480f6b3c3",
+    ('bin-adversarial', 2):
+        "bcf9d3d5c35b51e276a3a4a01158a53853f6bfa0062d86095ac7366603afc0c5",
+    ('bin-lv-distr-geometric', 1):
+        "8a53d8759b0aea5ae4ffdeaaa8f7b675f5601f50c49cd56631dfcad1b4a33ce8",
+    ('bin-lv-distr-geometric', 2):
+        "11b5775b78f638c985cf3e6065cdf49b3397593a7f06c4ec2d8ffc426cc3a548",
+    ('bin-lv-distr-dyadic', 1):
+        "0835eeb00e0b929c2a2caed9d10241eb8c0d488bfea1c5432d4b90e05b034c90",
+    ('bin-lv-distr-dyadic', 2):
+        "ec0cc3c194988b257ff1f7be7aca0c0ed1ceaca312b64e1df6f3ff57ee9a075a",
+    ('bin-lv-adv', 1):
+        "907138f89a69b412783e5a30030269fa83da289f7d11499b29dc410f85c4e492",
+    ('bin-lv-adv', 2):
+        "3d7b52cf8cfc3020f1c48b3c295ad1cbf667c334294b22bbe937d1670f5b0c4f",
+}
+
 
 def trial_digest(name: str, seed: int) -> str:
     build, kind, p, delta, policy_fields, trials = CONFIGS[name]
@@ -95,3 +133,32 @@ def trial_digest(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name, seed", sorted(DIGESTS))
 def test_per_trial_results_match_their_digest(name, seed):
     assert trial_digest(name, seed) == DIGESTS[name, seed]
+
+
+def comparison_digest(name: str, seed: int) -> str:
+    variant, n, p, delta, prior, trials = COMPARISON_CONFIGS[name]
+    noise = NoiseParams.from_p(p)
+    mu = prior(n) if prior is not None else Distribution.uniform(n)
+    digest = hashlib.sha256()
+    for i in range(trials):
+        rng = np.random.default_rng([seed, i])
+        target = int(rng.choice(n, p=mu.masses))
+        oracle = LinearOracle(n, target, NoisePolicy(p=p), rng)
+        if variant == "adversarial":
+            t = linear_search.run_adversarial(n, noise, delta, oracle)
+        elif variant == "lv-distr":
+            t = linear_search.run_lv_distributional(n, mu, noise, delta, oracle)
+        else:
+            t = linear_search.run_lv_adversarial(n, noise, delta, oracle)
+        line = (
+            t.declared, t.query_count, t.flagged, t.phase_one_queries,
+            t.verify_queries, t.marked, t.completed_epochs,
+            [(step, bound.hex(), float(mass).hex()) for step, bound, mass in t.epoch_log],
+        )
+        digest.update(repr(line).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name, seed", sorted(COMPARISON_DIGESTS))
+def test_comparison_trials_match_their_digest(name, seed):
+    assert comparison_digest(name, seed) == COMPARISON_DIGESTS[name, seed]

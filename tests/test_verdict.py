@@ -24,7 +24,7 @@ MU = Distribution.from_weights([0.5, 0.25, 0.25] + [0.0] * 13)
 def context(scenario, n=16, p=0.25, delta=0.125):
     config = ExperimentConfig(scenario=scenario, n=n, p=p, delta=delta, trials=1, seed=0)
     mu = MU if scenario.endswith("lv-distr") else None
-    return _Context(config, NoiseParams.from_p(p), graph=None, dist=None, mu=mu, budget=None)
+    return _Context(config, NoiseParams.from_p(p), graph=None, dist=None, mu=mu)
 
 
 def outcomes(queries, misses=0, flagged_hits=0, flagged_misses=0):
