@@ -20,6 +20,10 @@ from .oracle import Answer, GraphOracle, LinearOracle, NoisePolicy
 __all__ = ["fuzz_graph_invariants", "fuzz_binary_invariants"]
 
 _FUZZ_PS = (0.1, 0.25, 0.4)
+# slack, in bits, a checked weight-drop law may exceed its bound by
+TOL = 1e-6
+# queries per comparison transcript, at most
+BINARY_MAX_STEPS = 160
 
 
 def _fuzz_graph(rng: np.random.Generator) -> Graph:
@@ -42,7 +46,6 @@ def fuzz_graph_invariants(
     transcripts: int = 1000,
     seed: int = 0,
     max_steps: int = 100,
-    tol: float = 1e-6,
 ) -> dict:
     """Fuzz graph searches and check every deterministic weight-drop law.
 
@@ -56,6 +59,8 @@ def fuzz_graph_invariants(
       * heavy intervals: across a maximal run of steps sharing one heavy
         vertex x, the total drops by 2^-k when the run ends, and the mass
         outside x is down by 2^-k at every point the run is still live.
+    Each transcript spends its worst-case budget at delta = 0.2, at most
+    max_steps queries, and a law counts as broken past TOL bits.
     """
     drop_violations = 0
     halving_violations = 0
@@ -85,14 +90,12 @@ def fuzz_graph_invariants(
         for tau in range(budget + 1):
             excess = log_rest[tau] - (-float(tau))
             worst_excess = max(worst_excess, excess)
-            if excess > tol:
+            if excess > TOL:
                 drop_violations += 1
         for t, heavy in enumerate(heavy_at_query):
             if heavy is None and log_total[t + 1] > log_total[t] - 1.0 + 1e-9:
                 halving_violations += 1
-        interval_violations += _check_heavy_intervals(
-            heavy_at_query, log_total, log_rest, budget, tol
-        )
+        interval_violations += _check_heavy_intervals(heavy_at_query, log_total, log_rest, budget)
     return {
         "transcripts": transcripts,
         "steps": steps_total,
@@ -103,7 +106,7 @@ def fuzz_graph_invariants(
     }
 
 
-def _check_heavy_intervals(heavy_at_query, log_total, log_rest, budget, tol) -> int:
+def _check_heavy_intervals(heavy_at_query, log_total, log_rest, budget) -> int:
     """Maximal same-heavy-vertex runs: ended runs must halve the total per
     query; live runs must halve the mass outside the heavy vertex."""
     violations = 0
@@ -118,14 +121,14 @@ def _check_heavy_intervals(heavy_at_query, log_total, log_rest, budget, tol) -> 
             t += 1
         # live checkpoints: x still heavy after tau - start queries of the run
         for tau in range(start + 1, t):
-            if log_rest[tau] > log_total[start] - (tau - start) + tol:
+            if log_rest[tau] > log_total[start] - (tau - start) + TOL:
                 violations += 1
         ended = t < budget  # a different heavy vertex (or none) took over
         if ended:
-            if log_total[t] > log_total[start] - (t - start) + tol:
+            if log_total[t] > log_total[start] - (t - start) + TOL:
                 violations += 1
         else:
-            if log_rest[t] > log_total[start] - (t - start) + tol:
+            if log_rest[t] > log_total[start] - (t - start) + TOL:
                 violations += 1
     return violations
 
@@ -157,18 +160,14 @@ class _ContraryLinearOracle:
         return Answer(kind=kind, is_lie=False)
 
 
-def fuzz_binary_invariants(
-    transcripts: int = 1000,
-    seed: int = 0,
-    max_steps: int = 160,
-    tol: float = 1e-6,
-) -> dict:
+def fuzz_binary_invariants(transcripts: int = 1000, seed: int = 0) -> dict:
     """Fuzz comparison-search epochs and check the coupled bound.
 
     At every epoch boundary (including a final budget-truncated epoch),
     the absolute mass of the unmarked elements must not exceed the
     coupled process, whatever the answers; noisy, adversarial, and
-    uniformly random answer sources are mixed.
+    uniformly random answer sources are mixed. Each transcript runs at
+    most BINARY_MAX_STEPS queries.
     """
     violations = 0
     boundaries = 0
@@ -182,7 +181,7 @@ def fuzz_binary_invariants(
             oracle = LinearOracle(n, int(rng.integers(n)), NoisePolicy(p=noise.p), rng)
         else:
             oracle = _ContraryLinearOracle(n, rng, "greedy" if mode == 1 else "random")
-        budget = min(worst_case_budget_linear(n, noise, 0.2).q, max_steps)
+        budget = min(worst_case_budget_linear(n, noise, 0.2).q, BINARY_MAX_STEPS)
 
         state = linear_search.TreePosterior.uniform(n)
         epoch = linear_search.EpochState.fresh(n)
@@ -196,7 +195,7 @@ def fuzz_binary_invariants(
             actual = _log2_unmarked_mass(state, epoch)
             excess = actual - epoch.coupled_log2
             worst_excess = max(worst_excess, excess)
-            if excess > tol:
+            if excess > TOL:
                 violations += 1
     return {
         "transcripts": transcripts,
@@ -210,7 +209,9 @@ def _log2_unmarked_mass(state, epoch) -> float:
     """log2 of the absolute unmarked mass, summed off the leaves as
     state.relative and state.log2_total are, from one pass over them."""
     relative, log2_total = state.dense()
-    rest = float(relative[~epoch.marked_mask].sum())
+    unmarked = np.ones(relative.size, dtype=bool)
+    unmarked[epoch.marked] = False
+    rest = float(relative[unmarked].sum())
     if rest <= 0.0:
         return float("-inf")
     return math.log2(rest) + log2_total

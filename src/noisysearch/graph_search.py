@@ -37,7 +37,6 @@ from .graph import (
     _is_grid,
     grid_cut,
     grid_medians,
-    reply_set,
     scale_by_reply_set,
     scale_grid_lines,
     weighted_median,
@@ -98,24 +97,27 @@ def chunk_rows(n: int) -> int:
 
 @dataclass(frozen=True)
 class QueryRecord:
+    """One query of a recorded trial: its 1-based step, the vertex asked
+    and the answer heard."""
+
     step: int
     query: int
     answer: Answer
-    compatible_size: int
 
 
 @dataclass
 class SearchTranscript:
     """Full record of one run: what was asked, answered, and declared.
 
+    queries, for a recorded trial, holds one QueryRecord per query.
     weight_log, when tracking is on, holds one entry per step, before its
     query, and one after the last: (log2 of the absolute mass outside the
     heaviest vertex, log2 of the target's absolute mass, log2 of the
     absolute total, the heavy vertex: the top vertex when its share is at
     least 1/2, as heavy_filter reads it, else None). Binary-search runs
-    additionally fill the phase split, the marked candidate list, and
-    per-epoch coupled-bound rows (step, coupled log2 bound, actual log2
-    unmarked mass).
+    additionally fill the phase split (phase_one_queries, verify_queries),
+    the marked candidate list, and per-epoch coupled-bound rows (step,
+    coupled log2 bound, actual log2 unmarked mass).
     """
 
     declared: int
@@ -252,7 +254,7 @@ def search(
     k = len(oracles)
     if not k:
         return []
-    d, policy, n = oracles[0].dist, oracles[0].policy, g.n
+    d, policy = oracles[0].dist, oracles[0].policy
     tree = d.tree
     grid = _is_grid(g)
     order = None if tree is None else tree.order
@@ -326,8 +328,7 @@ def search(
                 raise DomainError("update annihilated all weight mass")
             log2_total += log2(total)
             if rec is not None:
-                size = 1 if reply == h else n - 1
-                rec.append(QueryRecord(step, h, reply_answer(h, reply, truth), size))
+                rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
     # a light row's factor for the chunk multiply after a yes and after a
     # no at its median; on a grid its line factors (grid_cut) instead
@@ -399,26 +400,24 @@ def search(
         for i, (q, w_q, r) in enumerate(zip(vertices, at_q.tolist(), light)):
             o = oracles[r]
             steps[r] += 1
-            relative = _in_vertex_order(weights[i], order) if lie_weights else None
-            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, relative)
+            build = functools.partial(_in_vertex_order, weights[i], order) if lie_weights else None
+            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, build)
             if reply == q:
-                factor, at_f, size = yes_factor, keep, 1
+                factor, at_f = yes_factor, keep
             elif w_q >= 0.5:
-                factor, at_f, size = no_factor, p, n - 1
+                factor, at_f = no_factor, p
             elif grid:
-                factor, at_f, size = grid_cut(g, q, reply, keep, p), p, None
+                factor, at_f = grid_cut(g, q, reply, keep, p), p
             else:
                 if tree is None:
                     scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
                 else:
                     tree.scale(weights[i], q, reply, keep, p)
-                factor, at_f, size = 1.0, p, None
+                factor, at_f = 1.0, p
             factors.append(factor)
             at_q_mult.append(at_f)
             if records[r] is not None:
-                if size is None:
-                    size = int(reply_set(g, d, q, reply).sum())
-                records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth), size))
+                records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth)))
         if grid:
             scale_grid_lines(g, weights, factors)
         else:

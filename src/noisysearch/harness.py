@@ -112,7 +112,6 @@ class ExperimentConfig:
     mu_path: str | None = None
     mu: Distribution | None = None
     lie_choice: str = "uniform-wrong"
-    truthful_tiebreak: str = "smallest-id"
     c_const: float = 4.0
     c_prime: float = 64.0
     output: str | None = None
@@ -229,7 +228,6 @@ class TrialOutcome(NamedTuple):
     queries: int
     flagged: bool
     phase_one: int
-    verify_queries: int
     marked_count: int
     completed_epochs: int
     transcript: object | None
@@ -394,11 +392,7 @@ def _trial_start(ctx: _Context, index: int) -> tuple[int, np.random.Generator]:
 
 
 def _policy(config: ExperimentConfig) -> NoisePolicy:
-    return NoisePolicy(
-        p=config.p,
-        truthful_tiebreak=config.truthful_tiebreak,
-        lie_choice=config.lie_choice,
-    )
+    return NoisePolicy(p=config.p, lie_choice=config.lie_choice)
 
 
 def _keeps_transcript(config: ExperimentConfig, index: int) -> bool:
@@ -411,7 +405,6 @@ def _outcome(t, keep: bool) -> TrialOutcome:
         queries=t.query_count,
         flagged=t.flagged,
         phase_one=-1 if t.phase_one_queries is None else t.phase_one_queries,
-        verify_queries=-1 if t.verify_queries is None else t.verify_queries,
         marked_count=-1 if t.marked is None else len(t.marked),
         completed_epochs=-1 if t.completed_epochs is None else t.completed_epochs,
         transcript=t if keep else None,

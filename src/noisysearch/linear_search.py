@@ -78,19 +78,21 @@ ADV_MARGIN = 4.0
 class EpochState:
     """Bookkeeping for the epoch schedule and the coupled weight bound.
 
-    marked holds pivots in marking order; epoch_index is the running
-    epoch's, 1-based; coupled_log2 is log2 of the coupled process and
+    marked holds pivots in marking order (a reader that needs them as a
+    mask builds it from the list); epoch_index is the running epoch's,
+    1-based; coupled_log2 is log2 of the coupled process and
     changes only when an epoch ends.
     """
 
     marked: list[int]
-    marked_mask: np.ndarray
     epoch_index: int = 1
     coupled_log2: float = 0.0
 
     @classmethod
     def fresh(cls, n: int) -> "EpochState":
-        return cls(marked=[], marked_mask=np.zeros(n, dtype=bool))
+        """The state before the first epoch of a search over n elements
+        (nothing in it depends on n)."""
+        return cls(marked=[])
 
 
 @dataclass(frozen=True)
@@ -461,9 +463,8 @@ def _run_epochs(
     it fires the running pivot stays unmarked. Every epoch that
     ends, by its schedule or at max_total, marks its pivot, folds its answer
     counts into the coupled bound and appends (step, coupled bound log2,
-    unmarked mass log2) to boundary_log. The epoch table is fetched once,
-    the counters live in locals and marked_mask takes the new pivots when
-    the loop returns.
+    unmarked mass log2) to boundary_log. The epoch table is fetched once
+    and the counters live in locals.
 
     state and epoch are updated in place. Returns (queries run, epochs
     completed to their scheduled length, stopped by the rule).
@@ -474,9 +475,8 @@ def _run_epochs(
     gap_mass = state.log2_gap_mass
     answer = oracle.answer
     marked = epoch.marked
-    first_new = len(marked)
     # an epoch marks one new pivot, so at most n - |marked| more can run
-    epochs_left = min(max_epochs, state.n - first_new)
+    epochs_left = min(max_epochs, state.n - len(marked))
     index, bound = epoch.epoch_index, epoch.coupled_log2
     steps = completed = scheduled = 0
     stopped = False
@@ -512,7 +512,6 @@ def _run_epochs(
         epochs_left -= 1
         if boundary_log is not None:
             boundary_log.append((steps, bound, gap_mass()))
-    epoch.marked_mask[marked[first_new:]] = True
     epoch.epoch_index, epoch.coupled_log2 = index, bound
     return steps, completed, stopped
 

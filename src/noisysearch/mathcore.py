@@ -17,7 +17,7 @@ info_rate  1 - H(p), expected bits learned per answer
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,21 +81,24 @@ def info_rate(p: float) -> float:
 class NoiseParams:
     """Noise channel constants bundled so every formula pulls from one place.
 
-    Invariants (checked on construction):
-      0 < p < 1/2, epsilon = 1/2 - p, gamma = (1-p)/p > 1,
-      0 < info_rate < 1, gamma * p = 1 - p.
+    Built from p alone, 0 < p < 1/2; the rest is derived from it:
+    epsilon = 1/2 - p, gamma = (1-p)/p and info_rate = 1 - H(p). A p whose
+    constants float64 cannot hold (a ratio that overflows, or a rate that
+    rounds to 1 near 0 or to 0 near 1/2) is refused with p named.
     """
 
     p: float
-    epsilon: float
-    gamma: float
-    info_rate: float
+    epsilon: float = field(init=False)
+    gamma: float = field(init=False)
+    info_rate: float = field(init=False)
 
     @classmethod
     def from_p(cls, p: float) -> "NoiseParams":
-        """The constants of p; a p in (0, 1/2) whose constants float64
-        cannot hold (a ratio that overflows, or a rate that rounds to 1 near
-        0 or to 0 near 1/2) is refused with p named."""
+        """The constants of p, as NoiseParams(p)."""
+        return cls(p)
+
+    def __post_init__(self) -> None:
+        p = self.p
         if not 0.0 < p < 0.5:
             raise DomainError(f"noise parameter must satisfy 0 < p < 1/2, got {p}")
         gamma = (1.0 - p) / p
@@ -110,17 +113,9 @@ class NoiseParams:
                 f"p = {p} is too close to {edge}: float64 rounds the information rate "
                 f"1 - H(p) to {rate}, outside (0, 1)"
             )
-        return cls(p=p, epsilon=0.5 - p, gamma=gamma, info_rate=rate)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 0.5:
-            raise DomainError(f"noise parameter must satisfy 0 < p < 1/2, got {self.p}")
-        if abs(self.epsilon - (0.5 - self.p)) > 1e-12:
-            raise DomainError("epsilon must equal 1/2 - p")
-        if abs(self.gamma * self.p - (1.0 - self.p)) > 1e-12:
-            raise DomainError("gamma must equal (1-p)/p")
-        if not 0.0 < self.info_rate < 1.0:
-            raise DomainError("info_rate must lie in (0, 1)")
+        object.__setattr__(self, "epsilon", 0.5 - p)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "info_rate", rate)
 
 
 @dataclass(frozen=True)

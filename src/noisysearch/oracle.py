@@ -185,7 +185,7 @@ def graph_reply(
     d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
-    relative: np.ndarray | None = None,
+    weights: Callable[[], np.ndarray] | None = None,
 ) -> tuple[int, int]:
     """(reply, truthful reply) to a vertex query, each as a vertex: q
     itself stands for yes, any other vertex is a neighbour reply.
@@ -194,13 +194,17 @@ def graph_reply(
     of q one hop closer to the target. With probability policy.p it is
     replaced by one of the other legal replies at q (yes plus each
     neighbour) per policy.lie_choice; the adversarial choice needs the
-    current relative weights. coin() returns the trial's next uniform in
-    [0, 1); the uniforms go in a fixed order: the random tiebreak (only
-    when several neighbours are closer), the noise coin, then the uniform
-    lie. A choice among k items takes item int(u * k).
+    current relative weights, which weights (a function that builds them,
+    as for heavy_lie) gives, called only for such a lie. coin() returns
+    the trial's next uniform in [0, 1); the uniforms go in a fixed order:
+    the random tiebreak (only when several neighbours are closer), the
+    noise coin, then the uniform lie. A choice among k items takes item
+    int(u * k).
     """
     truthful = _truthful_reply(q, target, g, d, policy, coin)
     if coin() < policy.p:
+        adversarial = policy.lie_choice == "adversarial-heaviest"
+        relative = weights() if adversarial and weights is not None else None
         return _corrupt_reply(q, truthful, g, d, policy, coin, relative), truthful
     return truthful, truthful
 
@@ -323,9 +327,9 @@ class GraphOracle(_CoinBlocks):
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1
-        relative = None if state is None else state.relative
+        weights = None if state is None else lambda: state.relative
         g, d, target = self.graph, self.dist, self.target
-        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, relative))
+        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, weights))
 
 
 class LinearOracle(_CoinBlocks):

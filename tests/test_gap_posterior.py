@@ -46,24 +46,25 @@ from noisysearch.weights import WeightState, init_from_distribution, init_unifor
 # ---------------------------------------------------------------------------
 
 
-def _log2_unmarked(state, epoch):
-    rest = float(state.relative[~epoch.marked_mask].sum())
+def _log2_unmarked(state, marked_mask):
+    rest = float(state.relative[~marked_mask].sum())
     return math.log2(rest) + state.log2_total if rest > 0.0 else float("-inf")
 
 
 def dense_epoch_phase(state, noise, oracle, max_total, stop_rule=None):
     n = state.n
     epoch = EpochState.fresh(n)
-    log = [(0, 0.0, _log2_unmarked(state, epoch))]
+    marked_mask = np.zeros(n, dtype=bool)
+    log = [(0, 0.0, _log2_unmarked(state, marked_mask))]
     steps = completed = 0
     stopped = False
     while steps < max_total:
-        if stop_rule is not None and stop_rule(state, epoch):
+        if stop_rule is not None and stop_rule(state, marked_mask):
             stopped = True
             break
         if len(epoch.marked) >= n:
             break
-        pivot = central_element(state, epoch.marked_mask)
+        pivot = central_element(state, marked_mask)
         scheduled = epoch_length(epoch.epoch_index, noise)
         budget = min(scheduled, max_total - steps)
         less = greater = 0
@@ -75,7 +76,7 @@ def dense_epoch_phase(state, noise, oracle, max_total, stop_rule=None):
                 less += 1
             else:
                 greater += 1
-            if stop_rule is not None and stop_rule(state, epoch):
+            if stop_rule is not None and stop_rule(state, marked_mask):
                 stopped = True
                 break
         if stopped:
@@ -83,12 +84,12 @@ def dense_epoch_phase(state, noise, oracle, max_total, stop_rule=None):
         # close the epoch: fold its counts into the coupled bound, mark its pivot
         epoch.coupled_log2 += coupled_epoch_log2(less, greater, noise)
         epoch.marked.append(pivot)
-        epoch.marked_mask[pivot] = True
+        marked_mask[pivot] = True
         epoch.epoch_index += 1
         completed += budget == scheduled
-        log.append((steps, epoch.coupled_log2, _log2_unmarked(state, epoch)))
+        log.append((steps, epoch.coupled_log2, _log2_unmarked(state, marked_mask)))
     if stop_rule is not None and not stopped:
-        stopped = stop_rule(state, epoch)
+        stopped = stop_rule(state, marked_mask)
     return state, epoch, steps, stopped, completed, log
 
 
@@ -143,8 +144,8 @@ def dense_run_lv_distributional(n, mu, noise, delta, oracle, c_const=4.0, cap_mu
     )
     threshold = 1.0 - delta / 2.0 - STOP_SLACK
 
-    def stop_rule(st, ep):
-        return float(st.relative[ep.marked_mask].sum()) >= threshold
+    def stop_rule(st, marked_mask):
+        return float(st.relative[marked_mask].sum()) >= threshold
 
     state, epoch, steps, _, completed, log = dense_epoch_phase(
         state, noise, oracle, cap, stop_rule

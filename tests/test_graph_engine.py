@@ -172,7 +172,6 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
             state = WeightState(relative=relative, log2_total=log2_total, step=steps - 1)
             state = bayesian_update(state, CompatibleSet(compatible.mask[order]), noise)
             relative, log2_total = state.relative.copy(), state.log2_total
-            size = compatible.size
             heavy = ref_freeze(relative)
         else:
             q = int(order[heavy.h])
@@ -183,11 +182,10 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
             total = (1.0 - heavy.rest) * a + heavy.rest * f
             heavy.rest = heavy.rest * f / total
             log2_total += math.log2(total)
-            size = 1 if answer.kind == "yes" else g.n - 1
             if 1.0 - heavy.rest <= HEAVY_SHARE:
                 relative, heavy = heavy.relative(), None
         if records is not None:
-            records.append(QueryRecord(steps, q, answer, size))
+            records.append(QueryRecord(steps, q, answer))
         if wlog is not None:
             wlog.append(snapshot())
     if not stopped:
@@ -521,6 +519,6 @@ def test_a_query_at_exactly_half_the_weight_is_heavy(finals):
     policy = NoisePolicy(p=0.0)
     (t,) = search(g, noise, plan, [GraphOracle(g, all_pairs_distances(g), 2, policy, np.random.default_rng(0))], [True])
     fields, state = ref_drive(g, noise, plan, 2, policy, np.random.default_rng(0), track_weights=False)
-    assert t.queries[0].query == 1 and t.queries[0].compatible_size == 2
+    assert t.queries[0].query == 1
     assert transcript_fields(t) == {**fields, "weight_log": None}
     assert np.array_equal(final_of(finals, t)[0], state.relative)

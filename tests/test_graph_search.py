@@ -45,7 +45,6 @@ class TestStepMedianUpdate:
         t, record = one_step(star_graph(6), masses, 4, 0.0, 0.25, seed=0)
         assert record.query == 4
         assert record.answer.kind == "yes"
-        assert record.compatible_size == 1
         # vertex 4, the target, is heavy before and after and gains share
         (rest0, target0, total0, heavy0), (_, target1, total1, heavy1) = t.weight_log
         assert heavy0 == heavy1 == 4
@@ -60,7 +59,6 @@ class TestStepMedianUpdate:
         t, record = one_step(path_graph(3), np.full(3, 1 / 3), 2, 0.0, 0.25, seed=1)
         assert record.query == 1
         assert record.answer.kind == "neighbor" and record.answer.vertex == 2
-        assert record.compatible_size == 1
         # the target keeps 3/4 of its third: 1/4 absolute; the total is
         # 5/12 and the relative weights (0.2, 0.2, 0.6)
         assert t.final_target_log2 == pytest.approx(-2.0, abs=1e-12)
@@ -77,7 +75,6 @@ class TestStepMedianUpdate:
         t, record = one_step(path_graph(5), masses, 4, 0.0, 0.3, seed=2)
         assert record.query == 1  # the heavy vertex is the median
         assert record.answer.kind == "neighbor"
-        assert record.compatible_size == 4  # direction discarded: everything but q
         # vertex 1 falls from 0.6 to 0.6 * 0.3 = 0.18 of a total of 0.46
         # and is no longer heavy; the target keeps 0.7 of its 0.1
         (_, _, total0, heavy0), (rest, _, total, heavy) = t.weight_log

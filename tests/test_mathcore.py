@@ -1,6 +1,7 @@
 """Closed-form quantities: frozen oracle values, minimality, residuals."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -97,9 +98,24 @@ class TestNoiseParams:
         with pytest.raises(DomainError, match=rf"p = {p} is too close to .*{held}"):
             NoiseParams.from_p(p)
 
-    def test_rejects_inconsistent_fields(self):
-        with pytest.raises(DomainError):
-            NoiseParams(p=0.3, epsilon=0.1, gamma=7 / 3, info_rate=I_POINT3)
+    def test_constants_are_derived_from_p_alone(self):
+        sweep = [1e-12, 1e-6, 0.01, 0.1, 0.25, 0.3, 0.4, 0.49, 0.5 - 1e-9]
+        sweep += np.random.default_rng(3).uniform(1e-6, 0.5 - 1e-6, size=200).tolist()
+        for p in sweep:
+            noise = NoiseParams(p)
+            assert noise.epsilon == 0.5 - p
+            assert noise.gamma == (1.0 - p) / p
+            assert noise.info_rate == info_rate(p)
+            # equal and equally hashed: it keys linear_search._epoch_table's cache
+            assert noise == NoiseParams.from_p(p)
+            assert hash(noise) == hash(NoiseParams.from_p(p))
+            # pool workers receive it pickled
+            back = pickle.loads(pickle.dumps(noise))
+            assert back == noise and (back.epsilon, back.gamma, back.info_rate) == (
+                noise.epsilon, noise.gamma, noise.info_rate
+            )
+        with pytest.raises(TypeError):
+            NoiseParams(p=0.3, epsilon=0.2)
 
 
 class TestDistribution:

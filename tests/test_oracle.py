@@ -119,6 +119,25 @@ class TestGraphAnswer:
         seen = {oracle.answer(0).vertex for _ in range(50)}
         assert seen == {1}
 
+    @pytest.mark.parametrize("lie_choice", ["uniform-wrong", "adversarial-heaviest"])
+    def test_weights_are_built_only_for_an_adversarial_lie(self, lie_choice):
+        g = generate_graph("random-tree", 40, np.random.default_rng(7))
+        d = all_pairs_distances(g)
+        policy = NoisePolicy(p=0.3, lie_choice=lie_choice)
+        coin = np.random.default_rng(8).random
+        built = []
+
+        def weights():
+            built.append(None)
+            return np.full(g.n, 1.0 / g.n)
+
+        lies = 0
+        for q in range(g.n):
+            reply, truth = oracle_module.graph_reply(q, 5, g, d, policy, coin, weights)
+            lies += reply != truth
+        assert lies > 0
+        assert len(built) == (lies if lie_choice == "adversarial-heaviest" else 0)
+
 
 def _masked_heaviest_lie(q, truthful, g, d, policy, rng, relative):
     """Reference adversarial-heaviest lie: every wrong neighbour's reply mass

@@ -13,6 +13,13 @@ were taken with numpy 2.4.6 on x86-64; another numpy may draw or
 round differently, so a mismatch there first means: recompute on the
 older code with that numpy.
 
+The recorded configs (RECORDED_CONFIGS) cover the other generators and the
+adversarial lie on trees: each trial keeps its QueryRecords, and the digest
+hashes the trial line above and then, record by record, (step, query, answer
+kind, answer vertex, is_lie). Their digests were computed on the engine that
+still gathered every light tree row into vertex order before its reply and
+kept a compatible-set size in each record.
+
 The comparison configs run linear_search's run_* entry points one trial at
 a time and hash, trial by trial, (declared, query count, flagged, phase-one
 queries, verify queries, marked pivots, completed epochs) and the epoch_log
@@ -31,7 +38,16 @@ import numpy as np
 import pytest
 
 from noisysearch import linear_search
-from noisysearch.graph import all_pairs_distances, grid_graph, path_graph, random_tree
+from noisysearch.graph import (
+    all_pairs_distances,
+    cycle_graph,
+    gnm_edges,
+    gnm_graph,
+    grid_graph,
+    path_graph,
+    random_tree,
+    star_graph,
+)
 from noisysearch.graph_search import adversarial_plan, lv_adversarial_plan, search
 from noisysearch.mathcore import NoiseParams
 from noisysearch.harness import dyadic_distribution, geometric_distribution
@@ -78,6 +94,39 @@ DIGESTS = {
         "24695dad36445956da3be4ab6deba325d0e610f495a79d3259814dd904f476c6",
 }
 
+HEAVIEST_LIE = {"truthful_tiebreak": "random", "lie_choice": "adversarial-heaviest"}
+
+# as CONFIGS, for runs that record every query
+RECORDED_CONFIGS = {
+    "cycle-fixed": (lambda rng: cycle_graph(60), "fixed", 0.3, 0.1, {}, 24),
+    "gnm-stopping": (lambda rng: gnm_graph(80, gnm_edges(80), rng), "stopping", 0.25, 0.2, {}, 24),
+    "star-fixed-random-tiebreak-heaviest-lie": (
+        lambda rng: star_graph(50), "fixed", 0.3, 0.1, HEAVIEST_LIE, 24,
+    ),
+    "random-tree-stopping-random-tiebreak-heaviest-lie": (
+        lambda rng: random_tree(300, rng), "stopping", 0.3, 0.2, HEAVIEST_LIE, 24,
+    ),
+}
+
+RECORDED_DIGESTS = {
+    ("cycle-fixed", 1):
+        "a98ef8e426ef680c8623e3e66ce7de5dac7bbb09f113f0effa65b690ac4f4442",
+    ("cycle-fixed", 2):
+        "391b856c82307bd9e37fbc73fcea3d49286d3188ceeca908b1387d5b9006b74d",
+    ("gnm-stopping", 1):
+        "ee6d0fa6b33c59284c333a70d18d45dce6e97167f8fe1a091f665d3e12a4f0e0",
+    ("gnm-stopping", 2):
+        "ead97dc801678a1944ca8081605b979088d83d705fbc1413eda4b885778afbdf",
+    ("star-fixed-random-tiebreak-heaviest-lie", 1):
+        "5277371333ab0ea7857e465f47485acecc98affc8757696c6c93b11eb0b55d8a",
+    ("star-fixed-random-tiebreak-heaviest-lie", 2):
+        "3bd305aff0a03d0167fb2b9389996f7418d0a63824fc35ef32e21d2114fcdc75",
+    ("random-tree-stopping-random-tiebreak-heaviest-lie", 1):
+        "a3eba9445a59c0c8043e7252a1b8a8dcc8d5d526e80fa32628da3dfbe294fe93",
+    ("random-tree-stopping-random-tiebreak-heaviest-lie", 2):
+        "26d0dd069814a61c6898d1a58a7f972e3e27a5c67c5be4b17dcdb94bd18ed7e2",
+}
+
 # name: (variant, n, p, delta, prior of lv-distr, trials)
 COMPARISON_CONFIGS = {
     "bin-adversarial": ("adversarial", 300, 0.3, 0.1, None, 64),
@@ -106,8 +155,9 @@ COMPARISON_DIGESTS = {
 }
 
 
-def trial_digest(name: str, seed: int) -> str:
-    build, kind, p, delta, policy_fields, trials = CONFIGS[name]
+def trial_digest(name: str, seed: int, configs=CONFIGS) -> str:
+    build, kind, p, delta, policy_fields, trials = configs[name]
+    record = configs is RECORDED_CONFIGS
     rng = np.random.default_rng([seed, 0])
     g = build(rng)
     d = all_pairs_distances(g)
@@ -122,17 +172,25 @@ def trial_digest(name: str, seed: int) -> str:
         GraphOracle(g, d, t, policy, np.random.default_rng([seed, 1, i]))
         for i, t in enumerate(targets)
     ]
-    out = search(g, noise, plan, oracles)
+    out = search(g, noise, plan, oracles, [record] * trials)
     digest = hashlib.sha256()
     for tr in out:
         line = (tr.declared, tr.query_count, tr.flagged, float(tr.final_target_log2).hex())
         digest.update(repr(line).encode())
+        for r in tr.queries or ():
+            a = r.answer
+            digest.update(repr((r.step, r.query, a.kind, a.vertex, a.is_lie)).encode())
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("name, seed", sorted(DIGESTS))
 def test_per_trial_results_match_their_digest(name, seed):
     assert trial_digest(name, seed) == DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("name, seed", sorted(RECORDED_DIGESTS))
+def test_recorded_queries_match_their_digest(name, seed):
+    assert trial_digest(name, seed, RECORDED_CONFIGS) == RECORDED_DIGESTS[name, seed]
 
 
 def comparison_digest(name: str, seed: int) -> str:

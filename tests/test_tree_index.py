@@ -214,7 +214,7 @@ class TestNoRowsOnTrees:
         stats = run_experiment(
             ExperimentConfig(
                 scenario=scenario, n=48, gen=gen, p=0.3, delta=0.2, trials=12, seed=5,
-                lie_choice="adversarial-heaviest", truthful_tiebreak="random",
+                lie_choice="adversarial-heaviest",
                 keep_transcripts=True,
             )
         )

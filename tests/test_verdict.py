@@ -34,7 +34,7 @@ def outcomes(queries, misses=0, flagged_hits=0, flagged_misses=0):
     kinds += [(False, True)] * flagged_misses
     kinds += [(True, False)] * (len(queries) - len(kinds))
     return [
-        TrialOutcome(hit, q, flag, -1, -1, -1, -1, None) for (hit, flag), q in zip(kinds, queries)
+        TrialOutcome(hit, q, flag, -1, -1, -1, None) for (hit, flag), q in zip(kinds, queries)
     ]
 
 
