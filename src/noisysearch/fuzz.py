@@ -184,7 +184,7 @@ def fuzz_binary_invariants(transcripts: int = 1000, seed: int = 0) -> dict:
         budget = min(worst_case_budget_linear(n, noise, 0.2).q, BINARY_MAX_STEPS)
 
         state = linear_search.TreePosterior.uniform(n)
-        epoch = linear_search.EpochState.fresh(n)
+        epoch = linear_search.EpochState.fresh()
         steps = 0
         while steps < budget and len(epoch.marked) < n:
             state, epoch, status, run = linear_search.run_epoch(

@@ -679,9 +679,12 @@ def _transcript_dict(t) -> dict:
 def emit(results, fmt: str, path, keep_transcripts: bool = False) -> None:
     """Write summary rows as CSV (fixed 15-column schema) or JSON.
 
-    The JSON document mirrors the CSV schema under "results" and adds a
-    "transcript_sample" array when transcripts were kept. Output is
-    deterministic: floats are emitted with repr round-tripping.
+    The JSON document mirrors the CSV schema under "results", puts each
+    row's extras (a sweep's target, the fuzzer counts of verify-invariants,
+    the phase counts of a comparison search) in "extras", a list parallel
+    to "results", and adds a "transcript_sample" array when transcripts
+    were kept. Output is deterministic: floats are emitted with repr
+    round-tripping.
     """
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be csv or json, got {fmt!r}")
@@ -694,7 +697,7 @@ def emit(results, fmt: str, path, keep_transcripts: bool = False) -> None:
             writer.writerow([_csv_cell(row[c]) for c in CSV_COLUMNS])
         payload = buf.getvalue()
     else:
-        doc: dict = {"results": rows}
+        doc: dict = {"results": rows, "extras": [r.extras for r in results]}
         if keep_transcripts:
             doc["transcript_sample"] = [
                 _transcript_dict(t) for r in results for t in r.transcript_sample

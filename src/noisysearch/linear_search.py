@@ -89,9 +89,8 @@ class EpochState:
     coupled_log2: float = 0.0
 
     @classmethod
-    def fresh(cls, n: int) -> "EpochState":
-        """The state before the first epoch of a search over n elements
-        (nothing in it depends on n)."""
+    def fresh(cls) -> "EpochState":
+        """The state before the first epoch of a search."""
         return cls(marked=[])
 
 
@@ -117,17 +116,25 @@ class TreePosterior:
     unions of O(log n) subtrees, so one leaf-to-root pass applies an answer,
     and the median is one root-to-leaf descent.
 
-    The tree has a power-of-two number of leaves; leaf i (node size + i)
-    holds element i and padding leaves weigh 0. Three flat buffers hold it:
-    s[v] is the mass under node v, g[v] the part of it that is not on a
-    queried pivot, and t[v] one multiplicative tag per internal node. A
-    node's true sums are its stored sums times the tags of its strict
-    ancestors, and s[v] = t[v] * (s[2v] + s[2v+1]), likewise g; scaling a
-    subtree scales its root's s, g and t. Element i weighs its true leaf sum
-    times 2**log2_scale in absolute terms. median, update, share and
-    marked_share cost O(log n) scalar steps with no numpy call;
-    log2_gap_mass reads the root; dense, .relative and log2_total, and the
-    renormalisation that bounds the tags, are dense O(n).
+    The tree has a power-of-two number of leaves, at least two; leaf i (node
+    size + i) holds element i and padding leaves weigh 0. Three flat
+    buffers hold it: s[v] is the mass under node v, g[v] the part of it
+    that is not on a queried pivot, and t[v] one multiplicative tag per
+    internal node. A node's true sums are its stored sums times the tags of
+    its strict ancestors, and s[v] = t[v] * (s[2v] + s[2v+1]), likewise g;
+    scaling a subtree scales its root's s, g and t. Element i weighs its
+    true leaf sum times 2**log2_scale in absolute terms.
+
+    The leaves and the tags define the posterior; the interior sums only
+    serve the readers. Phase one without a stop rule (_run_epochs) reads
+    only g, so it climbs g and the tags and leaves the interior of s stale;
+    median(True), share and marked_share rebuild it in one dense pass
+    before they read it. Verification (verify_candidates) reads only s and
+    climbs nothing else. median, update, share and marked_share cost
+    O(log n) scalar steps with no numpy call and are the per-call reference
+    of those two loops; log2_gap_mass reads the root; dense, .relative and
+    log2_total, and the renormalisation that bounds the tags, are dense
+    O(n) and read only the leaves and the tags.
 
     central_element and comparison_update compute the same posterior densely
     and serve as its reference.
@@ -147,7 +154,8 @@ class TreePosterior:
                 "a comparison posterior needs finite, strictly positive prior weights"
             )
         self.n = n = int(prior.size)
-        self._size = size = 1 << (n - 1).bit_length()
+        # two leaves at least, so every leaf has a sibling and a parent
+        self._size = size = max(2, 1 << (n - 1).bit_length())
         self._s = array("d", [0.0]) * (2 * size)
         self._g = array("d", [0.0]) * (2 * size)
         self._t = array("d", [1.0]) * size
@@ -174,12 +182,26 @@ class TreePosterior:
         s[size : size + n] = leaves
         g[size : size + n] = leaves
         g[size : size + n][np.frombuffer(self._queried, dtype=bool)] = 0.0
-        lo = size // 2
-        while lo:
-            np.add(s[2 * lo : 4 * lo : 2], s[2 * lo + 1 : 4 * lo : 2], out=s[lo : 2 * lo])
-            np.add(g[2 * lo : 4 * lo : 2], g[2 * lo + 1 : 4 * lo : 2], out=g[lo : 2 * lo])
-            lo //= 2
         np.frombuffer(self._t)[:] = 1.0
+        self._sum_levels(s)
+        self._sum_levels(g)
+        self._stale = False
+
+    def _sum_levels(self, a: np.ndarray) -> None:
+        """a[v] = t[v] * (a[2v] + a[2v+1]) for every internal node, bottom up."""
+        t = np.frombuffer(self._t)
+        lo = self._size // 2
+        while lo:
+            level = a[lo : 2 * lo]
+            np.add(a[2 * lo : 4 * lo : 2], a[2 * lo + 1 : 4 * lo : 2], out=level)
+            level *= t[lo : 2 * lo]
+            lo //= 2
+
+    def _fresh_s(self) -> None:
+        """Rebuild the interior of s if phase one left it stale."""
+        if self._stale:
+            self._sum_levels(np.frombuffer(self._s))
+            self._stale = False
 
     def _leaf_weights(self) -> np.ndarray:
         """True leaf weights of the n elements: each leaf times its tags,
@@ -194,7 +216,7 @@ class TreePosterior:
         return (np.frombuffer(self._s)[size:] * factor)[: self.n]
 
     def _true(self, v: int) -> float:
-        """True mass of node v: its stored s times its ancestors' tags."""
+        """True mass of leaf v: its stored s times its ancestors' tags."""
         t = self._t
         w = self._s[v]
         v >>= 1
@@ -211,6 +233,8 @@ class TreePosterior:
         result equals central_element with the pivots as the marked set. With
         pivots every element counts (s), as in verification.
         """
+        if with_pivots:
+            self._fresh_s()
         a = self._s if with_pivots else self._g
         total = a[1]
         if total <= 0.0:
@@ -309,6 +333,7 @@ class TreePosterior:
 
     def share(self, element: int) -> float:
         """Share of the total mass on one element."""
+        self._fresh_s()
         return self._true(self._size + element) / self._s[1]
 
     def marked_share(self, unmarked: int | None = None) -> float:
@@ -317,6 +342,7 @@ class TreePosterior:
         `unmarked` is the pivot of a running epoch: queried, so it counts as
         a pivot in the tree, but not yet marked.
         """
+        self._fresh_s()
         total = self._s[1]
         marked = total - self._g[1]
         if unmarked is not None and self._queried[unmarked]:
@@ -463,30 +489,70 @@ def _run_epochs(
     it fires the running pivot stays unmarked. Every epoch that
     ends, by its schedule or at max_total, marks its pivot, folds its answer
     counts into the coupled bound and appends (step, coupled bound log2,
-    unmarked mass log2) to boundary_log. The epoch table is fetched once
-    and the counters live in locals.
+    unmarked mass log2) to boundary_log.
+
+    One loop over the TreePosterior buffers does the work of median(False),
+    update and marked_share with the same arithmetic node for node, so its
+    transcripts are theirs bit for bit; the scale, the headroom and the
+    counters live in locals until it returns, and only .relative, which
+    reads the leaves and the tags, is valid for the oracle while it runs.
+    The median reads g, and only the stop rule reads s, through the root
+    and the running pivot's leaf. So with a stop rule an answer climbs s, g
+    and the tags, with the pivot's true mass taken on the way up; without
+    one it climbs g and the tags, scales s at the leaves only and leaves
+    the interior of s stale for a later reader to rebuild.
 
     state and epoch are updated in place. Returns (queries run, epochs
     completed to their scheduled length, stopped by the rule).
     """
     table = _epoch_table(noise)
-    coupled_log2 = table.coupled_log2
-    median, update, marked_share = state.median, state.update, state.marked_share
-    gap_mass = state.log2_gap_mass
+    coupled, coupled_log2 = table.coupled, table.coupled_log2
     answer = oracle.answer
     marked = epoch.marked
+    s, g, t, size, queried = state._s, state._g, state._t, state._size, state._queried
+    gamma, grow = noise.gamma, 0.5 / noise.p
+    log2_p, log2_gamma = math.log2(noise.p), math.log2(gamma)
+    log2_scale, headroom = state.log2_scale, state._headroom
+    stop = stop_share is not None
+    if stop:
+        state._fresh_s()
+    else:
+        state._stale = True
     # an epoch marks one new pivot, so at most n - |marked| more can run
     epochs_left = min(max_epochs, state.n - len(marked))
     index, bound = epoch.epoch_index, epoch.coupled_log2
     steps = completed = scheduled = 0
     stopped = False
     while steps < max_total and epochs_left > 0:
-        if stop_share is not None and marked_share() >= stop_share:
-            stopped = True
-            break
-        # every queried pivot is marked when an epoch starts, so the
-        # unmarked mass is the mass off the pivots
-        pivot = median(False)
+        if stop:
+            total = s[1]
+            if (total - g[1]) / total >= stop_share:
+                stopped = True
+                break
+        # the median of the mass off the pivots, as median(False): every
+        # queried pivot is marked when an epoch starts, so that is the
+        # unmarked mass
+        total = g[1]
+        half = (0.5 + CENTRAL_TOL) * total
+        reach = total - half
+        v, before, f = 1, 0.0, 1.0
+        while v < size:
+            f *= t[v]
+            v *= 2
+            left = g[v] * f
+            if before + left < reach:
+                before += left
+                v += 1
+        if total > 0.0 and g[v] > 0.0 and before <= half:
+            pivot = v - size
+        else:
+            # an empty leaf or an inconsistent split: the reference's guard
+            # steps off it or raises
+            pivot = state.median(False)
+        leaf = size + pivot
+        queried[pivot] = 1
+        state.k += 1
+        g[leaf] = 0.0
         if scheduled != 1:
             # the schedule never lengthens: after an epoch of length 1
             # every epoch has length 1
@@ -495,23 +561,84 @@ def _run_epochs(
         less = 0
         for run in range(1, budget + 1):
             kind = answer(pivot, state).kind
-            update(pivot, kind, noise)
             if kind == "less":
                 less += 1
-            if stop_share is not None and marked_share(pivot) >= stop_share:
-                stopped = True
-                break
+                side = 1  # scale a sibling that is a left child, i.e. when v is odd
+            elif kind == "greater":
+                side = 0
+            else:
+                raise ProtocolError(f"comparison reply must be less/greater, got {kind!r}")
+            # update(pivot, kind): scale the pivot's leaf and every sibling
+            # on the answered side, then resum the path; a leaf sibling has
+            # no tag, and the pivot's g is 0
+            v = leaf
+            sv = s[v] = s[v] * grow
+            w = v ^ 1
+            if v & 1 == side:
+                sw = s[w] = s[w] * gamma
+                gw = g[w] = g[w] * gamma
+            else:
+                sw, gw = s[w], g[w]
+            v >>= 1
+            tv = t[v]
+            gv = g[v] = tv * gw
+            if stop:
+                mass = sv * tv
+                sv = s[v] = tv * (sv + sw)
+                while v > 1:
+                    w = v ^ 1
+                    if v & 1 == side:
+                        sw = s[w] = s[w] * gamma
+                        gw = g[w] = g[w] * gamma
+                        t[w] *= gamma
+                    else:
+                        sw, gw = s[w], g[w]
+                    v >>= 1
+                    tv = t[v]
+                    mass *= tv
+                    sv = s[v] = tv * (sv + sw)
+                    gv = g[v] = tv * (gv + gw)
+            else:
+                while v > 1:
+                    w = v ^ 1
+                    if v & 1 == side:
+                        gw = g[w] = g[w] * gamma
+                        t[w] *= gamma
+                    else:
+                        gw = g[w]
+                    v >>= 1
+                    gv = g[v] = t[v] * (gv + gw)
+            log2_scale += log2_p
+            headroom -= log2_gamma
+            if headroom < 0.0:
+                state.log2_scale = log2_scale
+                state._renormalise()
+                log2_scale, headroom = state.log2_scale, state._headroom
+                if stop:
+                    mass = state._true(leaf)
+                else:
+                    state._stale = True
+            if stop:
+                total = s[1]
+                if (total - g[1] - mass) / total >= stop_share:
+                    stopped = True
+                    break
         if stopped:
             steps += run
             break
         steps += budget
-        bound += coupled_log2(less, budget - less)
+        c = coupled.get((less, budget - less))
+        bound += coupled_log2(less, budget - less) if c is None else c
         marked.append(pivot)
         index += 1
         completed += budget == scheduled
         epochs_left -= 1
         if boundary_log is not None:
-            boundary_log.append((steps, bound, gap_mass()))
+            rest = g[1]
+            boundary_log.append(
+                (steps, bound, math.log2(rest) + log2_scale if rest > 0.0 else -math.inf)
+            )
+    state.log2_scale, state._headroom = log2_scale, headroom
     epoch.epoch_index, epoch.coupled_log2 = index, bound
     return steps, completed, stopped
 
@@ -568,6 +695,14 @@ def verify_candidates(
     stay informative about candidates even when the true target fell
     outside the pool. At its cap (_verify_cap) it returns the heaviest
     candidate; search flags such a trial.
+
+    One loop over the TreePosterior buffers does the work of median(True),
+    share and update with the same arithmetic node for node, except that
+    the median candidate's mass comes from the descent that found it (its
+    leaf times the product of the tags on the way down) rather than from a
+    second walk up. Verification reads only s, so an answer climbs s and
+    the tags; the local tree's g, pivot set and log2_scale are left as
+    built and never read.
     """
     members = candidates.members
     if len(members) == 0:
@@ -577,14 +712,60 @@ def verify_candidates(
     check_delta(delta)
     m = len(members)
     post = TreePosterior.uniform(m)
-    median, share, update, answer = post.median, post.share, post.update, oracle.answer
+    s, t, size = post._s, post._t, post._size
+    answer = oracle.answer
+    gamma, grow, log2_gamma = noise.gamma, 0.5 / noise.p, math.log2(noise.gamma)
+    headroom = post._headroom
     threshold = 1.0 - delta - STOP_SLACK
     for _ in range(_verify_cap(m, noise, delta)):
         # a candidate holding 1 - delta > 1/2 of the mass is the median
-        k = median(True)
-        if share(k) >= threshold:
+        total = s[1]
+        half = (0.5 + CENTRAL_TOL) * total
+        reach = total - half
+        v, before, f = 1, 0.0, 1.0
+        while v < size:
+            f *= t[v]
+            v *= 2
+            left = s[v] * f
+            if before + left < reach:
+                before += left
+                v += 1
+        if total > 0.0 and s[v] > 0.0 and before <= half:
+            mass = s[v] * f
+        else:
+            v = size + post.median(True)
+            mass = post._true(v)
+        k = v - size
+        if mass / total >= threshold:
             return int(members[k])
-        update(k, answer(members[k]).kind, noise)
+        kind = answer(members[k]).kind
+        if kind == "less":
+            side = 1
+        elif kind == "greater":
+            side = 0
+        else:
+            raise ProtocolError(f"comparison reply must be less/greater, got {kind!r}")
+        sv = s[v] = s[v] * grow
+        w = v ^ 1
+        if v & 1 == side:
+            sw = s[w] = s[w] * gamma
+        else:
+            sw = s[w]
+        v >>= 1
+        sv = s[v] = t[v] * (sv + sw)
+        while v > 1:
+            w = v ^ 1
+            if v & 1 == side:
+                sw = s[w] = s[w] * gamma
+                t[w] *= gamma
+            else:
+                sw = s[w]
+            v >>= 1
+            sv = s[v] = t[v] * (sv + sw)
+        headroom -= log2_gamma
+        if headroom < 0.0:
+            post._renormalise()
+            headroom = post._headroom
     return int(members[int(np.argmax(post.relative))])
 
 
@@ -672,7 +853,7 @@ def search(plan: ComparisonPlan, noise: NoiseParams, oracle: LinearOracle) -> Se
     verification spent its whole cap.
     """
     state = TreePosterior(plan.prior)
-    epoch = EpochState.fresh(state.n)
+    epoch = EpochState.fresh()
     epoch_log = [(0, 0.0, state.log2_gap_mass())]
     stop = plan.stop_share
     steps, completed, stopped = _run_epochs(

@@ -53,6 +53,33 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
 
+    def test_sweep_json_names_every_target_in_strict_json(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        code = run_cli(
+            "bin-lv-adv", "--n", "6", "--p", "0.25", "--delta", "0.2",
+            "--trials", "25", "--seed", "5", "--sweep",
+            "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert len(doc["results"]) == len(doc["extras"]) == 6
+        assert [e["target"] for e in doc["extras"]] == list(range(6))
+        assert all("max_phase_one" in e for e in doc["extras"])
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
+    def test_invariant_json_keeps_the_fuzzer_counts(self, tmp_path):
+        out = tmp_path / "inv.json"
+        code = run_cli(
+            "verify-invariants", "--n", "16", "--p", "0.3", "--delta", "0.2",
+            "--trials", "5", "--seed", "2", "--out", str(out), "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        (extras,) = doc["extras"]
+        assert extras["transcripts"] == 5 and extras["boundaries"] > 0
+        assert extras["coupled_violations"] == extras["drop_violations"] == 0
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+
     def test_gnm_runs_at_a_thousand_vertices(self, tmp_path):
         # 16 error-free trials are the fewest whose Wilson upper limit is
         # below delta = 0.2, so the exit status of one trial is not checked

@@ -53,7 +53,7 @@ def _log2_unmarked(state, marked_mask):
 
 def dense_epoch_phase(state, noise, oracle, max_total, stop_rule=None):
     n = state.n
-    epoch = EpochState.fresh(n)
+    epoch = EpochState.fresh()
     marked_mask = np.zeros(n, dtype=bool)
     log = [(0, 0.0, _log2_unmarked(state, marked_mask))]
     steps = completed = 0

@@ -110,7 +110,7 @@ class TestRunEpoch:
         # right by 0.25, pivot by 0.5; the coupled factor is exactly 1/2
         noise = NoiseParams.from_p(0.25)
         st = TreePosterior.uniform(4)
-        epoch = EpochState.fresh(4)
+        epoch = EpochState.fresh()
 
         class FixedOracle:
             target = -1
@@ -143,7 +143,7 @@ class TestRunEpoch:
     def test_truncation_marks_pivot(self):
         noise = NoiseParams.from_p(0.4)  # epsilon 0.1: first epoch has length 7
         st = TreePosterior.uniform(8)
-        epoch = EpochState.fresh(8)
+        epoch = EpochState.fresh()
         oracle = LinearOracle(8, 5, NoisePolicy(p=0.4), np.random.default_rng(31))
         st, epoch, status, run = run_epoch(st, epoch, noise, oracle, max_queries=3)
         assert status == "truncated" and run == 3
