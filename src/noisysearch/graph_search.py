@@ -51,6 +51,7 @@ from .mathcore import (
     worst_case_budget_graph,
 )
 from .oracle import (
+    NEIGHBOR,
     Answer,
     GraphOracle,
     _truthful_reply,
@@ -79,10 +80,16 @@ __all__ = [
     "rescaled_confidence",
 ]
 
-# Bytes of one chunk's weight matrix (rows x n float64). The engine updates
-# it in place, so it and the median's temporaries for the rows without a
-# heavy vertex are the memory a chunk adds; 256 KiB is 32 rows at n = 1024.
-CHUNK_BYTES = 256 << 10
+# Bytes of one chunk's weight matrix (rows x n float64): 1 MiB is 128 rows
+# at n = 1024 and 64 at n = 2048. search allocates the matrix once and
+# updates it in place, so it, a tree median's prefix sums and the rows that
+# thaw in one pass are the matrices a chunk adds. A light pass costs a fixed
+# part, the numpy calls of its median and update, plus a part per row: on a
+# 32x32 grid at p = 0.3 about 81 us plus 11.6 us a row (least squares over
+# the passes of 400 trials on a shared 2-core machine). Those 400 trials
+# take 677 passes of 17.5 rows on average at 256 KiB and 238 passes of 49.9
+# rows at 1 MiB.
+CHUNK_BYTES = 1 << 20
 
 
 # A trial whose top share is above this is carried as two numbers (see
@@ -223,7 +230,10 @@ def search(
     sums add up in column order.
 
     Light rows: a trial whose top share is HEAVY_SHARE or below is a row
-    of one (light rows x n) weight matrix with a per-trial log2 total. A
+    of one weight matrix with a per-trial log2 total. The matrix is
+    allocated once, k rows by n, and its first m rows are the light ones,
+    updated in place: a row that leaves closes its gap as the later rows
+    move down, in order, and a row that thaws is written after them. A
     step takes one median per row (grid_medians on grid layouts, from
     each row's two cost lines; TreeIndex.medians, with no gather, on
     trees) and one multiply, row sum and divide for all rows; a
@@ -244,6 +254,13 @@ def search(
     HEAVY_SHARE or below; then the frozen row, scaled to the new rest and
     with h set, rejoins the matrix at its own step count. Only a heavy
     trial can stop, since every stop threshold is above HEAVY_SHARE.
+    When h is the target the truth there is yes, and a lie is a neighbour
+    that the update reads only as "not h". An unrecorded trial does not
+    name it: it skips heavy_lie and spends the uniforms that heavy_lie
+    would, one for a uniform-wrong lie's index and none for an
+    adversarial-heaviest one (which heavy_lie leaves unnamed without
+    weights). So the trial draws the coins of graph_reply, in its order,
+    and hears what a recorded run of it hears.
 
     Draw order: each trial hears its own oracle, which takes its uniforms
     in blocks from its own rng and spends them in the order of
@@ -274,9 +291,10 @@ def search(
     def run_heavy(r: int, row: np.ndarray, col: int) -> np.ndarray | None:
         """Run trial r, whose row holds the vertex h in column col above
         HEAVY_SHARE, step by step at h: snapshot, cap and stop checks, reply,
-        two-number update, log2 total. Returns its rebuilt dense row once
-        h's share falls to HEAVY_SHARE or below, None once the trial has
-        ended."""
+        two-number update, log2 total; a lie at a yes truth goes unnamed
+        when the trial is not recorded (see above). Returns its rebuilt
+        dense row once h's share falls to HEAVY_SHARE or below, None once
+        the trial has ended."""
         o, rec, wlog, tcol = oracles[r], records[r], wlogs[r], target_cols[r]
         target, coin = o.target, o.coin
         h = col if order is None else int(order[col])
@@ -287,6 +305,8 @@ def search(
         rest = rest0 = float(frozen.sum())
         choices = truthful_choices(h, target, g, d, policy)
         truthful = choices[0] if len(choices) == 1 else None
+        # a lie at a yes truth is a neighbour, read only as "not h"
+        unnamed = rec is None and truthful == h and bool(g.adjacency[h])
         step, log2_total = steps[r], log2_totals[r]
         while True:
             if wlog is not None:
@@ -312,10 +332,15 @@ def search(
                 truth = _truthful_reply(h, target, g, d, policy, coin)
             reply = truth
             if coin() < lie_p:
-                build = None
-                if rec is not None:
-                    build = functools.partial(_heavy_row, frozen, rest0, rest, col, order)
-                reply = heavy_lie(h, truth, g, d, policy, coin, build)
+                if unnamed:
+                    if not lie_weights:
+                        coin()
+                    reply = NEIGHBOR
+                else:
+                    build = None
+                    if rec is not None:
+                        build = functools.partial(_heavy_row, frozen, rest0, rest, col, order)
+                    reply = heavy_lie(h, truth, g, d, policy, coin, build)
             # as heavy_filter and bayesian_update would: a yes keeps {h} and
             # a no all but h; kept mass scales by 1-p and the rest by p
             if reply == h:
@@ -336,17 +361,23 @@ def search(
     if grid:
         yes_factor, no_factor = (0, p, p, 0, 1.0, 1.0), (0, keep, keep, 0, 1.0, 1.0)
 
-    # the light trials, in the order of their rows in weights
+    # the light trials, in the order of their rows in buf[:m]; buf is the
+    # chunk's one C-contiguous matrix, updated in place, and flat its cells
+    # in one line
     prior = plan.prior if order is None else plan.prior[order]
-    weights, light = np.tile(prior, (k, 1)), list(range(k))
+    n = len(prior)
+    flat = np.tile(prior, k)
+    buf, m, light = flat.reshape(k, n), k, list(range(k))
     while True:
-        # every row of weights has just folded in a reply (or is a prior):
-        # it leaves for a heavy run, ends at its cap, or steps on
+        # every live row has just folded in a reply (or is a prior): it
+        # leaves for a heavy run, ends at its cap, or steps on
+        weights = buf[:m]
         tops = weights.argmax(axis=1)
-        heavy = (weights[np.arange(len(light)), tops] > HEAVY_SHARE).tolist()
-        kept, thawed = [], []
+        heavy = (weights[np.arange(m), tops] > HEAVY_SHARE).tolist()
+        gone, stay, thawed = [], [], []
         for i, r in enumerate(light):
             if heavy[i]:
+                gone.append(i)
                 row = run_heavy(r, weights[i], int(tops[i]))
                 if row is not None:
                     thawed.append((r, row))
@@ -354,21 +385,25 @@ def search(
             if track_weights:
                 wlogs[r].append(_snapshot(weights[i], log2_totals[r], target_cols[r], order))
             if steps[r] == cap:
+                gone.append(i)
                 oracles[r].queries_answered += cap
                 out[r] = _transcript(
                     _in_vertex_order(weights[i], order), log2_totals[r], oracles[r].target,
                     cap, records[r], wlogs[r], flagged=stop is not None,
                 )
             else:
-                kept.append(i)
-        if len(kept) < len(light):
-            weights, light, tops = weights[kept], [light[i] for i in kept], tops[kept]
-        if thawed:
-            rebuilt = np.stack([row for _, row in thawed])
-            weights = np.concatenate([weights, rebuilt])
-            tops = np.concatenate([tops, rebuilt.argmax(axis=1)])
-            light = light + [r for r, _ in thawed]
-        if not light:
+                stay.append(r)
+        # the rows between two gaps move down past the gaps before them, in
+        # one copy over flat each, which numpy does as a memmove with no
+        # temporary; the thawed rows follow them
+        for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
+            flat[(i + 1 - shift) * n : (end - shift) * n] = flat[(i + 1) * n : end * n]
+        m, light = len(stay), stay
+        for r, row in thawed:
+            buf[m] = row
+            m += 1
+            light.append(r)
+        if not m:
             return out
 
         # Each light row asks its median and hears its own oracle, then
@@ -381,11 +416,10 @@ def search(
         # scaled on its own, and the chunk multiply passes it by with a
         # factor 1. On a grid every row instead records its factors along
         # the grid's rows and columns (grid_cut), and two broadcast
-        # multiplies scale the whole matrix. weights is this loop's own
-        # C-contiguous array (np.tile, a fancy-index copy or a
-        # concatenation). qs are the medians' columns; every row here is
-        # light.
-        rows = np.arange(len(light))
+        # multiplies scale the whole matrix. weights, the live rows of buf,
+        # is C-contiguous. qs are the medians' columns.
+        weights = buf[:m]
+        rows = np.arange(m)
         if tree is not None:
             qs = tree.medians(weights)
             vertices = order[qs].tolist()
@@ -393,7 +427,7 @@ def search(
             qs = grid_medians(g, weights)
             vertices = qs.tolist()
         else:
-            qs = weighted_medians(g, d, weights, tops)
+            qs = weighted_medians(g, d, weights, None if gone or thawed else tops)
             vertices = qs.tolist()
         at_q = weights[rows, qs]
         factors, at_q_mult = [], []

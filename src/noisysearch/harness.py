@@ -271,16 +271,19 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     index of a graph that may be a tree (under 320 bytes a vertex), the
     distance rows a graph that is neither a tree nor a grid caches (int32
     rows, n at most, up to ROW_CACHE_BYTES), three n-word copies of the
-    prior, and one chunk of the engine with a pass's temporaries (four
-    words a cell; one chunk of each generator at n = 512 reads under three
-    above the built graph)."""
+    prior, and one chunk of the engine: at most three words a cell (its
+    weight matrix, a tree median's prefix sums and the rows that thaw in
+    one pass; over the built graph a chunk read 1.9 words a cell on a grid
+    at n = 1024 and 2.7 on a random tree at n = 2048) plus 4 KiB a trial
+    for its oracle, rng, block of coins and transcript (at n = 64 a trial
+    added 3.8 to 4.8 kB, its cells included)."""
     n = config.n
     edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
     index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
     rows = min(4 * n * n, ROW_CACHE_BYTES)
     if config.gen in ("path", "star", "random-tree", "grid"):
         rows = 0
-    chunk = 32 * graph_search.chunk_rows(n) * n
+    chunk = graph_search.chunk_rows(n) * (24 * n + 4096)
     return 300 * n + 200 * edges + index + rows + 24 * n + chunk
 
 

@@ -98,8 +98,16 @@ def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[
         rq, cq = divmod(q, cols)
         rt, ct = divmod(target, cols)
         # up, left, right, down: increasing ids
-        steps = ((rt < rq, -cols), (ct < cq, -1), (ct > cq, 1), (rt > rq, cols))
-        return [q + step for closer, step in steps if closer]
+        closer = []
+        if rt < rq:
+            closer.append(q - cols)
+        if ct < cq:
+            closer.append(q - 1)
+        if ct > cq:
+            closer.append(q + 1)
+        if rt > rq:
+            closer.append(q + cols)
+        return closer
     if d.tree is not None:
         return [d.tree.toward(q, target)]
     to_target = d.row(target)

@@ -400,6 +400,43 @@ def test_every_row_of_a_chunk_equals_a_batch_of_one(graph, finals):
 
 
 @pytest.mark.parametrize("lie_choice", ["uniform-wrong", "adversarial-heaviest"])
+@pytest.mark.parametrize("tiebreak", ["smallest-id", "random"])
+@pytest.mark.parametrize("graph", ["grid", "random-tree"])
+def test_bare_heavy_runs_spend_the_coins_of_recorded_ones(graph, tiebreak, lie_choice, monkeypatch):
+    # A bare (unrecorded) trial leaves a heavy lie at a yes truth unnamed
+    # and spends the uniforms heavy_lie would have. Run each trial bare and
+    # recorded: both must end alike, bit for bit, with their oracles at the
+    # same next uniform, and the bare run must call heavy_lie only where
+    # the truth at the heavy vertex is not yes.
+    g = grid_graph(32, 32) if graph == "grid" else random_tree(300, np.random.default_rng(5))
+    noise = NoiseParams.from_p(0.3)
+    policy = NoisePolicy(p=0.3, truthful_tiebreak=tiebreak, lie_choice=lie_choice)
+    calls = []
+    real_lie = graph_search.heavy_lie
+
+    def counted(h, truthful, *args):
+        calls.append(truthful == h)
+        return real_lie(h, truthful, *args)
+
+    monkeypatch.setattr(graph_search, "heavy_lie", counted)
+    k = 8
+    for plan in (adversarial_plan(g.n, noise, 0.1), lv_adversarial_plan(g.n, noise, 0.2)):
+        runs = []
+        for record in (None, [True] * k):
+            calls.clear()
+            oracles = make_oracles(g, policy, 31, k)
+            runs.append((search(g, noise, plan, oracles, record), oracles, list(calls)))
+        (bare, bare_oracles, bare_calls), (recorded, recorded_oracles, recorded_calls) = runs
+        for t, o, t1, o1 in zip(bare, bare_oracles, recorded, recorded_oracles):
+            assert (t.declared, t.query_count) == (t1.declared, t1.query_count)
+            assert t.final_target_log2.hex() == t1.final_target_log2.hex()
+            assert o.coin() == o1.coin()
+        assert not any(bare_calls)
+        # the recorded run names lies at a yes truth, which the bare run skipped
+        assert any(recorded_calls)
+
+
+@pytest.mark.parametrize("lie_choice", ["uniform-wrong", "adversarial-heaviest"])
 def test_a_grid_chunk_of_recorded_and_bare_trials_with_thaws_equals_lone_runs(
     lie_choice, finals, monkeypatch
 ):

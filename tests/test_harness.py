@@ -192,6 +192,30 @@ class TestRunExperiment:
         monkeypatch.setattr(graph_search, "CHUNK_BYTES", 1)
         assert run_experiment(cfg) == chunked
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # the grid-fixed benchmark's config: a full and a partly full chunk,
+            # with rows that leave for heavy runs and thaw back
+            dict(scenario="graph-adversarial", n=1024, gen="grid", p=0.3, delta=0.1, trials=150),
+            # the tree-stop benchmark's config
+            dict(scenario="graph-lv-adv", n=2048, gen="random-tree", p=0.3, delta=0.2, trials=80),
+            dict(scenario="graph-adversarial", n=200, gen="gnm", trials=40),
+        ],
+    )
+    def test_default_chunks_write_the_output_of_one_trial_per_chunk(
+        self, tmp_path, monkeypatch, cfg
+    ):
+        outputs = []
+        for chunk_bytes in (graph_search.CHUNK_BYTES, 1):
+            monkeypatch.setattr(graph_search, "CHUNK_BYTES", chunk_bytes)
+            out = tmp_path / f"{chunk_bytes}.json"
+            run_experiment(
+                config(**cfg, workers=1, output=str(out), fmt="json", keep_transcripts=True)
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_large_random_tree_touches_few_rows(self, monkeypatch):
         held = []
 
