@@ -43,7 +43,7 @@ from .graph import (
     weighted_medians,
 )
 from .mathcore import (
-    CAP_MULTIPLIER,
+    Ceiling,
     Distribution,
     DomainError,
     NoiseParams,
@@ -149,11 +149,13 @@ class SearchPlan:
     max_steps       query budget (fixed-budget) or hard cap (stopping)
     stop_threshold  declare once a vertex holds this weight share, which
                     must be above HEAVY_SHARE; None spends the whole budget
+    ceiling         a stopping plan's expected length (None: fixed budget)
     """
 
     prior: np.ndarray
     max_steps: int
     stop_threshold: float | None
+    ceiling: Ceiling | None = None
 
     def __post_init__(self) -> None:
         # search checks the stop rule on heavy rows only
@@ -176,10 +178,10 @@ def adversarial_plan(
 def lv_distributional_plan(mu: Distribution, noise: NoiseParams, delta: float) -> SearchPlan:
     """Start at the prior, stop once a vertex holds 1-delta of the weight.
 
-    The expected length is (log2(1/mu(target)) + log2(1/delta) + 1) divided
-    by the information rate; the hard cap at CAP_MULTIPLIER times the
-    worst-target value of that bound converts pathological tails into
-    flagged failures instead of hangs.
+    The expected length is ceiling(log2(1/mu(target))), that is
+    (log2(1/mu(target)) + log2(1/delta) + 1) divided by the information
+    rate; the hard cap at CAP_MULTIPLIER times its worst-target value
+    converts pathological tails into flagged failures instead of hangs.
     """
     check_delta(delta)
     if not 1.0 - delta > HEAVY_SHARE:
@@ -188,13 +190,8 @@ def lv_distributional_plan(mu: Distribution, noise: NoiseParams, delta: float) -
             f"a stopping search needs 1 - delta above {HEAVY_SHARE}, got delta = {delta}"
         )
     prior = init_from_distribution(mu).relative
-    worst_bits = -math.log2(float(prior.min()))
-    cap = int(
-        math.ceil(
-            CAP_MULTIPLIER * (worst_bits + math.log2(1.0 / delta) + 1.0) / noise.info_rate
-        )
-    )
-    return SearchPlan(prior, cap, 1.0 - delta)
+    ceiling = Ceiling(delta, 1.0, noise.info_rate)
+    return SearchPlan(prior, ceiling.cap(-math.log2(float(prior.min()))), 1.0 - delta, ceiling)
 
 
 def lv_adversarial_plan(

@@ -52,7 +52,6 @@ __all__ = [
     "emit",
     "wilson_interval",
     "min_trials_for_bound",
-    "lv_linear_overhead",
     "dyadic_distribution",
     "geometric_distribution",
     "fuzz_graph_invariants",
@@ -189,19 +188,6 @@ def min_trials_for_bound(delta: float, z: float = Z95) -> int:
     return trials
 
 
-def lv_linear_overhead(n: int, delta: float, c_const: float) -> float:
-    """Additive query allowance of the stopping comparison search.
-
-    Frozen from constants before any run: 3 + log2(c_const) from the
-    coupled-process drop bound, plus log2(n) + log2(2/delta) + 1 covering
-    the candidate verification phase (the candidate pool can never exceed
-    n, and verification runs at confidence delta/2). The doubly
-    logarithmic pool-size term of the asymptotic statement is absorbed
-    here, which is what makes the ceiling checkable at desk scale.
-    """
-    return 3.0 + math.log2(c_const) + math.log2(n) + math.log2(2.0 / delta) + 1.0
-
-
 def dyadic_distribution(n: int) -> Distribution:
     """Masses 1/2, 1/4, ... with the last two equal so the sum is exactly 1."""
     if n < 2:
@@ -240,7 +226,7 @@ class _Context:
     graph: Graph | None
     dist: object | None
     mu: Distribution | None
-    plan: graph_search.SearchPlan | linear_search.ComparisonPlan | None = None
+    plan: graph_search.SearchPlan | linear_search.ComparisonPlan
 
 
 def _is_graph_scenario(scenario: str) -> bool:
@@ -470,27 +456,11 @@ def _worker_count(config: ExperimentConfig) -> int:
 
 
 def _theoretical_bound(ctx: _Context) -> float:
-    config, noise = ctx.config, ctx.noise
-    scenario = config.scenario
-    if scenario in ("graph-adversarial", "bin-adversarial"):
-        return config.delta
-    if scenario == "graph-lv-distr":
-        return (dist_entropy(ctx.mu) + math.log2(1.0 / config.delta) + 1.0) / noise.info_rate
-    if scenario == "graph-lv-adv":
-        dprime = graph_search.rescaled_confidence(config.n, config.delta, config.c_prime)
-        return (math.log2(config.n) + math.log2(1.0 / dprime) + 1.0) / noise.info_rate
-    if scenario == "bin-lv-distr":
-        overhead = lv_linear_overhead(config.n, config.delta, config.c_const)
-        return (
-            dist_entropy(ctx.mu) + math.log2(1.0 / config.delta) + overhead
-        ) / noise.info_rate
-    if scenario == "bin-lv-adv":
-        rescaled = config.delta / linear_search.ADV_MARGIN
-        overhead = lv_linear_overhead(config.n, rescaled, config.c_const)
-        return (
-            math.log2(config.n) + math.log2(1.0 / rescaled) + overhead
-        ) / noise.info_rate
-    return 0.0
+    """delta, or the stopping plan's ceiling at H(mu) or log2 n bits."""
+    ceiling = ctx.plan.ceiling
+    if ceiling is None:
+        return ctx.config.delta
+    return ceiling(math.log2(ctx.config.n) if ctx.mu is None else dist_entropy(ctx.mu))
 
 
 def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
@@ -506,7 +476,7 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     error_rate = errors / trials
     bound = _theoretical_bound(ctx)
     extras = {"sem_queries": sem_q, "errors": errors}
-    if config.scenario in ("graph-adversarial", "bin-adversarial"):
+    if ctx.plan.ceiling is None:
         satisfied = ci_high <= bound
         extras["min_trials_for_bound"] = min_trials_for_bound(bound)
     else:
@@ -607,6 +577,8 @@ def adversarial_sweep(config: ExperimentConfig) -> list[SummaryStats]:
         )
     if config.scenario == "verify-invariants":
         raise DomainError("verify-invariants has no targets to sweep")
+    if _is_distributional(config.scenario):
+        raise DomainError(f"{config.scenario} bounds its error on average over mu, not per target")
     results = []
     base = _build_context(config)
     _check_output(config.output)

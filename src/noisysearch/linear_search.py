@@ -33,7 +33,7 @@ import numpy as np
 
 from .graph_search import SearchTranscript
 from .mathcore import (
-    CAP_MULTIPLIER,
+    Ceiling,
     Distribution,
     DomainError,
     NoiseParams,
@@ -62,6 +62,7 @@ __all__ = [
     "run_lv_adversarial",
     "verify_candidates",
     "coupled_epoch_log2",
+    "lv_linear_overhead",
 ]
 
 CENTRAL_TOL = 1e-12
@@ -673,11 +674,7 @@ def run_epoch(
 def _verify_cap(m: int, noise: NoiseParams, delta: float) -> int:
     """Most queries verify_candidates asks of m candidates at confidence
     delta: CAP_MULTIPLIER times the expected length of that search."""
-    return int(
-        math.ceil(
-            CAP_MULTIPLIER * (math.log2(m) + math.log2(1.0 / delta) + 1.0) / noise.info_rate
-        )
-    )
+    return Ceiling(delta, 1.0, noise.info_rate).cap(math.log2(m))
 
 
 def verify_candidates(
@@ -778,12 +775,27 @@ class ComparisonPlan:
     stop_share    end phase one once the marked pivots hold this share of
                   the weight; None spends the whole budget
     verify_delta  confidence of the verification over the marked pivots
+    ceiling       a stopping plan's expected length (None: fixed budget)
     """
 
     prior: np.ndarray
     max_steps: int
     stop_share: float | None
     verify_delta: float
+    ceiling: Ceiling | None = None
+
+
+def lv_linear_overhead(n: int, delta: float, c_const: float) -> float:
+    """Additive query allowance (the ceiling's extra) of a stopping plan.
+
+    Frozen from constants before any run: 3 + log2(c_const) from the
+    coupled-process drop bound, plus log2(n) + log2(2/delta) + 1 covering
+    the candidate verification phase (the candidate pool can never exceed
+    n, and verification runs at confidence delta/2). The doubly
+    logarithmic pool-size term of the asymptotic statement is absorbed
+    here, which is what makes the ceiling checkable at desk scale.
+    """
+    return 3.0 + math.log2(c_const) + math.log2(n) + math.log2(2.0 / delta) + 1.0
 
 
 def adversarial_plan(
@@ -806,21 +818,17 @@ def lv_distributional_plan(
 ) -> ComparisonPlan:
     """Start at the prior; phase one stops once the marked pivots hold a
     1-delta/2 fraction of the weight, and the candidates are verified at
-    confidence delta/2. Phase one is capped at CAP_MULTIPLIER times its
-    expected length for the least likely target."""
+    confidence delta/2; the ceiling's extra is lv_linear_overhead. Phase one
+    is capped at CAP_MULTIPLIER times its expected length, extra 3 + log2(c),
+    for the least likely target."""
     check_delta(delta)
     if not 1.0 <= c_const < math.inf:
         raise DomainError(f"c_const must be >= 1 and finite, got {c_const}")
     prior = init_from_distribution(mu).relative
-    worst_bits = -math.log2(float(prior.min()))
-    cap = int(
-        math.ceil(
-            CAP_MULTIPLIER
-            * (worst_bits + math.log2(1.0 / delta) + 3.0 + math.log2(c_const))
-            / noise.info_rate
-        )
-    )
-    return ComparisonPlan(prior, cap, 1.0 - delta / 2.0 - STOP_SLACK, delta / 2.0)
+    rate = noise.info_rate
+    cap = Ceiling(delta, 3.0 + math.log2(c_const), rate).cap(-math.log2(float(prior.min())))
+    ceiling = Ceiling(delta, lv_linear_overhead(mu.n, delta, c_const), rate)
+    return ComparisonPlan(prior, cap, 1.0 - delta / 2.0 - STOP_SLACK, delta / 2.0, ceiling)
 
 
 def lv_adversarial_plan(

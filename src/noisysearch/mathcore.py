@@ -2,9 +2,9 @@
 
 Everything here is a pure function of scalars or of a probability vector:
 entropies, the per-query information rate of a binary symmetric noise
-channel, the fixed query budgets of the worst-case strategies, the epoch
-length schedule of the comparison search, and the scalar threshold solver
-used to warm-start the budget scans.
+channel, the stopping strategies' ceiling, the fixed query budgets of the
+worst-case strategies, the epoch length schedule of the comparison search,
+and the scalar threshold solver used to warm-start the budget scans.
 
 Conventions
 -----------
@@ -27,6 +27,7 @@ __all__ = [
     "Distribution",
     "BudgetResult",
     "CAP_MULTIPLIER",
+    "Ceiling",
     "check_delta",
     "binary_entropy",
     "info_rate",
@@ -160,6 +161,27 @@ class Distribution:
         if total <= 0.0:
             raise DomainError("cannot normalize an all-zero weight vector")
         return cls(arr / total)
+
+
+@dataclass(frozen=True)
+class Ceiling:
+    """Expected length of a stopping search at confidence delta for a target
+    of bits bits, (bits + log2(1/delta) + extra) / info_rate, and its cap."""
+
+    delta: float
+    extra: float
+    info_rate: float
+
+    def needed(self, bits: float) -> float:
+        """bits + log2(1/delta) + extra, summed in that order."""
+        return bits + math.log2(1.0 / self.delta) + self.extra
+
+    def __call__(self, bits: float) -> float:
+        return self.needed(bits) / self.info_rate
+
+    def cap(self, bits: float) -> int:
+        """CAP_MULTIPLIER times the ceiling at bits, rounded up; multiplied first."""
+        return int(math.ceil(CAP_MULTIPLIER * self.needed(bits) / self.info_rate))
 
 
 def dist_entropy(mu: Distribution) -> float:

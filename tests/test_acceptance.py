@@ -27,10 +27,9 @@ from noisysearch.harness import (
     fuzz_binary_invariants,
     fuzz_graph_invariants,
     geometric_distribution,
-    lv_linear_overhead,
     run_experiment,
 )
-from noisysearch.linear_search import central_element
+from noisysearch.linear_search import central_element, lv_linear_overhead
 from noisysearch.mathcore import (
     Distribution,
     NoiseParams,

@@ -145,6 +145,26 @@ class TestCli:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("scenario", ["graph-lv-distr", "bin-lv-distr"])
+    def test_a_target_sweep_of_a_distributional_scenario_exits_2(
+        self, tmp_path, capsys, scenario
+    ):
+        # its error bound is an average over targets drawn from mu: at
+        # n = 8 under mu = 1/2, ..., 1/128, 1/128 the rarest targets of
+        # bin-lv-distr err 0.64-0.74 each while the sampled run errs 0.14
+        mpath = tmp_path / "mu.txt"
+        mpath.write_text("".join(f"{i} {2.0 ** -min(i + 1, 7)}\n" for i in range(8)))
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            scenario, "--n", "8", "--p", "0.25", "--delta", "0.2",
+            "--trials", "200", "--seed", "5", "--mu", str(mpath), "--gen", "path",
+            "--sweep", "--out", str(out),
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert f"{scenario} bounds its error on average over mu, not per target" in err
+        assert "Traceback" not in err
+
     def test_verify_invariants_scenario(self, tmp_path):
         out = tmp_path / "inv.csv"
         code = run_cli(

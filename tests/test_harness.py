@@ -20,11 +20,11 @@ from noisysearch.harness import (
     fuzz_binary_invariants,
     fuzz_graph_invariants,
     geometric_distribution,
-    lv_linear_overhead,
     min_trials_for_bound,
     run_experiment,
     wilson_interval,
 )
+from noisysearch.linear_search import lv_linear_overhead
 from noisysearch.mathcore import DomainError
 
 

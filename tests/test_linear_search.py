@@ -253,7 +253,7 @@ class TestVerificationCap:
         config = harness.ExperimentConfig(
             scenario="bin-adversarial", n=10, p=p, delta=0.3, trials=1, seed=0
         )
-        ctx = harness._Context(config, noise, graph=None, dist=None, mu=None)
+        ctx = harness._build_context(config)
         stats = harness._summarize(ctx, [harness._outcome(t, False)])
         assert stats.flagged_trials == 1 and stats.extras["errors"] == 1
 

@@ -1,19 +1,35 @@
 """The verdict a CI gate reads: harness._summarize and _theoretical_bound on
-hand-built trial outcomes, with every ceiling written out from its formula."""
+hand-built trial outcomes, with every ceiling written out from its formula,
+and every stopping cap and ceiling pinned bit for bit to its written-out
+expression."""
 
 import math
 
 import pytest
 
+from noisysearch import graph_search, linear_search
 from noisysearch.harness import (
+    MAX_TRIAL_QUERIES,
     ExperimentConfig,
     TrialOutcome,
-    _Context,
+    _build_context,
     _summarize,
     _theoretical_bound,
+    dyadic_distribution,
+    geometric_distribution,
     wilson_interval,
 )
-from noisysearch.mathcore import Distribution, NoiseParams
+from noisysearch.linear_search import _verify_cap, lv_linear_overhead
+from noisysearch.mathcore import (
+    CAP_MULTIPLIER,
+    Distribution,
+    DomainError,
+    NoiseParams,
+    dist_entropy,
+    worst_case_budget_graph,
+    worst_case_budget_linear,
+)
+from noisysearch.weights import init_from_distribution
 
 FIXED = ("graph-adversarial", "bin-adversarial")
 STOPPING = ("graph-lv-distr", "graph-lv-adv", "bin-lv-distr", "bin-lv-adv")
@@ -22,9 +38,12 @@ MU = Distribution.from_weights([0.5, 0.25, 0.25] + [0.0] * 13)
 
 
 def context(scenario, n=16, p=0.25, delta=0.125):
-    config = ExperimentConfig(scenario=scenario, n=n, p=p, delta=delta, trials=1, seed=0)
+    gen = "path" if scenario.startswith("graph-") else None
     mu = MU if scenario.endswith("lv-distr") else None
-    return _Context(config, NoiseParams.from_p(p), graph=None, dist=None, mu=mu)
+    config = ExperimentConfig(
+        scenario=scenario, n=n, p=p, delta=delta, trials=1, seed=0, gen=gen, mu=mu
+    )
+    return _build_context(config)
 
 
 def outcomes(queries, misses=0, flagged_hits=0, flagged_misses=0):
@@ -171,3 +190,141 @@ def test_stopping_mean_just_inside_and_outside_bound_plus_sem(scenario):
     assert bound < inside.mean_queries <= reach and inside.bound_satisfied
     outside, bound, reach = mean_around(ctx, 1)
     assert outside.mean_queries > reach and not outside.bound_satisfied
+
+
+# ---------------------------------------------------------------------------
+# every cap and ceiling, bit for bit against its written-out expression
+# ---------------------------------------------------------------------------
+
+PIN_N = (2, 3, 5, 16, 100, 257, 1024, 2048)
+PIN_P = (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.47)
+PIN_DELTA = (1e-4, 0.003, 0.05, 0.1, 0.2, 0.3)
+PIN_MU = {
+    "uniform": Distribution.uniform,
+    "geometric": geometric_distribution,
+    "dyadic": dyadic_distribution,
+}
+
+
+def written_out(scenario, n, noise, delta, knob, prior_min):
+    """(cap, ceiling) of a stopping scenario, each spelled out per scenario
+    with its own addend order: the reference that Ceiling must match."""
+    rate = noise.info_rate
+    if scenario.startswith("graph-"):
+        if scenario == "graph-lv-adv":
+            delta = graph_search.rescaled_confidence(n, delta, knob)
+            bits = math.log2(n)
+        else:
+            bits = dist_entropy(knob)
+        worst_bits = -math.log2(prior_min)
+        cap = int(math.ceil(CAP_MULTIPLIER * (worst_bits + math.log2(1.0 / delta) + 1.0) / rate))
+        return cap, (bits + math.log2(1.0 / delta) + 1.0) / rate
+    c_const, mu = knob
+    if scenario == "bin-lv-adv":
+        delta = delta / linear_search.ADV_MARGIN
+        bits = math.log2(n)
+    else:
+        bits = dist_entropy(mu)
+    worst_bits = -math.log2(prior_min)
+    cap = int(
+        math.ceil(
+            CAP_MULTIPLIER
+            * (worst_bits + math.log2(1.0 / delta) + 3.0 + math.log2(c_const))
+            / rate
+        )
+    )
+    overhead = 3.0 + math.log2(c_const) + math.log2(n) + math.log2(2.0 / delta) + 1.0
+    return cap, (bits + math.log2(1.0 / delta) + overhead) / rate
+
+
+def pin_configs(scenario, n):
+    """(config keywords, the knob written_out reads) per setting of the
+    scenario's constants and prior."""
+    mus = {name: make(n) for name, make in PIN_MU.items()}
+    if scenario == "graph-adversarial":
+        return [({}, None)]
+    if scenario == "graph-lv-distr":
+        return [({"mu": mu}, mu) for mu in mus.values()]
+    if scenario == "graph-lv-adv":
+        return [({"c_prime": c}, c) for c in (1.0, 64.0)]
+    mus = mus.values() if scenario == "bin-lv-distr" else [None]
+    return [({"c_const": c, "mu": mu}, (c, mu)) for c in (1.0, 4.0, 7.5) for mu in mus]
+
+
+@pytest.mark.parametrize("p", PIN_P)
+@pytest.mark.parametrize("scenario", FIXED + STOPPING)
+def test_every_cap_and_ceiling_is_bitwise_its_written_out_expression(scenario, p):
+    noise = NoiseParams.from_p(p)
+    gen = "path" if scenario.startswith("graph-") else None
+    checked = 0
+    for n in PIN_N:
+        for delta in PIN_DELTA:
+            for extra, knob in pin_configs(scenario, n):
+                config = ExperimentConfig(
+                    scenario=scenario, n=n, p=p, delta=delta, trials=1, seed=0, gen=gen,
+                    **extra,
+                )
+                if scenario == "graph-adversarial":
+                    cap, bound = worst_case_budget_graph(n, noise, delta).q, delta
+                elif scenario == "bin-adversarial":
+                    c_const = extra["c_const"]
+                    cap, bound = worst_case_budget_linear(n, noise, delta, c_const).q, delta
+                else:
+                    mu = extra.get("mu") or Distribution.uniform(n)
+                    prior_min = float(init_from_distribution(mu).relative.min())
+                    cap, bound = written_out(scenario, n, noise, delta, knob, prior_min)
+                if cap > MAX_TRIAL_QUERIES:
+                    with pytest.raises(DomainError, match="MAX_TRIAL_QUERIES"):
+                        _build_context(config)
+                    continue
+                ctx = _build_context(config)
+                assert ctx.plan.max_steps == cap, (n, delta, extra)
+                assert _theoretical_bound(ctx).hex() == bound.hex(), (n, delta, extra)
+                checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("p", PIN_P)
+def test_every_verification_cap_is_bitwise_its_written_out_expression(p):
+    noise = NoiseParams.from_p(p)
+    rate = noise.info_rate
+    for delta in PIN_DELTA:
+        # verification runs at delta/3 (fixed budget), delta/2 (stopping)
+        # and delta/8 (bin-lv-adv's delta/2 at delta / ADV_MARGIN)
+        for verify_delta in (delta / 3.0, delta / 2.0, delta / 8.0):
+            for m in range(2, 300):
+                expected = int(
+                    math.ceil(
+                        CAP_MULTIPLIER * (math.log2(m) + math.log2(1.0 / verify_delta) + 1.0)
+                        / rate
+                    )
+                )
+                assert _verify_cap(m, noise, verify_delta) == expected, (delta, m)
+
+
+# ---------------------------------------------------------------------------
+# the per-target ceiling: a plan's ceiling at log2(1/mu(t)) bits
+# ---------------------------------------------------------------------------
+
+
+def test_comparison_plan_ceiling_at_each_target_is_c10s_expression():
+    # c10's geometric prior: each target's expected length
+    n, p, delta = 64, 0.25, 0.2
+    noise, mu = NoiseParams.from_p(p), geometric_distribution(n)
+    plan = linear_search.lv_distributional_plan(mu, noise, delta)
+    overhead = lv_linear_overhead(n, delta, 4.0)
+    for target in range(n):
+        bits = math.log2(1 / mu.masses[target])
+        per = (bits + math.log2(1 / delta) + overhead) / noise.info_rate
+        assert plan.ceiling(bits).hex() == per.hex(), target
+
+
+def test_graph_plan_ceiling_at_each_target_is_its_docstring_expression():
+    # (log2(1/mu(target)) + log2(1/delta) + 1) / (1 - H(p))
+    n, p, delta = 64, 0.25, 0.2
+    noise, mu = NoiseParams.from_p(p), geometric_distribution(n)
+    plan = graph_search.lv_distributional_plan(mu, noise, delta)
+    for target in range(n):
+        bits = math.log2(1 / mu.masses[target])
+        per = (bits + math.log2(1 / delta) + 1.0) / noise.info_rate
+        assert plan.ceiling(bits).hex() == per.hex(), target
