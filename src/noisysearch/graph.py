@@ -21,8 +21,7 @@ __all__ = [
     "weighted_median",
     "weighted_medians",
     "grid_medians",
-    "grid_cut",
-    "scale_grid_lines",
+    "marginal_medians",
     "reply_set",
     "scale_by_reply_set",
     "consistent_set",
@@ -323,16 +322,23 @@ def _is_grid(g: Graph) -> bool:
     return g.grid_shape is not None
 
 
-def _line_costs(w: np.ndarray) -> np.ndarray:
-    """Sum of |i - v| * w[i] for every v, via prefix sums along the last
-    axis, O(n) per row."""
-    idx = np.arange(w.shape[-1], dtype=np.float64)
-    cw = np.cumsum(w, axis=-1)
-    cwx = np.cumsum(w * idx, axis=-1)
-    total_w = cw[..., -1:]
-    total_wx = cwx[..., -1:]
-    # left part: v*sum(w[<=v]) - sum(i*w[i], i<=v); right part symmetric
-    return idx * cw - cwx + (total_wx - cwx) - idx * (total_w - cw)
+def _line_costs(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Sum of |i - v| * w[i] for every v, along the last axis, O(n) per
+    row: cost(0) = sum i * w[i], and a step from v to v + 1 moves away from
+    the prefix through v and toward the rest, so it adds
+    2 * sum(w[<=v]) - total. work, a (3, *w.shape) array, holds the prefix
+    sums and the result when given, so no array the size of w but one
+    product is allocated; w is read before the result is written, so
+    work[2] may be w itself."""
+    if work is None:
+        work = np.empty((3, *w.shape))
+    cw, out = work[0], work[2]
+    np.add.accumulate(w, axis=-1, out=cw)
+    first = np.add.reduce(w * np.arange(w.shape[-1], dtype=np.float64), axis=-1)
+    np.multiply(cw[..., :-1], 2.0, out=out[..., 1:])
+    out[..., 1:] -= cw[..., -1:]
+    out[..., 0] = first
+    return np.add.accumulate(out, axis=-1, out=out)
 
 
 def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
@@ -356,65 +362,44 @@ def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarra
 def grid_medians(g: Graph, relative: np.ndarray) -> np.ndarray:
     """median_costs(g, d, relative).argmin(axis=1) of a (k, n) weight
     matrix on a grid layout, bit for bit, from the two cost lines alone:
-    cost(r * cols + c) = R[r] + C[c].
-
-    R and C are the line costs of the row and column marginals, as in
-    median_costs, taken in one _line_costs call: both marginals are padded
-    with zeros to one length, and a zero added to a sum of weights leaves
-    it as it was, so the prefix sums and totals at the real positions are
-    unchanged. A rounded sum never falls when an addend grows, so the
-    least flat cost fl(R[r] + C[c]) is m = fl(min R + min C), and a row r
-    holds a cell at m exactly when fl(R[r] + min C) = m. The first such
-    row, then the first column c with fl(R[r] + C[c]) = m in it, is the
-    first cell at m in id order: the argmin with its smallest-id ties, in
-    O(rows + cols) a row once the marginals are summed.
-    """
+    marginal_medians of its row and column marginals."""
     rows, cols = g.grid_shape
     k = len(relative)
     w2 = relative.reshape(k, rows, cols)
-    marginals = np.zeros((2, k, max(rows, cols)))
-    marginals[0, :, :rows] = w2.sum(axis=-1)
-    marginals[1, :, :cols] = w2.sum(axis=-2)
-    costs = _line_costs(marginals)
-    row_cost, col_cost = costs[0, :, :rows], costs[1, :, :cols]
-    col_min = col_cost.min(axis=1)[:, None]
-    least = row_cost.min(axis=1)[:, None] + col_min
-    r = (row_cost + col_min == least).argmax(axis=1)
-    c = (row_cost[np.arange(k), r][:, None] + col_cost == least).argmax(axis=1)
+    marginals = np.zeros((k, 2, max(rows, cols)))
+    marginals[:, 0, :rows] = w2.sum(axis=-1)
+    marginals[:, 1, :cols] = w2.sum(axis=-2)
+    return marginal_medians(marginals, rows, cols)
+
+
+def marginal_medians(
+    marginals: np.ndarray, rows: int, cols: int, work: np.ndarray | None = None
+) -> np.ndarray:
+    """The cost argmin, ties to the smallest id, of each of k weight rows on
+    a rows x cols grid layout, given only their marginals: a (k, 2, L)
+    array with the row marginals in [:, 0, :rows], the column marginals in
+    [:, 1, :cols] and zeros after them. cost(r * cols + c) = R[r] + C[c].
+
+    R and C are the line costs of the two marginals, as in median_costs,
+    taken in one _line_costs call (work is its scratch, and the costs may
+    overwrite the marginals when work[2] is marginals): a zero added to a
+    sum of weights leaves it as it was, so the prefix sums and totals at
+    the real positions are those of the unpadded lines. A rounded sum never
+    falls when an addend grows, so the least flat cost fl(R[r] + C[c]) is
+    m = fl(min R + min C), and a row r holds a cell at m exactly when
+    fl(R[r] + min C) = m: the first such row is the argmin of
+    fl(R + min C). In that row the least flat cost is m again, so the
+    first column at m is the argmin of fl(R[r] + C). That cell is the first
+    at m in id order: the argmin with its smallest-id ties, in
+    O(rows + cols) a row.
+    """
+    k = len(marginals)
+    costs = _line_costs(marginals, work)
+    row_cost, col_cost = costs[:, 0, :rows], costs[:, 1, :cols]
+    col_min = np.minimum.reduce(col_cost, axis=1)
+    r = (row_cost + col_min[:, None]).argmin(axis=1)
+    c = (row_cost[np.arange(k), r][:, None] + col_cost).argmin(axis=1)
     return r * cols + c
-
-
-def grid_cut(g: Graph, q: int, u: int, inside: float, outside: float) -> tuple:
-    """The factors that scale a weight row by inside on N(q, u) and by
-    outside elsewhere, for a neighbour u of q on a grid layout, as
-    (row split, row lo, row hi, column split, column lo, column hi) for
-    scale_grid_lines.
-
-    N(q, u) is a half-plane in one coordinate: a step to the row above or
-    below cuts between rows, else between columns, and the other axis is
-    left at 1.0."""
-    cols = g.grid_shape[1]
-    vertical = abs(u - q) == cols
-    line = q // cols if vertical else q % cols
-    # N(q, u) is the lines before q's when u < q, else the lines after it
-    cut = (line, inside, outside) if u < q else (line + 1, outside, inside)
-    return (*cut, 0, 1.0, 1.0) if vertical else (0, 1.0, 1.0, *cut)
-
-
-def scale_grid_lines(g: Graph, weights: np.ndarray, cuts) -> None:
-    """Scale each row of a (k, n) weight matrix on a grid layout in place
-    by its cut (see grid_cut): grid row j by row lo when j < row split,
-    else row hi, and grid column j likewise by the column factors. Two
-    broadcast multiplies over the whole matrix; each weight gets its two
-    factors in turn, and as one of them is 1.0 it ends as one multiply by
-    the other would leave it."""
-    if not weights.flags.c_contiguous:
-        raise ValueError("scale_grid_lines scales a C-contiguous matrix through a reshaped view")
-    rows, cols = g.grid_shape
-    row_cut, row_lo, row_hi, col_cut, col_lo, col_hi = np.array(cuts).T[:, :, None]
-    grid = weights.reshape(len(weights), rows, cols)
-    grid *= np.where(np.arange(rows) < row_cut, row_lo, row_hi)[:, :, None]
-    grid *= np.where(np.arange(cols) < col_cut, col_lo, col_hi)[:, None, :]
 
 
 def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
@@ -518,8 +503,8 @@ def scale_by_reply_set(
     for a row whose columns are vertex ids.
 
     A tree's mask comes from its preorder interval (reply_set); a row held
-    in preorder columns is scaled by TreeIndex.scale, and a grid's weight
-    matrix by scale_grid_lines.
+    in preorder columns is scaled by TreeIndex.scale, and a grid's light
+    rows by their lines (grid_rows.GridRows).
     """
     row *= np.where(reply_set(g, d, q, u), inside, outside)
 

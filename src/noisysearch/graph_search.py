@@ -35,13 +35,11 @@ import numpy as np
 from .graph import (
     Graph,
     _is_grid,
-    grid_cut,
-    grid_medians,
     scale_by_reply_set,
-    scale_grid_lines,
     weighted_median,
     weighted_medians,
 )
+from .grid_rows import GridRows, row_words
 from .mathcore import (
     Ceiling,
     Distribution,
@@ -80,15 +78,18 @@ __all__ = [
     "rescaled_confidence",
 ]
 
-# Bytes of one chunk's weight matrix (rows x n float64): 1 MiB is 128 rows
-# at n = 1024 and 64 at n = 2048. search allocates the matrix once and
-# updates it in place, so it, a tree median's prefix sums and the rows that
-# thaw in one pass are the matrices a chunk adds. A light pass costs a fixed
-# part, the numpy calls of its median and update, plus a part per row: on a
-# 32x32 grid at p = 0.3 about 81 us plus 11.6 us a row (least squares over
-# the passes of 400 trials on a shared 2-core machine). Those 400 trials
-# take 677 passes of 17.5 rows on average at 256 KiB and 238 passes of 49.9
-# rows at 1 MiB.
+# Bytes of one chunk's light rows. A dense row is n float64 words: 1 MiB is
+# 128 rows at n = 1024 and 64 at n = 2048, and search allocates the matrix
+# once and updates it in place, so it, a tree median's prefix sums and the
+# rows that thaw in one pass are the matrices a chunk adds. A grid row is
+# two lines, a scalar and a few points (grid_rows.row_words): 73 words on a
+# 32x32 grid, so 1795 rows, and the 400 trials of a benchmark run are one
+# chunk. A light pass costs a fixed part, the numpy calls of its median and
+# update, plus a part per row. On a 32x32 grid at p = 0.3 (least squares
+# over the passes of 400 trials on a shared 2-core machine) the dense
+# matrix cost about 81 us plus 11.6 us a row and took 238 passes of 49.9
+# rows; the factored rows cost about 230 to 400 us plus 2.5 to 3.6 us a
+# row (three fits) and take 67 passes of 177.5 rows.
 CHUNK_BYTES = 1 << 20
 
 
@@ -97,9 +98,12 @@ CHUNK_BYTES = 1 << 20
 HEAVY_SHARE = 0.5 + 1e-9
 
 
-def chunk_rows(n: int) -> int:
-    """Trials per chunk on an n-vertex graph, at least one."""
-    return max(1, CHUNK_BYTES // (8 * n))
+def chunk_rows(n: int, grid_shape: tuple[int, int] | None = None) -> int:
+    """Trials per chunk on an n-vertex graph, at least one: CHUNK_BYTES
+    over a light row's bytes, n words on a dense chunk and two lines plus
+    a few points (grid_rows.row_words) on a grid layout."""
+    words = n if grid_shape is None else row_words(grid_shape)
+    return max(1, CHUNK_BYTES // (8 * words))
 
 
 @dataclass(frozen=True)
@@ -226,30 +230,31 @@ def search(
     oracle, a query record or a transcript needs them; snapshots and row
     sums add up in column order.
 
-    Light rows: a trial whose top share is HEAVY_SHARE or below is a row
-    of one weight matrix with a per-trial log2 total. The matrix is
-    allocated once, k rows by n, and its first m rows are the light ones,
-    updated in place: a row that leaves closes its gap as the later rows
-    move down, in order, and a row that thaws is written after them. A
-    step takes one median per row (grid_medians on grid layouts, from
-    each row's two cost lines; TreeIndex.medians, with no gather, on
-    trees) and one multiply, row sum and divide for all rows; a
-    neighbour reply at a light vertex first scales its row by its reply
-    set (three slices on a tree, a mask elsewhere). On a grid the reply
-    sets and the yes/no factors of all rows are one kernel instead: each
-    row records a cut and two factors along the grid's rows or columns
-    (grid_cut), and two broadcast multiplies (scale_grid_lines) scale the
-    whole matrix, each weight by its factor and by 1.0, bit for bit as
-    one multiply. A row at its cap ends there.
+    Light rows: a trial whose top share is HEAVY_SHARE or below is a light
+    row of the chunk, with a per-trial log2 total. A pass takes one median
+    per row, one reply per row, and one update for all rows. On a tree or
+    a graph without a layout the rows are one dense weight matrix
+    (_DenseRows): medians by TreeIndex.medians, with no gather, on trees
+    and by descent elsewhere; a neighbour reply at a light vertex scales
+    its row by its reply set (three slices on a tree, a mask elsewhere),
+    and one multiply, row sum and divide folds in the rest. On a grid
+    every reply set is a half-plane of grid rows or columns, so each row
+    is two line vectors and a few points (grid_rows.GridRows): medians
+    come from the row and column marginals, a cut scales one line, a yes
+    or a no at a vertex holding half the weight scales the row and sets a
+    point, and the top share, the weight at a median that may hold half of
+    it and an adversarial lie's reply masses are read off lines and points;
+    a row is built densely only for a snapshot, a declaration or a
+    recorded lie that reads it whole. A row at its cap ends there.
 
     Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
-    matrix, and one scalar loop (run_heavy below) runs that trial ahead on
-    its own. Its top vertex h is its median, and a reply at h reads as yes or
-    "not h", so the trial is carried as h and the share rest outside it;
-    its dense row stays frozen as it was when it turned heavy. The loop
+    light rows, and one scalar loop (run_heavy below) runs that trial ahead
+    on its own. Its top vertex h is its median, and a reply at h reads as
+    yes or "not h", so the trial is carried as h and the share rest outside
+    it; its row stays frozen as it was when it turned heavy. The loop
     steps until the trial stops, reaches the cap, or h's share falls to
     HEAVY_SHARE or below; then the frozen row, scaled to the new rest and
-    with h set, rejoins the matrix at its own step count. Only a heavy
+    with h set, rejoins the light rows at its own step count. Only a heavy
     trial can stop, since every stop threshold is above HEAVY_SHARE.
     When h is the target the truth there is yes, and a lie is a neighbour
     that the update reads only as "not h". An unrecorded trial does not
@@ -270,7 +275,6 @@ def search(
         return []
     d, policy = oracles[0].dist, oracles[0].policy
     tree = d.tree
-    grid = _is_grid(g)
     order = None if tree is None else tree.order
     # the column of each trial's target
     target_cols = [o.target if tree is None else int(tree.start[o.target]) for o in oracles]
@@ -285,21 +289,24 @@ def search(
     log2_totals = [0.0] * k
     steps = [0] * k
 
-    def run_heavy(r: int, row: np.ndarray, col: int) -> np.ndarray | None:
-        """Run trial r, whose row holds the vertex h in column col above
-        HEAVY_SHARE, step by step at h: snapshot, cap and stop checks, reply,
-        two-number update, log2 total; a lie at a yes truth goes unnamed
-        when the trial is not recorded (see above). Returns its rebuilt
-        dense row once h's share falls to HEAVY_SHARE or below, None once
-        the trial has ended."""
+    def run_heavy(r: int, frozen) -> np.ndarray | tuple | None:
+        """Run trial r, whose frozen row (_DenseFrozen or GridFrozen) holds
+        the vertex h in column frozen.col above HEAVY_SHARE, step by step at
+        h: snapshot, cap and stop checks, reply, two-number update, log2
+        total; a lie at a yes truth goes unnamed when the trial is not
+        recorded (see above). Returns its thawed row once h's share falls
+        to HEAVY_SHARE or below, None once the trial has ended."""
         o, rec, wlog, tcol = oracles[r], records[r], wlogs[r], target_cols[r]
         target, coin = o.target, o.coin
+        col = frozen.col
         h = col if order is None else int(order[col])
-        frozen = row.copy()
-        frozen[col] = 0.0
-        # the share outside h, summed, so a rest too small to show in
-        # 1 - share is kept
-        rest = rest0 = float(frozen.sum())
+
+        def vertex_row(rest: float) -> np.ndarray:
+            return _in_vertex_order(frozen.row(rest), order)
+
+        # the share outside h, kept as such, so a rest too small to show
+        # in 1 - share is kept
+        rest = frozen.rest0
         choices = truthful_choices(h, target, g, d, policy)
         truthful = choices[0] if len(choices) == 1 else None
         # a lie at a yes truth is a neighbour, read only as "not h"
@@ -307,21 +314,19 @@ def search(
         step, log2_total = steps[r], log2_totals[r]
         while True:
             if wlog is not None:
-                wlog.append(
-                    _snapshot(_heavy_row(frozen, rest0, rest, col), log2_total, tcol, order)
-                )
+                wlog.append(_snapshot(frozen.row(rest), log2_total, tcol, order))
             share = 1.0 - rest
             stopped = stop is not None and share >= stop
             if step == cap or stopped:
                 o.queries_answered += step
                 out[r] = _transcript(
-                    _heavy_row(frozen, rest0, rest, col, order), log2_total, target, step,
-                    rec, wlog, flagged=stop is not None and not stopped,
+                    vertex_row(rest), log2_total, target, step, rec, wlog,
+                    flagged=stop is not None and not stopped,
                 )
                 return None
             if share <= HEAVY_SHARE:
                 steps[r], log2_totals[r] = step, log2_total
-                return _heavy_row(frozen, rest0, rest, col)
+                return frozen.thaw(rest)
             step += 1
             # the reply as graph_reply gives it: truth, noise coin, lie
             truth = truthful
@@ -334,9 +339,7 @@ def search(
                         coin()
                     reply = NEIGHBOR
                 else:
-                    build = None
-                    if rec is not None:
-                        build = functools.partial(_heavy_row, frozen, rest0, rest, col, order)
+                    build = None if rec is None else functools.partial(vertex_row, rest)
                     reply = heavy_lie(h, truth, g, d, policy, coin, build)
             # as heavy_filter and bayesian_update would: a yes keeps {h} and
             # a no all but h; kept mass scales by 1-p and the rest by p
@@ -352,125 +355,167 @@ def search(
             if rec is not None:
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
-    # a light row's factor for the chunk multiply after a yes and after a
-    # no at its median; on a grid its line factors (grid_cut) instead
-    yes_factor, no_factor = p, keep
-    if grid:
-        yes_factor, no_factor = (0, p, p, 0, 1.0, 1.0), (0, keep, keep, 0, 1.0, 1.0)
-
-    # the light trials, in the order of their rows in buf[:m]; buf is the
-    # chunk's one C-contiguous matrix, updated in place, and flat its cells
-    # in one line
     prior = plan.prior if order is None else plan.prior[order]
-    n = len(prior)
-    flat = np.tile(prior, k)
-    buf, m, light = flat.reshape(k, n), k, list(range(k))
+    if _is_grid(g):
+        rows = GridRows(g.grid_shape, prior, k, p, HEAVY_SHARE)
+    else:
+        rows = _DenseRows(g, d, prior, k, p)
+    # the light trials, in the order of their rows
+    light = list(range(k))
     while True:
         # every live row has just folded in a reply (or is a prior): it
         # leaves for a heavy run, ends at its cap, or steps on
-        weights = buf[:m]
-        tops = weights.argmax(axis=1)
-        heavy = (weights[np.arange(m), tops] > HEAVY_SHARE).tolist()
+        heavy, tops = rows.tops()
         gone, stay, thawed = [], [], []
         for i, r in enumerate(light):
             if heavy[i]:
                 gone.append(i)
-                row = run_heavy(r, weights[i], int(tops[i]))
+                row = run_heavy(r, rows.freeze(i, int(tops[i])))
                 if row is not None:
                     thawed.append((r, row))
                 continue
             if track_weights:
-                wlogs[r].append(_snapshot(weights[i], log2_totals[r], target_cols[r], order))
+                wlogs[r].append(_snapshot(rows.row(i), log2_totals[r], target_cols[r], order))
             if steps[r] == cap:
                 gone.append(i)
                 oracles[r].queries_answered += cap
                 out[r] = _transcript(
-                    _in_vertex_order(weights[i], order), log2_totals[r], oracles[r].target,
+                    _in_vertex_order(rows.row(i), order), log2_totals[r], oracles[r].target,
                     cap, records[r], wlogs[r], flagged=stop is not None,
                 )
             else:
                 stay.append(r)
-        # the rows between two gaps move down past the gaps before them, in
-        # one copy over flat each, which numpy does as a memmove with no
-        # temporary; the thawed rows follow them
-        for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
-            flat[(i + 1 - shift) * n : (end - shift) * n] = flat[(i + 1) * n : end * n]
-        m, light = len(stay), stay
-        for r, row in thawed:
-            buf[m] = row
-            m += 1
-            light.append(r)
-        if not m:
+        rows.regroup(gone, [row for _, row in thawed])
+        light = stay + [r for r, _ in thawed]
+        if not light:
             return out
 
         # Each light row asks its median and hears its own oracle, then
-        # folds the reply in as heavy_filter and bayesian_update would:
-        # kept weights scale by 1-p, the rest by p. A yes keeps {q} and a no
-        # at a q holding half the weight keeps all but q, so those rows
-        # scale by one factor off q and another at q, all rows in one
-        # multiply. Any other reply u keeps its reply set N(q, u), which
-        # leaves q out; on a tree or a graph without a layout such a row is
-        # scaled on its own, and the chunk multiply passes it by with a
-        # factor 1. On a grid every row instead records its factors along
-        # the grid's rows and columns (grid_cut), and two broadcast
-        # multiplies scale the whole matrix. weights, the live rows of buf,
-        # is C-contiguous. qs are the medians' columns.
-        weights = buf[:m]
-        rows = np.arange(m)
-        if tree is not None:
-            qs = tree.medians(weights)
-            vertices = order[qs].tolist()
-        elif grid:
-            qs = grid_medians(g, weights)
-            vertices = qs.tolist()
-        else:
-            qs = weighted_medians(g, d, weights, None if gone or thawed else tops)
-            vertices = qs.tolist()
-        at_q = weights[rows, qs]
-        factors, at_q_mult = [], []
-        for i, (q, w_q, r) in enumerate(zip(vertices, at_q.tolist(), light)):
+        # the rows fold their replies in, all at once (rows.update).
+        qs, at_q = rows.medians(None if gone or thawed else tops)
+        vertices = qs.tolist() if order is None else order[qs].tolist()
+        replies = []
+        for i, (q, r) in enumerate(zip(vertices, light)):
             o = oracles[r]
             steps[r] += 1
-            build = functools.partial(_in_vertex_order, weights[i], order) if lie_weights else None
+            build = rows.lie_weights(i, order) if lie_weights else None
             reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, build)
+            replies.append(reply)
+            if records[r] is not None:
+                records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth)))
+        totals = rows.update(qs, vertices, replies, at_q)
+        for r, t in zip(light, totals.tolist()):
+            log2_totals[r] += log2(t)
+
+
+class _DenseRows:
+    """The light rows of a chunk on a tree or a graph without a layout: one
+    C-contiguous weight matrix, allocated once, k rows by n, whose first m
+    rows are the light ones, updated in place. A row that leaves closes its
+    gap as the later rows move down, in order, and a row that thaws is
+    written after them."""
+
+    def __init__(self, g: Graph, d, prior: np.ndarray, k: int, p: float):
+        self.g, self.d, self.tree, self.p = g, d, d.tree, p
+        self.n = n = len(prior)
+        # flat is the matrix's cells in one line
+        self.flat = np.tile(prior, k)
+        self.buf, self.m = self.flat.reshape(k, n), k
+
+    def tops(self) -> tuple[list[bool], np.ndarray]:
+        weights = self.buf[: self.m]
+        tops = weights.argmax(axis=1)
+        return (weights[np.arange(self.m), tops] > HEAVY_SHARE).tolist(), tops
+
+    def row(self, i: int) -> np.ndarray:
+        return self.buf[i]
+
+    def freeze(self, i: int, col: int) -> "_DenseFrozen":
+        return _DenseFrozen(self.buf[i], col)
+
+    def regroup(self, gone: list[int], thawed: list[np.ndarray]) -> None:
+        # the rows between two gaps move down past the gaps before them, in
+        # one copy over flat each, which numpy does as a memmove with no
+        # temporary; the thawed rows follow them
+        flat, n, m = self.flat, self.n, self.m
+        for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
+            flat[(i + 1 - shift) * n : (end - shift) * n] = flat[(i + 1) * n : end * n]
+        m -= len(gone)
+        for row in thawed:
+            self.buf[m] = row
+            m += 1
+        self.m = m
+
+    def medians(self, tops: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The median column of every row (tops, the rows' argmax, when no
+        row moved since) and the weight there."""
+        weights = self.buf[: self.m]
+        if self.tree is not None:
+            qs = self.tree.medians(weights)
+        else:
+            qs = weighted_medians(self.g, self.d, weights, tops)
+        return qs, weights[np.arange(self.m), qs]
+
+    def lie_weights(self, i: int, order: np.ndarray | None):
+        return functools.partial(_in_vertex_order, self.buf[i], order)
+
+    def update(self, qs: np.ndarray, vertices: list[int], replies: list[int], at_q: np.ndarray):
+        """Fold the replies in as heavy_filter and bayesian_update would:
+        kept weights scale by 1-p, the rest by p. A yes keeps {q} and a no
+        at a q holding half the weight keeps all but q, so those rows scale
+        by one factor off q and another at q, all rows in one multiply. Any
+        other reply u keeps its reply set N(q, u), which leaves q out; such
+        a row is scaled on its own, and the multiply passes it by with a
+        factor 1. Returns each row's total before the divide."""
+        p, keep, tree = self.p, 1.0 - self.p, self.tree
+        weights = self.buf[: self.m]
+        factors, at_q_mult = [], []
+        for i, (q, reply, w_q) in enumerate(zip(vertices, replies, at_q.tolist())):
             if reply == q:
-                factor, at_f = yes_factor, keep
+                factor, at_f = p, keep
             elif w_q >= 0.5:
-                factor, at_f = no_factor, p
-            elif grid:
-                factor, at_f = grid_cut(g, q, reply, keep, p), p
+                factor, at_f = keep, p
             else:
                 if tree is None:
-                    scale_by_reply_set(g, d, weights[i], q, reply, keep, p)
+                    scale_by_reply_set(self.g, self.d, weights[i], q, reply, keep, p)
                 else:
                     tree.scale(weights[i], q, reply, keep, p)
                 factor, at_f = 1.0, p
             factors.append(factor)
             at_q_mult.append(at_f)
-            if records[r] is not None:
-                records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth)))
-        if grid:
-            scale_grid_lines(g, weights, factors)
-        else:
-            weights *= np.array(factors)[:, None]
-        weights[rows, qs] = at_q * at_q_mult
+        weights *= np.array(factors)[:, None]
+        weights[np.arange(self.m), qs] = at_q * at_q_mult
         totals = weights.sum(axis=1)
         if not (totals > 0.0).all():
             raise DomainError("update annihilated all weight mass")
         weights /= totals[:, None]
-        for r, t in zip(light, totals.tolist()):
-            log2_totals[r] += log2(t)
+        return totals
 
 
-def _heavy_row(
-    frozen: np.ndarray, rest0: float, rest: float, col: int, order: np.ndarray | None = None
-) -> np.ndarray:
+class _DenseFrozen:
+    """A dense row frozen when column col, its top, turned heavy: the row
+    with 0 at col, and rest0, its sum."""
+
+    def __init__(self, row: np.ndarray, col: int):
+        self.frozen = row.copy()
+        self.frozen[col] = 0.0
+        self.col = col
+        self.rest0 = float(self.frozen.sum())
+
+    def row(self, rest: float) -> np.ndarray:
+        """The frozen row scaled to the share rest, with col set."""
+        return _heavy_row(self.frozen, self.rest0, rest, self.col)
+
+    thaw = row
+
+
+def _heavy_row(frozen: np.ndarray, rest0: float, rest: float, col: int) -> np.ndarray:
     """The dense row of a heavy trial: frozen (its row when h, in column
     col, turned heavy, with 0 there, summing to rest0) scaled to the share
-    rest, with h set; in vertex order when the columns' order is given."""
+    rest, with h set."""
     row = frozen * (rest / rest0 if rest0 > 0.0 else 0.0)
     row[col] = 1.0 - rest
-    return _in_vertex_order(row, order)
+    return row
 
 
 def _in_vertex_order(row: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -503,6 +548,11 @@ def _transcript(
     wlog: list | None,
     flagged: bool,
 ) -> SearchTranscript:
+    """The transcript of a trial that ended with the row relative, over
+    vertex ids. It declares the heaviest vertex, float-equal weights going
+    to the smallest id; weights equal in exact arithmetic but reached
+    through different products (on a grid, the lines and points of one
+    row) need not be float-equal, so on such ties rounding decides."""
     declared = int(np.argmax(relative))
     mass = float(relative[target])
     return SearchTranscript(

@@ -26,6 +26,7 @@ from . import graph_search, linear_search
 from .graph import (
     ROW_CACHE_BYTES,
     Graph,
+    _square_factor,
     all_pairs_distances,
     generate_graph,
     gnm_edges,
@@ -41,6 +42,7 @@ from .mathcore import (
     worst_case_budget_linear,
 )
 from .fuzz import fuzz_binary_invariants, fuzz_graph_invariants
+from .grid_rows import MEDIAN_BLOCK_BYTES
 from .oracle import GraphOracle, LinearOracle, NoisePolicy, load_distribution
 
 __all__ = [
@@ -257,19 +259,27 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     index of a graph that may be a tree (under 320 bytes a vertex), the
     distance rows a graph that is neither a tree nor a grid caches (int32
     rows, n at most, up to ROW_CACHE_BYTES), three n-word copies of the
-    prior, and one chunk of the engine: at most three words a cell (its
-    weight matrix, a tree median's prefix sums and the rows that thaw in
-    one pass; over the built graph a chunk read 1.9 words a cell on a grid
-    at n = 1024 and 2.7 on a random tree at n = 2048) plus 4 KiB a trial
-    for its oracle, rng, block of coins and transcript (at n = 64 a trial
-    added 3.8 to 4.8 kB, its cells included)."""
+    prior, and one chunk of the engine plus 4 KiB a trial for its oracle,
+    rng, block of coins and transcript (at n = 64 a trial added 3.8 to
+    4.8 kB, its cells included). A dense chunk holds at most three words a
+    cell (its weight matrix, a tree median's prefix sums and the rows that
+    thaw in one pass; a chunk read 2.7 words a cell on a random tree at
+    n = 2048). A grid chunk holds three arrays of 2 (L + 1) words a row, L
+    the grid's longer side (its lines and a pass's factors and masks; over
+    the built graph a chunk read 4.9, 5.0, 6.3 and 13.9 kB a row at
+    n = 512, 1024, 4096 and 65536, the 4 KiB included), the median scratch
+    (grid_rows.MEDIAN_BLOCK_BYTES) and three n-word rows (a heavy run's
+    frozen row and its rescaled copy, and a declared row)."""
     n = config.n
     edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
     index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
     rows = min(4 * n * n, ROW_CACHE_BYTES)
     if config.gen in ("path", "star", "random-tree", "grid"):
         rows = 0
-    chunk = graph_search.chunk_rows(n) * (24 * n + 4096)
+    row, scratch = 24 * n, 0
+    if config.gen == "grid" and config.graph_path is None:
+        row, scratch = 48 * (max(_square_factor(n)) + 1), MEDIAN_BLOCK_BYTES + 24 * n
+    chunk = _chunk_trials(config) * (row + 4096) + scratch
     return 300 * n + 200 * edges + index + rows + 24 * n + chunk
 
 
@@ -510,12 +520,19 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     )
 
 
+def _chunk_trials(config: ExperimentConfig) -> int:
+    """graph_search.chunk_rows for the config's graph, known before it is
+    built: a generated grid's rows are laid out as its lines."""
+    grid = config.gen == "grid" and config.graph_path is None
+    return graph_search.chunk_rows(config.n, _square_factor(config.n) if grid else None)
+
+
 def _task_trials(config: ExperimentConfig, workers: int) -> int:
     """Trials in one pool task: one engine chunk for graph scenarios (at
     most graph_search.chunk_rows trials, and split so every worker gets
     some), COMPARISON_TASK_TRIALS single trials otherwise."""
     if _is_graph_scenario(config.scenario):
-        return min(graph_search.chunk_rows(config.n), -(-config.trials // workers))
+        return min(_chunk_trials(config), -(-config.trials // workers))
     return COMPARISON_TASK_TRIALS
 
 

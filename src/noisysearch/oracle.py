@@ -148,8 +148,12 @@ def _corrupt_reply(
     d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
-    relative: np.ndarray | None,
+    relative: np.ndarray | Callable[[list[int]], list[float]] | None,
 ) -> int:
+    """The lie at q told instead of the truthful reply. An
+    adversarial-heaviest lie reads relative: the relative weights over
+    vertex ids, or a function that gives the reply mass of each reply in a
+    list of them (the grid kernel's, read off its lines and points)."""
     adjacent = g.adjacency[q]
     if not adjacent:
         # isolated target on a single-vertex graph: nothing to lie with
@@ -164,6 +168,8 @@ def _corrupt_reply(
     if relative is None:
         raise DomainError("adversarial-heaviest lies need the current weight state")
     wrong = [v for v in (q, *adjacent) if v != truthful]
+    if callable(relative):
+        return wrong[int(np.argmax(relative(wrong)))]
     # the reply mass of each wrong reply, in wrong's order; the first
     # heaviest wins. q's own mass and a leaf child's (its subtree is the
     # leaf alone, and a one-element sum is that element) are one gather
@@ -203,7 +209,8 @@ def graph_reply(
     replaced by one of the other legal replies at q (yes plus each
     neighbour) per policy.lie_choice; the adversarial choice needs the
     current relative weights, which weights (a function that builds them,
-    as for heavy_lie) gives, called only for such a lie. coin() returns
+    as for heavy_lie, or their reply-mass function, see _corrupt_reply)
+    gives, called only for such a lie. coin() returns
     the trial's next uniform in [0, 1); the uniforms go in a fixed order:
     the random tiebreak (only when several neighbours are closer), the
     noise coin, then the uniform lie. A choice among k items takes item

@@ -156,7 +156,9 @@ def bayesian_update(
 
 
 def heaviest(state: WeightState) -> int:
-    """Element of maximum weight; ties go to the smallest id."""
+    """Element of maximum weight; float-equal weights go to the smallest
+    id. Weights equal in exact arithmetic but reached through different
+    products need not be float-equal, so on such ties rounding decides."""
     return int(np.argmax(state.relative))
 
 

@@ -500,28 +500,3 @@ def test_grid_medians_are_the_cost_argmin_bit_for_bit(rows, cols, kind):
         w /= w.sum(axis=1, keepdims=True)
         expected = median_costs(g, d, w).argmin(axis=1)
         assert np.array_equal(graph_module.grid_medians(g, w), expected)
-
-
-@pytest.mark.parametrize("rows, cols", GRID_SHAPES[1:])
-def test_grid_line_scaling_equals_the_reply_set_rows_and_the_fill(rows, cols):
-    # every vertex and every neighbour of it: all four directions, with
-    # cuts on the first and the last line, and two rows scaled by a fill
-    # factor alone, as a yes or a no at the median scales them
-    g = grid_graph(rows, cols)
-    d = all_pairs_distances(g)
-    pairs = [(q, u) for q in range(g.n) for u in g.adjacency[q]]
-    w = np.random.default_rng(rows * cols).random((len(pairs) + 2, g.n))
-    expected, fill, cuts = w.copy(), [], []
-    for i, (q, u) in enumerate(pairs):
-        graph_module.scale_by_reply_set(g, d, expected[i], q, u, 0.7, 0.3)
-        fill.append(1.0)
-        cuts.append(graph_module.grid_cut(g, q, u, 0.7, 0.3))
-    for f in (0.3, 0.7):
-        fill.append(f)
-        cuts.append((0, f, f, 0, 1.0, 1.0))
-    expected *= np.array(fill)[:, None]
-    got = w.copy()
-    graph_module.scale_grid_lines(g, got, cuts)
-    assert np.array_equal(got, expected)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        graph_module.scale_grid_lines(g, np.asfortranarray(w), cuts)

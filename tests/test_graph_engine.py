@@ -11,8 +11,11 @@ from one uniform u as int(u * k), so the engine must reproduce that draw
 order too. On a tree (paths included) it keeps its row in the engine's
 columns, the tree's DFS preorder, so its row sums add up in the engine's
 order; it reads medians, replies and reply sets off the row in vertex
-order. Every comparison is exact: the engine does the same arithmetic in
-the same order, row by row.
+order. Off the grid every comparison is exact: the engine does the same
+arithmetic in the same order, row by row. On a grid the engine holds a
+light row as two lines and a few points (grid_rows.GridRows), which round
+apart from the dense row, so a grid trial's recorded replies are replayed
+into the reference loop and compared within tolerances (ref_replay).
 """
 
 import dataclasses
@@ -31,6 +34,7 @@ from noisysearch.graph import (
     cycle_graph,
     generate_graph,
     grid_graph,
+    median_costs,
     path_graph,
     random_tree,
     star_graph,
@@ -44,6 +48,7 @@ from noisysearch.graph_search import (
     lv_distributional_plan,
     search,
 )
+from noisysearch.grid_rows import POINT_SLOTS
 from noisysearch.mathcore import Distribution, DomainError, NoiseParams
 from noisysearch.oracle import Answer, GraphOracle, NoisePolicy, heavy_filter
 from noisysearch.weights import CompatibleSet, WeightState, bayesian_update, is_heavy, log2_rest
@@ -206,6 +211,75 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
     return fields, WeightState(relative=relative, log2_total=log2_total, step=steps)
 
 
+def ref_replay(g, noise, plan, t):
+    """The reference loop driven by the replies a recorded engine trial t
+    heard, one WeightState per light step and the scalar law per heavy
+    step, on a grid (columns are vertex ids). Checks each light query's
+    reference cost against the reference's least cost, within 1e-9
+    relative, and a heavy step's query against the reference's heavy
+    vertex; returns the weight_log snapshots and the final row and log2
+    total."""
+    d = all_pairs_distances(g)
+    p = noise.p
+    relative, log2_total = plan.prior.copy(), 0.0
+    heavy = ref_freeze(relative)
+    snapshots = [(relative if heavy is None else heavy.relative(), 0.0)]
+    for record in t.queries:
+        q = record.query
+        if heavy is None:
+            cost = median_costs(g, d, relative)
+            assert cost[q] <= cost.min() * (1.0 + 1e-9)
+            state = WeightState(relative=relative, log2_total=log2_total, step=record.step - 1)
+            compatible = heavy_filter(record.answer, q, is_heavy(state, q, 0.5), g, d)
+            state = bayesian_update(state, compatible, noise)
+            relative, log2_total = state.relative.copy(), state.log2_total
+            heavy = ref_freeze(relative)
+        else:
+            assert q == heavy.h
+            a, f = (1.0 - p, p) if record.answer.kind == "yes" else (p, 1.0 - p)
+            total = (1.0 - heavy.rest) * a + heavy.rest * f
+            heavy.rest = heavy.rest * f / total
+            log2_total += math.log2(total)
+            if 1.0 - heavy.rest <= HEAVY_SHARE:
+                relative, heavy = heavy.relative(), None
+        snapshots.append((relative if heavy is None else heavy.relative(), log2_total))
+    if heavy is not None:
+        relative = heavy.relative()
+    return snapshots, relative, log2_total
+
+
+def assert_matches_replay(g, noise, plan, t, target, final, log2):
+    """A grid trial of the factored engine against its replay (ref_replay):
+    rows within 1e-12 relative, log2 totals within 1e-9, the declared and
+    the weight_log's heavy vertices the reference's unless the reference's
+    top two weights are within 1e-12."""
+    snapshots, relative, ref_log2 = ref_replay(g, noise, plan, t)
+    np.testing.assert_allclose(final, relative, rtol=1e-12, atol=0.0)
+    assert math.isclose(log2, ref_log2, rel_tol=1e-9, abs_tol=1e-9)
+    first, second = np.sort(relative)[::-1][:2] if g.n > 1 else (1.0, 0.0)
+    if first - second > 1e-12:
+        assert t.declared == int(np.argmax(relative))
+    assert t.target_hit == (t.declared == target)
+    assert t.query_count == len(t.queries)
+    if plan.stop_threshold is not None:
+        share = relative.max()
+        if t.flagged:
+            assert t.query_count == plan.max_steps and share < plan.stop_threshold + 1e-12
+        else:
+            assert share >= plan.stop_threshold - 1e-12
+    if t.weight_log is not None:
+        assert len(t.weight_log) == len(snapshots) == t.query_count + 1
+        for (rest, at_target, total, top), (row, ref_total) in zip(t.weight_log, snapshots):
+            assert math.isclose(total, ref_total, rel_tol=1e-9, abs_tol=1e-9)
+            ref_rest = log2_rest(row, ref_total)
+            assert ref_rest == rest or math.isclose(rest, ref_rest, rel_tol=1e-9, abs_tol=1e-9)
+            ref_target = math.log2(row[target]) + ref_total
+            assert math.isclose(at_target, ref_target, rel_tol=1e-9, abs_tol=1e-9)
+            share = row.max()
+            if abs(share - 0.5) > 1e-12:
+                assert top == (int(np.argmax(row)) if share >= 0.5 else None)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -291,10 +365,23 @@ def plans(g, noise):
 @pytest.mark.parametrize("tiebreak", ["smallest-id", "random"])
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
 def test_engine_matches_per_trial_reference(graph, tiebreak, lie_choice, finals):
+    # On a grid the engine holds light rows as two lines and a few points,
+    # whose products round apart from the dense rows' in the last bits, so
+    # a grid trial is checked against the reference loop replaying the
+    # replies it heard (assert_matches_replay); elsewhere the engine does
+    # the reference's arithmetic, and every field must be equal.
     g = GRAPHS[graph]()
     noise = NoiseParams.from_p(0.3)
     policy = NoisePolicy(p=0.3, truthful_tiebreak=tiebreak, lie_choice=lie_choice)
     for seed, (name, (plan, prior)) in enumerate(plans(g, noise).items()):
+        if graph == "grid":
+            oracles = make_oracles(g, policy, seed, 6, prior)
+            got = search(g, noise, plan, oracles, [True] * len(oracles), track_weights=True)
+            for t, o in zip(got, oracles):
+                rel, log2 = final_of(finals, t)
+                assert_matches_replay(g, noise, plan, t, o.target, rel, log2)
+                assert o.queries_answered == t.query_count
+            continue
         oracles = make_oracles(g, policy, seed, 6, prior)
         refs = [
             ref_drive(g, noise, plan, target, policy, rng)
@@ -545,6 +632,13 @@ def test_plans_stop_only_above_the_heavy_share():
 def test_chunk_rows_follow_the_byte_budget():
     assert graph_search.chunk_rows(1024) == graph_search.CHUNK_BYTES // 8192
     assert graph_search.chunk_rows(10**7) == 1
+    # a grid row is two lines, a scalar and a few points: all 400 trials
+    # of a 32x32 benchmark run fit one chunk, and a 1024x1024 grid takes
+    # more than one trial a chunk
+    words = 32 + 32 + 1 + 2 * POINT_SLOTS
+    assert graph_search.chunk_rows(1024, (32, 32)) == graph_search.CHUNK_BYTES // (8 * words)
+    assert graph_search.chunk_rows(1024, (32, 32)) >= 400
+    assert graph_search.chunk_rows(1 << 20, (1024, 1024)) > 1
 
 
 def test_a_query_at_exactly_half_the_weight_is_heavy(finals):

@@ -304,7 +304,7 @@ class TestRunExperiment:
         tracemalloc.start()
         try:
             ctx = harness._build_context(cfg)
-            harness._run_graph_chunk(ctx, range(graph_search.chunk_rows(cfg.n)))
+            harness._run_graph_chunk(ctx, range(harness._chunk_trials(cfg)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,13 +5,16 @@ whatever each trial declared, so a change that moves single trials (a
 skipped lie coin, a median that breaks a tie the other way, a weight that
 differs in its last bit) can pass every summary check. Each config below
 hashes, trial by trial, (declared vertex, query count, flagged,
-final_target_log2.hex()) of a small seeded chunk. The digests were
-computed on the engine that still took grid medians as the argmin of the
-full cost matrix and scaled grid reply sets row by row; the grid kernel
-(grid_medians, scale_grid_lines) must reproduce them bit for bit. They
-were taken with numpy 2.4.6 on x86-64; another numpy may draw or
-round differently, so a mismatch there first means: recompute on the
-older code with that numpy.
+final_target_log2.hex()) of a small seeded chunk. The path and tree
+digests were computed on the engine that still took grid medians as the
+argmin of the full cost matrix and scaled grid reply sets row by row. The
+grid digests were computed on the factored grid kernel (grid_rows.GridRows:
+a light row is two line vectors, a scalar and a few points, and its median
+comes from its marginals through graph.marginal_medians); the dense grid
+matrix before it rounds apart in the last bits and asks other queries in
+some trials, so its grid digests were replaced. They were taken with
+numpy 2.4.6 on x86-64; another numpy may draw or round differently, so a
+mismatch there first means: recompute on the older code with that numpy.
 
 The recorded configs (RECORDED_CONFIGS) cover the other generators and the
 adversarial lie on trees: each trial keeps its QueryRecords, and the digest
@@ -69,17 +72,17 @@ CONFIGS = {
 
 DIGESTS = {
     ("grid-fixed", 1):
-        "2b369296b0ac916defe6e8d91df56603c9ed89f1e2af6bd3ea2fba2e72a80412",
+        "01fc152c8283b1854c706e4c4f410661e73a0b40203dc94596427356a60f7564",
     ("grid-fixed", 2):
-        "281b5ffcc6330a6917016c458dddaf755381b23e3ae3877b608d785c8aae202d",
+        "7abb63fc54fc1cf6d196ede37bbfcabbb01c82865722c650c234d2e3e7a2221f",
     ("grid-fixed-random-tiebreak-heaviest-lie", 1):
-        "ebeb8e6424cf5d5c87715db37ba48c3e3930a7d635d6ebe0741f18b5c1112e66",
+        "42464f3ffb5c0c58e85d0869d6e7945c78ff340cd55a1cf060740e9058a2680b",
     ("grid-fixed-random-tiebreak-heaviest-lie", 2):
-        "ec78f800fb77ca743b3de0eb2d87eebecad932826fa343cde321e623cd96b71b",
+        "c37a3201a38a40714bb8e738d8660971f9b2f71ea959477fb4234db8f88993ee",
     ("grid-stopping", 1):
-        "92de138344d1ebeb8dcd13a9377aea297c8473ae383c32e763823d1411e8619f",
+        "0a5efa69421905d1165e8fd291c18ffa7baa7da9b280e6684347f4ceed986f6b",
     ("grid-stopping", 2):
-        "698e6d32dc6eb6242019d630a8b6224c1461aa53b584767668a1065677da39bd",
+        "3a14eebdd8165bc5ab9705b7699b9e39d99ca4965351b3ee3ea57092b54215fd",
     ("path-fixed", 1):
         "ef7d4617e2037d39c86029767abffcafb21ec75eb2944d65368ca91a2d2482b0",
     ("path-fixed", 2):
