@@ -144,10 +144,11 @@ class TreeIndex:
     path of any length is fine; rooted at vertex 0, a path's preorder is
     the identity.
 
-    A weight row held in preorder columns (column i weighs order[i]) has
-    its median found by medians and is scaled by a reply set by scale,
-    with no gather; the vertex-order entry point weighted_medians gathers
-    into preorder and calls the same medians.
+    A weight matrix held in preorder columns (column i weighs order[i])
+    has its medians found by medians, with no gather; the vertex-order
+    entry point weighted_medians gathers into preorder and calls it. The
+    engine's light rows (tree_rows.TreeRows) hold each row as a step
+    function over preorder positions and walk up the tree as medians does.
     """
 
     def __init__(self, g: Graph):
@@ -231,17 +232,6 @@ class TreeIndex:
             out[i] = start[v]
         return out
 
-    def scale(self, pre: np.ndarray, q: int, u: int, inside: float, outside: float) -> None:
-        """Scale a weight row held in preorder columns by inside on N(q, u)
-        and by outside elsewhere, in place: three slices, one multiply per
-        weight, as a mask multiply of the vertex-order row would do."""
-        lo, hi, into = self.reply_interval(q, u)
-        if not into:
-            inside, outside = outside, inside
-        pre[:lo] *= outside
-        pre[lo:hi] *= inside
-        pre[hi:] *= outside
-
     def toward(self, q: int, target: int) -> int:
         """The neighbour of q one hop closer to target (q != target): the
         child whose interval holds the target, or else the parent."""
@@ -269,8 +259,10 @@ class DistanceMatrix:
     shape (paths, random trees, stars, loaded tree files), built
     on first use, and None otherwise (grids, even a one-row grid, keep their
     own prefix sums). Medians, truthful replies and reply sets on a tree
-    read it instead of rows, so a tree run computes no row at all, and
-    graph_search.search keeps a tree's weight rows in its preorder columns.
+    read it instead of rows, so a tree run computes no row at all.
+    graph_search.search keeps a tree's weight rows in its preorder columns,
+    each light row as the prior times a step function whose breakpoints
+    are the preorder interval ends its replies touched (tree_rows.TreeRows).
     """
 
     def __init__(self, g: Graph):
@@ -502,9 +494,9 @@ def scale_by_reply_set(
     """row *= np.where(reply_set(g, d, q, u), inside, outside), in place,
     for a row whose columns are vertex ids.
 
-    A tree's mask comes from its preorder interval (reply_set); a row held
-    in preorder columns is scaled by TreeIndex.scale, and a grid's light
-    rows by their lines (grid_rows.GridRows).
+    A tree's mask comes from its preorder interval (reply_set). The
+    engine's light rows on a tree scale a run of step-function segments
+    (tree_rows.TreeRows), and on a grid their lines (grid_rows.GridRows).
     """
     row *= np.where(reply_set(g, d, q, u), inside, outside)
 

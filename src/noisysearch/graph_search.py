@@ -40,6 +40,7 @@ from .graph import (
     weighted_medians,
 )
 from .grid_rows import GridRows, row_words
+from .tree_rows import TreeRows
 from .mathcore import (
     Ceiling,
     Distribution,
@@ -80,8 +81,11 @@ __all__ = [
 
 # Bytes of one chunk's light rows. A dense row is n float64 words: 1 MiB is
 # 128 rows at n = 1024 and 64 at n = 2048, and search allocates the matrix
-# once and updates it in place, so it, a tree median's prefix sums and the
-# rows that thaw in one pass are the matrices a chunk adds. A grid row is
+# once and updates it in place, so it and the rows that thaw in one pass
+# are the matrices a chunk adds. A tree chunk takes the same number of
+# rows, though a step-function row (tree_rows.TreeRows) holds a few
+# segments: its passes cost per row, and the 120 trials of a tree-stop run
+# read the same CPU time as one chunk or as two of 64 and 56. A grid row is
 # two lines, a scalar and a few points (grid_rows.row_words): 73 words on a
 # 32x32 grid, so 1795 rows, and the 400 trials of a benchmark run are one
 # chunk. A light pass costs a fixed part, the numpy calls of its median and
@@ -100,8 +104,9 @@ HEAVY_SHARE = 0.5 + 1e-9
 
 def chunk_rows(n: int, grid_shape: tuple[int, int] | None = None) -> int:
     """Trials per chunk on an n-vertex graph, at least one: CHUNK_BYTES
-    over a light row's bytes, n words on a dense chunk and two lines plus
-    a few points (grid_rows.row_words) on a grid layout."""
+    over a light row's bytes, n words on a dense or tree chunk (see
+    CHUNK_BYTES) and two lines plus a few points (grid_rows.row_words) on a
+    grid layout."""
     words = n if grid_shape is None else row_words(grid_shape)
     return max(1, CHUNK_BYTES // (8 * words))
 
@@ -232,20 +237,26 @@ def search(
 
     Light rows: a trial whose top share is HEAVY_SHARE or below is a light
     row of the chunk, with a per-trial log2 total. A pass takes one median
-    per row, one reply per row, and one update for all rows. On a tree or
-    a graph without a layout the rows are one dense weight matrix
-    (_DenseRows): medians by TreeIndex.medians, with no gather, on trees
-    and by descent elsewhere; a neighbour reply at a light vertex scales
-    its row by its reply set (three slices on a tree, a mask elsewhere),
-    and one multiply, row sum and divide folds in the rest. On a grid
-    every reply set is a half-plane of grid rows or columns, so each row
-    is two line vectors and a few points (grid_rows.GridRows): medians
-    come from the row and column marginals, a cut scales one line, a yes
-    or a no at a vertex holding half the weight scales the row and sets a
-    point, and the top share, the weight at a median that may hold half of
-    it and an adversarial lie's reply masses are read off lines and points;
-    a row is built densely only for a snapshot, a declaration or a
-    recorded lie that reads it whole. A row at its cap ends there.
+    per row, one reply per row, and one update for all rows. On a tree
+    every reply set is a preorder interval or the complement of one, so
+    each row is the prior times a step function over preorder positions
+    (tree_rows.TreeRows): one walk up the tree per row and pass, two
+    prefix reads a step, gives both its median and its heavy flag (a
+    vertex above half the weight is the median), an update splits at two
+    breakpoints at most and scales a run of segments, and an adversarial
+    lie's reply masses are sums over segments. On a grid every reply set
+    is a half-plane of grid rows or columns, so each row is two line
+    vectors and a few points (grid_rows.GridRows): medians come from the
+    row and column marginals, a cut scales one line, a yes or a no at a
+    vertex holding half the weight scales the row and sets a point, and
+    the top share, the weight at a median that may hold half of it and an
+    adversarial lie's reply masses are read off lines and points. On
+    either, a row is built densely only for a snapshot, a declaration or a
+    recorded lie that reads it whole. On a graph with neither layout the
+    rows are one dense weight matrix (_DenseRows): medians by descent, a
+    neighbour reply at a light vertex scales its row by its reply set's
+    mask, and one multiply, row sum and divide folds in the rest. A row at
+    its cap ends there.
 
     Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
     light rows, and one scalar loop (run_heavy below) runs that trial ahead
@@ -289,13 +300,14 @@ def search(
     log2_totals = [0.0] * k
     steps = [0] * k
 
-    def run_heavy(r: int, frozen) -> np.ndarray | tuple | None:
-        """Run trial r, whose frozen row (_DenseFrozen or GridFrozen) holds
-        the vertex h in column frozen.col above HEAVY_SHARE, step by step at
-        h: snapshot, cap and stop checks, reply, two-number update, log2
-        total; a lie at a yes truth goes unnamed when the trial is not
-        recorded (see above). Returns its thawed row once h's share falls
-        to HEAVY_SHARE or below, None once the trial has ended."""
+    def run_heavy(r: int, frozen):
+        """Run trial r, whose frozen row (TreeFrozen, GridFrozen or
+        _DenseFrozen) holds the vertex h in column frozen.col above
+        HEAVY_SHARE, step by step at h: snapshot, cap and stop checks,
+        reply, two-number update, log2 total; a lie at a yes truth goes
+        unnamed when the trial is not recorded (see above). Returns its
+        thawed row once h's share falls to HEAVY_SHARE or below, None once
+        the trial has ended."""
         o, rec, wlog, tcol = oracles[r], records[r], wlogs[r], target_cols[r]
         target, coin = o.target, o.coin
         col = frozen.col
@@ -355,11 +367,12 @@ def search(
             if rec is not None:
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
-    prior = plan.prior if order is None else plan.prior[order]
-    if _is_grid(g):
-        rows = GridRows(g.grid_shape, prior, k, p, HEAVY_SHARE)
+    if tree is not None:
+        rows = TreeRows(tree, plan.prior[order], k, p, HEAVY_SHARE)
+    elif _is_grid(g):
+        rows = GridRows(g.grid_shape, plan.prior, k, p, HEAVY_SHARE)
     else:
-        rows = _DenseRows(g, d, prior, k, p)
+        rows = _DenseRows(g, d, plan.prior, k, p)
     # the light trials, in the order of their rows
     light = list(range(k))
     while True:
@@ -398,7 +411,7 @@ def search(
         for i, (q, r) in enumerate(zip(vertices, light)):
             o = oracles[r]
             steps[r] += 1
-            build = rows.lie_weights(i, order) if lie_weights else None
+            build = rows.lie_weights(i) if lie_weights else None
             reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, build)
             replies.append(reply)
             if records[r] is not None:
@@ -409,14 +422,14 @@ def search(
 
 
 class _DenseRows:
-    """The light rows of a chunk on a tree or a graph without a layout: one
-    C-contiguous weight matrix, allocated once, k rows by n, whose first m
-    rows are the light ones, updated in place. A row that leaves closes its
-    gap as the later rows move down, in order, and a row that thaws is
-    written after them."""
+    """The light rows of a chunk on a graph with neither a tree index nor a
+    grid layout: one C-contiguous weight matrix, allocated once, k rows by
+    n, whose first m rows are the light ones, updated in place. A row that
+    leaves closes its gap as the later rows move down, in order, and a row
+    that thaws is written after them."""
 
     def __init__(self, g: Graph, d, prior: np.ndarray, k: int, p: float):
-        self.g, self.d, self.tree, self.p = g, d, d.tree, p
+        self.g, self.d, self.p = g, d, p
         self.n = n = len(prior)
         # flat is the matrix's cells in one line
         self.flat = np.tile(prior, k)
@@ -450,14 +463,11 @@ class _DenseRows:
         """The median column of every row (tops, the rows' argmax, when no
         row moved since) and the weight there."""
         weights = self.buf[: self.m]
-        if self.tree is not None:
-            qs = self.tree.medians(weights)
-        else:
-            qs = weighted_medians(self.g, self.d, weights, tops)
+        qs = weighted_medians(self.g, self.d, weights, tops)
         return qs, weights[np.arange(self.m), qs]
 
-    def lie_weights(self, i: int, order: np.ndarray | None):
-        return functools.partial(_in_vertex_order, self.buf[i], order)
+    def lie_weights(self, i: int):
+        return functools.partial(self.buf.__getitem__, i)
 
     def update(self, qs: np.ndarray, vertices: list[int], replies: list[int], at_q: np.ndarray):
         """Fold the replies in as heavy_filter and bayesian_update would:
@@ -467,7 +477,7 @@ class _DenseRows:
         other reply u keeps its reply set N(q, u), which leaves q out; such
         a row is scaled on its own, and the multiply passes it by with a
         factor 1. Returns each row's total before the divide."""
-        p, keep, tree = self.p, 1.0 - self.p, self.tree
+        p, keep = self.p, 1.0 - self.p
         weights = self.buf[: self.m]
         factors, at_q_mult = [], []
         for i, (q, reply, w_q) in enumerate(zip(vertices, replies, at_q.tolist())):
@@ -476,10 +486,7 @@ class _DenseRows:
             elif w_q >= 0.5:
                 factor, at_f = keep, p
             else:
-                if tree is None:
-                    scale_by_reply_set(self.g, self.d, weights[i], q, reply, keep, p)
-                else:
-                    tree.scale(weights[i], q, reply, keep, p)
+                scale_by_reply_set(self.g, self.d, weights[i], q, reply, keep, p)
                 factor, at_f = 1.0, p
             factors.append(factor)
             at_q_mult.append(at_f)

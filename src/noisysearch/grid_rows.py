@@ -286,7 +286,7 @@ class GridRows:
                 out.append(float(col_mass[:c].sum() if u < q else col_mass[c + 1 :].sum()))
         return out
 
-    def lie_weights(self, i: int, order=None):
+    def lie_weights(self, i: int):
         """What graph_reply's weights argument returns for row i: the
         function of the wrong replies that gives their masses."""
         return functools.partial(functools.partial, self.reply_masses, i)

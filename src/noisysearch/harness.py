@@ -262,14 +262,20 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     prior, and one chunk of the engine plus 4 KiB a trial for its oracle,
     rng, block of coins and transcript (at n = 64 a trial added 3.8 to
     4.8 kB, its cells included). A dense chunk holds at most three words a
-    cell (its weight matrix, a tree median's prefix sums and the rows that
-    thaw in one pass; a chunk read 2.7 words a cell on a random tree at
-    n = 2048). A grid chunk holds three arrays of 2 (L + 1) words a row, L
-    the grid's longer side (its lines and a pass's factors and masks; over
-    the built graph a chunk read 4.9, 5.0, 6.3 and 13.9 kB a row at
-    n = 512, 1024, 4096 and 65536, the 4 KiB included), the median scratch
-    (grid_rows.MEDIAN_BLOCK_BYTES) and three n-word rows (a heavy run's
-    frozen row and its rescaled copy, and a declared row)."""
+    cell (its weight matrix and the rows that thaw in one pass). A tree
+    chunk holds 2 KiB a row (its step function, about 130 bytes a segment
+    in four lists: over path, star and random trees at n = 512 and 2048
+    and p = 0.1 to 0.4 a trial added 4.3 to 8.8 kB, the 4 KiB included)
+    and 176 bytes a vertex (four n-entry lists, of the prior's prefix
+    sums, their rounding errors (one shared zero under a uniform prior),
+    subtree ends and parent positions, and three n-word rows, a heavy
+    run's frozen row and its rescaled copy and a declared row: 107 to 139
+    bytes a vertex read at n = 2048). A grid chunk holds three arrays of
+    2 (L + 1) words a row, L the grid's longer side (its lines and a pass's
+    factors and masks; over the built graph a chunk read 4.9, 5.0, 6.3 and
+    13.9 kB a row at n = 512, 1024, 4096 and 65536, the 4 KiB included),
+    the median scratch (grid_rows.MEDIAN_BLOCK_BYTES) and three n-word rows
+    (a heavy run's frozen row and its rescaled copy, and a declared row)."""
     n = config.n
     edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
     index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
@@ -277,7 +283,9 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     if config.gen in ("path", "star", "random-tree", "grid"):
         rows = 0
     row, scratch = 24 * n, 0
-    if config.gen == "grid" and config.graph_path is None:
+    if config.graph_path is None and config.gen in ("path", "star", "random-tree"):
+        row, scratch = 2048, 176 * n
+    elif config.gen == "grid" and config.graph_path is None:
         row, scratch = 48 * (max(_square_factor(n)) + 1), MEDIAN_BLOCK_BYTES + 24 * n
     chunk = _chunk_trials(config) * (row + 4096) + scratch
     return 300 * n + 200 * edges + index + rows + 24 * n + chunk

@@ -153,7 +153,8 @@ def _corrupt_reply(
     """The lie at q told instead of the truthful reply. An
     adversarial-heaviest lie reads relative: the relative weights over
     vertex ids, or a function that gives the reply mass of each reply in a
-    list of them (the grid kernel's, read off its lines and points)."""
+    list of them (the grid kernel's, read off its lines and points, or the
+    tree kernel's, summed over its segments)."""
     adjacent = g.adjacency[q]
     if not adjacent:
         # isolated target on a single-vertex graph: nothing to lie with

@@ -1,5 +1,6 @@
 """Answer channel statistics and reply-model semantics."""
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from noisysearch.graph import (
     path_graph,
     star_graph,
 )
+from noisysearch.graph_search import _in_vertex_order
 from noisysearch.mathcore import DomainError, NoiseParams
 from noisysearch.oracle import (
     Answer,
@@ -27,6 +29,7 @@ from noisysearch.oracle import (
     linear_answer,
     load_distribution,
 )
+from noisysearch.tree_rows import TreeRows
 from noisysearch.weights import bayesian_update, init_uniform
 from noisysearch.mathcore import Distribution
 
@@ -150,9 +153,18 @@ def _masked_heaviest_lie(q, truthful, g, d, policy, rng, relative):
     return wrong[int(np.argmax(masses))]
 
 
+def _dense_lie_weights(rows, i):
+    """TreeRows.lie_weights for the masked reference: a builder of light
+    row i over vertex ids, built densely."""
+    return functools.partial(_in_vertex_order, rows.row(i), rows.tree.order)
+
+
 class TestAdversarialLieOnTrees:
     """A child's reply mass comes from its subtree; it must equal the masked
-    sum bitwise, so the same lie is told on every tie."""
+    sum bitwise, so the same lie is told on every tie. The engine's light
+    rows on a tree give their reply masses as sums over their segments
+    (tree_rows.TreeRows.reply_masses) and must tell the lies the masked sums
+    over their dense rows tell."""
 
     @pytest.mark.parametrize("name", ["star", "random-tree"])
     def test_lie_matches_masked_sums(self, name):
@@ -177,8 +189,12 @@ class TestAdversarialLieOnTrees:
         )
         monkeypatch.setattr(harness, "_keeps_transcript", lambda config, index: True)
         runs = []
-        for lie in (oracle_module._corrupt_reply, _masked_heaviest_lie):
+        for lie, weights in (
+            (oracle_module._corrupt_reply, TreeRows.lie_weights),
+            (_masked_heaviest_lie, _dense_lie_weights),
+        ):
             monkeypatch.setattr(oracle_module, "_corrupt_reply", lie)
+            monkeypatch.setattr(TreeRows, "lie_weights", weights)
             runs.append(harness._run_graph_chunk(harness._build_context(config), range(trials)))
         assert runs[0] == runs[1]
         assert all(t.transcript.queries for t in runs[0])

@@ -6,9 +6,13 @@ skipped lie coin, a median that breaks a tie the other way, a weight that
 differs in its last bit) can pass every summary check. Each config below
 hashes, trial by trial, (declared vertex, query count, flagged,
 final_target_log2.hex()) of a small seeded chunk. The path and tree
-digests were computed on the engine that still took grid medians as the
-argmin of the full cost matrix and scaled grid reply sets row by row. The
-grid digests were computed on the factored grid kernel (grid_rows.GridRows:
+digests were computed on the step-function tree rows
+(tree_rows.TreeRows: a light row is the prior times a step function over
+preorder positions, its median a walk up the tree with two prefix reads a
+step). Before they were replaced, every recorded query sequence of every
+config here was shown equal to the dense preorder matrix's that preceded
+them, which rounds apart only in final_target_log2 (by at most 2.9e-14).
+The grid digests were computed on the factored grid kernel (grid_rows.GridRows:
 a light row is two line vectors, a scalar and a few points, and its median
 comes from its marginals through graph.marginal_medians); the dense grid
 matrix before it rounds apart in the last bits and asks other queries in
@@ -19,9 +23,10 @@ mismatch there first means: recompute on the older code with that numpy.
 The recorded configs (RECORDED_CONFIGS) cover the other generators and the
 adversarial lie on trees: each trial keeps its QueryRecords, and the digest
 hashes the trial line above and then, record by record, (step, query, answer
-kind, answer vertex, is_lie). Their digests were computed on the engine that
-still gathered every light tree row into vertex order before its reply and
-kept a compatible-set size in each record.
+kind, answer vertex, is_lie). The cycle and gnm digests were computed on the
+engine that still gathered every light tree row into vertex order before
+its reply and kept a compatible-set size in each record; the star and
+random-tree ones on the step-function tree rows, as above.
 
 The comparison configs run linear_search's run_* entry points one trial at
 a time and hash, trial by trial, (declared, query count, flagged, phase-one
@@ -84,17 +89,17 @@ DIGESTS = {
     ("grid-stopping", 2):
         "3a14eebdd8165bc5ab9705b7699b9e39d99ca4965351b3ee3ea57092b54215fd",
     ("path-fixed", 1):
-        "ef7d4617e2037d39c86029767abffcafb21ec75eb2944d65368ca91a2d2482b0",
+        "3cb03323cbf567c6382a704d6ba45bf4e09dabf9e6f898b0a812eafe42143e6e",
     ("path-fixed", 2):
-        "90e166856bbc63f3716ba5fef3ecae0a3f1369228f7b9be136c0d678e125aca4",
+        "427b75f05bfb0c6daee2f599545c4004e2d06d2affe48908254554b85a0ec0f4",
     ("path-stopping", 1):
-        "ecc8d4e9a2bf0ed2c8f2119e7870a021a76a8dc3e6d11eb41092162d734624e9",
+        "07850800bb4a0aff63bea05e89b321977e80ed55dfcc17ad5702f8d3514c2040",
     ("path-stopping", 2):
-        "7ebd5f2161171ec5064b93d2fe27713955423ff1aab76d77e5eb5cc059f313a0",
+        "4fa5c0256589e6c2ad3f5c6a41b96c1ef91ae8d2112b919fe417780c16b6f7bb",
     ("random-tree-stopping", 1):
-        "f8c6806362d10a985af7193578ee71ec392c7c10384ee023ba8bd9d44881b47b",
+        "c3c4c102650aebe9e4878d778f71cfb438abc1a200d456af4c270eabc5a1192a",
     ("random-tree-stopping", 2):
-        "24695dad36445956da3be4ab6deba325d0e610f495a79d3259814dd904f476c6",
+        "f52de82cb27991afbe3bde506fb97047f269f496e6c8e72dc0cf3403b7a61828",
 }
 
 HEAVIEST_LIE = {"truthful_tiebreak": "random", "lie_choice": "adversarial-heaviest"}
@@ -121,13 +126,13 @@ RECORDED_DIGESTS = {
     ("gnm-stopping", 2):
         "ead97dc801678a1944ca8081605b979088d83d705fbc1413eda4b885778afbdf",
     ("star-fixed-random-tiebreak-heaviest-lie", 1):
-        "5277371333ab0ea7857e465f47485acecc98affc8757696c6c93b11eb0b55d8a",
+        "ccfc1c0ca98b640f36624e6e4804304b55027862149cc6387ba06a9b36f3cf73",
     ("star-fixed-random-tiebreak-heaviest-lie", 2):
-        "3bd305aff0a03d0167fb2b9389996f7418d0a63824fc35ef32e21d2114fcdc75",
+        "d036af8ac7c3e8402e60314eabf9de92bc6fe9e3dd71e3d7b7ff560be2479dc4",
     ("random-tree-stopping-random-tiebreak-heaviest-lie", 1):
-        "a3eba9445a59c0c8043e7252a1b8a8dcc8d5d526e80fa32628da3dfbe294fe93",
+        "e41026ac516079675470d33657f17c9ed3ce30e796d3d6426db660f6f9c1f324",
     ("random-tree-stopping-random-tiebreak-heaviest-lie", 2):
-        "26d0dd069814a61c6898d1a58a7f972e3e27a5c67c5be4b17dcdb94bd18ed7e2",
+        "7a849f74ac0e67debb10c8771209144a742100c7452e819b607c9417e572c6e3",
 }
 
 # name: (variant, n, p, delta, prior of lv-distr, trials)

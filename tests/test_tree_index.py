@@ -16,6 +16,7 @@ from noisysearch.graph import (
     load_graph,
     random_tree,
     reply_set,
+    scale_by_reply_set,
     star_graph,
     weighted_median,
     weighted_medians,
@@ -152,10 +153,10 @@ def test_preorder_cores_equal_the_vertex_order_entry_points(case):
     row = rel[0]
     for q in range(g.n):
         for u in g.adjacency[q]:
-            scaled = pre[0].copy()
-            tree.scale(scaled, q, u, 0.7, 0.3)
-            masked = row * np.where(reply_set(g, d, q, u), 0.7, 0.3)
-            assert np.array_equal(scaled, masked[tree.order])
+            scaled = row.copy()
+            scale_by_reply_set(g, d, scaled, q, u, 0.7, 0.3)
+            masked = row * np.where(bfs_reply_set(d, q, u), 0.7, 0.3)
+            assert np.array_equal(scaled, masked)
 
 
 @settings(max_examples=100, deadline=None)
