@@ -23,7 +23,6 @@ __all__ = [
     "grid_medians",
     "marginal_medians",
     "reply_set",
-    "scale_by_reply_set",
     "consistent_set",
     "load_graph",
     "read_fields",
@@ -144,10 +143,9 @@ class TreeIndex:
     path of any length is fine; rooted at vertex 0, a path's preorder is
     the identity.
 
-    A weight matrix held in preorder columns (column i weighs order[i])
-    has its medians found by medians, with no gather; the vertex-order
-    entry point weighted_medians gathers into preorder and calls it. The
-    engine's light rows (tree_rows.TreeRows) hold each row as a step
+    medians takes a weight matrix in preorder columns (column i weighs
+    order[i]); weighted_medians gathers its vertex-order rows into them.
+    The engine's light rows (tree_rows.TreeRows) hold each row as a step
     function over preorder positions and walk up the tree as medians does.
     """
 
@@ -260,9 +258,6 @@ class DistanceMatrix:
     on first use, and None otherwise (grids, even a one-row grid, keep their
     own prefix sums). Medians, truthful replies and reply sets on a tree
     read it instead of rows, so a tree run computes no row at all.
-    graph_search.search keeps a tree's weight rows in its preorder columns,
-    each light row as the prior times a step function whose breakpoints
-    are the preorder interval ends its replies touched (tree_rows.TreeRows).
     """
 
     def __init__(self, g: Graph):
@@ -486,19 +481,6 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
     # lo <= start < hi as one unsigned comparison: below lo wraps to huge
     in_v = (tree.start - lo).view(np.uint64) < hi - lo
     return in_v if inside else ~in_v
-
-
-def scale_by_reply_set(
-    g: Graph, d: DistanceMatrix, row: np.ndarray, q: int, u: int, inside: float, outside: float
-) -> None:
-    """row *= np.where(reply_set(g, d, q, u), inside, outside), in place,
-    for a row whose columns are vertex ids.
-
-    A tree's mask comes from its preorder interval (reply_set). The
-    engine's light rows on a tree scale a run of step-function segments
-    (tree_rows.TreeRows), and on a grid their lines (grid_rows.GridRows).
-    """
-    row *= np.where(reply_set(g, d, q, u), inside, outside)
 
 
 def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:

@@ -12,9 +12,11 @@ stop threshold):
 
 One engine, search(), drives them all. It runs a chunk of trials, each
 with its own step count: the trials in which no vertex holds more than
-half the weight step together as the rows of one weight matrix, and a
-trial in which one vertex does leaves the matrix and runs ahead on its
-own, as two numbers, until it ends or rejoins (see search). Every trial
+half the weight step together as the light rows of one store (a step
+function per row on a tree, two lines and a few points on a grid under a
+uniform prior, one dense weight matrix otherwise), and a trial in which
+one vertex does leaves the store and runs ahead on its own, as two
+numbers, until it ends or rejoins (see search). Every trial
 does the arithmetic a lone trial would, in the same order, so its
 transcript does not depend on the chunk it ran in. The run_* functions
 are a chunk of one, and so is each transcript of the invariant fuzzer
@@ -35,7 +37,7 @@ import numpy as np
 from .graph import (
     Graph,
     _is_grid,
-    scale_by_reply_set,
+    reply_set,
     weighted_median,
     weighted_medians,
 )
@@ -82,14 +84,15 @@ __all__ = [
 # Bytes of one chunk's light rows. A dense row is n float64 words: 1 MiB is
 # 128 rows at n = 1024 and 64 at n = 2048, and search allocates the matrix
 # once and updates it in place, so it and the rows that thaw in one pass
-# are the matrices a chunk adds. A tree chunk takes the same number of
-# rows, though a step-function row (tree_rows.TreeRows) holds a few
-# segments: its passes cost per row, and the 120 trials of a tree-stop run
-# read the same CPU time as one chunk or as two of 64 and 56. A grid row is
-# two lines, a scalar and a few points (grid_rows.row_words): 73 words on a
-# 32x32 grid, so 1795 rows, and the 400 trials of a benchmark run are one
-# chunk. A light pass costs a fixed part, the numpy calls of its median and
-# update, plus a part per row. On a 32x32 grid at p = 0.3 (least squares
+# are the matrices a chunk adds; a grid under a non-uniform prior is held
+# so. A tree chunk takes the same number of rows, though a step-function
+# row (tree_rows.TreeRows) holds a few segments: its passes cost per row,
+# and the 120 trials of a tree-stop run read the same CPU time as one chunk
+# or as two of 64 and 56. A grid row under a uniform prior is two lines, a
+# scalar and a few points (grid_rows.row_words): 73 words on a 32x32 grid,
+# so 1795 rows, and the 400 trials of a benchmark run are one chunk. A
+# light pass costs a fixed part, the numpy calls of its median and update,
+# plus a part per row. On a 32x32 grid at p = 0.3 (least squares
 # over the passes of 400 trials on a shared 2-core machine) the dense
 # matrix cost about 81 us plus 11.6 us a row and took 238 passes of 49.9
 # rows; the factored rows cost about 230 to 400 us plus 2.5 to 3.6 us a
@@ -106,7 +109,7 @@ def chunk_rows(n: int, grid_shape: tuple[int, int] | None = None) -> int:
     """Trials per chunk on an n-vertex graph, at least one: CHUNK_BYTES
     over a light row's bytes, n words on a dense or tree chunk (see
     CHUNK_BYTES) and two lines plus a few points (grid_rows.row_words) on a
-    grid layout."""
+    grid layout under a uniform prior."""
     words = n if grid_shape is None else row_words(grid_shape)
     return max(1, CHUNK_BYTES // (8 * words))
 
@@ -229,31 +232,34 @@ def search(
     its own step count, ends at the cap or, under a stopping plan, once its
     top share reaches the stop threshold.
 
-    Columns: on a tree (d.tree, paths included) column i of every weight
-    row weighs the vertex at preorder position i (d.tree.order[i]), and
-    on other graphs vertex i. Positions become vertex ids only where an
-    oracle, a query record or a transcript needs them; snapshots and row
-    sums add up in column order.
+    Vertex ids: search speaks to its light-row store (rows below) and to a
+    frozen heavy row only in vertex ids. A store's tops() gives each row's
+    heavy flag and top vertex, medians() each row's median vertex,
+    update(qs, replies) folds reply replies[i] at vertex qs[i] into row i
+    and gives each row's total before the divide, row(i) builds row i
+    densely over vertex ids, lie_weights(i) gives an adversarial lie what
+    it reads of row i, freeze(i, h) keeps row i for a heavy run at its top
+    vertex h, and regroup(gone, thawed) drops rows and appends thawed ones.
+    A frozen row gives h, rest0, its weight outside h, row, its dense row
+    with 0 at h, and thaw(rest). Snapshots and declarations read rows over
+    vertex ids, so their sums add up in vertex order.
 
     Light rows: a trial whose top share is HEAVY_SHARE or below is a light
     row of the chunk, with a per-trial log2 total. A pass takes one median
     per row, one reply per row, and one update for all rows. On a tree
     every reply set is a preorder interval or the complement of one, so
     each row is the prior times a step function over preorder positions
-    (tree_rows.TreeRows): one walk up the tree per row and pass, two
-    prefix reads a step, gives both its median and its heavy flag (a
-    vertex above half the weight is the median), an update splits at two
-    breakpoints at most and scales a run of segments, and an adversarial
-    lie's reply masses are sums over segments. On a grid every reply set
-    is a half-plane of grid rows or columns, so each row is two line
-    vectors and a few points (grid_rows.GridRows): medians come from the
-    row and column marginals, a cut scales one line, a yes or a no at a
-    vertex holding half the weight scales the row and sets a point, and
-    the top share, the weight at a median that may hold half of it and an
-    adversarial lie's reply masses are read off lines and points. On
-    either, a row is built densely only for a snapshot, a declaration or a
-    recorded lie that reads it whole. On a graph with neither layout the
-    rows are one dense weight matrix (_DenseRows): medians by descent, a
+    (tree_rows.TreeRows), which it keeps to itself: one walk up the tree
+    per row and pass gives both its median and its heavy flag (a vertex
+    above half the weight is the median), and an update scales a run of
+    segments. On a grid under a uniform prior every reply set is a
+    half-plane of grid rows or columns, so each row is two line vectors and
+    a few points (grid_rows.GridRows): medians come from the row and column
+    marginals, and a cut scales one line. Both read an adversarial lie's
+    reply masses off their own form, and build a row densely only for a
+    snapshot, a declaration or a recorded lie that reads it whole. Any
+    other chunk, a grid under a non-uniform prior included, is one dense
+    weight matrix (_DenseRows): medians by descent or from cost lines, a
     neighbour reply at a light vertex scales its row by its reply set's
     mask, and one multiply, row sum and divide folds in the rest. A row at
     its cap ends there.
@@ -285,10 +291,6 @@ def search(
     if not k:
         return []
     d, policy = oracles[0].dist, oracles[0].policy
-    tree = d.tree
-    order = None if tree is None else tree.order
-    # the column of each trial's target
-    target_cols = [o.target if tree is None else int(tree.start[o.target]) for o in oracles]
     lie_weights = policy.lie_choice == "adversarial-heaviest"
     record = list(record_queries) if record_queries is not None else [False] * k
     p, keep, cap, stop = noise.p, 1.0 - noise.p, plan.max_steps, plan.stop_threshold
@@ -302,19 +304,18 @@ def search(
 
     def run_heavy(r: int, frozen):
         """Run trial r, whose frozen row (TreeFrozen, GridFrozen or
-        _DenseFrozen) holds the vertex h in column frozen.col above
-        HEAVY_SHARE, step by step at h: snapshot, cap and stop checks,
-        reply, two-number update, log2 total; a lie at a yes truth goes
-        unnamed when the trial is not recorded (see above). Returns its
-        thawed row once h's share falls to HEAVY_SHARE or below, None once
-        the trial has ended."""
-        o, rec, wlog, tcol = oracles[r], records[r], wlogs[r], target_cols[r]
+        _DenseFrozen) holds its top vertex frozen.h above HEAVY_SHARE, step
+        by step at h: snapshot, cap and stop checks, reply, two-number
+        update, log2 total; a lie at a yes truth goes unnamed when the
+        trial is not recorded (see above). Returns its thawed row once h's
+        share falls to HEAVY_SHARE or below, None once the trial has
+        ended."""
+        o, rec, wlog = oracles[r], records[r], wlogs[r]
         target, coin = o.target, o.coin
-        col = frozen.col
-        h = col if order is None else int(order[col])
+        h = frozen.h
 
-        def vertex_row(rest: float) -> np.ndarray:
-            return _in_vertex_order(frozen.row(rest), order)
+        def heavy_row(rest: float) -> np.ndarray:
+            return _heavy_row(frozen.row, frozen.rest0, rest, h)
 
         # the share outside h, kept as such, so a rest too small to show
         # in 1 - share is kept
@@ -326,13 +327,13 @@ def search(
         step, log2_total = steps[r], log2_totals[r]
         while True:
             if wlog is not None:
-                wlog.append(_snapshot(frozen.row(rest), log2_total, tcol, order))
+                wlog.append(_snapshot(heavy_row(rest), log2_total, target))
             share = 1.0 - rest
             stopped = stop is not None and share >= stop
             if step == cap or stopped:
                 o.queries_answered += step
                 out[r] = _transcript(
-                    vertex_row(rest), log2_total, target, step, rec, wlog,
+                    heavy_row(rest), log2_total, target, step, rec, wlog,
                     flagged=stop is not None and not stopped,
                 )
                 return None
@@ -351,7 +352,7 @@ def search(
                         coin()
                     reply = NEIGHBOR
                 else:
-                    build = None if rec is None else functools.partial(vertex_row, rest)
+                    build = None if rec is None else functools.partial(heavy_row, rest)
                     reply = heavy_lie(h, truth, g, d, policy, coin, build)
             # as heavy_filter and bayesian_update would: a yes keeps {h} and
             # a no all but h; kept mass scales by 1-p and the rest by p
@@ -367,10 +368,10 @@ def search(
             if rec is not None:
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
-    if tree is not None:
-        rows = TreeRows(tree, plan.prior[order], k, p, HEAVY_SHARE)
-    elif _is_grid(g):
-        rows = GridRows(g.grid_shape, plan.prior, k, p, HEAVY_SHARE)
+    if d.tree is not None:
+        rows = TreeRows(d.tree, plan.prior, k, p, HEAVY_SHARE)
+    elif _is_grid(g) and (plan.prior == plan.prior[0]).all():
+        rows = GridRows(g.grid_shape, k, p, HEAVY_SHARE)
     else:
         rows = _DenseRows(g, d, plan.prior, k, p)
     # the light trials, in the order of their rows
@@ -388,12 +389,12 @@ def search(
                     thawed.append((r, row))
                 continue
             if track_weights:
-                wlogs[r].append(_snapshot(rows.row(i), log2_totals[r], target_cols[r], order))
+                wlogs[r].append(_snapshot(rows.row(i), log2_totals[r], oracles[r].target))
             if steps[r] == cap:
                 gone.append(i)
                 oracles[r].queries_answered += cap
                 out[r] = _transcript(
-                    _in_vertex_order(rows.row(i), order), log2_totals[r], oracles[r].target,
+                    rows.row(i), log2_totals[r], oracles[r].target,
                     cap, records[r], wlogs[r], flagged=stop is not None,
                 )
             else:
@@ -405,10 +406,9 @@ def search(
 
         # Each light row asks its median and hears its own oracle, then
         # the rows fold their replies in, all at once (rows.update).
-        qs, at_q = rows.medians(None if gone or thawed else tops)
-        vertices = qs.tolist() if order is None else order[qs].tolist()
+        qs = rows.medians()
         replies = []
-        for i, (q, r) in enumerate(zip(vertices, light)):
+        for i, (q, r) in enumerate(zip(qs.tolist(), light)):
             o = oracles[r]
             steps[r] += 1
             build = rows.lie_weights(i) if lie_weights else None
@@ -416,17 +416,18 @@ def search(
             replies.append(reply)
             if records[r] is not None:
                 records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth)))
-        totals = rows.update(qs, vertices, replies, at_q)
+        totals = rows.update(qs, replies)
         for r, t in zip(light, totals.tolist()):
             log2_totals[r] += log2(t)
 
 
 class _DenseRows:
     """The light rows of a chunk on a graph with neither a tree index nor a
-    grid layout: one C-contiguous weight matrix, allocated once, k rows by
-    n, whose first m rows are the light ones, updated in place. A row that
-    leaves closes its gap as the later rows move down, in order, and a row
-    that thaws is written after them."""
+    grid layout, or on a grid under a non-uniform prior: one C-contiguous
+    weight matrix over vertex ids, allocated once, k rows by n, whose first
+    m rows are the light ones, updated in place. A row that leaves closes
+    its gap as the later rows move down, in order, and a row that thaws is
+    written after them."""
 
     def __init__(self, g: Graph, d, prior: np.ndarray, k: int, p: float):
         self.g, self.d, self.p = g, d, p
@@ -434,22 +435,26 @@ class _DenseRows:
         # flat is the matrix's cells in one line
         self.flat = np.tile(prior, k)
         self.buf, self.m = self.flat.reshape(k, n), k
+        # the rows' argmax as of tops(), while no row has moved since
+        self._tops = None
 
     def tops(self) -> tuple[list[bool], np.ndarray]:
         weights = self.buf[: self.m]
-        tops = weights.argmax(axis=1)
+        self._tops = tops = weights.argmax(axis=1)
         return (weights[np.arange(self.m), tops] > HEAVY_SHARE).tolist(), tops
 
     def row(self, i: int) -> np.ndarray:
         return self.buf[i]
 
-    def freeze(self, i: int, col: int) -> "_DenseFrozen":
-        return _DenseFrozen(self.buf[i], col)
+    def freeze(self, i: int, h: int) -> "_DenseFrozen":
+        return _DenseFrozen(self.buf[i], h)
 
     def regroup(self, gone: list[int], thawed: list[np.ndarray]) -> None:
         # the rows between two gaps move down past the gaps before them, in
         # one copy over flat each, which numpy does as a memmove with no
         # temporary; the thawed rows follow them
+        if gone or thawed:
+            self._tops = None
         flat, n, m = self.flat, self.n, self.m
         for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
             flat[(i + 1 - shift) * n : (end - shift) * n] = flat[(i + 1) * n : end * n]
@@ -459,39 +464,42 @@ class _DenseRows:
             m += 1
         self.m = m
 
-    def medians(self, tops: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """The median column of every row (tops, the rows' argmax, when no
-        row moved since) and the weight there."""
-        weights = self.buf[: self.m]
-        qs = weighted_medians(self.g, self.d, weights, tops)
-        return qs, weights[np.arange(self.m), qs]
+    def medians(self) -> np.ndarray:
+        """The median vertex of every row (from the rows' argmax when no
+        row moved since tops())."""
+        qs = weighted_medians(self.g, self.d, self.buf[: self.m], self._tops)
+        self._tops = None
+        return qs
 
     def lie_weights(self, i: int):
         return functools.partial(self.buf.__getitem__, i)
 
-    def update(self, qs: np.ndarray, vertices: list[int], replies: list[int], at_q: np.ndarray):
-        """Fold the replies in as heavy_filter and bayesian_update would:
-        kept weights scale by 1-p, the rest by p. A yes keeps {q} and a no
-        at a q holding half the weight keeps all but q, so those rows scale
-        by one factor off q and another at q, all rows in one multiply. Any
-        other reply u keeps its reply set N(q, u), which leaves q out; such
-        a row is scaled on its own, and the multiply passes it by with a
-        factor 1. Returns each row's total before the divide."""
+    def update(self, qs: np.ndarray, replies: list[int]) -> np.ndarray:
+        """Fold reply replies[i] at vertex qs[i] into row i, for every row,
+        as heavy_filter and bayesian_update would: kept weights scale by
+        1-p, the rest by p. A yes keeps {q} and a no at a q holding half
+        the weight keeps all but q, so those rows scale by one factor off q
+        and another at q, all rows in one multiply. Any other reply u keeps
+        its reply set N(q, u), which leaves q out; such a row is scaled on
+        its own by its mask, and the multiply passes it by with a factor 1.
+        Returns each row's total before the divide."""
         p, keep = self.p, 1.0 - self.p
         weights = self.buf[: self.m]
+        at = np.arange(self.m)
+        at_q = weights[at, qs]
         factors, at_q_mult = [], []
-        for i, (q, reply, w_q) in enumerate(zip(vertices, replies, at_q.tolist())):
+        for i, (q, reply, w_q) in enumerate(zip(qs.tolist(), replies, at_q.tolist())):
             if reply == q:
                 factor, at_f = p, keep
             elif w_q >= 0.5:
                 factor, at_f = keep, p
             else:
-                scale_by_reply_set(self.g, self.d, weights[i], q, reply, keep, p)
+                weights[i] *= np.where(reply_set(self.g, self.d, q, reply), keep, p)
                 factor, at_f = 1.0, p
             factors.append(factor)
             at_q_mult.append(at_f)
         weights *= np.array(factors)[:, None]
-        weights[np.arange(self.m), qs] = at_q * at_q_mult
+        weights[at, qs] = at_q * at_q_mult
         totals = weights.sum(axis=1)
         if not (totals > 0.0).all():
             raise DomainError("update annihilated all weight mass")
@@ -500,50 +508,38 @@ class _DenseRows:
 
 
 class _DenseFrozen:
-    """A dense row frozen when column col, its top, turned heavy: the row
-    with 0 at col, and rest0, its sum."""
+    """A dense row frozen when vertex h, its top, turned heavy: row, the
+    row with 0 at h, and rest0, its sum."""
 
-    def __init__(self, row: np.ndarray, col: int):
-        self.frozen = row.copy()
-        self.frozen[col] = 0.0
-        self.col = col
-        self.rest0 = float(self.frozen.sum())
+    def __init__(self, row: np.ndarray, h: int):
+        self.row = row.copy()
+        self.row[h] = 0.0
+        self.h = h
+        self.rest0 = float(self.row.sum())
 
-    def row(self, rest: float) -> np.ndarray:
-        """The frozen row scaled to the share rest, with col set."""
-        return _heavy_row(self.frozen, self.rest0, rest, self.col)
-
-    thaw = row
+    def thaw(self, rest: float) -> np.ndarray:
+        """The frozen row scaled to the share rest, with h set."""
+        return _heavy_row(self.row, self.rest0, rest, self.h)
 
 
-def _heavy_row(frozen: np.ndarray, rest0: float, rest: float, col: int) -> np.ndarray:
-    """The dense row of a heavy trial: frozen (its row when h, in column
-    col, turned heavy, with 0 there, summing to rest0) scaled to the share
+def _heavy_row(frozen: np.ndarray, rest0: float, rest: float, h: int) -> np.ndarray:
+    """The dense row of a heavy trial: frozen (its row when h turned heavy,
+    over vertex ids, with 0 at h, summing to rest0) scaled to the share
     rest, with h set."""
     row = frozen * (rest / rest0 if rest0 > 0.0 else 0.0)
-    row[col] = 1.0 - rest
+    row[h] = 1.0 - rest
     return row
 
 
-def _in_vertex_order(row: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """A weight row whose column i weighs vertex order[i], over vertex ids
-    (row itself when order is None)."""
-    if order is None:
-        return row
-    out = np.empty_like(row)
-    out[order] = row
-    return out
-
-
 def _snapshot(
-    row: np.ndarray, log2_total: float, target_col: int, order: np.ndarray | None
+    row: np.ndarray, log2_total: float, target: int
 ) -> tuple[float, float, float, int | None]:
-    """A weight_log entry from a row in the engine's columns (see
-    SearchTranscript), its heavy column mapped back to a vertex id."""
+    """A weight_log entry from a row over vertex ids (see
+    SearchTranscript)."""
     top = int(np.argmax(row))
-    heavy = None if row[top] < 0.5 else top if order is None else int(order[top])
+    heavy = top if row[top] >= 0.5 else None
     log2_total = float(log2_total)
-    return log2_rest(row, log2_total), math.log2(row[target_col]) + log2_total, log2_total, heavy
+    return log2_rest(row, log2_total), math.log2(row[target]) + log2_total, log2_total, heavy
 
 
 def _transcript(

@@ -7,13 +7,12 @@ column line, and only a yes or a no at a vertex holding half the weight
 treats one vertex apart from the rest. Row i of a chunk weighs vertex
 v = r * cols + c as
 
-    w(v) = s[i] * (a[i, r] * b[i, c] * prior[v]) * f_i(v)
+    w(v) = s[i] * (a[i, r] * b[i, c]) * f_i(v)
 
 with a row line a and a column line b, each kept summing to 1, a scalar s
-that makes the row sum to 1, the prior the rows share (skipped when it is
-uniform), and a point factor f_i(v), which is 1 except at the row's few
-points: slot j of row i holds vertex pv[i, j] and factor pf[i, j] (-1 and
-1.0 when the slot is free). A yes at q scales the row by p and q by
+that makes the row sum to 1, and a point factor f_i(v), which is 1 except
+at the row's few points: slot j of row i holds vertex pv[i, j] and factor
+pf[i, j] (-1 and 1.0 when the slot is free). A yes at q scales the row by p and q by
 (1-p)/p more; a no at a q holding half the weight scales the row by 1-p
 and q by p/(1-p); a thawed heavy row sets its top vertex to a value. The
 points of a chunk live in two arrays that widen when a row needs a slot.
@@ -21,9 +20,9 @@ points of a chunk live in two arrays that widen when a row needs a slot.
 The reads of a pass come from lines and points: the row and column
 marginals (graph.marginal_medians takes the medians from them), the top
 share, the weight at a median where it may be half the row's, and an
-adversarial lie's half-plane masses. A row is built densely only where a caller reads it whole. Under
-a non-uniform prior the marginals, the top share and the total come from
-the rows built densely, DENSE_BLOCK_BYTES at a time.
+adversarial lie's half-plane masses. A row is built densely only where a
+caller reads it whole. The rows start from a uniform prior; a chunk under
+any other prior is held densely (graph_search._DenseRows).
 
 Layout: the two lines of row i are lines[i, 0, :rows] and
 lines[i, 1, :cols] of one (k, 2, L + 1) array, L = max(rows, cols); the
@@ -49,9 +48,6 @@ __all__ = ["GridRows", "GridFrozen", "POINT_SLOTS", "row_words"]
 # point slots a chunk starts with; a row that needs more widens them all
 POINT_SLOTS = 4
 
-# under a non-uniform prior, rows are read densely this many bytes at a time
-DENSE_BLOCK_BYTES = 1 << 20
-
 # the marginals and cost lines of a pass are built for as many rows at a
 # time as take this many bytes (six words a line entry)
 MEDIAN_BLOCK_BYTES = 1 << 18
@@ -74,8 +70,8 @@ def row_words(shape: tuple[int, int]) -> int:
 class GridRows:
     """The light rows of one chunk on a grid layout (see the module doc).
 
-    shape is (rows, cols), prior the start weights over vertex ids, k the
-    number of rows, and p the update's noise rate: kept weights scale by
+    shape is (rows, cols), k the number of rows, each starting from the
+    uniform prior, and p the update's noise rate: kept weights scale by
     1-p and the rest by p. heavy is the share above which a row's top
     vertex leaves for a heavy run. The live rows are the first m of
     buffers made for k, numbered in the order the engine keeps them; a
@@ -83,10 +79,9 @@ class GridRows:
     once for MEDIAN_BLOCK_BYTES worth of rows, so it allocates no array of
     the chunk's size."""
 
-    def __init__(self, shape: tuple[int, int], prior: np.ndarray, k: int, p: float, heavy: float):
+    def __init__(self, shape: tuple[int, int], k: int, p: float, heavy: float):
         self.rows, self.cols = rows, cols = shape
         self.heavy = heavy
-        self.prior = None if (prior == prior[0]).all() else np.asarray(prior, dtype=np.float64)
         self.m = k
         self.width = width = max(rows, cols) + 1
         self._lines = np.zeros((k, 2, width))
@@ -120,8 +115,6 @@ class GridRows:
         self._divisor, self._modulus = np.array([cols, 1]), np.array([rows, cols])
         self._line_starts = np.array([0, width])
         self._base = self._qs = None
-        if self.prior is not None:
-            self._s /= self._base_totals()
 
     def _slot_index(self, pv: np.ndarray) -> np.ndarray:
         """The flat positions in a row's lines of each slot's row and
@@ -144,33 +137,18 @@ class GridRows:
         return self._base
 
     def _line_products(self) -> np.ndarray:
-        """a[r] * b[c] (times the prior) at each slot's vertex."""
+        """a[r] * b[c] at each slot's vertex."""
         m, width = self.m, self.width
         slots = self._pv.shape[1]
         got = self._lines[:m].reshape(m, 2 * width)[self._at[:m, None], self._pidx[:m]]
-        out = got[:, :slots] * got[:, slots:]
-        if self.prior is not None:
-            out *= self.prior[self._pv[:m]]
-        return out
+        return got[:, :slots] * got[:, slots:]
 
     def row(self, i: int) -> np.ndarray:
         """Row i built densely, over vertex ids."""
-        return self._dense(i, i + 1)[0]
-
-    def _dense(self, lo: int, hi: int, whole: bool = True) -> np.ndarray:
-        """Rows lo..hi-1 built densely, over vertex ids; without s and the
-        points unless whole."""
+        at = slice(i, i + 1)
         return _dense_rows(
-            (self.rows, self.cols), self.prior, self._lines[lo:hi],
-            *((self._s[lo:hi], self._pv[lo:hi], self._pf[lo:hi]) if whole else ()),
-        )
-
-    def _blocks(self, lo: int = 0, hi: int | None = None):
-        """Ranges of the rows lo..hi-1 (the live rows by default), each
-        built densely at most DENSE_BLOCK_BYTES at a time."""
-        hi = self.m if hi is None else hi
-        step = max(1, DENSE_BLOCK_BYTES // (8 * self.rows * self.cols))
-        return ((start, min(start + step, hi)) for start in range(lo, hi, step))
+            (self.rows, self.cols), self._lines[at], self._s[at], self._pv[at], self._pf[at]
+        )[0]
 
     def tops(self) -> tuple[list[bool], np.ndarray]:
         """Per row, whether its top share is above the heavy share, and
@@ -180,19 +158,8 @@ class GridRows:
         Off the points the heaviest vertex is the cell of the two lines'
         maxima. When a point with a factor below 1 sits on that cell, the
         rest of the row holds at most s minus that cell's line weight; only
-        if that could be over one half is the row built to find its top.
-        Under a non-uniform prior the rows are built to find it."""
+        if that could be over one half is the row built to find its top."""
         m, heavy = self.m, self.heavy
-        if self.prior is not None:
-            cols = np.empty(m, dtype=np.intp)
-            flags = np.empty(m, dtype=bool)
-            for lo, hi in self._blocks():
-                rows = self._dense(lo, hi)
-                cols[lo:hi] = top = rows.argmax(axis=1)
-                share = rows[self._at[: hi - lo], top]
-                flags[lo:hi] = share > heavy
-                self._maybe[lo:hi] = share >= 0.5
-            return flags.tolist(), cols
         lines, s, pv, pf, at = self._lines[:m], self._s[:m], self._pv[:m], self._pf[:m], self._at[:m]
         weights = self._point_base() * pf
         point_top = np.maximum.reduce(weights, axis=1)
@@ -225,14 +192,6 @@ class GridRows:
         """The row marginals ([:, 0, :rows]) and column marginals
         ([:, 1, :cols]) of rows lo..hi-1, in the layout of the lines and
         zero after each line's end, written into out."""
-        rows, cols = self.rows, self.cols
-        if self.prior is not None:
-            out.fill(0.0)
-            for start, end in self._blocks(lo, hi):
-                grid = self._dense(start, end).reshape(end - start, rows, cols)
-                part = out[start - lo : end - lo]
-                part[:, 0, :rows], part[:, 1, :cols] = grid.sum(axis=2), grid.sum(axis=1)
-            return out
         # the lines sum to 1, so s * a is the row marginal off the points
         np.multiply(self._lines[lo:hi], self._s[lo:hi, None, None], out=out)
         base = self._point_base()[lo:hi]
@@ -241,10 +200,8 @@ class GridRows:
         np.add.at(out.reshape(hi - lo, -1), (self._at[: hi - lo, None, None], pidx), moved[:, None, :])
         return out
 
-    def medians(self, tops=None) -> tuple[np.ndarray, None]:
-        """The median vertex of every row, and None for the weights there
-        (update reads the few it needs). tops is not read (a dense chunk's
-        shortcut)."""
+    def medians(self) -> np.ndarray:
+        """The median vertex of every row."""
         m, step = self.m, self._block
         blocks = []
         for lo in range(0, m, step):
@@ -255,15 +212,13 @@ class GridRows:
             blocks.append(marginal_medians(marginals, self.rows, self.cols, work))
         self._qs = qs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         self._rc = qs[:, None] // self._divisor % self._modulus
-        return qs, None
+        return qs
 
     def weights_at(self, rows: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """The weight of vertex vs[j] in row rows[j], for each j."""
         rc = vs[:, None] // self._divisor % self._modulus
         got = self._lines[rows].reshape(len(rows), -1)[self._at[: len(rows), None], rc + self._line_starts]
         base = got[:, 0] * got[:, 1]
-        if self.prior is not None:
-            base *= self.prior[vs]
         factor = np.multiply.reduce(np.where(self._pv[rows] == vs[:, None], self._pf[rows], 1.0), axis=1)
         return (self._s[rows] * base) * factor
 
@@ -293,15 +248,14 @@ class GridRows:
 
     # -- updates -------------------------------------------------------
 
-    def update(self, qs: np.ndarray, vertices=None, replies=(), at_q=None) -> np.ndarray:
+    def update(self, qs: np.ndarray, replies: list[int]) -> np.ndarray:
         """Fold reply replies[i] at vertex qs[i] into row i, for every row,
         as heavy_filter and bayesian_update would: kept weights scale by
         1-p, the rest by p. A yes keeps {q}, a no at a q holding half the
         weight keeps all but q, and any other reply keeps its half-plane:
         the lines before q's, or after it, in one axis. Only the rows that
-        tops() found may hold half the weight have q's weight read.
-        vertices and at_q are not read (a dense chunk's). Returns each
-        row's total before it is divided back to 1."""
+        tops() found may hold half the weight have q's weight read. Returns
+        each row's total before it is divided back to 1."""
         m = self.m
         kind = self._kinds[np.asarray(replies) - qs]
         maybe = self._maybe[:m].nonzero()[0]
@@ -319,13 +273,6 @@ class GridRows:
             self._merge(pts, qs[pts], self._point[kind[pts]])
         return self._normalise()
 
-    def _base_totals(self) -> np.ndarray:
-        """Each row's total off its points, s left out (1 when the prior
-        is uniform, since the lines sum to 1)."""
-        if self.prior is None:
-            return 1.0
-        return np.concatenate([self._dense(lo, hi, False).sum(axis=1) for lo, hi in self._blocks()])
-
     def _normalise(self) -> np.ndarray:
         """Scale both lines back to sum 1 and s so each row sums to 1;
         returns the totals the rows had."""
@@ -336,7 +283,8 @@ class GridRows:
         base = self._line_products()
         # summed slot by slot, so free slots at the end add exact zeros
         moved = np.add.accumulate(base * self._pf[:m] - base, axis=1)[:, -1]
-        total = self._base_totals() + moved
+        # off the points a row holds s, as its lines sum to 1
+        total = 1.0 + moved
         totals = self._s[:m] * (sums[:, 0] * sums[:, 1]) * total
         if not np.minimum.reduce(totals) > 0.0:
             raise DomainError("update annihilated all weight mass")
@@ -377,9 +325,9 @@ class GridRows:
 
     # -- leaving and rejoining -------------------------------------------
 
-    def freeze(self, i: int, col: int) -> "GridFrozen":
-        """Row i as a heavy run keeps it, with vertex col its top."""
-        return GridFrozen(self, i, col)
+    def freeze(self, i: int, h: int) -> "GridFrozen":
+        """Row i as a heavy run keeps it, with vertex h its top."""
+        return GridFrozen(self, i, h)
 
     def regroup(self, gone: list[int], thawed: list[tuple]) -> None:
         """Drop the rows in gone and append the thawed rows (each as
@@ -410,81 +358,61 @@ class GridRows:
         self.m = m
 
 
-def _dense_rows(shape, prior, lines, s=None, pv=None, pf=None) -> np.ndarray:
+def _dense_rows(shape, lines, s, pv, pf) -> np.ndarray:
     """The rows whose lines are lines[i] built densely over vertex ids: the
-    products of the two lines, times the prior, and when s is given times
-    s and each point's factor (free slots, vertex -1, left out)."""
+    products of the two lines, times s and each point's factor (free
+    slots, vertex -1, left out)."""
     rows, cols = shape
     out = (lines[:, 0, :rows, None] * lines[:, 1, None, :cols]).reshape(len(lines), -1)
-    if prior is not None:
-        out *= prior
-    if s is not None:
-        out *= s[:, None]
-        at, slot = (pv >= 0).nonzero()
-        out[at, pv[at, slot]] *= pf[at, slot]
+    out *= s[:, None]
+    at, slot = (pv >= 0).nonzero()
+    out[at, pv[at, slot]] *= pf[at, slot]
     return out
 
 
 class GridFrozen:
-    """A grid row frozen when vertex col, its top, turned heavy: its lines,
-    scalar and points, and rest0, the weight outside col.
+    """A grid row frozen when vertex h, its top, turned heavy: its lines,
+    scalar and points, rest0, the weight outside h, and row, the row over
+    vertex ids with 0 at h, built on first use.
 
-    While col holds at most 3/4 of the row, rest0 is 1 minus col's weight,
+    While h holds at most 3/4 of the row, rest0 is 1 minus h's weight,
     within a few units in the last place of a number above 1/4; above that
-    the row is built and summed without col, as it is under a prior."""
+    it is the sum of row."""
 
-    def __init__(self, rows: GridRows, i: int, col: int):
-        self.shape, self.prior = (rows.rows, rows.cols), rows.prior
+    def __init__(self, rows: GridRows, i: int, h: int):
+        self.shape = (rows.rows, rows.cols)
         self.lines, self.s = rows._lines[i].copy(), float(rows._s[i])
         self.pv, self.pf = rows._pv[i].copy(), rows._pf[i].copy()
-        self.col = col
-        self._dense = None
-        top = self._base(self.s) * self.pf[self.pv == col].prod()
-        if self.prior is None and top <= 0.75:
-            self.rest0 = 1.0 - float(top)
-        else:
-            row = self.dense().copy()
-            row[col] = 0.0
-            self.rest0 = float(row.sum())
+        self.h = h
+        top = self._base(self.s) * self.pf[self.pv == h].prod()
+        self.rest0 = 1.0 - float(top) if top <= 0.75 else float(self.row.sum())
 
     def _base(self, s: float) -> float:
-        """col's weight at the scalar s, without its point factor."""
-        r, c = divmod(self.col, self.shape[1])
-        base = self.lines[0, r] * self.lines[1, c]
-        if self.prior is not None:
-            base *= self.prior[self.col]
-        return s * base
+        """h's weight at the scalar s, without its point factor."""
+        r, c = divmod(self.h, self.shape[1])
+        return s * (self.lines[0, r] * self.lines[1, c])
 
-    def dense(self) -> np.ndarray:
-        """The frozen row over vertex ids, built on first use."""
-        if self._dense is None:
-            self._dense = _dense_rows(
-                self.shape, self.prior, self.lines[None], np.array([self.s]),
-                self.pv[None], self.pf[None],
-            )[0]
-        return self._dense
-
-    def row(self, rest: float) -> np.ndarray:
-        """The dense row scaled so the weight outside col is rest, with col
-        holding 1 - rest."""
-        row = self.dense().copy()
-        row[self.col] = 0.0
-        row *= rest / self.rest0 if self.rest0 > 0.0 else 0.0
-        row[self.col] = 1.0 - rest
+    @functools.cached_property
+    def row(self) -> np.ndarray:
+        row = _dense_rows(
+            self.shape, self.lines[None], np.array([self.s]), self.pv[None], self.pf[None]
+        )[0]
+        row[self.h] = 0.0
         return row
 
     def thaw(self, rest: float) -> tuple:
-        """The factored row of row(rest), as GridRows.regroup takes it
-        (lines, s, point vertices, point factors): s scaled by
-        rest / rest0, and col's point factor set so col holds 1 - rest."""
+        """The factored row of the heavy row at the share rest, as
+        GridRows.regroup takes it (lines, s, point vertices, point
+        factors): s scaled by rest / rest0, and h's point factor set so h
+        holds 1 - rest."""
         s = self.s * (rest / self.rest0 if self.rest0 > 0.0 else 0.0)
         pv, pf = self.pv.copy(), self.pf.copy()
-        slots = np.flatnonzero(pv == self.col)
+        slots = np.flatnonzero(pv == self.h)
         if not len(slots):
             slots = np.flatnonzero(pv < 0)
             if not len(slots):
                 slots = [len(pv)]
                 pv, pf = np.append(pv, np.full(len(pv), -1)), np.append(pf, np.ones(len(pf)))
-            pv[slots[0]] = self.col
+            pv[slots[0]] = self.h
         pf[slots[0]] = (1.0 - rest) / self._base(s)
         return self.lines, s, pv, pf

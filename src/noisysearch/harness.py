@@ -257,12 +257,16 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     the adjacency while Graph.from_edges builds it (a set, then a tuple,
     per vertex: under 300 bytes a vertex and 100 an edge end), the preorder
     index of a graph that may be a tree (under 320 bytes a vertex), the
-    distance rows a graph that is neither a tree nor a grid caches (int32
-    rows, n at most, up to ROW_CACHE_BYTES), three n-word copies of the
+    distance rows a dense chunk's updates cache (int32 rows, n at most, up
+    to ROW_CACHE_BYTES; none on a tree or under grid rows), three n-word
+    copies of the
     prior, and one chunk of the engine plus 4 KiB a trial for its oracle,
     rng, block of coins and transcript (at n = 64 a trial added 3.8 to
     4.8 kB, its cells included). A dense chunk holds at most three words a
-    cell (its weight matrix and the rows that thaw in one pass). A tree
+    cell (its weight matrix and the rows that thaw in one pass); a
+    graph-lv-distr chunk on a grid is sized as one (at n = 512 under a
+    skewed mu a chunk of 256 trials, its distance rows included, traced a
+    peak of 3.3 MB against an estimate of 5.6 MB). A tree
     chunk holds 2 KiB a row (its step function, about 130 bytes a segment
     in four lists: over path, star and random trees at n = 512 and 2048
     and p = 0.1 to 0.4 a trial added 4.3 to 8.8 kB, the 4 KiB included)
@@ -270,22 +274,22 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     sums, their rounding errors (one shared zero under a uniform prior),
     subtree ends and parent positions, and three n-word rows, a heavy
     run's frozen row and its rescaled copy and a declared row: 107 to 139
-    bytes a vertex read at n = 2048). A grid chunk holds three arrays of
-    2 (L + 1) words a row, L the grid's longer side (its lines and a pass's
-    factors and masks; over the built graph a chunk read 4.9, 5.0, 6.3 and
-    13.9 kB a row at n = 512, 1024, 4096 and 65536, the 4 KiB included),
-    the median scratch (grid_rows.MEDIAN_BLOCK_BYTES) and three n-word rows
+    bytes a vertex read at n = 2048). A chunk of grid rows holds three
+    arrays of 2 (L + 1) words a row, L the grid's longer side (its lines
+    and a pass's factors and masks; over the built graph a chunk read 4.9,
+    5.0, 6.3 and 13.9 kB a row at n = 512, 1024, 4096 and 65536, the 4 KiB
+    included), the median scratch (grid_rows.MEDIAN_BLOCK_BYTES) and three n-word rows
     (a heavy run's frozen row and its rescaled copy, and a declared row)."""
     n = config.n
     edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
     index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
     rows = min(4 * n * n, ROW_CACHE_BYTES)
-    if config.gen in ("path", "star", "random-tree", "grid"):
+    if config.gen in ("path", "star", "random-tree") or _grid_rows(config):
         rows = 0
     row, scratch = 24 * n, 0
     if config.graph_path is None and config.gen in ("path", "star", "random-tree"):
         row, scratch = 2048, 176 * n
-    elif config.gen == "grid" and config.graph_path is None:
+    elif _grid_rows(config):
         row, scratch = 48 * (max(_square_factor(n)) + 1), MEDIAN_BLOCK_BYTES + 24 * n
     chunk = _chunk_trials(config) * (row + 4096) + scratch
     return 300 * n + 200 * edges + index + rows + 24 * n + chunk
@@ -528,11 +532,20 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     )
 
 
+def _grid_rows(config: ExperimentConfig) -> bool:
+    """Whether the config's chunks may be held as grid rows
+    (grid_rows.GridRows), known before the graph is built: on a generated
+    grid, unless the scenario starts from a prior, whose chunks are sized
+    as dense rows."""
+    grid = config.gen == "grid" and config.graph_path is None
+    return grid and not _is_distributional(config.scenario)
+
+
 def _chunk_trials(config: ExperimentConfig) -> int:
     """graph_search.chunk_rows for the config's graph, known before it is
-    built: a generated grid's rows are laid out as its lines."""
-    grid = config.gen == "grid" and config.graph_path is None
-    return graph_search.chunk_rows(config.n, _square_factor(config.n) if grid else None)
+    built: grid rows are laid out as its lines."""
+    shape = _square_factor(config.n) if _grid_rows(config) else None
+    return graph_search.chunk_rows(config.n, shape)
 
 
 def _task_trials(config: ExperimentConfig, workers: int) -> int:

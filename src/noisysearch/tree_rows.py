@@ -33,7 +33,9 @@ are re-accumulated only from the run's start, and it is divided back to
 a total of 1 only when that total leaves [2**-64, 2**64]. A row that
 starts or thaws has norm 1, so its weights are read as they are, as a
 dense row's would be. So a row's cost grows with its light steps, not
-with n; a row is built densely only where a caller reads it whole.
+with n; a row is built densely, over vertex ids, only where a caller
+reads it whole. Vertices go in and out as vertex ids; positions stay
+inside.
 """
 
 from __future__ import annotations
@@ -73,11 +75,12 @@ class _Row:
 class TreeRows:
     """The light rows of one chunk on a tree (see the module doc).
 
-    tree is the graph's TreeIndex, prior the start weights in its preorder
-    columns, k the number of rows, p the update's noise rate (kept weights
-    scale by 1-p and the rest by p) and heavy the share above which a row's
-    top vertex leaves for a heavy run. The live rows are numbered in the
-    order the engine keeps them."""
+    tree is the graph's TreeIndex, prior the start weights over vertex ids,
+    k the number of rows, p the update's noise rate (kept weights scale by
+    1-p and the rest by p) and heavy the share above which a row's top
+    vertex leaves for a heavy run. The live rows are numbered in the order
+    the engine keeps them. Every vertex, row and weight that goes in or
+    out is over vertex ids; preorder positions stay inside."""
 
     def __init__(self, tree: TreeIndex, prior: np.ndarray, k: int, p: float, heavy: float):
         self.tree, self.p, self.heavy = tree, p, heavy
@@ -89,7 +92,7 @@ class TreeRows:
             self._hi = np.arange(n + 1, dtype=np.float64).tolist()
             self._lo = [0.0] * (n + 1)
         else:
-            self._shape, unit = np.asarray(prior, dtype=np.float64), 1.0
+            self._shape, unit = np.asarray(prior, dtype=np.float64)[tree.order], 1.0
             self._w = self._shape.tolist()
             hi, lo = _prefix_sums(self._shape)
             self._hi, self._lo = hi.tolist(), lo.tolist()
@@ -141,9 +144,9 @@ class TreeRows:
         row.q = x
         row.at_q = (factors[j] if self._w is None else factors[j] * self._w[x]) / norm
 
-    def tops(self) -> tuple[list[bool], list[int]]:
+    def tops(self) -> tuple[list[bool], np.ndarray]:
         """Per row, whether its top share is above the heavy share, and
-        its median position, which holds that share when it is. The walks
+        its median vertex, which holds that share when it is. The walks
         are kept for medians()."""
         heavy, walk = self.heavy, self._walk
         flags, cols = [], []
@@ -151,19 +154,22 @@ class TreeRows:
             walk(row)
             flags.append(row.at_q > heavy)
             cols.append(row.q)
-        return flags, cols
+        return flags, self.tree.order[cols]
 
-    def medians(self, tops=None) -> tuple[np.ndarray, list[float]]:
-        """The median position of every row and the weight there, walked
-        only for the rows that joined since tops(). tops is not read (a
-        dense chunk's shortcut)."""
-        qs, at_q = [], []
+    def medians(self) -> np.ndarray:
+        """The median vertex of every row, walked only for the rows that
+        joined since tops()."""
+        cols = []
         for row in self._rows:
             if row.q is None:
                 self._walk(row)
-            qs.append(row.q)
-            at_q.append(row.at_q)
-        return np.array(qs, dtype=np.int64), at_q
+            cols.append(row.q)
+        return self.tree.order[cols]
+
+    def _weight(self, row: _Row, x: int) -> float:
+        """Row's weight at position x."""
+        f = row.factors[bisect_right(row.starts, x) - 1]
+        return (f if self._w is None else f * self._w[x]) / row.norm
 
     def _mass(self, row: _Row, a: int, b: int) -> float:
         """Row's mass over positions a..b-1, before the divide by its norm,
@@ -205,17 +211,18 @@ class TreeRows:
         return functools.partial(functools.partial, self.reply_masses, i)
 
     def row(self, i: int) -> np.ndarray:
-        """Row i built densely, in preorder columns."""
+        """Row i built densely, over vertex ids."""
         row = self._rows[i]
         return self._dense(row.starts, row.factors) / row.norm
 
     def _dense(self, starts: list[int], factors: list[float]) -> np.ndarray:
-        """The step function of starts and factors times the prior, dense."""
+        """The step function of starts and factors times the prior, dense
+        over vertex ids."""
         counts = np.diff(np.array([*starts, self.n]))
         out = np.repeat(np.array(factors), counts)
         if self._shape is not None:
             out *= self._shape
-        return out
+        return out[self.tree.start]
 
     # -- updates -------------------------------------------------------
 
@@ -264,22 +271,22 @@ class TreeRows:
         row.q = None
         return outside * total / before
 
-    def update(self, qs=None, vertices=(), replies=(), at_q=None) -> np.ndarray:
-        """Fold reply replies[i] at vertex vertices[i], row i's median as
-        of the last walk, into row i, as heavy_filter and bayesian_update
-        would: kept weights scale by 1-p, the rest by p. A yes keeps {q}, a
-        no at a q holding half the weight keeps all but q, and any other
-        reply keeps its preorder interval or the complement of one. qs and
-        at_q are not read (the rows hold them). Returns each row's total
-        before it is divided back to 1."""
+    def update(self, qs: np.ndarray, replies: list[int]) -> np.ndarray:
+        """Fold reply replies[i] at vertex qs[i] into row i, for every row,
+        as heavy_filter and bayesian_update would: kept weights scale by
+        1-p, the rest by p. A yes keeps {q}, a no at a q holding half the
+        weight keeps all but q, and any other reply keeps its preorder
+        interval or the complement of one. The weight at q is the walk's
+        when q is the row's median. Returns each row's total before it is
+        divided back to 1."""
         p, keep = self.p, 1.0 - self.p
         interval = self.tree.reply_interval
         totals = []
-        for row, v, u in zip(self._rows, vertices, replies):
-            q = row.q
+        positions = self.tree.start[qs].tolist()
+        for row, v, q, u in zip(self._rows, qs.tolist(), positions, replies):
             if u == v:
                 totals.append(self._scale(row, q, q + 1, keep, p))
-            elif row.at_q >= 0.5:
+            elif (row.at_q if q == row.q else self._weight(row, q)) >= 0.5:
                 totals.append(self._scale(row, q, q + 1, p, keep))
             else:
                 a, b, inside = interval(v, u)
@@ -288,9 +295,9 @@ class TreeRows:
 
     # -- leaving and rejoining -------------------------------------------
 
-    def freeze(self, i: int, col: int) -> "TreeFrozen":
-        """Row i as a heavy run keeps it, with position col its top."""
-        return TreeFrozen(self, self._rows[i], col)
+    def freeze(self, i: int, h: int) -> "TreeFrozen":
+        """Row i as a heavy run keeps it, with vertex h its top."""
+        return TreeFrozen(self, self._rows[i], h)
 
     def regroup(self, gone: list[int], thawed: list[_Row]) -> None:
         """Drop the rows in gone and append the thawed rows (each as
@@ -317,13 +324,15 @@ def _prefix_sums(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TreeFrozen:
-    """A tree row frozen when position col, its top, turned heavy: its
-    segments, with col one of its own and the factors divided by the row's
-    norm, and rest0, the weight outside col (summed segment by
-    segment)."""
+    """A tree row frozen when vertex h, its top, turned heavy: its
+    segments, with h's position col one of its own and the factors divided
+    by the row's norm, rest0, the weight outside h (summed segment by
+    segment), and row, the row over vertex ids with 0 at h, built on first
+    use."""
 
-    def __init__(self, rows: TreeRows, row: _Row, col: int):
-        self.rows, self.col = rows, col
+    def __init__(self, rows: TreeRows, row: _Row, h: int):
+        self.rows, self.h = rows, h
+        self.col = col = int(rows.tree.start[h])
         self.k = rows._split(row, col)
         rows._split(row, col + 1)
         norm = row.norm
@@ -332,21 +341,17 @@ class TreeFrozen:
         masses = list(map(mul, self.factors, self.sizes))
         masses[self.k] = 0.0
         self.rest0 = sum(masses)
-        self._dense = None
 
-    def row(self, rest: float) -> np.ndarray:
-        """The dense row, in preorder columns, scaled so the weight outside
-        col is rest, with col holding 1 - rest."""
-        if self._dense is None:
-            self._dense = self.rows._dense(self.starts, self.factors)
-            self._dense[self.col] = 0.0
-        row = self._dense * (rest / self.rest0 if self.rest0 > 0.0 else 0.0)
-        row[self.col] = 1.0 - rest
+    @functools.cached_property
+    def row(self) -> np.ndarray:
+        row = self.rows._dense(self.starts, self.factors)
+        row[self.h] = 0.0
         return row
 
     def thaw(self, rest: float) -> _Row:
-        """The row of row(rest) as TreeRows.regroup takes it: every factor
-        scaled by rest / rest0, and col's set so col holds 1 - rest."""
+        """The row of the heavy row at the share rest, as TreeRows.regroup
+        takes it: every factor scaled by rest / rest0, and col's set so h
+        holds 1 - rest."""
         ratio = rest / self.rest0 if self.rest0 > 0.0 else 0.0
         factors = [x * ratio for x in self.factors]
         w = self.rows._w

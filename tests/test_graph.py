@@ -466,15 +466,14 @@ class TestGnm:
 @pytest.mark.parametrize(
     "g", [path_graph(9), grid_graph(6, 7), grid_graph(5, 1), grid_graph(1, 6), star_graph(8)]
 )
-def test_scaling_by_a_reply_set_equals_the_mask(g):
+def test_reply_sets_equal_the_bfs_definition(g):
+    # N(q, u) = {x : d(u, x) = d(q, x) - 1}, from closed-form grid rows and
+    # tree intervals, against BFS rows
     d = all_pairs_distances(g)
-    row = np.random.default_rng(4).random(g.n)
     for q in range(g.n):
         for u in g.adjacency[q]:
-            got = row.copy()
-            graph_module.scale_by_reply_set(g, d, got, q, u, 0.7, 0.3)
-            mask = graph_module.reply_set(g, d, q, u)
-            assert np.array_equal(got, row * np.where(mask, 0.7, 0.3))
+            bfs = graph_module._bfs_row(g.adjacency, u) == graph_module._bfs_row(g.adjacency, q) - 1
+            assert np.array_equal(graph_module.reply_set(g, d, q, u), bfs)
 
 
 GRID_SHAPES = [(32, 32), (5, 7), (7, 5), (1, 9), (9, 1), (3, 3)]

@@ -8,7 +8,8 @@ run on the factored rows and, as the engine's dense update does them, on
 dense rows: entries agree within 1e-12 relative; the medians are the dense
 cost argmin unless the two least costs are within 1e-9 relative; the heavy
 flags agree unless the top share is within 1e-12 of HEAVY_SHARE; and an
-adversarial lie's reply masses agree within 1e-12.
+adversarial lie's reply masses agree within 1e-12. search holds a grid's
+light rows this way only under a uniform prior.
 """
 
 import math
@@ -16,19 +17,15 @@ import math
 import numpy as np
 import pytest
 
+from noisysearch import graph_search
 from noisysearch.graph import all_pairs_distances, grid_graph, median_costs, reply_set
-from noisysearch.graph_search import HEAVY_SHARE, _heavy_row
+from noisysearch.graph_search import HEAVY_SHARE, _heavy_row, lv_distributional_plan, search
 from noisysearch.grid_rows import GridRows
+from noisysearch.mathcore import Distribution, NoiseParams
+from noisysearch.oracle import GraphOracle, NoisePolicy
 
 P = 0.3
 SHAPES = [(1, 1), (1, 9), (9, 1), (6, 7), (32, 32)]
-
-
-def prior_of(n, kind):
-    if kind == "uniform":
-        return np.full(n, 1.0 / n)
-    skewed = np.arange(1, n + 1, dtype=np.float64) ** 2
-    return skewed / skewed.sum()
 
 
 def dense_update(row, q, reply, g, d, p=P):
@@ -60,7 +57,7 @@ def check_reads(rows, dense, g, d):
             assert flags[i] == (share > HEAVY_SHARE)
         if flags[i]:
             assert cols[i] == int(np.argmax(row))
-    qs, _ = rows.medians()
+    qs = rows.medians()
     at_q = rows.weights_at(np.arange(rows.m), qs)
     for i, row in enumerate(dense):
         q = int(qs[i])
@@ -77,15 +74,14 @@ def check_reads(rows, dense, g, d):
     return qs
 
 
-@pytest.mark.parametrize("kind", ["uniform", "skewed"])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_factored_rows_follow_the_dense_update(shape, kind):
+def test_factored_rows_follow_the_dense_update(shape):
     g = grid_graph(*shape)
     d = all_pairs_distances(g)
-    rng = np.random.default_rng([shape[0], shape[1], len(kind)])
-    prior = prior_of(g.n, kind)
+    rng = np.random.default_rng([shape[0], shape[1], 7])
+    prior = np.full(g.n, 1.0 / g.n)
     k, steps = 5, 40 if g.n > 100 else 80
-    rows = GridRows(shape, prior, k, P, HEAVY_SHARE)
+    rows = GridRows(shape, k, P, HEAVY_SHARE)
     dense = [prior.copy() for _ in range(k)]
     # a few vertices that keep hearing yes, so points merge
     pool = rng.choice(g.n, size=min(3, g.n), replace=False)
@@ -101,7 +97,8 @@ def test_factored_rows_follow_the_dense_update(shape, kind):
             rest = float(rng.uniform(0.05, 0.95))
             expected = _heavy_row(frozen, float(frozen.sum()), rest, col)
             held = rows.freeze(i, col)
-            np.testing.assert_allclose(held.row(rest), expected, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(held.row, frozen, rtol=1e-12, atol=0.0)
+            assert math.isclose(held.rest0, frozen.sum(), rel_tol=1e-12)
             rows.regroup([i], [held.thaw(rest)])
             dense = dense[:i] + dense[i + 1 :] + [expected]
             continue
@@ -120,7 +117,7 @@ def test_factored_rows_follow_the_dense_update(shape, kind):
                 reply = int(rng.choice(g.adjacency[q]))
             qs.append(q)
             replies.append(reply)
-        totals = rows.update(np.array(qs), qs, replies)
+        totals = rows.update(np.array(qs), replies)
         for i, (row, q, reply) in enumerate(zip(dense, qs, replies)):
             total = dense_update(row, q, reply, g, d)
             assert math.isclose(totals[i], total, rel_tol=1e-12)
@@ -132,11 +129,11 @@ def test_points_that_merge_keep_every_factor():
     # first once it holds half the weight fold into two points
     g = grid_graph(6, 7)
     d = all_pairs_distances(g)
-    rows = GridRows((6, 7), np.full(g.n, 1.0 / g.n), 1, P, HEAVY_SHARE)
+    rows = GridRows((6, 7), 1, P, HEAVY_SHARE)
     row = np.full(g.n, 1.0 / g.n)
     for q, reply in [(17, 17), (3, 3), *[(17, 17)] * 5, (17, 10)]:
         held_half = row[q] >= 0.5
-        rows.update(np.array([q]), [q], [reply])
+        rows.update(np.array([q]), [reply])
         dense_update(row, q, reply, g, d)
         np.testing.assert_allclose(rows.row(0), row, rtol=1e-12, atol=0.0)
     assert held_half
@@ -151,12 +148,12 @@ def test_a_long_light_run_keeps_its_lines_normalised():
     q = 2 * 7 + 3
     sides = g.adjacency[q]
     factors = [np.where(reply_set(g, d, q, u), 1.0 - P, P) for u in sides]
-    rows = GridRows((6, 7), np.full(g.n, 1.0 / g.n), 1, P, HEAVY_SHARE)
+    rows = GridRows((6, 7), 1, P, HEAVY_SHARE)
     row = np.full(g.n, 1.0 / g.n)
     log2_total = ref_log2_total = 0.0
     qs = np.array([q])
     for j in np.random.default_rng(4).integers(len(sides), size=100_000).tolist():
-        log2_total += math.log2(rows.update(qs, None, [sides[j]])[0])
+        log2_total += math.log2(rows.update(qs, [sides[j]])[0])
         row *= factors[j]
         total = row.sum()
         row /= total
@@ -174,7 +171,7 @@ def test_a_point_below_one_on_the_lines_top_cell_is_read_off_the_row(monkeypatch
     g = grid_graph(6, 7)
     d = all_pairs_distances(g)
     q, x = 17, 18
-    rows = GridRows((6, 7), np.full(g.n, 1.0 / g.n), 1, P, HEAVY_SHARE)
+    rows = GridRows((6, 7), 1, P, HEAVY_SHARE)
     row = np.full(g.n, 1.0 / g.n)
     built = []
     real_row = GridRows.row
@@ -183,7 +180,7 @@ def test_a_point_below_one_on_the_lines_top_cell_is_read_off_the_row(monkeypatch
     steps += [(u, x) for u in (11, 25, 19, 17) * 4]
     read_off_the_row = 0
     for at, reply in steps:
-        rows.update(np.array([at]), [at], [reply])
+        rows.update(np.array([at]), [reply])
         dense_update(row, at, reply, g, d)
         built.clear()
         flags, cols = rows.tops()
@@ -192,3 +189,36 @@ def test_a_point_below_one_on_the_lines_top_cell_is_read_off_the_row(monkeypatch
         if flags[0]:
             assert cols[0] == int(np.argmax(row))
     assert read_off_the_row and flags[0] and cols[0] == x
+
+
+@pytest.mark.parametrize("kind", ["uniform", "skewed"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_search_holds_a_grid_as_lines_only_under_a_uniform_prior(shape, kind, monkeypatch):
+    # GridRows holds no prior: a grid under a non-uniform one runs on the
+    # dense store, whose arithmetic the reference loop checks exactly
+    g = grid_graph(*shape)
+    d = all_pairs_distances(g)
+    masses = np.full(g.n, 1.0)
+    if kind == "skewed":
+        masses = np.arange(1, g.n + 1, dtype=np.float64) ** 2
+    mu = Distribution(masses / masses.sum())
+    built = []
+    dense_rows = graph_search._DenseRows
+    for name in ("GridRows", "_DenseRows"):
+        store = getattr(graph_search, name)
+        monkeypatch.setattr(
+            graph_search, name, lambda *args, store=store: built.append(store) or store(*args)
+        )
+    plan = lv_distributional_plan(mu, NoiseParams.from_p(P), 0.2)
+    rng = np.random.default_rng([shape[0], shape[1], 3])
+    targets = rng.choice(g.n, size=3, p=mu.masses).tolist()
+    oracles = [
+        GraphOracle(g, d, t, NoisePolicy(p=P), np.random.default_rng([shape[0], shape[1], t]))
+        for t in targets
+    ]
+    got = search(g, NoiseParams.from_p(P), plan, oracles)
+    # a one-vertex grid's only prior is uniform
+    uniform = kind == "uniform" or g.n == 1
+    assert built == [GridRows if uniform else dense_rows]
+    for t in got:
+        assert 0 <= t.declared < g.n and t.query_count <= plan.max_steps

@@ -25,7 +25,7 @@ from noisysearch.harness import (
     wilson_interval,
 )
 from noisysearch.linear_search import lv_linear_overhead
-from noisysearch.mathcore import DomainError
+from noisysearch.mathcore import Distribution, DomainError
 
 
 def config(**overrides):
@@ -294,12 +294,19 @@ class TestRunExperiment:
             config(**base, trials=harness.COMPARISON_TASK_TRIALS, workers=4)
         )
 
-    @pytest.mark.parametrize("gen", graph.GENERATORS)
-    def test_graph_bytes_is_within_twice_the_traced_peak_of_one_chunk(self, gen):
+    @pytest.mark.parametrize(
+        "gen, scenario",
+        [pytest.param(gen, "graph-adversarial", id=gen) for gen in graph.GENERATORS]
+        + [pytest.param("grid", "graph-lv-distr", id="grid-lv-distr-skewed")],
+    )
+    def test_graph_bytes_is_within_twice_the_traced_peak_of_one_chunk(self, gen, scenario):
         # what one worker holds: the built graph and its distances, then one
         # engine chunk; a smaller estimate lets the memory check pass runs
-        # that do not fit, a much larger one refuses runs that do
-        cfg = config(gen=gen, n=512, p=0.1, delta=0.4, trials=64)
+        # that do not fit, a much larger one refuses runs that do. A grid
+        # under a skewed prior holds its chunk as dense rows.
+        skewed = np.arange(1, 513, dtype=np.float64) ** 2
+        mu = Distribution(skewed / skewed.sum()) if scenario == "graph-lv-distr" else None
+        cfg = config(scenario=scenario, gen=gen, n=512, p=0.1, delta=0.4, trials=64, mu=mu)
         harness.run_experiment(config(gen=gen, n=16, trials=2))  # lazy imports
         tracemalloc.start()
         try:

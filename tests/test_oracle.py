@@ -18,7 +18,6 @@ from noisysearch.graph import (
     path_graph,
     star_graph,
 )
-from noisysearch.graph_search import _in_vertex_order
 from noisysearch.mathcore import DomainError, NoiseParams
 from noisysearch.oracle import (
     Answer,
@@ -156,7 +155,7 @@ def _masked_heaviest_lie(q, truthful, g, d, policy, rng, relative):
 def _dense_lie_weights(rows, i):
     """TreeRows.lie_weights for the masked reference: a builder of light
     row i over vertex ids, built densely."""
-    return functools.partial(_in_vertex_order, rows.row(i), rows.tree.order)
+    return functools.partial(rows.row, i)
 
 
 class TestAdversarialLieOnTrees:

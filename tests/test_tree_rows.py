@@ -4,9 +4,10 @@ A light row on a tree is the prior times a step function over preorder
 positions; its products and sums round apart from a dense row's in the last
 bits, so every check here has a tolerance. Random sequences of subtree
 cuts, complement cuts, yeses, half-weight noes and thaws (a row frozen at
-its top and rejoining with that vertex set) run on the step functions and,
-as the engine's dense update did them, on dense rows in preorder columns:
-entries and totals agree within 1e-12 relative; the medians are
+its top and rejoining with that vertex set), at the rows' medians and at
+random vertices, run on the step functions, whose reads are over vertex
+ids, and, as the engine's dense update did them, on dense rows in preorder
+columns: entries and totals agree within 1e-12 relative; the medians are
 TreeIndex.medians' unless a subtree mass is within 1e-12 of _MAJORITY; the
 heavy flags agree unless the top share is within 1e-12 of HEAVY_SHARE; a
 no at q takes the half-weight branch alike unless q's weight is within
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from noisysearch.graph import _MAJORITY, TreeIndex, path_graph, random_tree, star_graph
-from noisysearch.graph_search import HEAVY_SHARE
+from noisysearch.graph_search import HEAVY_SHARE, _heavy_row
 from noisysearch.tree_rows import TreeRows
 
 P = 0.3
@@ -76,26 +77,28 @@ def near_majority(tree, row):
 
 
 def check_reads(rows, dense, tree):
-    """Every read of the step-function rows against the dense rows; returns
-    the heavy flags, the tops and the median positions."""
+    """Every read of the step-function rows, which are over vertex ids,
+    against the dense rows; returns the heavy flags and the tops' and the
+    medians' positions."""
     for i, row in enumerate(dense):
-        np.testing.assert_allclose(rows.row(i), row, rtol=1e-12, atol=0.0)
-    flags, cols = rows.tops()
+        np.testing.assert_allclose(rows.row(i)[tree.order], row, rtol=1e-12, atol=0.0)
+    flags, tops = rows.tops()
+    cols = tree.start[tops]
     for i, row in enumerate(dense):
         share = row.max()
         if abs(share - HEAVY_SHARE) > 1e-12:
             assert flags[i] == (share > HEAVY_SHARE)
         if flags[i]:
             assert cols[i] == int(np.argmax(row))
-    qs, at_q = rows.medians()
-    assert len(qs) == len(dense)
+    vertices = rows.medians()
+    assert len(vertices) == len(dense)
+    qs = tree.start[vertices]
     expected = tree.medians(np.array(dense))
     for i, row in enumerate(dense):
         q = int(qs[i])
         if not near_majority(tree, row):
             assert q == expected[i]
-        assert math.isclose(at_q[i], row[q], rel_tol=1e-12)
-        v = int(tree.order[q])
+        v = int(vertices[i])
         wrong = [v, *tree_neighbours(tree, v)]
         masses = [row[q], *(row[interval_mask(tree, v, u)].sum() for u in wrong[1:])]
         np.testing.assert_allclose(rows.reply_masses(i, wrong), masses, rtol=1e-12, atol=0.0)
@@ -119,9 +122,11 @@ def thaw_dense(row, col, rest):
 
 
 def run(tree, prior, steps, rng, k=3):
-    """steps passes of random replies, with thaws, on k rows both ways;
-    returns how many of each reply kind ran."""
-    rows = TreeRows(tree, prior, k, P, HEAVY_SHARE)
+    """steps passes of random replies, with thaws, on k rows both ways,
+    most at the rows' medians and some at random vertices; returns how
+    many of each reply kind ran. prior is in preorder columns, as the
+    dense rows are."""
+    rows = TreeRows(tree, prior[tree.start], k, P, HEAVY_SHARE)
     dense = [prior.copy() for _ in range(k)]
     kinds = {"yes": 0, "half": 0, "subtree": 0, "complement": 0, "thaw": 0, "split half": 0}
     n = len(prior)
@@ -131,22 +136,29 @@ def run(tree, prior, steps, rng, k=3):
         for i, row in enumerate(dense):
             if n > 1 and (flags[i] or rng.random() < 0.1):
                 col = int(cols[i]) if flags[i] else int(np.argmax(row))
-                frozen = rows.freeze(i, col)
+                h = int(tree.order[col])
+                frozen = rows.freeze(i, h)
                 # a thaw comes at a share of HEAVY_SHARE or below
                 rest = 0.5 if rng.random() < 0.3 else float(rng.uniform(1.0 - HEAVY_SHARE, 0.95))
                 out, rest0 = thaw_dense(row, col, rest)
                 assert math.isclose(frozen.rest0, rest0, rel_tol=1e-12)
-                np.testing.assert_allclose(frozen.row(rest), out, rtol=1e-12, atol=0.0)
+                held = _heavy_row(frozen.row, frozen.rest0, rest, h)
+                np.testing.assert_allclose(held[tree.order], out, rtol=1e-12, atol=0.0)
                 gone.append(i)
                 thawed.append(frozen.thaw(rest))
                 moved.append(out)
                 kinds["thaw"] += 1
         rows.regroup(gone, thawed)
         dense = [row for i, row in enumerate(dense) if i not in gone] + moved
-        qs, at_q = rows.medians()
-        vertices = tree.order[qs].tolist()
+        vertices = rows.medians()
+        at = rng.random(len(vertices)) < 0.2
+        vertices[at] = rng.integers(n, size=int(at.sum()))
+        qs = tree.start[vertices].tolist()
+        # q's weight as the rows read it: a dense row is built as the
+        # walk and the update read one weight, (factor * prior) / norm
+        at_q = [float(rows.row(i)[v]) for i, v in enumerate(vertices.tolist())]
         replies = []
-        for q, v, w_q in zip(qs.tolist(), vertices, at_q):
+        for v, w_q in zip(vertices.tolist(), at_q):
             u = int(rng.choice([v, *tree_neighbours(tree, v)]))
             replies.append(u)
             if u == v:
@@ -155,15 +167,15 @@ def run(tree, prior, steps, rng, k=3):
                 kinds["half"] += 1
             else:
                 kinds["subtree" if tree.parent[u] == v else "complement"] += 1
-        totals = rows.update(qs, vertices, replies, at_q)
-        for i, (row, q, u, w_q) in enumerate(zip(dense, qs.tolist(), replies, at_q)):
+        totals = rows.update(vertices, replies)
+        for i, (row, q, u, w_q) in enumerate(zip(dense, qs, replies, at_q)):
             parted = u != int(tree.order[q]) and (row[q] >= 0.5) != (w_q >= 0.5)
             total = dense_update(row, q, u, tree)
             if parted:
                 # q holds half the weight in exact arithmetic, and rounding
                 # sent the two rows down the two branches of a no there
                 assert abs(w_q - 0.5) <= 1e-12
-                dense[i] = rows.row(i)
+                dense[i] = rows.row(i)[tree.order]
                 kinds["split half"] += 1
             else:
                 assert math.isclose(totals[i], total, rel_tol=1e-12)
@@ -201,23 +213,48 @@ def test_a_long_light_run_stays_normalised():
     # a row that is not divided back to 1 overflows within a few thousand
     tree = TreeIndex(star_graph(4))
     prior = prior_of(tree, "uniform")
-    rows = TreeRows(tree, prior, 1, P, HEAVY_SHARE)
+    rows = TreeRows(tree, prior[tree.start], 1, P, HEAVY_SHARE)
     dense = prior.copy()
     log2_total = dense_log2 = 0.0
     for step in range(100_000):
         rows.tops()
-        qs, at_q = rows.medians()
-        q = int(qs[0])
-        v = int(tree.order[q])
+        vs = rows.medians()
+        v = int(vs[0])
         wrong = [v, *tree_neighbours(tree, v)]
         u = wrong[int(np.argmin(rows.reply_masses(0, wrong)))]
-        log2_total += math.log2(rows.update(qs, [v], [u], at_q)[0])
-        dense_log2 += math.log2(dense_update(dense, q, u, tree))
+        log2_total += math.log2(rows.update(vs, [u])[0])
+        dense_log2 += math.log2(dense_update(dense, int(tree.start[v]), u, tree))
         if step % 10_000 == 0:
-            np.testing.assert_allclose(rows.row(0), dense, rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(rows.row(0), dense, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(rows.row(0)[tree.order], dense, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(rows.row(0)[tree.order], dense, rtol=1e-12, atol=0.0)
     assert math.isclose(rows.row(0).sum(), 1.0, rel_tol=1e-12)
     assert math.isclose(log2_total, dense_log2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "skewed"])
+def test_a_query_away_from_the_median_reads_its_weight_at_the_rows_norm(kind):
+    # replies at random vertices, most of them not the median, on one row:
+    # its norm wanders far from 1 between divides, and the update must
+    # read q's weight relative to it to take the half-weight branch as the
+    # dense row does
+    tree = TreeIndex(random_tree(64, np.random.default_rng(6)))
+    prior = prior_of(tree, kind)
+    rows = TreeRows(tree, prior[tree.start], 1, P, HEAVY_SHARE)
+    dense = prior.copy()
+    rng = np.random.default_rng(8)
+    for v in rng.integers(64, size=3000).tolist():
+        u = int(rng.choice([v, *tree_neighbours(tree, v)]))
+        q = int(tree.start[v])
+        w_q = float(rows.row(0)[v])
+        if u != v and (w_q >= 0.5) != (dense[q] >= 0.5):
+            # q holds half the weight in exact arithmetic (see run)
+            assert abs(w_q - 0.5) <= 1e-12
+            rows.update(np.array([v]), [u])
+            dense = rows.row(0)[tree.order]
+            continue
+        total = rows.update(np.array([v]), [u])[0]
+        assert math.isclose(total, dense_update(dense, q, u, tree), rel_tol=1e-12)
+    np.testing.assert_allclose(rows.row(0)[tree.order], dense, rtol=1e-12, atol=0.0)
 
 
 def test_exact_half_path_takes_either_end_of_the_middle_edge():
@@ -225,9 +262,10 @@ def test_exact_half_path_takes_either_end_of_the_middle_edge():
     # vertex's subtree holds exactly half, so rounding picks the end
     n = 100_000
     tree = TreeIndex(path_graph(n))
-    rows = TreeRows(tree, prior_of(tree, "uniform"), 2, P, HEAVY_SHARE)
+    rows = TreeRows(tree, np.full(n, 1.0 / n), 2, P, HEAVY_SHARE)
     flags, _ = rows.tops()
-    qs, at_q = rows.medians()
+    vs = rows.medians().tolist()
     assert flags == [False, False]
-    assert set(qs.tolist()) <= {n // 2 - 1, n // 2}
-    assert at_q == [1.0 / n, 1.0 / n]
+    # a path rooted at vertex 0: preorder positions are vertex ids
+    assert set(vs) <= {n // 2 - 1, n // 2}
+    assert [rows.reply_masses(i, [v])[0] for i, v in enumerate(vs)] == [1.0 / n, 1.0 / n]
