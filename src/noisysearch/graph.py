@@ -47,9 +47,9 @@ class Graph:
     """Undirected, unweighted, connected graph with sorted adjacency lists.
 
     grid_shape, (rows, cols), marks a grid whose vertex r * cols + c sits
-    at row r and column c of the lattice, so its distance rows are
-    Manhattan in closed form and its medians O(n) by prefix sums. Loaded
-    graphs never carry one.
+    at row r and column c of the lattice, so its reply sets are half-planes
+    in closed form and its medians O(n) by prefix sums. Loaded graphs never
+    carry one.
     """
 
     n: int
@@ -239,25 +239,21 @@ class TreeIndex:
             return self._kids[bisect_right(self._kid_starts, s, lo, hi) - 1]
         return self._parent[q]
 
-    def subtree(self, v: int) -> np.ndarray:
-        """The vertices of v's subtree, ascending: the order in which a
-        boolean mask over vertex ids selects them."""
-        return np.sort(self.order[self._start[v] : self._end[v]])
-
 
 class DistanceMatrix:
     """Hop distances of one graph, computed one row at a time on first use.
 
-    row(v) is the int32 vector d(v, .): closed form on a grid layout, one
-    BFS otherwise. Rows are read-only and cached per instance
-    up to ROW_CACHE_BYTES, oldest out first. rows_computed counts the rows
-    built for the cache and cached_bytes what the cache holds now.
+    row(v) is the int32 vector d(v, .), one BFS. Rows are read-only and
+    cached per instance up to ROW_CACHE_BYTES, oldest out first.
+    rows_computed counts the rows built for the cache and cached_bytes what
+    the cache holds now.
 
     tree is the graph's TreeIndex when it has m = n - 1 edges and no grid
     shape (paths, random trees, stars, loaded tree files), built
     on first use, and None otherwise (grids, even a one-row grid, keep their
     own prefix sums). Medians, truthful replies and reply sets on a tree
-    read it instead of rows, so a tree run computes no row at all.
+    read it instead of rows, and on a grid layout they are in closed form,
+    so neither a tree run nor a grid run computes a row at all.
     """
 
     def __init__(self, g: Graph):
@@ -273,25 +269,11 @@ class DistanceMatrix:
             return None
         return TreeIndex(g)
 
-    def _compute_row(self, v: int) -> np.ndarray:
-        g = self.graph
-        v = int(v)
-        if _is_grid(g):
-            rows, cols = g.grid_shape
-            rv, cv = divmod(v, cols)
-            row = np.add.outer(
-                np.abs(np.arange(rows, dtype=np.int32) - rv),
-                np.abs(np.arange(cols, dtype=np.int32) - cv),
-            ).reshape(-1)
-        else:
-            row = _bfs_row(g.adjacency, v)
-        row.flags.writeable = False
-        return row
-
     def row(self, v: int) -> np.ndarray:
         row = self._rows.get(v)
         if row is None:
-            row = self._compute_row(v)
+            row = _bfs_row(self.graph.adjacency, int(v))
+            row.flags.writeable = False
             self.rows_computed += 1
             while self._rows and self.cached_bytes + row.nbytes > ROW_CACHE_BYTES:
                 self.cached_bytes -= self._rows.popitem(last=False)[1].nbytes
@@ -435,20 +417,16 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     return int(weighted_medians(g, d, w.relative[None, :])[0])
 
 
-def weighted_medians(
-    g: Graph, d: DistanceMatrix, relative: np.ndarray, tops: np.ndarray | None = None
-) -> np.ndarray:
+def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
     """weighted_median of every row of a (rows, n) weight matrix whose
     columns are vertex ids.
 
-    One argmax per row (tops, if the caller has them) finds the heavy
-    vertices; the other rows share grid_medians on grid layouts (the two
-    cost lines of every row, no cost matrix) and, on trees, one gather
-    into preorder and TreeIndex.medians, and descend one by one
-    elsewhere.
+    One argmax per row finds the heavy vertices; the other rows share
+    grid_medians on grid layouts (the two cost lines of every row, no cost
+    matrix) and, on trees, one gather into preorder and TreeIndex.medians,
+    and descend one by one elsewhere.
     """
-    if tops is None:
-        tops = relative.argmax(axis=1)
+    tops = relative.argmax(axis=1)
     light = relative[np.arange(len(tops)), tops] <= 0.5 + 1e-9
     if not light.any():
         return tops
@@ -470,10 +448,19 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
     """N(q,u) = {x : d(u,x) = d(q,x) - 1} as a boolean mask over vertex ids,
     for a neighbour u of q.
 
-    On a tree it is u's preorder interval when u is a child of q and the
-    complement of q's interval when u is q's parent, so no distance row is
-    read; elsewhere it compares the rows of u and q.
+    On a grid layout it is the half-plane of grid rows above or below q's
+    (u = q -/+ cols) or of columns left or right of it; on a tree it is
+    u's preorder interval when u is a child of q and the complement of q's
+    interval when u is q's parent. Neither reads a distance row; elsewhere
+    it compares the rows of u and q.
     """
+    if _is_grid(g):
+        cols = g.grid_shape[1]
+        vertical = abs(u - q) == cols
+        # the grid row or column of each vertex, against q's
+        ids = np.arange(g.n)
+        line, at = (ids // cols, q // cols) if vertical else (ids % cols, q % cols)
+        return line < at if u < q else line > at
     tree = d.tree
     if tree is None:
         return d.row(u) == d.row(q) - 1

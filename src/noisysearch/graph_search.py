@@ -60,6 +60,7 @@ from .oracle import (
     heavy_filter,
     heavy_lie,
     reply_answer,
+    row_masses,
     truthful_choices,
 )
 from .weights import bayesian_update, init_from_distribution, init_uniform, log2_rest
@@ -237,9 +238,11 @@ def search(
     heavy flag and top vertex, medians() each row's median vertex,
     update(qs, replies) folds reply replies[i] at vertex qs[i] into row i
     and gives each row's total before the divide, row(i) builds row i
-    densely over vertex ids, lie_weights(i) gives an adversarial lie what
-    it reads of row i, freeze(i, h) keeps row i for a heavy run at its top
-    vertex h, and regroup(gone, thawed) drops rows and appends thawed ones.
+    densely over vertex ids, reply_masses(i, q, replies) gives the mass of
+    each reply's set at any vertex q in row i, which an adversarial lie
+    reads with i bound (oracle.Masses), freeze(i, h) keeps row i for a
+    heavy run at its top vertex h, and regroup(gone, thawed) drops rows and
+    appends thawed ones.
     A frozen row gives h, rest0, its weight outside h, row, its dense row
     with 0 at h, and thaw(rest). Snapshots and declarations read rows over
     vertex ids, so their sums add up in vertex order.
@@ -255,14 +258,14 @@ def search(
     segments. On a grid under a uniform prior every reply set is a
     half-plane of grid rows or columns, so each row is two line vectors and
     a few points (grid_rows.GridRows): medians come from the row and column
-    marginals, and a cut scales one line. Both read an adversarial lie's
-    reply masses off their own form, and build a row densely only for a
-    snapshot, a declaration or a recorded lie that reads it whole. Any
-    other chunk, a grid under a non-uniform prior included, is one dense
-    weight matrix (_DenseRows): medians by descent or from cost lines, a
-    neighbour reply at a light vertex scales its row by its reply set's
-    mask, and one multiply, row sum and divide folds in the rest. A row at
-    its cap ends there.
+    marginals, and a cut scales one line. Both read reply masses off their
+    own form, and build a row densely only for a snapshot or a
+    declaration; a recorded heavy run builds its row for a lie that reads
+    its masses (oracle.row_masses). Any other chunk, a grid under a
+    non-uniform prior included, is one dense weight matrix (_DenseRows):
+    medians by descent or from cost lines, a neighbour reply at a light
+    vertex scales its row by its reply set's mask, and one multiply, row
+    sum and divide folds in the rest. A row at its cap ends there.
 
     Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
     light rows, and one scalar loop (run_heavy below) runs that trial ahead
@@ -278,7 +281,7 @@ def search(
     name it: it skips heavy_lie and spends the uniforms that heavy_lie
     would, one for a uniform-wrong lie's index and none for an
     adversarial-heaviest one (which heavy_lie leaves unnamed without
-    weights). So the trial draws the coins of graph_reply, in its order,
+    masses). So the trial draws the coins of graph_reply, in its order,
     and hears what a recorded run of it hears.
 
     Draw order: each trial hears its own oracle, which takes its uniforms
@@ -291,7 +294,7 @@ def search(
     if not k:
         return []
     d, policy = oracles[0].dist, oracles[0].policy
-    lie_weights = policy.lie_choice == "adversarial-heaviest"
+    adversarial = policy.lie_choice == "adversarial-heaviest"
     record = list(record_queries) if record_queries is not None else [False] * k
     p, keep, cap, stop = noise.p, 1.0 - noise.p, plan.max_steps, plan.stop_threshold
     # the oracles' lie rate (policy.p) may differ from the update's (noise.p)
@@ -316,6 +319,10 @@ def search(
 
         def heavy_row(rest: float) -> np.ndarray:
             return _heavy_row(frozen.row, frozen.rest0, rest, h)
+
+        def masses(q: int, replies: list[int]) -> list[float]:
+            # the row at the current rest, built only when a lie reads it
+            return row_masses(g, d, heavy_row(rest))(q, replies)
 
         # the share outside h, kept as such, so a rest too small to show
         # in 1 - share is kept
@@ -348,12 +355,11 @@ def search(
             reply = truth
             if coin() < lie_p:
                 if unnamed:
-                    if not lie_weights:
+                    if not adversarial:
                         coin()
                     reply = NEIGHBOR
                 else:
-                    build = None if rec is None else functools.partial(heavy_row, rest)
-                    reply = heavy_lie(h, truth, g, d, policy, coin, build)
+                    reply = heavy_lie(h, truth, g, policy, coin, None if rec is None else masses)
             # as heavy_filter and bayesian_update would: a yes keeps {h} and
             # a no all but h; kept mass scales by 1-p and the rest by p
             if reply == h:
@@ -411,8 +417,8 @@ def search(
         for i, (q, r) in enumerate(zip(qs.tolist(), light)):
             o = oracles[r]
             steps[r] += 1
-            build = rows.lie_weights(i) if lie_weights else None
-            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, build)
+            masses = functools.partial(rows.reply_masses, i) if adversarial else None
+            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, masses)
             replies.append(reply)
             if records[r] is not None:
                 records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth)))
@@ -435,12 +441,10 @@ class _DenseRows:
         # flat is the matrix's cells in one line
         self.flat = np.tile(prior, k)
         self.buf, self.m = self.flat.reshape(k, n), k
-        # the rows' argmax as of tops(), while no row has moved since
-        self._tops = None
 
     def tops(self) -> tuple[list[bool], np.ndarray]:
         weights = self.buf[: self.m]
-        self._tops = tops = weights.argmax(axis=1)
+        tops = weights.argmax(axis=1)
         return (weights[np.arange(self.m), tops] > HEAVY_SHARE).tolist(), tops
 
     def row(self, i: int) -> np.ndarray:
@@ -453,8 +457,6 @@ class _DenseRows:
         # the rows between two gaps move down past the gaps before them, in
         # one copy over flat each, which numpy does as a memmove with no
         # temporary; the thawed rows follow them
-        if gone or thawed:
-            self._tops = None
         flat, n, m = self.flat, self.n, self.m
         for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
             flat[(i + 1 - shift) * n : (end - shift) * n] = flat[(i + 1) * n : end * n]
@@ -465,14 +467,13 @@ class _DenseRows:
         self.m = m
 
     def medians(self) -> np.ndarray:
-        """The median vertex of every row (from the rows' argmax when no
-        row moved since tops())."""
-        qs = weighted_medians(self.g, self.d, self.buf[: self.m], self._tops)
-        self._tops = None
-        return qs
+        """The median vertex of every row."""
+        return weighted_medians(self.g, self.d, self.buf[: self.m])
 
-    def lie_weights(self, i: int):
-        return functools.partial(self.buf.__getitem__, i)
+    def reply_masses(self, i: int, q: int, replies: list[int]) -> list[float]:
+        """The mass of each reply's set at vertex q in row i
+        (oracle.row_masses)."""
+        return row_masses(self.g, self.d, self.buf[i])(q, replies)
 
     def update(self, qs: np.ndarray, replies: list[int]) -> np.ndarray:
         """Fold reply replies[i] at vertex qs[i] into row i, for every row,

@@ -222,12 +222,10 @@ class GridRows:
         factor = np.multiply.reduce(np.where(self._pv[rows] == vs[:, None], self._pf[rows], 1.0), axis=1)
         return (self._s[rows] * base) * factor
 
-    def reply_masses(self, i: int, replies: list[int]) -> list[float]:
-        """The mass of each reply's set at row i's median q, as of the last
-        medians(): q's own weight for a yes, else the half-plane of grid
-        lines beyond q's toward the neighbour, summed off row i's
-        marginals."""
-        q = int(self._qs[i])
+    def reply_masses(self, i: int, q: int, replies: list[int]) -> list[float]:
+        """The mass of each reply's set at vertex q in row i: q's own weight
+        for a yes, else the half-plane of grid lines beyond q's toward the
+        neighbour, summed off row i's marginals."""
         r, c = divmod(q, self.cols)
         (marginals,) = self.marginals(i, i + 1, np.empty((1, 2, self.width)))
         row_mass, col_mass = marginals[0, : self.rows], marginals[1, : self.cols]
@@ -240,11 +238,6 @@ class GridRows:
             else:
                 out.append(float(col_mass[:c].sum() if u < q else col_mass[c + 1 :].sum()))
         return out
-
-    def lie_weights(self, i: int):
-        """What graph_reply's weights argument returns for row i: the
-        function of the wrong replies that gives their masses."""
-        return functools.partial(functools.partial, self.reply_masses, i)
 
     # -- updates -------------------------------------------------------
 

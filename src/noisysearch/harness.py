@@ -258,15 +258,14 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     per vertex: under 300 bytes a vertex and 100 an edge end), the preorder
     index of a graph that may be a tree (under 320 bytes a vertex), the
     distance rows a dense chunk's updates cache (int32 rows, n at most, up
-    to ROW_CACHE_BYTES; none on a tree or under grid rows), three n-word
-    copies of the
-    prior, and one chunk of the engine plus 4 KiB a trial for its oracle,
-    rng, block of coins and transcript (at n = 64 a trial added 3.8 to
-    4.8 kB, its cells included). A dense chunk holds at most three words a
-    cell (its weight matrix and the rows that thaw in one pass); a
-    graph-lv-distr chunk on a grid is sized as one (at n = 512 under a
-    skewed mu a chunk of 256 trials, its distance rows included, traced a
-    peak of 3.3 MB against an estimate of 5.6 MB). A tree
+    to ROW_CACHE_BYTES; none on a tree or a generated grid, whose reply
+    sets need none), three n-word copies of the prior, and one chunk of
+    the engine plus 4 KiB a trial for its oracle, rng, block of coins and
+    transcript (at n = 64 a trial added 3.8 to 4.8 kB, its cells
+    included). A dense chunk holds at most three words a cell (its weight
+    matrix and the rows that thaw in one pass); a graph-lv-distr chunk on
+    a grid is sized as one (at n = 512 under a skewed mu a chunk of 256
+    trials traced a peak of 2.7 MB against an estimate of 4.6 MB). A tree
     chunk holds 2 KiB a row (its step function, about 130 bytes a segment
     in four lists: over path, star and random trees at n = 512 and 2048
     and p = 0.1 to 0.4 a trial added 4.3 to 8.8 kB, the 4 KiB included)
@@ -284,7 +283,7 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
     index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
     rows = min(4 * n * n, ROW_CACHE_BYTES)
-    if config.gen in ("path", "star", "random-tree") or _grid_rows(config):
+    if config.gen in ("path", "star", "random-tree") or _generated_grid(config):
         rows = 0
     row, scratch = 24 * n, 0
     if config.graph_path is None and config.gen in ("path", "star", "random-tree"):
@@ -532,13 +531,17 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     )
 
 
+def _generated_grid(config: ExperimentConfig) -> bool:
+    """Whether the config's graph is a grid that it generates."""
+    return config.gen == "grid" and config.graph_path is None
+
+
 def _grid_rows(config: ExperimentConfig) -> bool:
     """Whether the config's chunks may be held as grid rows
     (grid_rows.GridRows), known before the graph is built: on a generated
     grid, unless the scenario starts from a prior, whose chunks are sized
     as dense rows."""
-    grid = config.gen == "grid" and config.graph_path is None
-    return grid and not _is_distributional(config.scenario)
+    return _generated_grid(config) and not _is_distributional(config.scenario)
 
 
 def _chunk_trials(config: ExperimentConfig) -> int:

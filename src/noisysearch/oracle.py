@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import DistanceMatrix, Graph, consistent_set, read_fields
+from .graph import DistanceMatrix, Graph, consistent_set, read_fields, reply_set
 from .mathcore import Distribution, DomainError
 from .weights import CompatibleSet, WeightState
 
@@ -21,6 +21,7 @@ __all__ = [
     "ProtocolError",
     "Answer",
     "NoisePolicy",
+    "row_masses",
     "graph_reply",
     "heavy_lie",
     "truthful_choices",
@@ -141,20 +142,35 @@ def _truthful_reply(
     return choices[int(coin() * len(choices))]
 
 
+# the mass of each reply's set at a query vertex, for a list of replies at
+# it (the vertex itself for yes), as an adversarial lie reads a weight row
+Masses = Callable[[int, list[int]], list[float]]
+
+
+def row_masses(g: Graph, d: DistanceMatrix, row: np.ndarray) -> Masses:
+    """The Masses of a dense weight row over vertex ids: q's weight for a
+    yes, the row summed over the reply set's mask for a neighbour."""
+
+    def masses(q: int, replies: list[int]) -> list[float]:
+        return [
+            float(row[q]) if u == q else float(row[reply_set(g, d, q, u)].sum())
+            for u in replies
+        ]
+
+    return masses
+
+
 def _corrupt_reply(
     q: int,
     truthful: int,
     g: Graph,
-    d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
-    relative: np.ndarray | Callable[[list[int]], list[float]] | None,
+    masses: Masses | None,
 ) -> int:
     """The lie at q told instead of the truthful reply. An
-    adversarial-heaviest lie reads relative: the relative weights over
-    vertex ids, or a function that gives the reply mass of each reply in a
-    list of them (the grid kernel's, read off its lines and points, or the
-    tree kernel's, summed over its segments)."""
+    adversarial-heaviest lie names the wrong reply to which masses gives
+    the most mass, the first such in the order q, then q's neighbours."""
     adjacent = g.adjacency[q]
     if not adjacent:
         # isolated target on a single-vertex graph: nothing to lie with
@@ -166,31 +182,10 @@ def _corrupt_reply(
         if truthful == q or j > adjacent.index(truthful):
             return adjacent[j]
         return adjacent[j - 1] if j else q
-    if relative is None:
+    if masses is None:
         raise DomainError("adversarial-heaviest lies need the current weight state")
     wrong = [v for v in (q, *adjacent) if v != truthful]
-    if callable(relative):
-        return wrong[int(np.argmax(relative(wrong)))]
-    # the reply mass of each wrong reply, in wrong's order; the first
-    # heaviest wins. q's own mass and a leaf child's (its subtree is the
-    # leaf alone, and a one-element sum is that element) are one gather
-    ids = np.array(wrong)
-    masses = relative[ids]
-    tree = d.tree
-    if tree is None:
-        summed = [j for j, v in enumerate(wrong) if v != q]
-    else:
-        leaf_child = (tree.parent[ids] == q) & (tree.end[ids] - tree.start[ids] == 1)
-        summed = np.flatnonzero((ids != q) & ~leaf_child).tolist()
-    for j in summed:
-        v = wrong[j]
-        if tree is not None and tree.parent[v] == q:
-            # a child's reply set is its subtree; gathering it in id order
-            # sums the same array as the mask would, bitwise, in O(subtree)
-            masses[j] = relative[tree.subtree(v)].sum()
-        else:
-            masses[j] = relative[consistent_set(g, d, q, v).mask].sum()
-    return wrong[int(np.argmax(masses))]
+    return wrong[int(np.argmax(masses(q, wrong)))]
 
 
 def graph_reply(
@@ -200,7 +195,7 @@ def graph_reply(
     d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
-    weights: Callable[[], np.ndarray] | None = None,
+    masses: Masses | None = None,
 ) -> tuple[int, int]:
     """(reply, truthful reply) to a vertex query, each as a vertex: q
     itself stands for yes, any other vertex is a neighbour reply.
@@ -208,20 +203,16 @@ def graph_reply(
     The truthful reply is yes when q is the target, otherwise a neighbour
     of q one hop closer to the target. With probability policy.p it is
     replaced by one of the other legal replies at q (yes plus each
-    neighbour) per policy.lie_choice; the adversarial choice needs the
-    current relative weights, which weights (a function that builds them,
-    as for heavy_lie, or their reply-mass function, see _corrupt_reply)
-    gives, called only for such a lie. coin() returns
-    the trial's next uniform in [0, 1); the uniforms go in a fixed order:
-    the random tiebreak (only when several neighbours are closer), the
-    noise coin, then the uniform lie. A choice among k items takes item
-    int(u * k).
+    neighbour) per policy.lie_choice; the adversarial choice reads the
+    current weights' reply masses, masses(q, replies) (see Masses), called
+    only for such a lie. coin() returns the trial's next uniform in
+    [0, 1); the uniforms go in a fixed order: the random tiebreak (only
+    when several neighbours are closer), the noise coin, then the uniform
+    lie. A choice among k items takes item int(u * k).
     """
     truthful = _truthful_reply(q, target, g, d, policy, coin)
     if coin() < policy.p:
-        adversarial = policy.lie_choice == "adversarial-heaviest"
-        relative = weights() if adversarial and weights is not None else None
-        return _corrupt_reply(q, truthful, g, d, policy, coin, relative), truthful
+        return _corrupt_reply(q, truthful, g, policy, coin, masses), truthful
     return truthful, truthful
 
 
@@ -229,28 +220,26 @@ def heavy_lie(
     h: int,
     truthful: int,
     g: Graph,
-    d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
-    weights: Callable[[], np.ndarray] | None = None,
+    masses: Masses | None = None,
 ) -> int:
     """The lie graph_reply tells at a vertex h that holds more than half
     the weight, after its noise coin came up, from the same uniforms.
 
-    An adversarial-heaviest lie there reads no weights unless it must name
+    An adversarial-heaviest lie there reads no masses unless it must name
     a neighbour. When the truth is a neighbour the lie is yes: {h}
     outweighs every other reply set, since each of them leaves h out. When
     the truth is yes the lie is a neighbour, which a search reads only as
-    "not h"; weights (a function that builds the relative weights) names
-    it, and without them NEIGHBOR stands in for it.
+    "not h"; masses names it, and without them NEIGHBOR stands in for it.
     """
     if policy.lie_choice != "adversarial-heaviest":
-        return _corrupt_reply(h, truthful, g, d, policy, coin, None)
+        return _corrupt_reply(h, truthful, g, policy, coin, None)
     if truthful != h or not g.adjacency[h]:
         return h
-    if weights is None:
+    if masses is None:
         return NEIGHBOR
-    return _corrupt_reply(h, truthful, g, d, policy, coin, weights())
+    return _corrupt_reply(h, truthful, g, policy, coin, masses)
 
 
 def reply_answer(q: int, reply: int, truthful: int) -> Answer:
@@ -343,9 +332,9 @@ class GraphOracle(_CoinBlocks):
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1
-        weights = None if state is None else lambda: state.relative
         g, d, target = self.graph, self.dist, self.target
-        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, weights))
+        masses = None if state is None else row_masses(g, d, state.relative)
+        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, masses))
 
 
 class LinearOracle(_CoinBlocks):

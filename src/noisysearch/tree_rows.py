@@ -186,17 +186,16 @@ class TreeRows:
         inner = sum(map(mul, factors[j + 1 : k], row.sizes[j + 1 : k]))
         return factors[j] * self._span(a, starts[j + 1]) + inner + factors[k] * self._span(starts[k], b)
 
-    def reply_masses(self, i: int, replies: list[int]) -> list[float]:
-        """The mass of each reply's set at row i's median q, as of the last
-        walk: q's own weight for a yes, else the subtree's for a child and
-        the mass outside q's subtree for the parent."""
+    def reply_masses(self, i: int, v: int, replies: list[int]) -> list[float]:
+        """The mass of each reply's set at vertex v in row i: v's own
+        weight for a yes, else the subtree's for a child and the mass
+        outside v's subtree for the parent."""
         row, tree = self._rows[i], self.tree
         norm = row.norm
-        v = int(tree.order[row.q])
         out = []
         for u in replies:
             if u == v:
-                out.append(row.at_q)
+                out.append(self._weight(row, int(tree.start[v])))
                 continue
             a, b, inside = tree.reply_interval(v, u)
             if inside:
@@ -204,11 +203,6 @@ class TreeRows:
             else:
                 out.append((self._mass(row, 0, a) + self._mass(row, b, self.n)) / norm)
         return out
-
-    def lie_weights(self, i: int):
-        """What graph_reply's weights argument returns for row i: the
-        function of the wrong replies that gives their masses."""
-        return functools.partial(functools.partial, self.reply_masses, i)
 
     def row(self, i: int) -> np.ndarray:
         """Row i built densely, over vertex ids."""

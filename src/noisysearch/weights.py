@@ -171,8 +171,11 @@ def is_heavy(state: WeightState, v: int, c: float = 0.5) -> bool:
 
 def log2_rest(relative: np.ndarray, log2_total: float) -> float:
     """log2 of the absolute mass outside the heaviest element, from one
-    normalized weight vector and its log2 total; -inf when that mass is 0."""
-    rest = float(relative.sum() - relative[int(np.argmax(relative))])
+    normalized weight vector and its log2 total; -inf when that mass is 0.
+    The other entries are summed themselves: the total less the top would
+    lose a small rest to the top's rounding."""
+    top = int(np.argmax(relative))
+    rest = float(relative[:top].sum() + relative[top + 1 :].sum())
     if rest <= 0.0:
         return float("-inf")
     return math.log2(rest) + float(log2_total)

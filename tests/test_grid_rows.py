@@ -70,7 +70,7 @@ def check_reads(rows, dense, g, d):
         assert math.isclose(at_q[i], row[q], rel_tol=1e-12)
         wrong = [q, *g.adjacency[q]]
         expected = [row[q], *(row[reply_set(g, d, q, u)].sum() for u in g.adjacency[q])]
-        np.testing.assert_allclose(rows.reply_masses(i, wrong), expected, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rows.reply_masses(i, q, wrong), expected, rtol=1e-12, atol=0.0)
     return qs
 
 
@@ -122,6 +122,28 @@ def test_factored_rows_follow_the_dense_update(shape):
             total = dense_update(row, q, reply, g, d)
             assert math.isclose(totals[i], total, rel_tol=1e-12)
     check_reads(rows, dense, g, d)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_reply_masses_at_any_vertex_equal_the_masked_sums(shape):
+    # a lie reads a row's reply masses at the vertex asked, which need not
+    # be its median: read them at the medians and at random vertices, with
+    # replies at both folded in between
+    g = grid_graph(*shape)
+    d = all_pairs_distances(g)
+    rows = GridRows(shape, 2, P, HEAVY_SHARE)
+    rng = np.random.default_rng([shape[0], shape[1], 11])
+    for _ in range(30):
+        qs = rows.medians()
+        for i in range(rows.m):
+            row = rows.row(i)
+            for q in {int(qs[i]), *rng.integers(g.n, size=6).tolist()}:
+                replies = [q, *g.adjacency[q]]
+                expected = [row[q], *(row[reply_set(g, d, q, u)].sum() for u in replies[1:])]
+                got = rows.reply_masses(i, q, replies)
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+        vs = np.where(rng.random(rows.m) < 0.5, qs, rng.integers(g.n, size=rows.m))
+        rows.update(vs, [int(rng.choice([v, *g.adjacency[v]])) for v in vs.tolist()])
 
 
 def test_points_that_merge_keep_every_factor():

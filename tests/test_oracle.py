@@ -1,6 +1,5 @@
 """Answer channel statistics and reply-model semantics."""
 
-import functools
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from noisysearch import oracle as oracle_module
 from noisysearch.graph import (
     Graph,
     all_pairs_distances,
-    consistent_set,
     generate_graph,
     path_graph,
     star_graph,
@@ -27,6 +25,7 @@ from noisysearch.oracle import (
     heavy_filter,
     linear_answer,
     load_distribution,
+    row_masses,
 )
 from noisysearch.tree_rows import TreeRows
 from noisysearch.weights import bayesian_update, init_uniform
@@ -123,62 +122,31 @@ class TestGraphAnswer:
 
     @pytest.mark.parametrize("lie_choice", ["uniform-wrong", "adversarial-heaviest"])
     def test_weights_are_built_only_for_an_adversarial_lie(self, lie_choice):
+        # the mass function is read once per adversarial lie, never otherwise
         g = generate_graph("random-tree", 40, np.random.default_rng(7))
         d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.3, lie_choice=lie_choice)
         coin = np.random.default_rng(8).random
-        built = []
+        read = []
+        uniform = row_masses(g, d, np.full(g.n, 1.0 / g.n))
 
-        def weights():
-            built.append(None)
-            return np.full(g.n, 1.0 / g.n)
+        def masses(q, replies):
+            read.append(None)
+            return uniform(q, replies)
 
         lies = 0
         for q in range(g.n):
-            reply, truth = oracle_module.graph_reply(q, 5, g, d, policy, coin, weights)
+            reply, truth = oracle_module.graph_reply(q, 5, g, d, policy, coin, masses)
             lies += reply != truth
         assert lies > 0
-        assert len(built) == (lies if lie_choice == "adversarial-heaviest" else 0)
-
-
-def _masked_heaviest_lie(q, truthful, g, d, policy, rng, relative):
-    """Reference adversarial-heaviest lie: every wrong neighbour's reply mass
-    summed over its boolean mask, the first heaviest wins."""
-    wrong = [v for v in (q, *g.adjacency[q]) if v != truthful]
-    masses = [
-        float(relative[q]) if v == q else float(relative[consistent_set(g, d, q, v).mask].sum())
-        for v in wrong
-    ]
-    return wrong[int(np.argmax(masses))]
-
-
-def _dense_lie_weights(rows, i):
-    """TreeRows.lie_weights for the masked reference: a builder of light
-    row i over vertex ids, built densely."""
-    return functools.partial(rows.row, i)
+        assert len(read) == (lies if lie_choice == "adversarial-heaviest" else 0)
 
 
 class TestAdversarialLieOnTrees:
-    """A child's reply mass comes from its subtree; it must equal the masked
-    sum bitwise, so the same lie is told on every tie. The engine's light
-    rows on a tree give their reply masses as sums over their segments
-    (tree_rows.TreeRows.reply_masses) and must tell the lies the masked sums
-    over their dense rows tell."""
-
-    @pytest.mark.parametrize("name", ["star", "random-tree"])
-    def test_lie_matches_masked_sums(self, name):
-        n = 2048 if name == "star" else 300
-        g = generate_graph(name, n, np.random.default_rng(5))
-        d = all_pairs_distances(g)
-        assert d.tree is not None
-        policy = NoisePolicy(p=0.3, lie_choice="adversarial-heaviest")
-        rng = np.random.default_rng(6)
-        uniform = np.full(n, 1.0 / n)  # exact ties among equal subtrees
-        for q in [0, 1, *rng.integers(n, size=20).tolist()]:
-            for relative in (uniform, rng.random(n) / n):
-                truthful = int(rng.choice(g.adjacency[q]))
-                args = (q, truthful, g, d, policy, rng, relative)
-                assert oracle_module._corrupt_reply(*args) == _masked_heaviest_lie(*args)
+    """The engine's light rows on a tree give their reply masses as sums
+    over their segments (tree_rows.TreeRows.reply_masses) and must tell
+    the lies that the masked sums over their dense rows tell
+    (oracle.row_masses), on every tie included."""
 
     @pytest.mark.parametrize("name, n, trials", [("star", 2048, 2), ("random-tree", 300, 16)])
     def test_transcripts_match_masked_reference(self, monkeypatch, name, n, trials):
@@ -187,16 +155,18 @@ class TestAdversarialLieOnTrees:
             gen=name, lie_choice="adversarial-heaviest",
         )
         monkeypatch.setattr(harness, "_keeps_transcript", lambda config, index: True)
+        ctx = harness._build_context(config)
+
+        def dense_masses(rows, i, q, replies):
+            return row_masses(ctx.graph, ctx.dist, rows.row(i))(q, replies)
+
         runs = []
-        for lie, weights in (
-            (oracle_module._corrupt_reply, TreeRows.lie_weights),
-            (_masked_heaviest_lie, _dense_lie_weights),
-        ):
-            monkeypatch.setattr(oracle_module, "_corrupt_reply", lie)
-            monkeypatch.setattr(TreeRows, "lie_weights", weights)
-            runs.append(harness._run_graph_chunk(harness._build_context(config), range(trials)))
+        for masses in (TreeRows.reply_masses, dense_masses):
+            monkeypatch.setattr(TreeRows, "reply_masses", masses)
+            runs.append(harness._run_graph_chunk(ctx, range(trials)))
         assert runs[0] == runs[1]
         assert all(t.transcript.queries for t in runs[0])
+        assert any(q.answer.is_lie for t in runs[0] for q in t.transcript.queries)
 
 
 @st.composite
@@ -229,9 +199,7 @@ def test_uniform_lie_index_pick_matches_the_wrong_list(case):
         drawn.append(u)
         return u
 
-    got = oracle_module._corrupt_reply(
-        q, truthful, g, all_pairs_distances(g), NoisePolicy(p=0.3), coin, None
-    )
+    got = oracle_module._corrupt_reply(q, truthful, g, NoisePolicy(p=0.3), coin, None)
     assert got == (wrong[int(u * len(wrong))] if wrong else truthful)
     assert len(drawn) == (1 if wrong else 0)
 

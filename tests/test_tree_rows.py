@@ -101,7 +101,7 @@ def check_reads(rows, dense, tree):
         v = int(vertices[i])
         wrong = [v, *tree_neighbours(tree, v)]
         masses = [row[q], *(row[interval_mask(tree, v, u)].sum() for u in wrong[1:])]
-        np.testing.assert_allclose(rows.reply_masses(i, wrong), masses, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(rows.reply_masses(i, v, wrong), masses, rtol=1e-12, atol=0.0)
     return flags, cols, qs
 
 
@@ -195,6 +195,29 @@ def test_random_replies_and_thaws_match_dense_rows(name, kind):
         assert seen["complement"] or name == "star"
 
 
+@pytest.mark.parametrize("kind", ["uniform", "skewed"])
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_reply_masses_at_any_vertex_equal_the_masked_sums(name, kind):
+    # a lie reads a row's reply masses at the vertex asked, which need not
+    # be its median: read them at the median and at random vertices, both
+    # after a walk (the median's weight is the walk's) and before one
+    tree = TreeIndex(TREES[name]())
+    n = len(tree.order)
+    prior = prior_of(tree, kind)
+    rows = TreeRows(tree, prior[tree.start], 1, P, HEAVY_SHARE)
+    rng = np.random.default_rng(11)
+    for step in range(40):
+        median = int(rows.medians()[0]) if step % 2 else None
+        pre = rows.row(0)[tree.order]
+        for v in {median, *rng.integers(n, size=6).tolist()} - {None}:
+            replies = [v, *tree_neighbours(tree, v)]
+            masses = [pre[tree.start[v]], *(pre[interval_mask(tree, v, u)].sum() for u in replies[1:])]
+            got = rows.reply_masses(0, v, replies)
+            np.testing.assert_allclose(got, masses, rtol=1e-12, atol=0.0)
+        v = median if median is not None and rng.random() < 0.5 else int(rng.integers(n))
+        rows.update(np.array([v]), [int(rng.choice([v, *tree_neighbours(tree, v)]))])
+
+
 def test_every_reply_kind_is_exercised():
     # half-weight noes need a q holding half the weight: on path(2) under
     # a uniform prior every first query has one
@@ -221,7 +244,7 @@ def test_a_long_light_run_stays_normalised():
         vs = rows.medians()
         v = int(vs[0])
         wrong = [v, *tree_neighbours(tree, v)]
-        u = wrong[int(np.argmin(rows.reply_masses(0, wrong)))]
+        u = wrong[int(np.argmin(rows.reply_masses(0, v, wrong)))]
         log2_total += math.log2(rows.update(vs, [u])[0])
         dense_log2 += math.log2(dense_update(dense, int(tree.start[v]), u, tree))
         if step % 10_000 == 0:
@@ -268,4 +291,4 @@ def test_exact_half_path_takes_either_end_of_the_middle_edge():
     assert flags == [False, False]
     # a path rooted at vertex 0: preorder positions are vertex ids
     assert set(vs) <= {n // 2 - 1, n // 2}
-    assert [rows.reply_masses(i, [v])[0] for i, v in enumerate(vs)] == [1.0 / n, 1.0 / n]
+    assert [rows.reply_masses(i, v, [v])[0] for i, v in enumerate(vs)] == [1.0 / n, 1.0 / n]

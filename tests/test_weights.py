@@ -159,6 +159,17 @@ class TestLog2Rest:
         expected = math.log2(st.relative[1] + st.relative[2]) + st.log2_total
         assert log2_rest(st.relative, st.log2_total) == pytest.approx(expected, abs=1e-12)
 
+    def test_a_rest_far_below_the_top_is_summed_to_full_precision(self):
+        # 50 masses of about 1e-12 beside a top near 1: the total less the
+        # top keeps only the few bits of the rest that the top's rounding
+        # left, about 1e-6 relative off
+        rng = np.random.default_rng(12)
+        small = rng.uniform(0.5e-12, 1.5e-12, size=50)
+        row = np.concatenate([small[:20], [1.0 - small.sum()], small[20:]])
+        rest = math.fsum(small)
+        assert math.isclose(2.0 ** log2_rest(row, 0.0), rest, rel_tol=1e-12)
+        assert math.isclose(log2_rest(row, 7.5), math.log2(rest) + 7.5, rel_tol=1e-12)
+
     def test_point_mass_has_no_rest(self):
         assert log2_rest(np.array([0.0, 1.0, 0.0]), 3.0) == float("-inf")
 
