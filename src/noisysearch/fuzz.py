@@ -22,6 +22,8 @@ __all__ = ["fuzz_graph_invariants", "fuzz_binary_invariants"]
 _FUZZ_PS = (0.1, 0.25, 0.4)
 # slack, in bits, a checked weight-drop law may exceed its bound by
 TOL = 1e-6
+# queries per graph transcript, at most
+GRAPH_MAX_STEPS = 100
 # queries per comparison transcript, at most
 BINARY_MAX_STEPS = 160
 
@@ -42,11 +44,7 @@ def _fuzz_graph(rng: np.random.Generator) -> Graph:
     return generate_graph("gnm", max(n, 4), rng)
 
 
-def fuzz_graph_invariants(
-    transcripts: int = 1000,
-    seed: int = 0,
-    max_steps: int = 100,
-) -> dict:
+def fuzz_graph_invariants(transcripts: int = 1000, seed: int = 0) -> dict:
     """Fuzz graph searches and check every deterministic weight-drop law.
 
     Each transcript is one fixed-budget graph_search.search run, a chunk of
@@ -60,7 +58,7 @@ def fuzz_graph_invariants(
         vertex x, the total drops by 2^-k when the run ends, and the mass
         outside x is down by 2^-k at every point the run is still live.
     Each transcript spends its worst-case budget at delta = 0.2, at most
-    max_steps queries, and a law counts as broken past TOL bits.
+    GRAPH_MAX_STEPS queries, and a law counts as broken past TOL bits.
     """
     drop_violations = 0
     halving_violations = 0
@@ -79,7 +77,7 @@ def fuzz_graph_invariants(
         )
         target = int(rng.integers(g.n))
         oracle = GraphOracle(g, dist, target, policy, rng)
-        budget = min(worst_case_budget_graph(g.n, noise, 0.2).q, max_steps)
+        budget = min(worst_case_budget_graph(g.n, noise, 0.2).q, GRAPH_MAX_STEPS)
         plan = graph_search.adversarial_plan(g.n, noise, 0.2, budget)
         (run,) = graph_search.search(g, noise, plan, [oracle], track_weights=True)
         # one entry before each query and one after the last

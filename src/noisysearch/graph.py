@@ -81,23 +81,8 @@ class Graph:
         return g
 
     def _first_unreachable(self) -> int | None:
-        seen = np.zeros(self.n, dtype=bool)
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        nxt.append(v)
-            frontier = nxt
-        if seen.all():
-            return None
-        return int(np.flatnonzero(~seen)[0])
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        levels = _bfs_levels(self.adjacency, 0)
+        return levels.index(-1) if -1 in levels else None
 
 
 # Bytes of distance rows one DistanceMatrix keeps; past it the oldest rows are
@@ -110,11 +95,17 @@ _BLOCK_BYTES = 4 << 20
 # A reply set must beat half the weight by this much before descent steps into
 # it, so rounding in the mass sums cannot make it cycle.
 _MAJORITY = 0.5 + 1e-12
+# A trial whose top share is above this is carried as two numbers (see
+# graph_search.search); weighted_medians takes that top vertex as the row's
+# median.
+HEAVY_SHARE = 0.5 + 1e-9
 
 
-def _bfs_row(adj: tuple[tuple[int, ...], ...], src: int) -> np.ndarray:
-    row = [-1] * len(adj)
-    row[src] = 0
+def _bfs_levels(adj: tuple[tuple[int, ...], ...], src: int) -> list[int]:
+    """Hop counts from src over adjacency lists adj, -1 at every vertex src
+    does not reach."""
+    levels = [-1] * len(adj)
+    levels[src] = 0
     frontier = [src]
     d = 0
     while frontier:
@@ -122,11 +113,15 @@ def _bfs_row(adj: tuple[tuple[int, ...], ...], src: int) -> np.ndarray:
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if row[v] < 0:
-                    row[v] = d
+                if levels[v] < 0:
+                    levels[v] = d
                     nxt.append(v)
         frontier = nxt
-    out = np.array(row, dtype=np.int32)
+    return levels
+
+
+def _bfs_row(adj: tuple[tuple[int, ...], ...], src: int) -> np.ndarray:
+    out = np.array(_bfs_levels(adj, src), dtype=np.int32)
     if (out < 0).any():
         raise GraphFormatError("graph is disconnected")
     return out
@@ -427,7 +422,7 @@ def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.nd
     and descend one by one elsewhere.
     """
     tops = relative.argmax(axis=1)
-    light = relative[np.arange(len(tops)), tops] <= 0.5 + 1e-9
+    light = relative[np.arange(len(tops)), tops] <= HEAVY_SHARE
     if not light.any():
         return tops
     qs = tops.copy()
@@ -497,6 +492,9 @@ def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
 # ---------------------------------------------------------------------------
 # Loading and generation
 # ---------------------------------------------------------------------------
+
+# Draws gnm_graph makes before it gives up on a connected graph.
+GNM_TRIES = 200
 
 
 def read_fields(path):
@@ -597,7 +595,7 @@ def random_tree(n: int, rng: np.random.Generator) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def gnm_graph(n: int, m: int, rng: np.random.Generator, max_tries: int = 200) -> Graph:
+def gnm_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
     """Uniform n-vertex m-edge graph conditioned on connectivity.
 
     Each try draws m distinct indices into the n(n-1)/2 pairs (u, v),
@@ -610,7 +608,7 @@ def gnm_graph(n: int, m: int, rng: np.random.Generator, max_tries: int = 200) ->
     # offsets[u] is the index of the first pair (u, u + 1)
     u_ids = np.arange(max(n - 1, 0), dtype=np.int64)
     offsets = u_ids * (2 * n - u_ids - 1) // 2
-    for _ in range(max_tries):
+    for _ in range(GNM_TRIES):
         chosen = rng.choice(pairs, size=m, replace=False)
         us = np.searchsorted(offsets, chosen, side="right") - 1
         vs = us + 1 + (chosen - offsets[us])
@@ -618,7 +616,7 @@ def gnm_graph(n: int, m: int, rng: np.random.Generator, max_tries: int = 200) ->
             return Graph.from_edges(n, zip(us.tolist(), vs.tolist()))
         except GraphFormatError:
             continue
-    raise GraphFormatError(f"no connected graph with n={n}, m={m} after {max_tries} tries")
+    raise GraphFormatError(f"no connected graph with n={n}, m={m} after {GNM_TRIES} tries")
 
 
 def gnm_edges(n: int) -> int:

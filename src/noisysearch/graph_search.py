@@ -35,6 +35,7 @@ import numpy as np
 
 # weighted_median, heavy_filter, bayesian_update: unused, bound for bench/tracer.py (ROADMAP item 1)
 from .graph import (
+    HEAVY_SHARE,
     Graph,
     _is_grid,
     reply_set,
@@ -99,11 +100,6 @@ __all__ = [
 # rows; the factored rows cost about 230 to 400 us plus 2.5 to 3.6 us a
 # row (three fits) and take 67 passes of 177.5 rows.
 CHUNK_BYTES = 1 << 20
-
-
-# A trial whose top share is above this is carried as two numbers (see
-# search); weighted_medians takes that top vertex as the row's median.
-HEAVY_SHARE = 0.5 + 1e-9
 
 
 def chunk_rows(n: int, grid_shape: tuple[int, int] | None = None) -> int:
@@ -375,9 +371,9 @@ def search(
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
     if d.tree is not None:
-        rows = TreeRows(d.tree, plan.prior, k, p, HEAVY_SHARE)
+        rows = TreeRows(d.tree, plan.prior, k, p)
     elif _is_grid(g) and (plan.prior == plan.prior[0]).all():
-        rows = GridRows(g.grid_shape, k, p, HEAVY_SHARE)
+        rows = GridRows(g.grid_shape, k, p)
     else:
         rows = _DenseRows(g, d, plan.prior, k, p)
     # the light trials, in the order of their rows

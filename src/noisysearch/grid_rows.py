@@ -40,7 +40,7 @@ import functools
 
 import numpy as np
 
-from .graph import marginal_medians
+from .graph import HEAVY_SHARE, marginal_medians
 from .mathcore import DomainError
 
 __all__ = ["GridRows", "GridFrozen", "POINT_SLOTS", "row_words"]
@@ -72,16 +72,15 @@ class GridRows:
 
     shape is (rows, cols), k the number of rows, each starting from the
     uniform prior, and p the update's noise rate: kept weights scale by
-    1-p and the rest by p. heavy is the share above which a row's top
-    vertex leaves for a heavy run. The live rows are the first m of
-    buffers made for k, numbered in the order the engine keeps them; a
-    pass builds its marginals and cost lines in one scratch array made
+    1-p and the rest by p. A row whose top share is above
+    graph.HEAVY_SHARE leaves for a heavy run. The live rows are the first
+    m of buffers made for k, numbered in the order the engine keeps them;
+    a pass builds its marginals and cost lines in one scratch array made
     once for MEDIAN_BLOCK_BYTES worth of rows, so it allocates no array of
     the chunk's size."""
 
-    def __init__(self, shape: tuple[int, int], k: int, p: float, heavy: float):
+    def __init__(self, shape: tuple[int, int], k: int, p: float):
         self.rows, self.cols = rows, cols = shape
-        self.heavy = heavy
         self.m = k
         self.width = width = max(rows, cols) + 1
         self._lines = np.zeros((k, 2, width))
@@ -114,7 +113,7 @@ class GridRows:
         self._kinds[[-cols, cols]] = UP, DOWN
         self._divisor, self._modulus = np.array([cols, 1]), np.array([rows, cols])
         self._line_starts = np.array([0, width])
-        self._base = self._qs = None
+        self._base = None
 
     def _slot_index(self, pv: np.ndarray) -> np.ndarray:
         """The flat positions in a row's lines of each slot's row and
@@ -159,7 +158,7 @@ class GridRows:
         maxima. When a point with a factor below 1 sits on that cell, the
         rest of the row holds at most s minus that cell's line weight; only
         if that could be over one half is the row built to find its top."""
-        m, heavy = self.m, self.heavy
+        m = self.m
         lines, s, pv, pf, at = self._lines[:m], self._s[:m], self._pv[:m], self._pf[:m], self._at[:m]
         weights = self._point_base() * pf
         point_top = np.maximum.reduce(weights, axis=1)
@@ -171,9 +170,9 @@ class GridRows:
         np.greater_equal(np.maximum(line_top, point_top), 0.5, out=maybe)
         if not _any(maybe):
             return [False] * m, None
-        flags = point_top > heavy
+        flags = point_top > HEAVY_SHARE
         cols = pv[at, weights.argmax(axis=1)]
-        over = line_top > heavy
+        over = line_top > HEAVY_SHARE
         if _any(over):
             top = lines.argmax(axis=2)
             cell = top[:, 0] * self.cols + top[:, 1]
@@ -185,7 +184,7 @@ class GridRows:
             for i in unsure.nonzero()[0].tolist():
                 row = self.row(i)
                 cols[i] = t = int(np.argmax(row))
-                flags[i] = row[t] > heavy
+                flags[i] = row[t] > HEAVY_SHARE
         return flags.tolist(), cols
 
     def marginals(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
@@ -210,9 +209,7 @@ class GridRows:
             work = self._scratch[:, : hi - lo]
             marginals = self.marginals(lo, hi, work[2])
             blocks.append(marginal_medians(marginals, self.rows, self.cols, work))
-        self._qs = qs = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-        self._rc = qs[:, None] // self._divisor % self._modulus
-        return qs
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
     def weights_at(self, rows: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """The weight of vertex vs[j] in row rows[j], for each j."""
@@ -256,9 +253,8 @@ class GridRows:
             half = maybe[self.weights_at(maybe, qs[maybe]) >= 0.5]
             kind[half[kind[half] != YES]] = HALF
         self._maybe[:m] = True
-        # q's grid row and column, as medians() found them for these qs
-        rc = self._rc if qs is self._qs else qs[:, None] // self._divisor % self._modulus
-        split = rc + self._off[kind]
+        # q's grid row and column
+        split = qs[:, None] // self._divisor % self._modulus + self._off[kind]
         lo_hi = self._lo_hi[kind]
         self._lines[:m] *= np.where(self._ids < split[:, :, None], lo_hi[..., 0], lo_hi[..., 1])
         pts = (kind <= HALF).nonzero()[0]

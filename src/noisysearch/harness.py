@@ -156,36 +156,36 @@ class SummaryStats:
         return {col: getattr(self, col) for col in CSV_COLUMNS}
 
 
-def wilson_interval(successes: int, total: int, z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at Z95."""
     if total <= 0:
         return (0.0, 1.0)
     phat = successes / total
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / total
     center = phat + z2 / (2.0 * total)
-    half = z * math.sqrt(phat * (1.0 - phat) / total + z2 / (4.0 * total * total))
+    half = Z95 * math.sqrt(phat * (1.0 - phat) / total + z2 / (4.0 * total * total))
     return (max(0.0, (center - half) / denom), min(1.0, (center + half) / denom))
 
 
-def min_trials_for_bound(delta: float, z: float = Z95) -> int:
+def min_trials_for_bound(delta: float) -> int:
     """The fewest trials whose Wilson upper limit with no errors is at most
     delta: fewer trials cannot show an error bound of delta however they go.
-    The upper limit is z^2 / (trials + z^2), so the count is about
-    z^2 (1 - delta) / delta (16 at delta = 0.2, 35 at delta = 0.1); the
+    The upper limit is z^2 / (trials + z^2), z = Z95, so the count is
+    about z^2 (1 - delta) / delta (16 at delta = 0.2, 35 at delta = 0.1); the
     steps around that estimate settle it on wilson_interval itself, where
     rounding can move it by one either way."""
     if not delta > 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
-    estimate = z * z * (1.0 - delta) / delta
+    estimate = Z95 * Z95 * (1.0 - delta) / delta
     if not estimate < 2.0**52:
         # a tiny delta: steps of one trial no longer move a float, and the
         # estimate may overflow
         return math.ceil(min(estimate, sys.float_info.max))
     trials = max(1, math.ceil(estimate))
-    while trials > 1 and wilson_interval(0, trials - 1, z)[1] <= delta:
+    while trials > 1 and wilson_interval(0, trials - 1)[1] <= delta:
         trials -= 1
-    while wilson_interval(0, trials, z)[1] > delta:
+    while wilson_interval(0, trials)[1] > delta:
         trials += 1
     return trials
 
@@ -198,11 +198,11 @@ def dyadic_distribution(n: int) -> Distribution:
     return Distribution(masses)
 
 
-def geometric_distribution(n: int, ratio: float = 0.5) -> Distribution:
-    """Normalized geometric masses ratio^i, i = 0..n-1."""
-    if n < 1 or not 0.0 < ratio < 1.0:
-        raise DomainError("geometric distribution needs n >= 1 and 0 < ratio < 1")
-    masses = ratio ** np.arange(n, dtype=np.float64)
+def geometric_distribution(n: int) -> Distribution:
+    """Normalized geometric masses 2^-i, i = 0..n-1."""
+    if n < 1:
+        raise DomainError("geometric distribution needs n >= 1")
+    masses = 0.5 ** np.arange(n, dtype=np.float64)
     return Distribution(masses / masses.sum())
 
 
@@ -269,11 +269,13 @@ def _graph_bytes(config: ExperimentConfig) -> int:
     chunk holds 2 KiB a row (its step function, about 130 bytes a segment
     in four lists: over path, star and random trees at n = 512 and 2048
     and p = 0.1 to 0.4 a trial added 4.3 to 8.8 kB, the 4 KiB included)
-    and 176 bytes a vertex (four n-entry lists, of the prior's prefix
-    sums, their rounding errors (one shared zero under a uniform prior),
-    subtree ends and parent positions, and three n-word rows, a heavy
-    run's frozen row and its rescaled copy and a declared row: 107 to 139
-    bytes a vertex read at n = 2048). A chunk of grid rows holds three
+    and 176 bytes a vertex (five n-entry lists, of the prior's shape, its
+    prefix sums and their rounding errors, subtree ends and parent
+    positions, under every prior: 147 to 180 bytes a vertex held by the
+    store at n = 2048 on star, random and path trees; and three n-word
+    rows, a heavy run's frozen row and its rescaled copy and a declared
+    row; at n = 2048 the estimate is 1.69 to 2.06 times a chunk's traced
+    peak). A chunk of grid rows holds three
     arrays of 2 (L + 1) words a row, L the grid's longer side (its lines
     and a pass's factors and masks; over the built graph a chunk read 4.9,
     5.0, 6.3 and 13.9 kB a row at n = 512, 1024, 4096 and 65536, the 4 KiB

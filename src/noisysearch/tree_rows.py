@@ -19,9 +19,10 @@ y is one bisect of the starts and one multiply-add:
 
     prefix(y) = cum[j] + f[j] * (P[y] - P[starts[j]])
 
-P is held as two lists, a running sum and its running rounding error
-(zero under a uniform prior), so the difference of two reads is accurate
-relative to the mass between them, however small that mass is next to P.
+P is held as two lists under every prior, a running sum and its running
+rounding error (exact positions and zeros under a uniform prior, whose
+shape is all ones), so the difference of two reads is accurate relative
+to the mass between them, however small that mass is next to P.
 
 A median is a walk up from the half-mass position, as TreeIndex.medians
 takes it, with two prefix reads a step; a vertex above half the weight is
@@ -47,7 +48,7 @@ from operator import mul
 
 import numpy as np
 
-from .graph import _MAJORITY, TreeIndex
+from .graph import _MAJORITY, HEAVY_SHARE, TreeIndex
 from .mathcore import DomainError
 
 __all__ = ["TreeRows", "TreeFrozen"]
@@ -76,26 +77,21 @@ class TreeRows:
     """The light rows of one chunk on a tree (see the module doc).
 
     tree is the graph's TreeIndex, prior the start weights over vertex ids,
-    k the number of rows, p the update's noise rate (kept weights scale by
-    1-p and the rest by p) and heavy the share above which a row's top
-    vertex leaves for a heavy run. The live rows are numbered in the order
-    the engine keeps them. Every vertex, row and weight that goes in or
-    out is over vertex ids; preorder positions stay inside."""
+    k the number of rows and p the update's noise rate (kept weights scale
+    by 1-p and the rest by p). A row whose top share is above
+    graph.HEAVY_SHARE leaves for a heavy run. The live rows are numbered in
+    the order the engine keeps them. Every vertex, row and weight that goes
+    in or out is over vertex ids; preorder positions stay inside."""
 
-    def __init__(self, tree: TreeIndex, prior: np.ndarray, k: int, p: float, heavy: float):
-        self.tree, self.p, self.heavy = tree, p, heavy
+    def __init__(self, tree: TreeIndex, prior: np.ndarray, k: int, p: float):
+        self.tree, self.p = tree, p
         self.n = n = len(prior)
-        if (prior == prior[0]).all():
-            # the prior's shape is all ones, and the factors carry prior[0]
-            self._shape, unit = None, float(prior[0])
-            self._w = None
-            self._hi = np.arange(n + 1, dtype=np.float64).tolist()
-            self._lo = [0.0] * (n + 1)
-        else:
-            self._shape, unit = np.asarray(prior, dtype=np.float64)[tree.order], 1.0
-            self._w = self._shape.tolist()
-            hi, lo = _prefix_sums(self._shape)
-            self._hi, self._lo = hi.tolist(), lo.tolist()
+        # a constant prior's shape is all ones, and the factors carry prior[0]
+        unit = float(prior[0]) if (prior == prior[0]).all() else 1.0
+        self._shape = np.asarray(prior, dtype=np.float64)[tree.order] / unit
+        self._w = self._shape.tolist()
+        hi, lo = _prefix_sums(self._shape)
+        self._hi, self._lo = hi.tolist(), lo.tolist()
         self._end_at = tree.end_at.tolist()
         # the preorder position of each position's parent (-1 at the root)
         up = np.full(n, -1, dtype=np.int64)
@@ -142,17 +138,17 @@ class TreeRows:
                 break
             x = up[x]
         row.q = x
-        row.at_q = (factors[j] if self._w is None else factors[j] * self._w[x]) / norm
+        row.at_q = factors[j] * self._w[x] / norm
 
     def tops(self) -> tuple[list[bool], np.ndarray]:
         """Per row, whether its top share is above the heavy share, and
         its median vertex, which holds that share when it is. The walks
         are kept for medians()."""
-        heavy, walk = self.heavy, self._walk
+        walk = self._walk
         flags, cols = [], []
         for row in self._rows:
             walk(row)
-            flags.append(row.at_q > heavy)
+            flags.append(row.at_q > HEAVY_SHARE)
             cols.append(row.q)
         return flags, self.tree.order[cols]
 
@@ -169,7 +165,7 @@ class TreeRows:
     def _weight(self, row: _Row, x: int) -> float:
         """Row's weight at position x."""
         f = row.factors[bisect_right(row.starts, x) - 1]
-        return (f if self._w is None else f * self._w[x]) / row.norm
+        return f * self._w[x] / row.norm
 
     def _mass(self, row: _Row, a: int, b: int) -> float:
         """Row's mass over positions a..b-1, before the divide by its norm,
@@ -213,9 +209,7 @@ class TreeRows:
         """The step function of starts and factors times the prior, dense
         over vertex ids."""
         counts = np.diff(np.array([*starts, self.n]))
-        out = np.repeat(np.array(factors), counts)
-        if self._shape is not None:
-            out *= self._shape
+        out = np.repeat(np.array(factors), counts) * self._shape
         return out[self.tree.start]
 
     # -- updates -------------------------------------------------------
@@ -348,6 +342,5 @@ class TreeFrozen:
         holds 1 - rest."""
         ratio = rest / self.rest0 if self.rest0 > 0.0 else 0.0
         factors = [x * ratio for x in self.factors]
-        w = self.rows._w
-        factors[self.k] = (1.0 - rest) if w is None else (1.0 - rest) / w[self.col]
+        factors[self.k] = (1.0 - rest) / self.rows._w[self.col]
         return _Row(list(self.starts), factors, list(self.sizes))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -70,13 +69,6 @@ class CompatibleSet:
         arr = np.asarray(self.mask, dtype=bool)
         arr.flags.writeable = False
         object.__setattr__(self, "mask", arr)
-
-    @classmethod
-    def from_ids(cls, n: int, ids: Iterable[int]) -> "CompatibleSet":
-        mask = np.zeros(n, dtype=bool)
-        for v in ids:
-            mask[v] = True
-        return cls(mask)
 
     @classmethod
     def singleton(cls, n: int, v: int) -> "CompatibleSet":

@@ -51,7 +51,7 @@ def test_c01_deterministic_weight_drop():
     # 10^3 fuzzed graph transcripts (n <= 64, p in {0.1, 0.25, 0.4}, both
     # lie policies): mass outside the heaviest vertex <= 2^-t, always
     start = time.time()
-    r = fuzz_graph_invariants(transcripts=1000, seed=2025, max_steps=100)
+    r = fuzz_graph_invariants(transcripts=1000, seed=2025)
     elapsed = time.time() - start
     ok = (
         r["drop_violations"] == 0

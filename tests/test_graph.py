@@ -306,6 +306,11 @@ class TestGraphConstruction:
         with pytest.raises(GraphFormatError, match="disconnected"):
             Graph.from_edges(4, [(0, 1), (2, 3)])
 
+    def test_disconnected_names_the_smallest_unreachable_vertex(self):
+        # 0-1-3 is reached; 2 and 4 are not, and 2 is named
+        with pytest.raises(GraphFormatError, match="vertex 2 unreachable from vertex 0"):
+            Graph.from_edges(5, [(0, 1), (1, 3), (2, 4)])
+
     def test_adjacency_sorted_and_symmetric(self):
         g = Graph.from_edges(4, [(3, 0), (0, 1), (1, 2), (2, 3)])
         for u in range(4):
@@ -376,8 +381,8 @@ class TestLoader:
 class TestGenerators:
     def test_shapes(self):
         assert path_graph(5).n == 5
-        assert cycle_graph(6).degree(0) == 2
-        assert star_graph(9).degree(0) == 8
+        assert len(cycle_graph(6).adjacency[0]) == 2
+        assert len(star_graph(9).adjacency[0]) == 8
         assert grid_graph(3, 4).n == 12
 
     def test_grid_square_factorization(self):

@@ -81,7 +81,7 @@ def test_factored_rows_follow_the_dense_update(shape):
     rng = np.random.default_rng([shape[0], shape[1], 7])
     prior = np.full(g.n, 1.0 / g.n)
     k, steps = 5, 40 if g.n > 100 else 80
-    rows = GridRows(shape, k, P, HEAVY_SHARE)
+    rows = GridRows(shape, k, P)
     dense = [prior.copy() for _ in range(k)]
     # a few vertices that keep hearing yes, so points merge
     pool = rng.choice(g.n, size=min(3, g.n), replace=False)
@@ -131,7 +131,7 @@ def test_reply_masses_at_any_vertex_equal_the_masked_sums(shape):
     # replies at both folded in between
     g = grid_graph(*shape)
     d = all_pairs_distances(g)
-    rows = GridRows(shape, 2, P, HEAVY_SHARE)
+    rows = GridRows(shape, 2, P)
     rng = np.random.default_rng([shape[0], shape[1], 11])
     for _ in range(30):
         qs = rows.medians()
@@ -151,7 +151,7 @@ def test_points_that_merge_keep_every_factor():
     # first once it holds half the weight fold into two points
     g = grid_graph(6, 7)
     d = all_pairs_distances(g)
-    rows = GridRows((6, 7), 1, P, HEAVY_SHARE)
+    rows = GridRows((6, 7), 1, P)
     row = np.full(g.n, 1.0 / g.n)
     for q, reply in [(17, 17), (3, 3), *[(17, 17)] * 5, (17, 10)]:
         held_half = row[q] >= 0.5
@@ -170,7 +170,7 @@ def test_a_long_light_run_keeps_its_lines_normalised():
     q = 2 * 7 + 3
     sides = g.adjacency[q]
     factors = [np.where(reply_set(g, d, q, u), 1.0 - P, P) for u in sides]
-    rows = GridRows((6, 7), 1, P, HEAVY_SHARE)
+    rows = GridRows((6, 7), 1, P)
     row = np.full(g.n, 1.0 / g.n)
     log2_total = ref_log2_total = 0.0
     qs = np.array([q])
@@ -193,7 +193,7 @@ def test_a_point_below_one_on_the_lines_top_cell_is_read_off_the_row(monkeypatch
     g = grid_graph(6, 7)
     d = all_pairs_distances(g)
     q, x = 17, 18
-    rows = GridRows((6, 7), 1, P, HEAVY_SHARE)
+    rows = GridRows((6, 7), 1, P)
     row = np.full(g.n, 1.0 / g.n)
     built = []
     real_row = GridRows.row

@@ -126,7 +126,7 @@ def run(tree, prior, steps, rng, k=3):
     most at the rows' medians and some at random vertices; returns how
     many of each reply kind ran. prior is in preorder columns, as the
     dense rows are."""
-    rows = TreeRows(tree, prior[tree.start], k, P, HEAVY_SHARE)
+    rows = TreeRows(tree, prior[tree.start], k, P)
     dense = [prior.copy() for _ in range(k)]
     kinds = {"yes": 0, "half": 0, "subtree": 0, "complement": 0, "thaw": 0, "split half": 0}
     n = len(prior)
@@ -204,7 +204,7 @@ def test_reply_masses_at_any_vertex_equal_the_masked_sums(name, kind):
     tree = TreeIndex(TREES[name]())
     n = len(tree.order)
     prior = prior_of(tree, kind)
-    rows = TreeRows(tree, prior[tree.start], 1, P, HEAVY_SHARE)
+    rows = TreeRows(tree, prior[tree.start], 1, P)
     rng = np.random.default_rng(11)
     for step in range(40):
         median = int(rows.medians()[0]) if step % 2 else None
@@ -236,7 +236,7 @@ def test_a_long_light_run_stays_normalised():
     # a row that is not divided back to 1 overflows within a few thousand
     tree = TreeIndex(star_graph(4))
     prior = prior_of(tree, "uniform")
-    rows = TreeRows(tree, prior[tree.start], 1, P, HEAVY_SHARE)
+    rows = TreeRows(tree, prior[tree.start], 1, P)
     dense = prior.copy()
     log2_total = dense_log2 = 0.0
     for step in range(100_000):
@@ -262,7 +262,7 @@ def test_a_query_away_from_the_median_reads_its_weight_at_the_rows_norm(kind):
     # dense row does
     tree = TreeIndex(random_tree(64, np.random.default_rng(6)))
     prior = prior_of(tree, kind)
-    rows = TreeRows(tree, prior[tree.start], 1, P, HEAVY_SHARE)
+    rows = TreeRows(tree, prior[tree.start], 1, P)
     dense = prior.copy()
     rng = np.random.default_rng(8)
     for v in rng.integers(64, size=3000).tolist():
@@ -285,10 +285,29 @@ def test_exact_half_path_takes_either_end_of_the_middle_edge():
     # vertex's subtree holds exactly half, so rounding picks the end
     n = 100_000
     tree = TreeIndex(path_graph(n))
-    rows = TreeRows(tree, np.full(n, 1.0 / n), 2, P, HEAVY_SHARE)
+    rows = TreeRows(tree, np.full(n, 1.0 / n), 2, P)
     flags, _ = rows.tops()
     vs = rows.medians().tolist()
     assert flags == [False, False]
     # a path rooted at vertex 0: preorder positions are vertex ids
     assert set(vs) <= {n // 2 - 1, n // 2}
     assert [rows.reply_masses(i, v, [v])[0] for i, v in enumerate(vs)] == [1.0 / n, 1.0 / n]
+
+
+@pytest.mark.parametrize(
+    "make",
+    {
+        "path": lambda: path_graph(2048),
+        "star": lambda: star_graph(17),
+        "random-tree": lambda: random_tree(2048, np.random.default_rng(7)),
+    }.items(),
+    ids=lambda item: item[0],
+)
+def test_a_uniform_prior_is_held_as_ones(make):
+    # the prior over its constant is all ones, so its prefix sums are the
+    # preorder positions and its rounding errors zeros, exactly
+    tree = TreeIndex(make[1]())
+    n = len(tree.order)
+    rows = TreeRows(tree, np.full(n, 1.0 / n), 1, P)
+    assert rows._hi == list(range(n + 1))
+    assert rows._lo == [0.0] * (n + 1)

@@ -59,7 +59,7 @@ class TestBayesianUpdate:
     def test_hand_computed_split(self):
         # 0.25*(0.75, 0.75, 0.25, 0.25) renormalized by its sum 0.5
         st = init_uniform(4)
-        comp = CompatibleSet.from_ids(4, [0, 1])
+        comp = CompatibleSet(np.array([True, True, False, False]))
         new = bayesian_update(st, comp, NoiseParams.from_p(0.25))
         assert new.relative == pytest.approx([0.375, 0.375, 0.125, 0.125], abs=1e-12)
         assert new.log2_total == pytest.approx(-1.0, abs=1e-12)
@@ -257,6 +257,6 @@ class TestCompatibleSet:
         assert CompatibleSet.empty(3).size == 0
 
     def test_members_roundtrip(self):
-        cs = CompatibleSet.from_ids(6, [5, 1, 3])
+        cs = CompatibleSet(np.isin(np.arange(6), [5, 1, 3]))
         assert cs.members == {1, 3, 5}
         assert cs.size == 3
