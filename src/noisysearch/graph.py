@@ -282,10 +282,6 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g)
 
 
-def _is_grid(g: Graph) -> bool:
-    return g.grid_shape is not None
-
-
 def _line_costs(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Sum of |i - v| * w[i] for every v, along the last axis, O(n) per
     row: cost(0) = sum i * w[i], and a step from v to v + 1 moves away from
@@ -314,7 +310,7 @@ def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarra
     gets its own costs, computed exactly as for that row alone. The
     engine's grid medians (grid_medians) need only its two cost lines.
     """
-    if not _is_grid(g):
+    if g.grid_shape is None:
         raise ValueError("median_costs needs a grid layout")
     rows, cols = g.grid_shape
     w2 = relative.reshape(*relative.shape[:-1], rows, cols)
@@ -427,7 +423,7 @@ def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.nd
         return tops
     qs = tops.copy()
     tree = d.tree
-    if tree is None and not _is_grid(g):
+    if tree is None and g.grid_shape is None:
         for i in np.flatnonzero(light).tolist():
             qs[i] = _descend(g, d, relative[i], int(tops[i]))
         return qs
@@ -449,7 +445,7 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
     interval when u is q's parent. Neither reads a distance row; elsewhere
     it compares the rows of u and q.
     """
-    if _is_grid(g):
+    if g.grid_shape is not None:
         cols = g.grid_shape[1]
         vertical = abs(u - q) == cols
         # the grid row or column of each vertex, against q's
@@ -634,6 +630,15 @@ def _square_factor(n: int) -> tuple[int, int]:
     while r > 1 and n % r != 0:
         r -= 1
     return r, n // r
+
+
+def generated_layout(name: str, n: int) -> tuple[int, tuple[int, int] | None]:
+    """The edge count and grid shape (None off a grid) of generate_graph(name,
+    n) before it is built; with n - 1 edges and no grid shape it is a tree."""
+    if name == "grid":
+        rows, cols = _square_factor(n)
+        return 2 * n - rows - cols, (rows, cols)
+    return {"cycle": n, "gnm": gnm_edges(n)}.get(name, n - 1), None
 
 
 def generate_graph(name: str, n: int, rng: np.random.Generator | None = None) -> Graph:

@@ -36,13 +36,13 @@ import numpy as np
 # weighted_median, heavy_filter, bayesian_update: unused, bound for bench/tracer.py (ROADMAP item 1)
 from .graph import (
     HEAVY_SHARE,
+    ROW_CACHE_BYTES,
     Graph,
-    _is_grid,
     reply_set,
     weighted_median,
     weighted_medians,
 )
-from .grid_rows import GridRows, row_words
+from .grid_rows import GridRows, close_gaps
 from .tree_rows import TreeRows
 from .mathcore import (
     Ceiling,
@@ -72,6 +72,7 @@ __all__ = [
     "SearchPlan",
     "CHUNK_BYTES",
     "HEAVY_SHARE",
+    "row_store",
     "chunk_rows",
     "adversarial_plan",
     "lv_distributional_plan",
@@ -91,7 +92,7 @@ __all__ = [
 # row (tree_rows.TreeRows) holds a few segments: its passes cost per row,
 # and the 120 trials of a tree-stop run read the same CPU time as one chunk
 # or as two of 64 and 56. A grid row under a uniform prior is two lines, a
-# scalar and a few points (grid_rows.row_words): 73 words on a 32x32 grid,
+# scalar and a few points (GridRows.row_words): 73 words on a 32x32 grid,
 # so 1795 rows, and the 400 trials of a benchmark run are one chunk. A
 # light pass costs a fixed part, the numpy calls of its median and update,
 # plus a part per row. On a 32x32 grid at p = 0.3 (least squares
@@ -102,13 +103,28 @@ __all__ = [
 CHUNK_BYTES = 1 << 20
 
 
-def chunk_rows(n: int, grid_shape: tuple[int, int] | None = None) -> int:
-    """Trials per chunk on an n-vertex graph, at least one: CHUNK_BYTES
-    over a light row's bytes, n words on a dense or tree chunk (see
-    CHUNK_BYTES) and two lines plus a few points (grid_rows.row_words) on a
-    grid layout under a uniform prior."""
-    words = n if grid_shape is None else row_words(grid_shape)
-    return max(1, CHUNK_BYTES // (8 * words))
+def row_store(tree: bool, grid_shape: tuple[int, int] | None, uniform: bool) -> type:
+    """The store of a chunk's light rows, from whether the graph is a tree,
+    its grid shape (None off a grid) and whether the prior is uniform: on a
+    tree, whose reply sets are preorder intervals, a step function a row
+    (tree_rows.TreeRows); on a grid under a uniform prior, whose reply sets
+    are half-planes, two lines a row (grid_rows.GridRows); else one dense
+    matrix (_DenseRows). search builds it (build(g, d, prior, k, p)); the
+    harness sizes chunks by its row_words(n, shape) and checks memory by
+    its chunk_bytes(n, k, shape), the bytes of a chunk of k rows."""
+    if tree:
+        return TreeRows
+    return GridRows if grid_shape is not None and uniform else _DenseRows
+
+
+def graph_store(g: Graph, d, prior: np.ndarray) -> type:
+    """row_store for graph g, its distances d and a chunk's prior."""
+    return row_store(d.tree is not None, g.grid_shape, bool((prior == prior[0]).all()))
+
+
+def chunk_rows(store: type, n: int, grid_shape: tuple[int, int] | None = None) -> int:
+    """Trials a chunk of store holds at n: CHUNK_BYTES over a row, or one."""
+    return max(1, CHUNK_BYTES // (8 * store.row_words(n, grid_shape)))
 
 
 @dataclass(frozen=True)
@@ -244,24 +260,19 @@ def search(
     vertex ids, so their sums add up in vertex order.
 
     Light rows: a trial whose top share is HEAVY_SHARE or below is a light
-    row of the chunk, with a per-trial log2 total. A pass takes one median
-    per row, one reply per row, and one update for all rows. On a tree
-    every reply set is a preorder interval or the complement of one, so
-    each row is the prior times a step function over preorder positions
-    (tree_rows.TreeRows), which it keeps to itself: one walk up the tree
-    per row and pass gives both its median and its heavy flag (a vertex
-    above half the weight is the median), and an update scales a run of
-    segments. On a grid under a uniform prior every reply set is a
-    half-plane of grid rows or columns, so each row is two line vectors and
-    a few points (grid_rows.GridRows): medians come from the row and column
-    marginals, and a cut scales one line. Both read reply masses off their
-    own form, and build a row densely only for a snapshot or a
-    declaration; a recorded heavy run builds its row for a lie that reads
-    its masses (oracle.row_masses). Any other chunk, a grid under a
-    non-uniform prior included, is one dense weight matrix (_DenseRows):
-    medians by descent or from cost lines, a neighbour reply at a light
-    vertex scales its row by its reply set's mask, and one multiply, row
-    sum and divide folds in the rest. A row at its cap ends there.
+    row of the chunk, with a per-trial log2 total, in the store that
+    row_store picks. A pass takes one median per row, one reply per row,
+    and one update for all rows. A tree row's one walk up the tree a pass
+    gives both its median and its heavy flag (a vertex above half the
+    weight is the median), and an update scales a run of its segments; a
+    grid row's medians come from its row and column marginals, and a cut
+    scales one line. Both read reply masses off their own form, and build
+    a row densely only for a snapshot or a declaration; a recorded heavy
+    run builds its row for a lie that reads its masses (oracle.row_masses).
+    A dense chunk takes medians by descent or from cost lines, scales a row
+    by its reply set's mask for a neighbour reply at a light vertex, and
+    folds in the rest with one multiply, row sum and divide. A row at its
+    cap ends there.
 
     Heavy runs: a row whose top share rises above HEAVY_SHARE leaves the
     light rows, and one scalar loop (run_heavy below) runs that trial ahead
@@ -370,12 +381,7 @@ def search(
             if rec is not None:
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
-    if d.tree is not None:
-        rows = TreeRows(d.tree, plan.prior, k, p)
-    elif _is_grid(g) and (plan.prior == plan.prior[0]).all():
-        rows = GridRows(g.grid_shape, k, p)
-    else:
-        rows = _DenseRows(g, d, plan.prior, k, p)
+    rows = graph_store(g, d, plan.prior).build(g, d, plan.prior, k, p)
     # the light trials, in the order of their rows
     light = list(range(k))
     while True:
@@ -424,19 +430,29 @@ def search(
 
 
 class _DenseRows:
-    """The light rows of a chunk on a graph with neither a tree index nor a
-    grid layout, or on a grid under a non-uniform prior: one C-contiguous
-    weight matrix over vertex ids, allocated once, k rows by n, whose first
+    """The light rows of a chunk that row_store holds densely: one
+    C-contiguous weight matrix over vertex ids, allocated once, k rows by n, whose first
     m rows are the light ones, updated in place. A row that leaves closes
-    its gap as the later rows move down, in order, and a row that thaws is
-    written after them."""
+    its gap as the later rows move down, in order (grid_rows.close_gaps),
+    and a row that thaws is written after them."""
 
     def __init__(self, g: Graph, d, prior: np.ndarray, k: int, p: float):
         self.g, self.d, self.p = g, d, p
-        self.n = n = len(prior)
-        # flat is the matrix's cells in one line
-        self.flat = np.tile(prior, k)
-        self.buf, self.m = self.flat.reshape(k, n), k
+        self.buf, self.m = np.tile(prior, (k, 1)), k
+
+    @classmethod
+    def build(cls, g: Graph, d, prior: np.ndarray, k: int, p: float) -> "_DenseRows":
+        return cls(g, d, prior, k, p)
+
+    @staticmethod
+    def row_words(n: int, shape=None) -> int:
+        return n
+
+    @staticmethod
+    def chunk_bytes(n: int, k: int, shape=None) -> int:
+        """The matrix and the rows that thaw in one pass, two words a cell,
+        and the distance rows cached for medians and updates (none on a grid)."""
+        return 16 * n * k + (0 if shape else min(4 * n * n, ROW_CACHE_BYTES))
 
     def tops(self) -> tuple[list[bool], np.ndarray]:
         weights = self.buf[: self.m]
@@ -450,13 +466,8 @@ class _DenseRows:
         return _DenseFrozen(self.buf[i], h)
 
     def regroup(self, gone: list[int], thawed: list[np.ndarray]) -> None:
-        # the rows between two gaps move down past the gaps before them, in
-        # one copy over flat each, which numpy does as a memmove with no
-        # temporary; the thawed rows follow them
-        flat, n, m = self.flat, self.n, self.m
-        for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
-            flat[(i + 1 - shift) * n : (end - shift) * n] = flat[(i + 1) * n : end * n]
-        m -= len(gone)
+        close_gaps(self.buf, gone, self.m)
+        m = self.m - len(gone)
         for row in thawed:
             self.buf[m] = row
             m += 1

@@ -43,7 +43,7 @@ import numpy as np
 from .graph import HEAVY_SHARE, marginal_medians
 from .mathcore import DomainError
 
-__all__ = ["GridRows", "GridFrozen", "POINT_SLOTS", "row_words"]
+__all__ = ["GridRows", "GridFrozen", "POINT_SLOTS", "close_gaps"]
 
 # point slots a chunk starts with; a row that needs more widens them all
 POINT_SLOTS = 4
@@ -61,10 +61,12 @@ _any = np.logical_or.reduce
 YES, HALF, UP, DOWN, LEFT, RIGHT = range(6)
 
 
-def row_words(shape: tuple[int, int]) -> int:
-    """float64 words one light row holds on a rows x cols grid: its two
-    lines, its scalar and POINT_SLOTS points (vertex and factor)."""
-    return shape[0] + shape[1] + 1 + 2 * POINT_SLOTS
+def close_gaps(buf: np.ndarray, gone: list[int], m: int) -> None:
+    """Drop the rows in gone (ascending) from the first m rows of buf, each
+    run between two gaps moving down in one memmove over buf's flat cells."""
+    flat, size = buf.reshape(-1), buf[0].size
+    for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
+        flat[(i + 1 - shift) * size : (end - shift) * size] = flat[(i + 1) * size : end * size]
 
 
 class GridRows:
@@ -114,6 +116,21 @@ class GridRows:
         self._divisor, self._modulus = np.array([cols, 1]), np.array([rows, cols])
         self._line_starts = np.array([0, width])
         self._base = None
+
+    @classmethod
+    def build(cls, g, d, prior: np.ndarray, k: int, p: float) -> "GridRows":
+        return cls(g.grid_shape, k, p)
+
+    @staticmethod
+    def row_words(n: int, shape: tuple[int, int]) -> int:
+        """Its two lines, its scalar and POINT_SLOTS points (vertex, factor)."""
+        return shape[0] + shape[1] + 1 + 2 * POINT_SLOTS
+
+    @staticmethod
+    def chunk_bytes(n: int, k: int, shape: tuple[int, int]) -> int:
+        """Three arrays of 2 (max(shape) + 1) words a row (its lines, a pass's
+        factors and masks), the median scratch and three n-word rows."""
+        return 48 * (max(shape) + 1) * k + MEDIAN_BLOCK_BYTES + 24 * n
 
     def _slot_index(self, pv: np.ndarray) -> np.ndarray:
         """The flat positions in a row's lines of each slot's row and
@@ -326,14 +343,8 @@ class GridRows:
         self._base = None
         m = self.m
         if gone:
-            # the rows between two gaps move down past the gaps before them,
-            # one copy over each buffer's flat cells (a memmove, no temporary)
             for buf in (self._lines, self._s, self._pv, self._pf, self._pidx, self._maybe):
-                flat, size = buf.reshape(-1), buf[0].size
-                for shift, (i, end) in enumerate(zip(gone, gone[1:] + [m]), 1):
-                    flat[(i + 1 - shift) * size : (end - shift) * size] = flat[
-                        (i + 1) * size : end * size
-                    ]
+                close_gaps(buf, gone, m)
             m -= len(gone)
         if thawed:
             self._widen(max(len(t[2]) for t in thawed))

@@ -23,15 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graph_search, linear_search
-from .graph import (
-    ROW_CACHE_BYTES,
-    Graph,
-    _square_factor,
-    all_pairs_distances,
-    generate_graph,
-    gnm_edges,
-    load_graph,
-)
+from .graph import Graph, all_pairs_distances, generate_graph, generated_layout, load_graph
 from .mathcore import (
     Distribution,
     DomainError,
@@ -42,7 +34,6 @@ from .mathcore import (
     worst_case_budget_linear,
 )
 from .fuzz import fuzz_binary_invariants, fuzz_graph_invariants
-from .grid_rows import MEDIAN_BLOCK_BYTES
 from .oracle import GraphOracle, LinearOracle, NoisePolicy, load_distribution
 
 __all__ = [
@@ -250,50 +241,32 @@ def _resolve_mu(config: ExperimentConfig) -> Distribution:
     return Distribution.uniform(config.n)
 
 
+def _planned_chunks(config: ExperimentConfig) -> tuple[int, tuple | None, list[tuple[type, int]]]:
+    """Before the graph is built: its edges, grid shape, and each store that
+    graph_search.row_store may pick for it with a chunk's trials. A graph
+    file counts n edges and may be a tree or not (graph.generated_layout
+    knows a generated one); a prior is uniform unless a mu is given."""
+    n, given = config.n, config.mu is not None or config.mu_path is not None
+    uniform = not (_is_distributional(config.scenario) and given)
+    if config.graph_path is None and config.gen is not None:
+        edges, shape = generated_layout(config.gen, n)
+        trees = [edges == n - 1 and shape is None]
+    else:
+        edges, shape, trees = n, None, [True, False]
+    stores = [graph_search.row_store(tree, shape, uniform) for tree in trees]
+    return edges, shape, [(store, graph_search.chunk_rows(store, n, shape)) for store in stores]
+
+
 def _graph_bytes(config: ExperimentConfig) -> int:
-    """About the bytes one worker of a graph scenario holds at once, as
-    tracemalloc measured them on path, star, random-tree, grid, cycle and
-    gnm graphs:
-    the adjacency while Graph.from_edges builds it (a set, then a tuple,
-    per vertex: under 300 bytes a vertex and 100 an edge end), the preorder
-    index of a graph that may be a tree (under 320 bytes a vertex), the
-    distance rows a dense chunk's updates cache (int32 rows, n at most, up
-    to ROW_CACHE_BYTES; none on a tree or a generated grid, whose reply
-    sets need none), three n-word copies of the prior, and one chunk of
-    the engine plus 4 KiB a trial for its oracle, rng, block of coins and
-    transcript (at n = 64 a trial added 3.8 to 4.8 kB, its cells
-    included). A dense chunk holds at most three words a cell (its weight
-    matrix and the rows that thaw in one pass); a graph-lv-distr chunk on
-    a grid is sized as one (at n = 512 under a skewed mu a chunk of 256
-    trials traced a peak of 2.7 MB against an estimate of 4.6 MB). A tree
-    chunk holds 2 KiB a row (its step function, about 130 bytes a segment
-    in four lists: over path, star and random trees at n = 512 and 2048
-    and p = 0.1 to 0.4 a trial added 4.3 to 8.8 kB, the 4 KiB included)
-    and 176 bytes a vertex (five n-entry lists, of the prior's shape, its
-    prefix sums and their rounding errors, subtree ends and parent
-    positions, under every prior: 147 to 180 bytes a vertex held by the
-    store at n = 2048 on star, random and path trees; and three n-word
-    rows, a heavy run's frozen row and its rescaled copy and a declared
-    row; at n = 2048 the estimate is 1.69 to 2.06 times a chunk's traced
-    peak). A chunk of grid rows holds three
-    arrays of 2 (L + 1) words a row, L the grid's longer side (its lines
-    and a pass's factors and masks; over the built graph a chunk read 4.9,
-    5.0, 6.3 and 13.9 kB a row at n = 512, 1024, 4096 and 65536, the 4 KiB
-    included), the median scratch (grid_rows.MEDIAN_BLOCK_BYTES) and three n-word rows
-    (a heavy run's frozen row and its rescaled copy, and a declared row)."""
+    """About the bytes one worker of a graph scenario holds at once: the
+    adjacency while Graph.from_edges builds it (under 300 bytes a vertex
+    and 200 an edge), three n-word copies of the prior, 4 KiB a trial for
+    its oracle, rng, coins and transcript, and what the chunk's store
+    states (chunk_bytes), the largest of those _planned_chunks gives."""
     n = config.n
-    edges = {"gnm": gnm_edges(n), "grid": 2 * n}.get(config.gen, n)
-    index = 0 if config.gen in ("grid", "cycle", "gnm") else 320 * n
-    rows = min(4 * n * n, ROW_CACHE_BYTES)
-    if config.gen in ("path", "star", "random-tree") or _generated_grid(config):
-        rows = 0
-    row, scratch = 24 * n, 0
-    if config.graph_path is None and config.gen in ("path", "star", "random-tree"):
-        row, scratch = 2048, 176 * n
-    elif _grid_rows(config):
-        row, scratch = 48 * (max(_square_factor(n)) + 1), MEDIAN_BLOCK_BYTES + 24 * n
-    chunk = _chunk_trials(config) * (row + 4096) + scratch
-    return 300 * n + 200 * edges + index + rows + 24 * n + chunk
+    edges, shape, chunks = _planned_chunks(config)
+    chunk = max(store.chunk_bytes(n, k, shape) + 4096 * k for store, k in chunks)
+    return 300 * n + 200 * edges + 24 * n + chunk
 
 
 def _check_memory(config: ExperimentConfig) -> None:
@@ -301,24 +274,23 @@ def _check_memory(config: ExperimentConfig) -> None:
     size n is allocated. A comparison trial holds the sum tree's three
     float64 buffers (2, 2 and 1 words per leaf of a power-of-two tree) and
     two n-word copies of the prior; a graph worker holds what _graph_bytes
-    counts. Each pool task runs on one worker, one trial (comparison) or
-    one chunk (graph) at a time. The bound is the machine's physical
-    memory; a lower limit set on the process (a cgroup or ulimit) is not
-    seen."""
+    counts, in chunks of the fewest trials that _planned_chunks gives.
+    Each pool task runs on one worker, one trial (comparison) or one chunk
+    (graph) at a time. The bound is the machine's physical memory; a lower
+    limit set on the process (a cgroup or ulimit) is not seen."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the platform does not say; let the allocation decide
     n, workers = config.n, _worker_count(config)
-    task = _task_trials(config, workers)
     if _is_graph_scenario(config.scenario):
-        each = _graph_bytes(config)
+        chunk = min(k for _, k in _planned_chunks(config)[2])
+        each, unit = _graph_bytes(config), "worker(s)"
         what = "graph, preorder index, distance rows, prior and engine chunk"
-        unit = "worker(s)"
     else:
-        each, what = 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n), "comparison posteriors"
-        unit = "trial(s)"
-    at_once = min(workers, -(-config.trials // task))
+        chunk, each = 0, 8 * (5 * (1 << (n - 1).bit_length()) + 2 * n)
+        what, unit = "comparison posteriors", "trial(s)"
+    at_once = min(workers, -(-config.trials // _task_trials(config, workers, chunk)))
     need = each * at_once
     if need > physical:
         raise DomainError(
@@ -533,32 +505,17 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
     )
 
 
-def _generated_grid(config: ExperimentConfig) -> bool:
-    """Whether the config's graph is a grid that it generates."""
-    return config.gen == "grid" and config.graph_path is None
+def _chunk_trials(ctx: _Context) -> int:
+    """graph_search.chunk_rows of the store of the built context's chunks."""
+    g, store = ctx.graph, graph_search.graph_store(ctx.graph, ctx.dist, ctx.plan.prior)
+    return graph_search.chunk_rows(store, g.n, g.grid_shape)
 
 
-def _grid_rows(config: ExperimentConfig) -> bool:
-    """Whether the config's chunks may be held as grid rows
-    (grid_rows.GridRows), known before the graph is built: on a generated
-    grid, unless the scenario starts from a prior, whose chunks are sized
-    as dense rows."""
-    return _generated_grid(config) and not _is_distributional(config.scenario)
-
-
-def _chunk_trials(config: ExperimentConfig) -> int:
-    """graph_search.chunk_rows for the config's graph, known before it is
-    built: grid rows are laid out as its lines."""
-    shape = _square_factor(config.n) if _grid_rows(config) else None
-    return graph_search.chunk_rows(config.n, shape)
-
-
-def _task_trials(config: ExperimentConfig, workers: int) -> int:
-    """Trials in one pool task: one engine chunk for graph scenarios (at
-    most graph_search.chunk_rows trials, and split so every worker gets
-    some), COMPARISON_TASK_TRIALS single trials otherwise."""
+def _task_trials(config: ExperimentConfig, workers: int, chunk: int) -> int:
+    """Trials in one pool task: a graph chunk of at most chunk trials, split
+    so every worker gets some, or COMPARISON_TASK_TRIALS single trials."""
     if _is_graph_scenario(config.scenario):
-        return min(_chunk_trials(config), -(-config.trials // workers))
+        return min(chunk, -(-config.trials // workers))
     return COMPARISON_TASK_TRIALS
 
 
@@ -567,7 +524,8 @@ def _run_many(ctx: _Context) -> list[TrialOutcome]:
     outcome does not depend on the task it ran in."""
     config = ctx.config
     workers = _worker_count(config)
-    size = _task_trials(config, workers)
+    chunk = 0 if ctx.graph is None else _chunk_trials(ctx)
+    size = _task_trials(config, workers, chunk)
     tasks = [range(i, min(i + size, config.trials)) for i in range(0, config.trials, size)]
     if workers <= 1:
         return [o for task in tasks for o in _run_task(ctx, task)]

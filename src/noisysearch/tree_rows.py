@@ -100,6 +100,21 @@ class TreeRows:
         size = self._span(0, n)
         self._rows = [_Row([0], [unit], [size]) for _ in range(k)]
 
+    @classmethod
+    def build(cls, g, d, prior: np.ndarray, k: int, p: float) -> "TreeRows":
+        return cls(d.tree, prior, k, p)
+
+    @staticmethod
+    def row_words(n: int, shape=None) -> int:
+        return n  # as a dense row (see graph_search.CHUNK_BYTES)
+
+    @staticmethod
+    def chunk_bytes(n: int, k: int, shape=None) -> int:
+        """The preorder index (graph.TreeIndex: 241 bytes a vertex at n =
+        2048, 256 at 2**17), five n-entry lists and three n-word rows (147 to
+        180 bytes a vertex at n = 2048), and 2 KiB a row for its step function."""
+        return 256 * n + 176 * n + 2048 * k
+
     def _span(self, a: int, b: int) -> float:
         """The prior's mass over positions a..b-1."""
         return (self._hi[b] - self._hi[a]) + (self._lo[b] - self._lo[a])

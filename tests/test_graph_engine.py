@@ -676,15 +676,20 @@ def test_plans_stop_only_above_the_heavy_share():
 
 
 def test_chunk_rows_follow_the_byte_budget():
-    assert graph_search.chunk_rows(1024) == graph_search.CHUNK_BYTES // 8192
-    assert graph_search.chunk_rows(10**7) == 1
+    dense = graph_search.row_store(False, None, True)
+    tree = graph_search.row_store(True, None, False)
+    grid = graph_search.row_store(False, (32, 32), True)
+    # a dense or tree row counts n words: 128 trials at n = 1024
+    for store in (dense, tree, graph_search.row_store(False, (32, 32), False)):
+        assert graph_search.chunk_rows(store, 1024) == graph_search.CHUNK_BYTES // 8192
+        assert graph_search.chunk_rows(store, 10**7) == 1
     # a grid row is two lines, a scalar and a few points: all 400 trials
     # of a 32x32 benchmark run fit one chunk, and a 1024x1024 grid takes
     # more than one trial a chunk
     words = 32 + 32 + 1 + 2 * POINT_SLOTS
-    assert graph_search.chunk_rows(1024, (32, 32)) == graph_search.CHUNK_BYTES // (8 * words)
-    assert graph_search.chunk_rows(1024, (32, 32)) >= 400
-    assert graph_search.chunk_rows(1 << 20, (1024, 1024)) > 1
+    assert graph_search.chunk_rows(grid, 1024, (32, 32)) == graph_search.CHUNK_BYTES // (8 * words)
+    assert graph_search.chunk_rows(grid, 1024, (32, 32)) >= 400
+    assert graph_search.chunk_rows(grid, 1 << 20, (1024, 1024)) > 1
 
 
 def test_a_query_at_exactly_half_the_weight_is_heavy(finals):

@@ -226,10 +226,10 @@ def test_search_holds_a_grid_as_lines_only_under_a_uniform_prior(shape, kind, mo
     mu = Distribution(masses / masses.sum())
     built = []
     dense_rows = graph_search._DenseRows
-    for name in ("GridRows", "_DenseRows"):
-        store = getattr(graph_search, name)
+    for store in (GridRows, dense_rows):
+        init = store.__init__
         monkeypatch.setattr(
-            graph_search, name, lambda *args, store=store: built.append(store) or store(*args)
+            store, "__init__", lambda *args, store=store, init=init: built.append(store) or init(*args)
         )
     plan = lv_distributional_plan(mu, NoiseParams.from_p(P), 0.2)
     rng = np.random.default_rng([shape[0], shape[1], 3])

@@ -1,6 +1,7 @@
 """Experiment orchestration: determinism, aggregation, emission, sweeps."""
 
 import csv
+import inspect
 import json
 import math
 import tracemalloc
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisysearch import cli, graph, graph_search, harness
+from noisysearch.grid_rows import GridRows
+from noisysearch.tree_rows import TreeRows
 from noisysearch.harness import (
     ExperimentConfig,
     SummaryStats,
@@ -294,28 +297,72 @@ class TestRunExperiment:
             config(**base, trials=harness.COMPARISON_TASK_TRIALS, workers=4)
         )
 
+    @pytest.mark.parametrize("n", [512, 2048])
     @pytest.mark.parametrize(
         "gen, scenario",
         [pytest.param(gen, "graph-adversarial", id=gen) for gen in graph.GENERATORS]
         + [pytest.param("grid", "graph-lv-distr", id="grid-lv-distr-skewed")],
     )
-    def test_graph_bytes_is_within_twice_the_traced_peak_of_one_chunk(self, gen, scenario):
+    def test_graph_bytes_is_within_twice_the_traced_peak_of_one_chunk(self, gen, scenario, n):
         # what one worker holds: the built graph and its distances, then one
         # engine chunk; a smaller estimate lets the memory check pass runs
         # that do not fit, a much larger one refuses runs that do. A grid
         # under a skewed prior holds its chunk as dense rows.
-        skewed = np.arange(1, 513, dtype=np.float64) ** 2
+        skewed = np.arange(1, n + 1, dtype=np.float64) ** 2
         mu = Distribution(skewed / skewed.sum()) if scenario == "graph-lv-distr" else None
-        cfg = config(scenario=scenario, gen=gen, n=512, p=0.1, delta=0.4, trials=64, mu=mu)
+        cfg = config(scenario=scenario, gen=gen, n=n, p=0.1, delta=0.4, trials=64, mu=mu)
         harness.run_experiment(config(gen=gen, n=16, trials=2))  # lazy imports
         tracemalloc.start()
         try:
             ctx = harness._build_context(cfg)
-            harness._run_graph_chunk(ctx, range(harness._chunk_trials(cfg)))
+            harness._run_graph_chunk(ctx, range(harness._chunk_trials(ctx)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= harness._graph_bytes(cfg) <= 2 * peak
+
+    @pytest.mark.parametrize("gen", graph.GENERATORS)
+    @pytest.mark.parametrize(
+        "scenario, skewed",
+        [
+            ("graph-adversarial", False),
+            ("graph-lv-adv", False),
+            ("graph-lv-distr", False),
+            ("graph-lv-distr", True),
+        ],
+        ids=["adversarial", "lv-adv", "lv-distr-uniform", "lv-distr-skewed"],
+    )
+    def test_the_chunk_layout_is_the_one_search_builds(self, monkeypatch, gen, scenario, skewed):
+        # the memory check, the run's chunks and the engine pick the store
+        # by one rule (graph_search.row_store): record the store the engine
+        # builds and the rows it is built for, then stop the run
+        n = 1024
+        mu = None
+        if skewed:
+            masses = np.arange(1, n + 1, dtype=np.float64) ** 2
+            mu = Distribution(masses / masses.sum())
+        built = []
+
+        class Built(Exception):
+            pass
+
+        for store in (TreeRows, GridRows, graph_search._DenseRows):
+            init = store.__init__
+
+            def record(self, *args, _store=store, _init=init, **kwargs):
+                bound = inspect.signature(_init).bind(self, *args, **kwargs)
+                built.append((_store, bound.arguments["k"]))
+                raise Built
+
+            monkeypatch.setattr(store, "__init__", record)
+        cfg = config(scenario=scenario, gen=gen, n=n, p=0.1, delta=0.4, trials=4000, mu=mu)
+        with pytest.raises(Built):
+            run_experiment(cfg)
+        ((store, k),) = built
+        shape = graph._square_factor(n) if gen == "grid" else None
+        assert k == graph_search.chunk_rows(store, n, shape)
+        # the memory check, before the graph is built, plans the same store
+        assert harness._planned_chunks(cfg)[2] == [(store, k)]
 
     @pytest.mark.parametrize("gen", ["path", "random-tree", "grid", "gnm"])
     def test_graph_memory_check_runs_before_the_graph_is_built(self, monkeypatch, gen):
