@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import graph_search, linear_search
-from .graph import Graph, all_pairs_distances, generate_graph
+from .graph import GENERATORS, Graph, all_pairs_distances, generate_graph
 from .mathcore import NoiseParams, worst_case_budget_graph, worst_case_budget_linear
 from .oracle import Answer, GraphOracle, LinearOracle, NoisePolicy
 
@@ -29,19 +29,9 @@ BINARY_MAX_STEPS = 160
 
 
 def _fuzz_graph(rng: np.random.Generator) -> Graph:
-    kind = int(rng.integers(6))
+    name = GENERATORS[int(rng.integers(6))]
     n = int(rng.integers(2, 65))
-    if kind == 0:
-        return generate_graph("path", n)
-    if kind == 1:
-        return generate_graph("cycle", max(n, 3))
-    if kind == 2:
-        return generate_graph("star", n)
-    if kind == 3:
-        return generate_graph("grid", n)
-    if kind == 4:
-        return generate_graph("random-tree", max(n, 2), rng)
-    return generate_graph("gnm", max(n, 4), rng)
+    return generate_graph(name, max(n, {"cycle": 3, "gnm": 4}.get(name, 2)), rng)
 
 
 def fuzz_graph_invariants(transcripts: int = 1000, seed: int = 0) -> dict:

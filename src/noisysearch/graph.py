@@ -7,6 +7,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -58,22 +59,38 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges, grid_shape: tuple[int, int] | None = None) -> "Graph":
+        """The graph on vertices 0..n-1 with the undirected edges of an (m, 2)
+        int array or a sequence of (u, v) pairs; a repeated edge counts once.
+        The first edge, in input order, that is out of range or a self-loop
+        is named, and so is the smallest vertex that 0 does not reach. Both
+        directions of each edge are keyed u * n + v, sorted and deduplicated,
+        so each u's keys are its sorted row. If every v > 0 has a neighbour
+        below v the graph is connected (follow smaller neighbours down to 0),
+        so only a graph that fails this check is searched by BFS."""
         if n < 1:
             raise GraphFormatError(f"graph needs at least one vertex, got n={n}")
-        neighbors: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
+        try:
+            e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+            bad = e[((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])].tolist()
+        except OverflowError:  # an id beyond int64: find it in the input
+            bad = edges
+        for u, v in bad:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        g = cls(
-            n=n,
-            adjacency=tuple(tuple(sorted(s)) for s in neighbors),
-            grid_shape=grid_shape,
-        )
-        unreachable = g._first_unreachable()
+        keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
+        keys.sort(kind="stable")  # the default sort loads ~0.25 MB more of numpy
+        new = np.ones(len(keys), dtype=bool)  # a byte a key; np.diff would take 16
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        u, v = np.divmod(keys[new], n)
+        del e, keys, new  # before the rows become tuples
+        below = np.bincount(u[v < u], minlength=n)[1:].all()
+        degrees = np.bincount(u, minlength=n).tolist()
+        ids = iter(v.tolist())
+        del u, v
+        g = cls(n, tuple(map(tuple, map(islice, repeat(ids), degrees))), grid_shape)
+        unreachable = None if below else g._first_unreachable()
         if unreachable is not None:
             raise GraphFormatError(
                 f"graph is disconnected: vertex {unreachable} unreachable from vertex 0"
@@ -134,9 +151,16 @@ class TreeIndex:
     of v; v's subtree is order[start[v]:end[v]], and parent[v] is -1 at the
     root. So every reply set of a tree is one preorder interval or its
     complement: N(q, u) is u's subtree when u is a child of q, and all but
-    q's subtree when u is q's parent. Built in O(n) without recursion, so a
-    path of any length is fine; rooted at vertex 0, a path's preorder is
-    the identity.
+    q's subtree when u is q's parent. Rooted at vertex 0, a path's preorder
+    is the identity.
+
+    Built in O(n) without recursion from a parents-first order, siblings in
+    id order: the identity when every v > 0 has a neighbour below it (that
+    neighbour is then its parent: a child below v would start a descent of
+    ever smaller ids that never reaches 0), else BFS levels from 0 in order,
+    ties in id order, each vertex's parent its neighbour a level up. A reverse
+    pass sums subtree sizes, and a forward pass gives each vertex the next
+    free position under its parent, which ends as the end of its subtree.
 
     medians takes a weight matrix in preorder columns (column i weighs
     order[i]); weighted_medians gathers its vertex-order rows into them.
@@ -146,36 +170,40 @@ class TreeIndex:
 
     def __init__(self, g: Graph):
         n, adj = g.n, g.adjacency
-        parent = [-1] * n
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            kids = [u for u in adj[v] if u != parent[v]]
-            for u in kids:
-                parent[u] = v
-            stack.extend(reversed(kids))  # the smallest id is visited first
-        size = [1] * n
+        parent = [-1] + [a[0] for a in adj[1:]]
+        order = range(n)
+        if not all(map(int.__lt__, parent[1:], order[1:])):
+            level = _bfs_levels(adj, 0).__getitem__
+            parent = [-1] + [min(a, key=level) for a in adj[1:]]
+            order = sorted(order, key=level)
+        end = [1] * n  # subtree sizes, then subtree ends
         for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        self.order = np.array(order, dtype=np.int64)
-        self.start = np.empty(n, dtype=np.int64)
-        self.start[self.order] = np.arange(n)
-        self.end = self.start + np.array(size, dtype=np.int64)
+            end[parent[v]] += end[v]
+        start = [0] * n
+        end[0] = 1  # a placed vertex's entry is the next free position under it
+        for v in order[1:]:
+            p = parent[v]
+            start[v] = s = end[p]
+            end[p] = s + end[v]
+            end[v] = s + 1
+        self.start = np.array(start, dtype=np.int64)
+        self.end = np.array(end, dtype=np.int64)
         self.parent = np.array(parent, dtype=np.int64)
+        self.order = np.empty(n, dtype=np.int64)
+        self.order[self.start] = np.arange(n)
         # end of the subtree that begins at each preorder position
         self.end_at = self.end[self.order]
         # children grouped by parent, each group in preorder, for toward()
         kids = self.order[1:][np.argsort(self.parent[self.order[1:]], kind="stable")]
         kid_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.parent[kids], minlength=n), out=kid_ptr[1:])
-        self._order = order
-        self._start = self.start.tolist()
-        self._end = self.end.tolist()
+        self._order = self.order.tolist()
+        self._start = start
+        self._end = end
         self._parent = parent
         self._kids = kids.tolist()
-        self._kid_starts = self.start[kids].tolist()
+        del kids
+        self._kid_starts = [start[v] for v in self._kids]  # start's ints, not copies
         self._kid_ptr = kid_ptr.tolist()
 
     def reply_interval(self, q: int, u: int) -> tuple[int, int, bool]:
@@ -554,41 +582,39 @@ def load_graph(path) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return Graph.from_edges(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphFormatError("cycle needs n >= 3")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph.from_edges(n, edges)
+    return Graph.from_edges(n, np.column_stack([np.arange(n), (np.arange(n) + 1) % n]))
 
 
 def star_graph(n: int) -> Graph:
     """Center is vertex 0, leaves are 1..n-1."""
     if n < 2:
         raise GraphFormatError("star needs n >= 2")
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+    return Graph.from_edges(n, np.column_stack([np.zeros(n - 1, dtype=int), np.arange(1, n)]))
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1:
         raise GraphFormatError("grid needs positive dimensions")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
+    ids = np.arange(rows * cols).reshape(rows, cols)
+    pairs = [(ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:])]  # right and down
+    edges = np.concatenate([np.column_stack([a.ravel(), b.ravel()]) for a, b in pairs])
     return Graph.from_edges(rows * cols, edges, grid_shape=(rows, cols))
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
-    """Random recursive tree: vertex i attaches to a uniform earlier vertex."""
-    edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
-    return Graph.from_edges(n, edges)
+    """Random recursive tree: vertex i attaches to a uniform earlier vertex.
+
+    All n - 1 parents come from one rng.integers(0, [1, ..., n - 1]) call,
+    which draws the parents that one rng.integers(0, i) call per vertex, in
+    id order, draws and leaves the rng in the same state."""
+    kids = np.arange(1, n)
+    return Graph.from_edges(n, np.column_stack([rng.integers(0, kids), kids]))
 
 
 def gnm_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
@@ -609,7 +635,7 @@ def gnm_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
         us = np.searchsorted(offsets, chosen, side="right") - 1
         vs = us + 1 + (chosen - offsets[us])
         try:
-            return Graph.from_edges(n, zip(us.tolist(), vs.tolist()))
+            return Graph.from_edges(n, np.column_stack([us, vs]))
         except GraphFormatError:
             continue
     raise GraphFormatError(f"no connected graph with n={n}, m={m} after {GNM_TRIES} tries")
@@ -643,24 +669,20 @@ def generated_layout(name: str, n: int) -> tuple[int, tuple[int, int] | None]:
 
 def generate_graph(name: str, n: int, rng: np.random.Generator | None = None) -> Graph:
     """Build a named generator graph on n vertices (CLI --gen dispatch)."""
-    if name == "path":
-        return path_graph(n)
-    if name == "cycle":
-        return cycle_graph(n)
-    if name == "star":
-        return star_graph(n)
-    if name == "grid":
-        rows, cols = _square_factor(n)
-        return grid_graph(rows, cols)
-    if name == "random-tree":
-        if rng is None:
-            raise GraphFormatError("random-tree generator needs a seeded rng")
-        return random_tree(n, rng)
-    if name == "gnm":
-        if rng is None:
-            raise GraphFormatError("gnm generator needs a seeded rng")
-        return gnm_graph(n, gnm_edges(n), rng)
-    raise GraphFormatError(f"unknown graph generator {name!r}; choose from {sorted(GENERATORS)}")
+    if name in ("random-tree", "gnm") and rng is None:
+        raise GraphFormatError(f"{name} generator needs a seeded rng")
+    build = {
+        "path": path_graph,
+        "cycle": cycle_graph,
+        "star": star_graph,
+        "grid": lambda n: grid_graph(*_square_factor(n)),
+        "random-tree": lambda n: random_tree(n, rng),
+        "gnm": lambda n: gnm_graph(n, gnm_edges(n), rng),
+    }.get(name)
+    if build is None:
+        choices = sorted(GENERATORS)
+        raise GraphFormatError(f"unknown graph generator {name!r}; choose from {choices}")
+    return build(n)
 
 
 GENERATORS = ("path", "cycle", "star", "grid", "random-tree", "gnm")

@@ -257,16 +257,29 @@ def _planned_chunks(config: ExperimentConfig) -> tuple[int, tuple | None, list[t
     return edges, shape, [(store, graph_search.chunk_rows(store, n, shape)) for store in stores]
 
 
+def _graph_term(n: int, edges: int, tree: bool) -> tuple[int, int]:
+    """(peak, kept): about the traced peak of building a generated graph of
+    n vertices and edges edges with, on a tree, its graph.TreeIndex, and
+    what the two keep. By tracemalloc up to n = 2**18, the build peaks under
+    64 bytes a vertex plus 168 an edge, the graph keeps under 56 plus 96,
+    and the index keeps 256 a vertex and peaks about 8 above that."""
+    kept = 56 * n + 96 * edges + (264 * n if tree else 0)
+    return max(64 * n + 168 * edges, kept), kept
+
+
 def _graph_bytes(config: ExperimentConfig) -> int:
     """About the bytes one worker of a graph scenario holds at once: the
-    adjacency while Graph.from_edges builds it (under 300 bytes a vertex
-    and 200 an edge), three n-word copies of the prior, 4 KiB a trial for
+    graph's build peak or, when larger, what the graph and its index keep
+    (_graph_term) with three n-word copies of the prior, 4 KiB a trial for
     its oracle, rng, coins and transcript, and what the chunk's store
     states (chunk_bytes), the largest of those _planned_chunks gives."""
     n = config.n
     edges, shape, chunks = _planned_chunks(config)
-    chunk = max(store.chunk_bytes(n, k, shape) + 4096 * k for store, k in chunks)
-    return 300 * n + 200 * edges + 24 * n + chunk
+    need = []
+    for store, k in chunks:
+        build, kept = _graph_term(n, edges, store is graph_search.TreeRows)
+        need.append(max(build, kept + 24 * n + store.chunk_bytes(n, k, shape) + 4096 * k))
+    return max(need)
 
 
 def _check_memory(config: ExperimentConfig) -> None:

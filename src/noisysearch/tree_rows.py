@@ -110,10 +110,10 @@ class TreeRows:
 
     @staticmethod
     def chunk_bytes(n: int, k: int, shape=None) -> int:
-        """The preorder index (graph.TreeIndex: 241 bytes a vertex at n =
-        2048, 256 at 2**17), five n-entry lists and three n-word rows (147 to
-        180 bytes a vertex at n = 2048), and 2 KiB a row for its step function."""
-        return 256 * n + 176 * n + 2048 * k
+        """Five n-entry lists and three n-word rows (147 to 180 bytes a
+        vertex at n = 2048), and 2 KiB a row for its step function; the
+        preorder index is the graph's (harness._graph_term)."""
+        return 176 * n + 2048 * k
 
     def _span(self, a: int, b: int) -> float:
         """The prior's mass over positions a..b-1."""

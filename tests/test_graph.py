@@ -37,6 +37,16 @@ def full_matrix(d):
     return np.stack([d.row(v) for v in range(d.graph.n)])
 
 
+def set_adjacency(n, edges):
+    """The neighbour sets Graph.from_edges once built its rows from, kept
+    as its reference."""
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        rows[u].add(v)
+        rows[v].add(u)
+    return tuple(tuple(sorted(row)) for row in rows)
+
+
 def exhaustive_costs(g, d, rel):
     """Reference cost: explicit double loop over vertices."""
     n = g.n
@@ -318,6 +328,70 @@ class TestGraphConstruction:
             for v in g.adjacency[u]:
                 assert u in g.adjacency[v]
 
+    def test_rows_equal_the_neighbour_sets_they_replaced(self):
+        # shuffled edges of a random connected multigraph, each in either
+        # direction and some repeated, as a list and as an array
+        rng = np.random.default_rng(13)
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            tree = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+            extra = [tuple(e) for e in rng.integers(0, n, size=(n, 2)).tolist() if e[0] != e[1]]
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in tree + extra + extra[:3]]
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+            expected = set_adjacency(n, edges)
+            assert Graph.from_edges(n, edges).adjacency == expected
+            assert Graph.from_edges(n, np.array(edges, dtype=np.int64)).adjacency == expected
+
+    def test_the_first_bad_edge_in_input_order_is_named(self):
+        with pytest.raises(GraphFormatError, match=re.escape("self-loop at vertex 1")):
+            Graph.from_edges(3, [(0, 1), (1, 1), (1, 7)])
+        with pytest.raises(GraphFormatError, match=re.escape("edge (1, 7) out of range for n=3")):
+            Graph.from_edges(3, [(0, 1), (1, 7), (1, 1)])
+        with pytest.raises(GraphFormatError, match=re.escape("edge (-1, 2) out of range")):
+            Graph.from_edges(3, np.array([(0, 1), (-1, 2), (2, 2)]))
+        # a loop out of range is out of range
+        with pytest.raises(GraphFormatError, match=re.escape("edge (3, 3) out of range")):
+            Graph.from_edges(3, [(3, 3)])
+
+    def test_an_id_beyond_int64_is_a_format_error_not_an_overflow(self):
+        big = 2**64
+        with pytest.raises(GraphFormatError, match=re.escape(f"edge (1, {big}) out of range")):
+            Graph.from_edges(3, [(0, 1), (1, big)])
+        with pytest.raises(GraphFormatError, match=re.escape(f"edge ({-big}, 1) out of range")):
+            Graph.from_edges(3, [(-big, 1), (1, 1)])
+        with pytest.raises(GraphFormatError, match=re.escape("self-loop at vertex 2")):
+            Graph.from_edges(3, [(0, 1), (2, 2), (0, big)])
+
+    def test_repeated_edges_collapse_and_one_vertex_needs_no_edge(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1), (2, 1), (1, 2)])
+        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert Graph.from_edges(1, []).adjacency == ((),)
+        assert Graph.from_edges(1, np.empty((0, 2), dtype=np.int64)).adjacency == ((),)
+
+    def test_only_graphs_without_a_smaller_neighbour_everywhere_are_searched(self, monkeypatch):
+        # if every v > 0 has a neighbour below it the graph is connected, so
+        # no generator but gnm runs the BFS; a relabelled path and a gnm
+        # draw do, and they are connected
+        searched = []
+        first_unreachable = Graph._first_unreachable
+
+        def spy(g):
+            searched.append(g.n)
+            return first_unreachable(g)
+
+        monkeypatch.setattr(Graph, "_first_unreachable", spy)
+        rng = np.random.default_rng(3)
+        for gen in ("path", "cycle", "star", "grid", "random-tree"):
+            for n in (1, 2, 3, 64, 1000):
+                if (gen, n) not in {("cycle", 1), ("cycle", 2), ("star", 1)}:
+                    generate_graph(gen, n, rng)
+        assert searched == []
+        g = Graph.from_edges(5, [(0, 3), (3, 1), (1, 4), (4, 2)])
+        assert g.adjacency == ((3,), (3, 4), (4,), (0, 1), (1, 2))
+        assert searched == [5]
+        gnm_graph(30, 45, rng)
+        assert len(searched) > 1
+
 
 class TestLoader:
     def test_roundtrip(self, tmp_path):
@@ -384,6 +458,28 @@ class TestGenerators:
         assert len(cycle_graph(6).adjacency[0]) == 2
         assert len(star_graph(9).adjacency[0]) == 8
         assert grid_graph(3, 4).n == 12
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 64, 210])
+    def test_array_generators_equal_their_edge_lists(self, n):
+        rows, cols = graph_module._square_factor(n)
+        grid = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+        grid += [(v, v + cols) for v in range(n - cols)]
+        assert path_graph(n).adjacency == set_adjacency(n, [(i, i + 1) for i in range(n - 1)])
+        assert star_graph(n).adjacency == set_adjacency(n, [(0, i) for i in range(1, n)])
+        assert generate_graph("grid", n).adjacency == set_adjacency(n, grid)
+        if n >= 3:
+            cycle = [(i, (i + 1) % n) for i in range(n)]
+            assert cycle_graph(n).adjacency == set_adjacency(n, cycle)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 2048])
+    def test_one_parent_draw_equals_a_draw_per_vertex(self, n):
+        # the parents, and the rng left where it would be, so a seeded run
+        # draws the same trials after its tree
+        for seed in range(8):
+            drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            parents = [(int(reference.integers(0, i)), i) for i in range(1, n)]
+            assert random_tree(n, drawn).adjacency == set_adjacency(n, parents)
+            assert drawn.random() == reference.random()
 
     def test_grid_square_factorization(self):
         g = generate_graph("grid", 1024)

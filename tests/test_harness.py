@@ -321,6 +321,27 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak <= harness._graph_bytes(cfg) <= 2 * peak
 
+    @pytest.mark.parametrize("gen", ["path", "star", "grid", "random-tree"])
+    def test_graph_bytes_graph_term_covers_the_traced_build_and_index(self, gen):
+        # the build's transient and, on a tree, the preorder index at a size
+        # where the graph outweighs every chunk: under the term, and no more
+        # than twice it
+        n = 1 << 16
+        edges, shape = graph.generated_layout(gen, n)
+        tree = edges == n - 1 and shape is None
+        graph.all_pairs_distances(graph.generate_graph(gen, 64, np.random.default_rng(0))).tree
+        tracemalloc.start()
+        try:
+            g = graph.generate_graph(gen, n, np.random.default_rng(1))
+            index = graph.all_pairs_distances(g).tree
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (index is not None) == tree
+        assert sum(map(len, g.adjacency)) == 2 * edges
+        term = harness._graph_term(n, edges, tree)[0]
+        assert peak <= term <= 2 * peak
+
     @pytest.mark.parametrize("gen", graph.GENERATORS)
     @pytest.mark.parametrize(
         "scenario, skewed",

@@ -86,6 +86,70 @@ class TestTreeDetection:
             assert tree.start[p] < tree.start[v] < tree.end[v] <= tree.end[p]
 
 
+def dfs_index(g: Graph):
+    """The stack-walk DFS TreeIndex was once built by, kept as its
+    reference: (order, start, end, parent), rooted at 0, children in id order."""
+    n, adj = g.n, g.adjacency
+    parent, order, stack = [-1] * n, [], [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        kids = [u for u in adj[v] if u != parent[v]]
+        for u in kids:
+            parent[u] = v
+        stack.extend(reversed(kids))
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    start = [0] * n
+    for i, v in enumerate(order):
+        start[v] = i
+    return order, start, [s + k for s, k in zip(start, size)], parent
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    """g with its vertex ids shuffled."""
+    perm = rng.permutation(g.n)
+    return Graph.from_edges(
+        g.n, [(perm[u], perm[v]) for u in range(g.n) for v in g.adjacency[u] if u < v]
+    )
+
+
+class TestIndexAgainstTheDfs:
+    @pytest.mark.parametrize("relabel", [False, True], ids=["generated", "relabelled"])
+    def test_every_array_equals_the_dfs_reference(self, relabel):
+        # a generated tree takes the identity as its parents-first order; a
+        # relabelled one, with a vertex whose neighbours are all above it,
+        # the BFS order
+        rng = np.random.default_rng(31)
+        trees = [graph_module.path_graph(n) for n in (1, 2, 3, 50)]
+        trees += [star_graph(n) for n in (2, 3, 40)]
+        trees += [random_tree(n, rng) for n in (2, 3, 17, 200, 2048)]
+        checked = 0
+        for g in trees:
+            if relabel:
+                g = relabelled(g, rng)
+                if all(min(g.adjacency[v]) < v for v in range(1, g.n)):
+                    continue
+                checked += 1
+            tree = graph_module.TreeIndex(g)
+            order, start, end, parent = dfs_index(g)
+            assert tree.order.tolist() == order
+            assert tree.start.tolist() == start and tree.end.tolist() == end
+            assert tree.parent.tolist() == parent
+            assert tree.end_at.tolist() == [end[v] for v in order]
+            for q, target in rng.integers(0, g.n, size=(200, 2)).tolist():
+                if q != target:
+                    # the neighbour of q on target's side: a child whose
+                    # subtree holds target, or the parent of a q that does not
+                    u = tree.toward(q, target)
+                    inside = parent[u] == q
+                    v = u if inside else q
+                    assert u in g.adjacency[q]
+                    assert (start[v] <= start[target] < end[v]) == inside
+        assert checked >= 5 or not relabel
+
+
 class TestIntervalMedian:
     def test_equals_descent_from_the_heaviest_vertex(self, tmp_path):
         rng = np.random.default_rng(21)
