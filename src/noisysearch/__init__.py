@@ -24,10 +24,8 @@ from .weights import (
     is_heavy,
 )
 from .graph import (
-    DistanceMatrix,
     Graph,
     GraphFormatError,
-    all_pairs_distances,
     consistent_set,
     load_graph,
     weighted_median,

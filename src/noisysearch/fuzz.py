@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import graph_search, linear_search
-from .graph import GENERATORS, Graph, all_pairs_distances, generate_graph
+from .graph import GENERATORS, Graph, generate_graph
 from .mathcore import NoiseParams, worst_case_budget_graph, worst_case_budget_linear
 from .oracle import Answer, GraphOracle, LinearOracle, NoisePolicy
 
@@ -58,7 +58,6 @@ def fuzz_graph_invariants(transcripts: int = 1000, seed: int = 0) -> dict:
     for i in range(transcripts):
         rng = np.random.default_rng([seed, i])
         g = _fuzz_graph(rng)
-        dist = all_pairs_distances(g)
         noise = NoiseParams.from_p(_FUZZ_PS[int(rng.integers(len(_FUZZ_PS)))])
         policy = NoisePolicy(
             p=noise.p,
@@ -66,7 +65,7 @@ def fuzz_graph_invariants(transcripts: int = 1000, seed: int = 0) -> dict:
             lie_choice="adversarial-heaviest" if rng.integers(2) else "uniform-wrong",
         )
         target = int(rng.integers(g.n))
-        oracle = GraphOracle(g, dist, target, policy, rng)
+        oracle = GraphOracle(g, target, policy, rng)
         budget = min(worst_case_budget_graph(g.n, noise, 0.2).q, GRAPH_MAX_STEPS)
         plan = graph_search.adversarial_plan(g.n, noise, 0.2, budget)
         (run,) = graph_search.search(g, noise, plan, [oracle], track_weights=True)

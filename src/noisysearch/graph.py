@@ -1,11 +1,11 @@
-"""Graph structure, on-demand distance rows, weighted medians, and reply sets."""
+"""Graphs with their lazy distance rows and tree index, weighted medians, reply sets."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
 
@@ -16,9 +16,7 @@ from .weights import CompatibleSet, WeightState
 __all__ = [
     "GraphFormatError",
     "Graph",
-    "DistanceMatrix",
     "TreeIndex",
-    "all_pairs_distances",
     "weighted_median",
     "weighted_medians",
     "grid_medians",
@@ -51,11 +49,23 @@ class Graph:
     at row r and column c of the lattice, so its reply sets are half-planes
     in closed form and its medians O(n) by prefix sums. Loaded graphs never
     carry one.
+
+    It holds its hop distances and tree index, each built on first use.
+    row(v) is d(v, .) as a read-only int32 vector, one BFS, cached up to
+    ROW_CACHE_BYTES, oldest out first. tree is the TreeIndex when there are
+    m = n - 1 edges and no grid shape (paths, random trees, stars, loaded
+    tree files), else None (a grid, even one row, keeps its prefix sums).
+    Trees answer medians, truthful replies and reply sets from the index
+    and grid layouts in closed form, so neither ever computes a row. Neither
+    cache is compared, hashed or shown by repr.
     """
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
     grid_shape: tuple[int, int] | None = None
+    _rows: OrderedDict[int, np.ndarray] = field(
+        default_factory=OrderedDict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def from_edges(cls, n: int, edges, grid_shape: tuple[int, int] | None = None) -> "Graph":
@@ -101,10 +111,31 @@ class Graph:
         levels = _bfs_levels(self.adjacency, 0)
         return levels.index(-1) if -1 in levels else None
 
+    @cached_property
+    def tree(self) -> TreeIndex | None:
+        if self.grid_shape is not None or sum(map(len, self.adjacency)) != 2 * (self.n - 1):
+            return None
+        return TreeIndex(self)
 
-# Bytes of distance rows one DistanceMatrix keeps; past it the oldest rows are
+    def row(self, v: int) -> np.ndarray:
+        rows = self._rows
+        row = rows.get(v)
+        if row is None:
+            row = _bfs_row(self.adjacency, int(v))
+            row.flags.writeable = False
+            while len(rows) >= _rows_kept(self.n):
+                rows.popitem(last=False)
+            rows[v] = row
+        return row
+
+
+# Bytes of distance rows one graph keeps; past it the oldest rows are
 # dropped, so memory follows the rows a run touches instead of n^2.
 ROW_CACHE_BYTES = 32 << 20
+# Bytes a cached row holds beyond its 4n: the array's header, its key and
+# its cache entry (tracemalloc on cycles of 64 to 2048 vertices: 213 to 224
+# held, up to 244 at the peak as the cache's table grows).
+_ROW_ENTRY_BYTES = 320
 # Bytes of neighbour rows whose reply sets the median descent stacks at once
 # (a hub of a graph that is not a tree may have ~n neighbours, and their
 # reply sets must not become an n x n array).
@@ -263,51 +294,20 @@ class TreeIndex:
         return self._parent[q]
 
 
-class DistanceMatrix:
-    """Hop distances of one graph, computed one row at a time on first use.
-
-    row(v) is the int32 vector d(v, .), one BFS. Rows are read-only and
-    cached per instance up to ROW_CACHE_BYTES, oldest out first.
-    rows_computed counts the rows built for the cache and cached_bytes what
-    the cache holds now.
-
-    tree is the graph's TreeIndex when it has m = n - 1 edges and no grid
-    shape (paths, random trees, stars, loaded tree files), built
-    on first use, and None otherwise (grids, even a one-row grid, keep their
-    own prefix sums). Medians, truthful replies and reply sets on a tree
-    read it instead of rows, and on a grid layout they are in closed form,
-    so neither a tree run nor a grid run computes a row at all.
-    """
-
-    def __init__(self, g: Graph):
-        self.graph = g
-        self.rows_computed = 0
-        self.cached_bytes = 0
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
-
-    @cached_property
-    def tree(self) -> TreeIndex | None:
-        g = self.graph
-        if g.grid_shape is not None or sum(map(len, g.adjacency)) != 2 * (g.n - 1):
-            return None
-        return TreeIndex(g)
-
-    def row(self, v: int) -> np.ndarray:
-        row = self._rows.get(v)
-        if row is None:
-            row = _bfs_row(self.graph.adjacency, int(v))
-            row.flags.writeable = False
-            self.rows_computed += 1
-            while self._rows and self.cached_bytes + row.nbytes > ROW_CACHE_BYTES:
-                self.cached_bytes -= self._rows.popitem(last=False)[1].nbytes
-            self._rows[v] = row
-            self.cached_bytes += row.nbytes
-        return row
+def _rows_kept(n: int) -> int:
+    """Rows an n-vertex graph's cache holds at once (at least one)."""
+    return max(1, ROW_CACHE_BYTES // (4 * n))
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Distances of g; no row is computed until one is asked for."""
-    return DistanceMatrix(g)
+def row_cache_bytes(n: int) -> int:
+    """The most the row cache of an n-vertex graph holds: each of its rows'
+    4n bytes and entry, for every row it can keep of the n there are."""
+    return min(n, _rows_kept(n)) * (4 * n + _ROW_ENTRY_BYTES)
+
+
+def all_pairs_distances(g: Graph) -> Graph:
+    """g, which holds its own rows; the name stays for bench/tracer.py (ROADMAP item 1)."""
+    return g
 
 
 def _line_costs(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -329,10 +329,10 @@ def _line_costs(w: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     return np.add.accumulate(out, axis=-1, out=out)
 
 
-def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
+def median_costs(g: Graph, relative: np.ndarray) -> np.ndarray:
     """Weighted distance cost of every vertex, cost(v) = sum_u d(u,v) w(u),
     by prefix sums over the row and column marginals of a grid layout;
-    other graphs are rejected (a path's median is its tree's, d.tree).
+    other graphs are rejected (a path's median is its tree's, g.tree).
 
     relative is one weight vector or a (rows, n) stack of them; each row
     gets its own costs, computed exactly as for that row alone. The
@@ -348,7 +348,7 @@ def median_costs(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarra
 
 
 def grid_medians(g: Graph, relative: np.ndarray) -> np.ndarray:
-    """median_costs(g, d, relative).argmin(axis=1) of a (k, n) weight
+    """median_costs(g, relative).argmin(axis=1) of a (k, n) weight
     matrix on a grid layout, bit for bit, from the two cost lines alone:
     marginal_medians of its row and column marginals."""
     rows, cols = g.grid_shape
@@ -390,7 +390,7 @@ def marginal_medians(
     return r * cols + c
 
 
-def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
+def _descend(g: Graph, rel: np.ndarray, q: int) -> int:
     """From q, step into the neighbour with the heaviest reply set while
     that set holds more than half the weight.
 
@@ -404,7 +404,7 @@ def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
         nbrs = g.adjacency[q]
         for i in range(0, len(nbrs), block):
             chunk = nbrs[i : i + block]
-            mass = np.stack([reply_set(g, d, q, u) for u in chunk]) @ rel
+            mass = np.stack([reply_set(g, q, u) for u in chunk]) @ rel
             j = int(np.argmax(mass))
             if mass[j] > _MAJORITY:
                 q = chunk[j]
@@ -414,7 +414,7 @@ def _descend(g: Graph, d: DistanceMatrix, rel: np.ndarray, q: int) -> int:
     return q
 
 
-def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
+def weighted_median(g: Graph, w: WeightState) -> int:
     """A vertex at which every neighbour reply set holds at most half the weight.
 
     Reply sets are N(q,u) = {x : d(u,x) = d(q,x) - 1}. A vertex holding
@@ -422,7 +422,7 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     set at it misses that vertex. On grid layouts the result is the
     minimiser of the weighted distance cost, ties to the smallest id,
     found by prefix sums over its row and column cost lines
-    (grid_medians). On a tree (d.tree, paths included) it is the
+    (grid_medians). On a tree (g.tree, paths included) it is the
     deepest vertex, in the preorder rooted at vertex 0, whose subtree holds
     more than half the weight: the weighted centroid, which is the cost
     minimiser (at an exact half split either end of the middle edge is
@@ -433,10 +433,10 @@ def weighted_median(g: Graph, d: DistanceMatrix, w: WeightState) -> int:
     descent path, not on the vertex ids. weighted_medians gives the same
     vertex for the same weights.
     """
-    return int(weighted_medians(g, d, w.relative[None, :])[0])
+    return int(weighted_medians(g, w.relative[None, :])[0])
 
 
-def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.ndarray:
+def weighted_medians(g: Graph, relative: np.ndarray) -> np.ndarray:
     """weighted_median of every row of a (rows, n) weight matrix whose
     columns are vertex ids.
 
@@ -450,10 +450,10 @@ def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.nd
     if not light.any():
         return tops
     qs = tops.copy()
-    tree = d.tree
+    tree = g.tree
     if tree is None and g.grid_shape is None:
         for i in np.flatnonzero(light).tolist():
-            qs[i] = _descend(g, d, relative[i], int(tops[i]))
+            qs[i] = _descend(g, relative[i], int(tops[i]))
         return qs
     sub = relative if light.all() else relative[light]
     if tree is None:
@@ -463,7 +463,7 @@ def weighted_medians(g: Graph, d: DistanceMatrix, relative: np.ndarray) -> np.nd
     return qs
 
 
-def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
+def reply_set(g: Graph, q: int, u: int) -> np.ndarray:
     """N(q,u) = {x : d(u,x) = d(q,x) - 1} as a boolean mask over vertex ids,
     for a neighbour u of q.
 
@@ -480,16 +480,16 @@ def reply_set(g: Graph, d: DistanceMatrix, q: int, u: int) -> np.ndarray:
         ids = np.arange(g.n)
         line, at = (ids // cols, q // cols) if vertical else (ids % cols, q % cols)
         return line < at if u < q else line > at
-    tree = d.tree
+    tree = g.tree
     if tree is None:
-        return d.row(u) == d.row(q) - 1
+        return g.row(u) == g.row(q) - 1
     lo, hi, inside = tree.reply_interval(q, u)
     # lo <= start < hi as one unsigned comparison: below lo wraps to huge
     in_v = (tree.start - lo).view(np.uint64) < hi - lo
     return in_v if inside else ~in_v
 
 
-def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
+def consistent_set(g: Graph, q: int, reply) -> CompatibleSet:
     """Vertices for which the reply at query q could have been truthful.
 
     A yes reply is consistent with q alone. A neighbor reply u is
@@ -510,7 +510,7 @@ def consistent_set(g: Graph, d: DistanceMatrix, q: int, reply) -> CompatibleSet:
             return CompatibleSet.singleton(g.n, q)
     if u is None or u not in g.adjacency[q]:
         raise ProtocolError(f"reply vertex {u} is not a neighbor of query {q}")
-    return CompatibleSet(reply_set(g, d, q, u))
+    return CompatibleSet(reply_set(g, q, u))
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ import numpy as np
 # weighted_median, heavy_filter, bayesian_update: unused, bound for bench/tracer.py (ROADMAP item 1)
 from .graph import (
     HEAVY_SHARE,
-    ROW_CACHE_BYTES,
     Graph,
     reply_set,
+    row_cache_bytes,
     weighted_median,
     weighted_medians,
 )
@@ -109,7 +109,7 @@ def row_store(tree: bool, grid_shape: tuple[int, int] | None, uniform: bool) -> 
     tree, whose reply sets are preorder intervals, a step function a row
     (tree_rows.TreeRows); on a grid under a uniform prior, whose reply sets
     are half-planes, two lines a row (grid_rows.GridRows); else one dense
-    matrix (_DenseRows). search builds it (build(g, d, prior, k, p)); the
+    matrix (_DenseRows). search builds it (build(g, prior, k, p)); the
     harness sizes chunks by its row_words(n, shape) and checks memory by
     its chunk_bytes(n, k, shape), the bytes of a chunk of k rows."""
     if tree:
@@ -117,9 +117,9 @@ def row_store(tree: bool, grid_shape: tuple[int, int] | None, uniform: bool) -> 
     return GridRows if grid_shape is not None and uniform else _DenseRows
 
 
-def graph_store(g: Graph, d, prior: np.ndarray) -> type:
-    """row_store for graph g, its distances d and a chunk's prior."""
-    return row_store(d.tree is not None, g.grid_shape, bool((prior == prior[0]).all()))
+def graph_store(g: Graph, prior: np.ndarray) -> type:
+    """row_store for graph g and a chunk's prior."""
+    return row_store(g.tree is not None, g.grid_shape, bool((prior == prior[0]).all()))
 
 
 def chunk_rows(store: type, n: int, grid_shape: tuple[int, int] | None = None) -> int:
@@ -239,11 +239,11 @@ def search(
 ) -> list[SearchTranscript]:
     """Run one trial per oracle, all in one chunk.
 
-    The oracles share the graph, distances and noise policy; each keeps its
-    own target and rng. record_queries says per trial whether to keep its
-    QueryRecords; track_weights fills every weight_log. Each trial keeps
-    its own step count, ends at the cap or, under a stopping plan, once its
-    top share reaches the stop threshold.
+    The oracles share the graph, which holds its rows and tree index, and
+    the noise policy; each keeps its own target and rng. record_queries says
+    per trial whether to keep its QueryRecords; track_weights fills every
+    weight_log. Each trial keeps its own step count, ends at the cap or,
+    under a stopping plan, once its top share reaches the stop threshold.
 
     Vertex ids: search speaks to its light-row store (rows below) and to a
     frozen heavy row only in vertex ids. A store's tops() gives each row's
@@ -300,7 +300,7 @@ def search(
     k = len(oracles)
     if not k:
         return []
-    d, policy = oracles[0].dist, oracles[0].policy
+    policy = oracles[0].policy
     adversarial = policy.lie_choice == "adversarial-heaviest"
     record = list(record_queries) if record_queries is not None else [False] * k
     p, keep, cap, stop = noise.p, 1.0 - noise.p, plan.max_steps, plan.stop_threshold
@@ -329,12 +329,12 @@ def search(
 
         def masses(q: int, replies: list[int]) -> list[float]:
             # the row at the current rest, built only when a lie reads it
-            return row_masses(g, d, heavy_row(rest))(q, replies)
+            return row_masses(g, heavy_row(rest))(q, replies)
 
         # the share outside h, kept as such, so a rest too small to show
         # in 1 - share is kept
         rest = frozen.rest0
-        choices = truthful_choices(h, target, g, d, policy)
+        choices = truthful_choices(h, target, g, policy)
         truthful = choices[0] if len(choices) == 1 else None
         # a lie at a yes truth is a neighbour, read only as "not h"
         unnamed = rec is None and truthful == h and bool(g.adjacency[h])
@@ -358,7 +358,7 @@ def search(
             # the reply as graph_reply gives it: truth, noise coin, lie
             truth = truthful
             if truth is None:
-                truth = _truthful_reply(h, target, g, d, policy, coin)
+                truth = _truthful_reply(h, target, g, policy, coin)
             reply = truth
             if coin() < lie_p:
                 if unnamed:
@@ -381,7 +381,7 @@ def search(
             if rec is not None:
                 rec.append(QueryRecord(step, h, reply_answer(h, reply, truth)))
 
-    rows = graph_store(g, d, plan.prior).build(g, d, plan.prior, k, p)
+    rows = graph_store(g, plan.prior).build(g, plan.prior, k, p)
     # the light trials, in the order of their rows
     light = list(range(k))
     while True:
@@ -420,7 +420,7 @@ def search(
             o = oracles[r]
             steps[r] += 1
             masses = functools.partial(rows.reply_masses, i) if adversarial else None
-            reply, truth = graph_reply(q, o.target, g, d, policy, o.coin, masses)
+            reply, truth = graph_reply(q, o.target, g, policy, o.coin, masses)
             replies.append(reply)
             if records[r] is not None:
                 records[r].append(QueryRecord(steps[r], q, reply_answer(q, reply, truth)))
@@ -436,13 +436,13 @@ class _DenseRows:
     its gap as the later rows move down, in order (grid_rows.close_gaps),
     and a row that thaws is written after them."""
 
-    def __init__(self, g: Graph, d, prior: np.ndarray, k: int, p: float):
-        self.g, self.d, self.p = g, d, p
+    def __init__(self, g: Graph, prior: np.ndarray, k: int, p: float):
+        self.g, self.p = g, p
         self.buf, self.m = np.tile(prior, (k, 1)), k
 
     @classmethod
-    def build(cls, g: Graph, d, prior: np.ndarray, k: int, p: float) -> "_DenseRows":
-        return cls(g, d, prior, k, p)
+    def build(cls, g: Graph, prior: np.ndarray, k: int, p: float) -> "_DenseRows":
+        return cls(g, prior, k, p)
 
     @staticmethod
     def row_words(n: int, shape=None) -> int:
@@ -451,8 +451,9 @@ class _DenseRows:
     @staticmethod
     def chunk_bytes(n: int, k: int, shape=None) -> int:
         """The matrix and the rows that thaw in one pass, two words a cell,
-        and the distance rows cached for medians and updates (none on a grid)."""
-        return 16 * n * k + (0 if shape else min(4 * n * n, ROW_CACHE_BYTES))
+        and the distance rows the graph caches for medians and updates
+        (graph.row_cache_bytes; none on a grid)."""
+        return 16 * n * k + (0 if shape else row_cache_bytes(n))
 
     def tops(self) -> tuple[list[bool], np.ndarray]:
         weights = self.buf[: self.m]
@@ -475,12 +476,12 @@ class _DenseRows:
 
     def medians(self) -> np.ndarray:
         """The median vertex of every row."""
-        return weighted_medians(self.g, self.d, self.buf[: self.m])
+        return weighted_medians(self.g, self.buf[: self.m])
 
     def reply_masses(self, i: int, q: int, replies: list[int]) -> list[float]:
         """The mass of each reply's set at vertex q in row i
         (oracle.row_masses)."""
-        return row_masses(self.g, self.d, self.buf[i])(q, replies)
+        return row_masses(self.g, self.buf[i])(q, replies)
 
     def update(self, qs: np.ndarray, replies: list[int]) -> np.ndarray:
         """Fold reply replies[i] at vertex qs[i] into row i, for every row,
@@ -502,7 +503,7 @@ class _DenseRows:
             elif w_q >= 0.5:
                 factor, at_f = keep, p
             else:
-                weights[i] *= np.where(reply_set(self.g, self.d, q, reply), keep, p)
+                weights[i] *= np.where(reply_set(self.g, q, reply), keep, p)
                 factor, at_f = 1.0, p
             factors.append(factor)
             at_q_mult.append(at_f)

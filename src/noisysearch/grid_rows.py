@@ -118,7 +118,7 @@ class GridRows:
         self._base = None
 
     @classmethod
-    def build(cls, g, d, prior: np.ndarray, k: int, p: float) -> "GridRows":
+    def build(cls, g, prior: np.ndarray, k: int, p: float) -> "GridRows":
         return cls(g.grid_shape, k, p)
 
     @staticmethod

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import graph_search, linear_search
+# all_pairs_distances: unused, bound for bench/tracer.py (ROADMAP item 1)
 from .graph import Graph, all_pairs_distances, generate_graph, generated_layout, load_graph
 from .mathcore import (
     Distribution,
@@ -217,7 +218,6 @@ class _Context:
     config: ExperimentConfig
     noise: NoiseParams
     graph: Graph | None
-    dist: object | None
     mu: Distribution | None
     plan: graph_search.SearchPlan | linear_search.ComparisonPlan
 
@@ -351,7 +351,7 @@ def _build_context(config: ExperimentConfig) -> _Context:
             f"p={config.p} gives each trial a budget or cap of {plan.max_steps} queries, "
             f"more than MAX_TRIAL_QUERIES={MAX_TRIAL_QUERIES}"
         )
-    ctx = _Context(config, noise, graph=None, dist=None, mu=mu, plan=plan)
+    ctx = _Context(config, noise, graph=None, mu=mu, plan=plan)
     if _is_graph_scenario(config.scenario):
         if config.graph_path is not None:
             graph = load_graph(config.graph_path)
@@ -366,7 +366,7 @@ def _build_context(config: ExperimentConfig) -> _Context:
         if graph.n != config.n:
             source = config.graph_path or f"--gen {config.gen}"
             raise DomainError(f"{source}: graph has {graph.n} vertices but config.n={config.n}")
-        ctx.graph, ctx.dist = graph, all_pairs_distances(graph)
+        ctx.graph = graph
     return ctx
 
 
@@ -415,7 +415,7 @@ def _run_graph_chunk(ctx: _Context, indices: range) -> list[TrialOutcome]:
     oracles = []
     for index in indices:
         target, rng = _trial_start(ctx, index)
-        oracles.append(GraphOracle(ctx.graph, ctx.dist, target, policy, rng))
+        oracles.append(GraphOracle(ctx.graph, target, policy, rng))
     keep = [_keeps_transcript(config, index) for index in indices]
     transcripts = graph_search.search(ctx.graph, ctx.noise, ctx.plan, oracles, keep)
     return [_outcome(t, k) for t, k in zip(transcripts, keep)]
@@ -520,7 +520,7 @@ def _summarize(ctx: _Context, outcomes: list[TrialOutcome]) -> SummaryStats:
 
 def _chunk_trials(ctx: _Context) -> int:
     """graph_search.chunk_rows of the store of the built context's chunks."""
-    g, store = ctx.graph, graph_search.graph_store(ctx.graph, ctx.dist, ctx.plan.prior)
+    g, store = ctx.graph, graph_search.graph_store(ctx.graph, ctx.plan.prior)
     return graph_search.chunk_rows(store, g.n, g.grid_shape)
 
 

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graph import DistanceMatrix, Graph, consistent_set, read_fields, reply_set
+from .graph import Graph, consistent_set, read_fields, reply_set
 from .mathcore import Distribution, DomainError
 from .weights import CompatibleSet, WeightState
 
@@ -89,11 +89,11 @@ class NoisePolicy:
             raise DomainError(f"unknown lie choice {self.lie_choice!r}")
 
 
-def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[int]:
+def _closer_neighbors(q: int, target: int, g: Graph) -> list[int]:
     """Neighbours of q one hop closer to the target, in increasing id order;
     closed form on grid layouts, the one neighbour toward the target's
-    preorder interval on a tree (paths included), read off d(target, .)
-    otherwise."""
+    preorder interval on a tree (paths included), read off the row
+    d(target, .) otherwise."""
     if g.grid_shape is not None:
         cols = g.grid_shape[1]
         rq, cq = divmod(q, cols)
@@ -109,22 +109,20 @@ def _closer_neighbors(q: int, target: int, g: Graph, d: DistanceMatrix) -> list[
         if rt > rq:
             closer.append(q + cols)
         return closer
-    if d.tree is not None:
-        return [d.tree.toward(q, target)]
-    to_target = d.row(target)
+    if g.tree is not None:
+        return [g.tree.toward(q, target)]
+    to_target = g.row(target)
     dq = int(to_target[q])
     return [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
 
 
-def truthful_choices(
-    q: int, target: int, g: Graph, d: DistanceMatrix, policy: NoisePolicy
-) -> list[int]:
+def truthful_choices(q: int, target: int, g: Graph, policy: NoisePolicy) -> list[int]:
     """The truthful replies at q that the tiebreak picks among: [q] when q
     is the target, else the closer neighbours (only the first of them under
     the smallest-id tiebreak)."""
     if q == target:
         return [q]
-    closer = _closer_neighbors(q, target, g, d)
+    closer = _closer_neighbors(q, target, g)
     return closer if policy.truthful_tiebreak == "random" else closer[:1]
 
 
@@ -132,11 +130,10 @@ def _truthful_reply(
     q: int,
     target: int,
     g: Graph,
-    d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
 ) -> int:
-    choices = truthful_choices(q, target, g, d, policy)
+    choices = truthful_choices(q, target, g, policy)
     if len(choices) == 1:
         return choices[0]
     return choices[int(coin() * len(choices))]
@@ -147,13 +144,13 @@ def _truthful_reply(
 Masses = Callable[[int, list[int]], list[float]]
 
 
-def row_masses(g: Graph, d: DistanceMatrix, row: np.ndarray) -> Masses:
+def row_masses(g: Graph, row: np.ndarray) -> Masses:
     """The Masses of a dense weight row over vertex ids: q's weight for a
     yes, the row summed over the reply set's mask for a neighbour."""
 
     def masses(q: int, replies: list[int]) -> list[float]:
         return [
-            float(row[q]) if u == q else float(row[reply_set(g, d, q, u)].sum())
+            float(row[q]) if u == q else float(row[reply_set(g, q, u)].sum())
             for u in replies
         ]
 
@@ -192,7 +189,6 @@ def graph_reply(
     q: int,
     target: int,
     g: Graph,
-    d: DistanceMatrix,
     policy: NoisePolicy,
     coin: Callable[[], float],
     masses: Masses | None = None,
@@ -210,7 +206,7 @@ def graph_reply(
     when several neighbours are closer), the noise coin, then the uniform
     lie. A choice among k items takes item int(u * k).
     """
-    truthful = _truthful_reply(q, target, g, d, policy, coin)
+    truthful = _truthful_reply(q, target, g, policy, coin)
     if coin() < policy.p:
         return _corrupt_reply(q, truthful, g, policy, coin, masses), truthful
     return truthful, truthful
@@ -264,9 +260,7 @@ def linear_answer(
     return _LESS if less else _GREATER
 
 
-def heavy_filter(
-    answer: Answer, q: int, was_heavy: bool, g: Graph, d: DistanceMatrix
-) -> CompatibleSet:
+def heavy_filter(answer: Answer, q: int, was_heavy: bool, g: Graph) -> CompatibleSet:
     """Compatible set delivered to the strategy for a graph reply.
 
     A no-answer at a vertex that held at least half the weight is read
@@ -280,7 +274,7 @@ def heavy_filter(
         raise ProtocolError(f"heavy_filter expects a graph reply, got {answer.kind}")
     if was_heavy:
         return CompatibleSet.complement_of(g.n, q)
-    return consistent_set(g, d, q, answer)
+    return consistent_set(g, q, answer)
 
 
 class _CoinBlocks:
@@ -312,18 +306,10 @@ class GraphOracle(_CoinBlocks):
     order of graph_reply.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        d: DistanceMatrix,
-        target: int,
-        policy: NoisePolicy,
-        rng: np.random.Generator,
-    ):
+    def __init__(self, g: Graph, target: int, policy: NoisePolicy, rng: np.random.Generator):
         if not 0 <= target < g.n:
             raise DomainError(f"target {target} out of range for n={g.n}")
         self.graph = g
-        self.dist = d
         self.target = int(target)
         self.policy = policy
         self.rng = rng
@@ -332,9 +318,9 @@ class GraphOracle(_CoinBlocks):
 
     def answer(self, q: int, state: WeightState | None = None) -> Answer:
         self.queries_answered += 1
-        g, d, target = self.graph, self.dist, self.target
-        masses = None if state is None else row_masses(g, d, state.relative)
-        return reply_answer(q, *graph_reply(q, target, g, d, self.policy, self.coin, masses))
+        g, target = self.graph, self.target
+        masses = None if state is None else row_masses(g, state.relative)
+        return reply_answer(q, *graph_reply(q, target, g, self.policy, self.coin, masses))
 
 
 class LinearOracle(_CoinBlocks):

@@ -101,8 +101,8 @@ class TreeRows:
         self._rows = [_Row([0], [unit], [size]) for _ in range(k)]
 
     @classmethod
-    def build(cls, g, d, prior: np.ndarray, k: int, p: float) -> "TreeRows":
-        return cls(d.tree, prior, k, p)
+    def build(cls, g, prior: np.ndarray, k: int, p: float) -> "TreeRows":
+        return cls(g.tree, prior, k, p)
 
     @staticmethod
     def row_words(n: int, shape=None) -> int:

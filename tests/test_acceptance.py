@@ -14,7 +14,6 @@ import numpy as np
 
 from noisysearch import graph_search, linear_search
 from noisysearch.graph import (
-    all_pairs_distances,
     cycle_graph,
     gnm_graph,
     path_graph,
@@ -91,13 +90,12 @@ def test_c02_median_bisection():
             g = generate_graph("grid", n)
         else:
             g = path_graph(n)
-        d = all_pairs_distances(g)
         st = init_from_distribution(
             Distribution.from_weights(rng.uniform(1e-6, 1.0, size=g.n))
         )
-        q = weighted_median(g, d, st)
+        q = weighted_median(g, st)
         for u in g.adjacency[q]:
-            mass = float(st.relative[consistent_set(g, d, q, Answer(kind="neighbor", vertex=u)).mask].sum())
+            mass = float(st.relative[consistent_set(g, q, Answer(kind="neighbor", vertex=u)).mask].sum())
             worst = max(worst, mass)
             checked += 1
             if mass > 0.5 + 1e-9:
@@ -110,7 +108,6 @@ def _exact_graph_posterior_tree(g, depth, noise, p_frac):
     """DFS over every reply sequence; compare float weights against exact
     rational per-hypothesis likelihoods at every node. Returns (nodes
     visited, worst absolute deviation)."""
-    d = all_pairs_distances(g)
     n = g.n
     worst = 0.0
     nodes = 0
@@ -124,11 +121,11 @@ def _exact_graph_posterior_tree(g, depth, noise, p_frac):
             worst = max(worst, abs(float(state.relative[v]) - expected))
         if depth_left == 0:
             return
-        q = weighted_median(g, d, state)
+        q = weighted_median(g, state)
         was_heavy = is_heavy(state, q, 0.5)
         replies = [Answer(kind="yes")] + [Answer(kind="neighbor", vertex=u) for u in g.adjacency[q]]
         for reply in replies:
-            comp = heavy_filter(reply, q, was_heavy, g, d)
+            comp = heavy_filter(reply, q, was_heavy, g)
             new_state = bayesian_update(state, comp, noise)
             new_like = [
                 likelihood[v] * ((1 - p_frac) if comp.mask[v] else p_frac)
@@ -215,17 +212,16 @@ def test_c03_posterior_oracle_equivalence():
 
     # literal error-pattern enumeration cross-check on a short transcript
     g = path_graph(6)
-    d = all_pairs_distances(g)
     state = init_uniform(6)
     masks = []
     like = [Fraction(1, 6)] * 6
     for reply in (Answer(kind="neighbor", vertex=3), Answer(kind="neighbor", vertex=2), Answer(kind="yes"), Answer(kind="neighbor", vertex=1)):
-        q = weighted_median(g, d, state)
+        q = weighted_median(g, state)
         legal = [Answer(kind="yes")] + [Answer(kind="neighbor", vertex=u) for u in g.adjacency[q]]
         reply = reply if any(
             reply.kind == lr.kind and reply.vertex == lr.vertex for lr in legal
         ) else legal[0]
-        comp = heavy_filter(reply, q, is_heavy(state, q, 0.5), g, d)
+        comp = heavy_filter(reply, q, is_heavy(state, q, 0.5), g)
         state = bayesian_update(state, comp, noise)
         masks.append(np.asarray(comp.mask))
         like = [like[v] * ((1 - p_frac) if comp.mask[v] else p_frac) for v in range(6)]

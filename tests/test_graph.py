@@ -12,7 +12,6 @@ from noisysearch import graph as graph_module
 from noisysearch.graph import (
     Graph,
     GraphFormatError,
-    all_pairs_distances,
     consistent_set,
     cycle_graph,
     generate_graph,
@@ -32,9 +31,9 @@ from noisysearch.oracle import Answer, ProtocolError
 from noisysearch.weights import init_from_distribution, init_uniform
 
 
-def full_matrix(d):
-    """The n x n hop distances of a DistanceMatrix, one row per vertex."""
-    return np.stack([d.row(v) for v in range(d.graph.n)])
+def full_matrix(g):
+    """The n x n hop distances of a graph, one row per vertex."""
+    return np.stack([g.row(v) for v in range(g.n)])
 
 
 def set_adjacency(n, edges):
@@ -47,37 +46,34 @@ def set_adjacency(n, edges):
     return tuple(tuple(sorted(row)) for row in rows)
 
 
-def exhaustive_costs(g, d, rel):
+def exhaustive_costs(g, rel):
     """Reference cost: explicit double loop over vertices."""
     n = g.n
-    dist = full_matrix(d)
+    dist = full_matrix(g)
     return [sum(int(dist[u, v]) * rel[u] for u in range(n)) for v in range(n)]
 
 
 class TestDistances:
     def test_path_endpoints(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
-        assert full_matrix(d)[0, 2] == 2
+        assert full_matrix(g)[0, 2] == 2
 
     def test_star_leaves(self):
         g = star_graph(5)
-        d = all_pairs_distances(g)
-        assert full_matrix(d)[1, 2] == 2
-        assert full_matrix(d)[0, 3] == 1
+        assert full_matrix(g)[1, 2] == 2
+        assert full_matrix(g)[0, 3] == 1
 
     def test_complete_graph(self):
         edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
         g = Graph.from_edges(4, edges)
-        d = all_pairs_distances(g)
-        off = full_matrix(d)[~np.eye(4, dtype=bool)]
+        off = full_matrix(g)[~np.eye(4, dtype=bool)]
         assert np.all(off == 1)
 
     def test_matrix_properties(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             g = random_tree(int(rng.integers(2, 30)), rng)
-            d = full_matrix(all_pairs_distances(g))
+            d = full_matrix(g)
             assert np.all(np.diag(d) == 0)
             assert np.array_equal(d, d.T)
             n = g.n
@@ -93,36 +89,32 @@ class TestDistances:
 class TestWeightedMedian:
     def test_path_uniform(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
         st = init_uniform(3)
-        costs = exhaustive_costs(g, d, st.relative)
+        costs = exhaustive_costs(g, st.relative)
         assert costs == pytest.approx([1.0, 2 / 3, 1.0])
-        assert weighted_median(g, d, st) == 1
+        assert weighted_median(g, st) == 1
 
     def test_star_uniform_center(self):
         g = star_graph(7)
-        d = all_pairs_distances(g)
-        assert weighted_median(g, d, init_uniform(7)) == 0
+        assert weighted_median(g, init_uniform(7)) == 0
 
     def test_point_mass(self):
         rng = np.random.default_rng(4)
         g = gnm_graph(12, 20, rng)
-        d = all_pairs_distances(g)
         masses = np.full(12, 1e-9)
         masses[7] = 1.0 - 11e-9
         st = init_from_distribution(Distribution.from_weights(masses))
-        assert weighted_median(g, d, st) == 7
+        assert weighted_median(g, st) == 7
 
     def test_scale_invariance(self):
         # argmin is invariant under uniform scaling; relative weights are
         # normalized so this reduces to determinism of the cost argmin
         rng = np.random.default_rng(5)
         g = random_tree(15, rng)
-        d = all_pairs_distances(g)
         w = rng.uniform(0.1, 1.0, size=15)
         st1 = init_from_distribution(Distribution.from_weights(w))
         st2 = init_from_distribution(Distribution.from_weights(w * 37.5))
-        assert weighted_median(g, d, st1) == weighted_median(g, d, st2)
+        assert weighted_median(g, st1) == weighted_median(g, st2)
 
     def test_fast_paths_match_generic(self):
         # grid layouts use prefix-sum costs and paths their preorder index;
@@ -130,16 +122,15 @@ class TestWeightedMedian:
         rng = np.random.default_rng(6)
         for build in (lambda: path_graph(17), lambda: grid_graph(4, 5), lambda: grid_graph(1, 9)):
             g = build()
-            d = all_pairs_distances(g)
             for _ in range(40):
                 w = rng.uniform(0.01, 1.0, size=g.n)
                 st = init_from_distribution(Distribution.from_weights(w))
-                ref = exhaustive_costs(g, d, st.relative)
+                ref = exhaustive_costs(g, st.relative)
                 if g.grid_shape is not None:
-                    assert median_costs(g, d, st.relative) == pytest.approx(ref, abs=1e-9)
-                assert ref[weighted_median(g, d, st)] == pytest.approx(min(ref), abs=1e-9)
+                    assert median_costs(g, st.relative) == pytest.approx(ref, abs=1e-9)
+                assert ref[weighted_median(g, st)] == pytest.approx(min(ref), abs=1e-9)
                 generic = Graph.from_edges(g.n, [(u, v) for u in range(g.n) for v in g.adjacency[u] if u < v])
-                assert weighted_median(g, d, st) == weighted_median(generic, d, st)
+                assert weighted_median(g, st) == weighted_median(generic, st)
 
     def test_median_bisection_fuzz(self):
         # every neighbor-reply consistent set at a median holds at most
@@ -154,12 +145,11 @@ class TestWeightedMedian:
                 g = gnm_graph(max(n, 4), min(2 * n, n * (n - 1) // 2), rng)
             else:
                 g = generate_graph("grid", n)
-            d = all_pairs_distances(g)
             w = rng.uniform(1e-6, 1.0, size=g.n)
             st = init_from_distribution(Distribution.from_weights(w))
-            q = weighted_median(g, d, st)
+            q = weighted_median(g, st)
             for u in g.adjacency[q]:
-                cs = consistent_set(g, d, q, Answer(kind="neighbor", vertex=u))
+                cs = consistent_set(g, q, Answer(kind="neighbor", vertex=u))
                 assert float(st.relative[cs.mask].sum()) <= 0.5 + 1e-9
 
 
@@ -174,37 +164,59 @@ class TestLazyRows:
 
         monkeypatch.setattr(graph_module, "_bfs_row", counting_bfs)
         g = random_tree(40, np.random.default_rng(10))
-        d = all_pairs_distances(g)
-        assert calls == [] and d.rows_computed == 0
-        d.row(5)
-        d.row(5)
-        assert calls == [5] and d.rows_computed == 1
+        assert calls == []
+        g.row(5)
+        g.row(5)
+        assert calls == [5]
 
     def test_closed_form_rows_match_bfs(self):
         for g in (path_graph(13), grid_graph(4, 7), grid_graph(1, 6), grid_graph(5, 1)):
             generic = Graph.from_edges(
                 g.n, [(u, v) for u in range(g.n) for v in g.adjacency[u] if u < v]
             )
-            d, ref = all_pairs_distances(g), all_pairs_distances(generic)
             for v in range(g.n):
-                assert d.row(v).dtype == np.int32
-                assert np.array_equal(d.row(v), ref.row(v))
+                assert g.row(v).dtype == np.int32
+                assert np.array_equal(g.row(v), generic.row(v))
 
     def test_cache_stays_within_budget(self, monkeypatch):
+        full = full_matrix(random_tree(50, np.random.default_rng(11)))
         g = random_tree(50, np.random.default_rng(11))
-        full = full_matrix(all_pairs_distances(g))
+        calls = []
+        real = graph_module._bfs_row
+
+        def counting_bfs(adj, src):
+            calls.append(src)
+            return real(adj, src)
+
+        monkeypatch.setattr(graph_module, "_bfs_row", counting_bfs)
         monkeypatch.setattr(graph_module, "ROW_CACHE_BYTES", 3 * 50 * 4)
-        d = all_pairs_distances(g)
         for v in (0, 1, 2, 3, 4, 0):
-            assert np.array_equal(d.row(v), full[v])
-            assert d.cached_bytes <= graph_module.ROW_CACHE_BYTES
+            assert np.array_equal(g.row(v), full[v])
+            assert sum(row.nbytes for row in g._rows.values()) <= graph_module.ROW_CACHE_BYTES
         # row 0 was evicted by rows 3 and 4, so asking again rebuilt it
-        assert d.rows_computed == 6
+        assert calls == [0, 1, 2, 3, 4, 0]
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_row_cache_bytes_covers_a_full_cache(self, n):
+        # every row of a cycle cached, each with its array header and cache
+        # entry: the traced peak is within the charge, the charge within
+        # twice the peak
+        cycle_graph(n).row(0)  # first-use allocations outside any cache
+        g = cycle_graph(n)
+        tracemalloc.start()
+        try:
+            for v in range(n):
+                g.row(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g._rows) == n
+        assert peak <= graph_module.row_cache_bytes(n) <= 2 * peak
 
     def test_rows_are_read_only(self):
-        d = all_pairs_distances(random_tree(10, np.random.default_rng(12)))
+        g = random_tree(10, np.random.default_rng(12))
         with pytest.raises(ValueError):
-            d.row(0)[1] = 7
+            g.row(0)[1] = 7
 
 
 class TestDescentMedian:
@@ -212,12 +224,11 @@ class TestDescentMedian:
         rng = np.random.default_rng(13)
         for _ in range(200):
             g = random_tree(int(rng.integers(2, 65)), rng)
-            d = all_pairs_distances(g)
             st = init_from_distribution(
                 Distribution.from_weights(rng.uniform(1e-6, 1.0, size=g.n))
             )
-            costs = exhaustive_costs(g, d, st.relative)
-            assert weighted_median(g, d, st) == int(np.argmin(costs))
+            costs = exhaustive_costs(g, st.relative)
+            assert weighted_median(g, st) == int(np.argmin(costs))
 
     def test_reply_sets_at_most_half_on_general_graphs(self):
         rng = np.random.default_rng(14)
@@ -229,13 +240,12 @@ class TestDescentMedian:
                 g = cycle_graph(n)
             else:
                 g = star_graph(n)
-            d = all_pairs_distances(g)
             # skewed weights so the heaviest vertex is often not a median
             w = rng.uniform(1e-6, 1.0, size=g.n) ** 4
             st = init_from_distribution(Distribution.from_weights(w))
-            q = weighted_median(g, d, st)
+            q = weighted_median(g, st)
             for u in g.adjacency[q]:
-                cs = consistent_set(g, d, q, Answer(kind="neighbor", vertex=u))
+                cs = consistent_set(g, q, Answer(kind="neighbor", vertex=u))
                 assert float(st.relative[cs.mask].sum()) <= 0.5 + 1e-9
 
     def test_batched_medians_equal_one_row_at_a_time(self):
@@ -244,66 +254,59 @@ class TestDescentMedian:
         graphs = [path_graph(37), grid_graph(6, 7), random_tree(40, rng), cycle_graph(30),
                   star_graph(25), gnm_graph(30, 60, rng)]
         for g in graphs:
-            d = all_pairs_distances(g)
             w = rng.uniform(1e-6, 1.0, size=(9, g.n)) ** 6
             w[::3, int(rng.integers(g.n))] += w[::3].sum(axis=1)
             w /= w.sum(axis=1, keepdims=True)
-            expected = [weighted_median(g, d, init_from_distribution(Distribution(row))) for row in w]
+            expected = [weighted_median(g, init_from_distribution(Distribution(row))) for row in w]
             relative = np.stack([init_from_distribution(Distribution(row)).relative for row in w])
-            assert weighted_medians(g, d, relative).tolist() == expected
-            assert weighted_medians(g, d, relative[4:5]).tolist() == expected[4:5]
+            assert weighted_medians(g, relative).tolist() == expected
+            assert weighted_medians(g, relative[4:5]).tolist() == expected[4:5]
 
     def test_batched_costs_equal_one_row_at_a_time(self):
         rng = np.random.default_rng(16)
         for g in (grid_graph(1, 50), grid_graph(7, 9)):
-            d = all_pairs_distances(g)
             w = rng.uniform(0.0, 1.0, size=(5, g.n))
             w /= w.sum(axis=1, keepdims=True)
-            batched = median_costs(g, d, w)
+            batched = median_costs(g, w)
             for row, costs in zip(w, batched):
-                assert np.array_equal(median_costs(g, d, row), costs)
+                assert np.array_equal(median_costs(g, row), costs)
 
     def test_median_costs_needs_a_layout(self):
         g = star_graph(5)
         with pytest.raises(ValueError, match="layout"):
-            median_costs(g, all_pairs_distances(g), np.full(5, 0.2))
+            median_costs(g, np.full(5, 0.2))
 
 
 class TestConsistentSet:
     def test_path_toward_endpoint(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
-        cs = consistent_set(g, d, 1, Answer(kind="neighbor", vertex=0))
+        cs = consistent_set(g, 1, Answer(kind="neighbor", vertex=0))
         assert cs.members == {0}
 
     def test_path_away(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
-        cs = consistent_set(g, d, 0, Answer(kind="neighbor", vertex=1))
+        cs = consistent_set(g, 0, Answer(kind="neighbor", vertex=1))
         assert cs.members == {1, 2}
 
     def test_yes_reply(self):
         g = star_graph(5)
-        d = all_pairs_distances(g)
-        cs = consistent_set(g, d, 3, Answer(kind="yes"))
+        cs = consistent_set(g, 3, Answer(kind="yes"))
         assert cs.members == {3}
 
     def test_non_neighbor_rejected(self):
         g = path_graph(4)
-        d = all_pairs_distances(g)
         with pytest.raises(ProtocolError):
-            consistent_set(g, d, 0, Answer(kind="neighbor", vertex=3))
+            consistent_set(g, 0, Answer(kind="neighbor", vertex=3))
 
     def test_every_non_query_vertex_covered(self):
         # union over neighbor replies at q covers all of V minus q
         rng = np.random.default_rng(8)
         for _ in range(40):
             g = gnm_graph(12, 24, rng)
-            d = all_pairs_distances(g)
             for q in range(g.n):
                 covered = set()
                 for u in g.adjacency[q]:
-                    covered |= consistent_set(g, d, q, Answer(kind="neighbor", vertex=u)).members
+                    covered |= consistent_set(g, q, Answer(kind="neighbor", vertex=u)).members
                 assert covered >= set(range(g.n)) - {q}
 
 
@@ -499,6 +502,18 @@ class TestGenerators:
         with pytest.raises(GraphFormatError):
             generate_graph("torus", 9)
 
+    @pytest.mark.parametrize("gen", graph_module.GENERATORS)
+    def test_built_rows_and_index_leave_equality_and_repr_alone(self, gen):
+        # the graph's caches are not part of its value: one that has built
+        # its tree index and some rows is the graph a fresh build gives
+        g = generate_graph(gen, 30, np.random.default_rng(14))
+        assert (g.tree is None) == (gen in ("cycle", "grid", "gnm"))
+        for v in (0, 7, 29, 7):
+            g.row(v)
+        fresh = generate_graph(gen, 30, np.random.default_rng(14))
+        assert g._rows and not fresh._rows and "tree" not in vars(fresh)
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
 
 def list_gnm_graph(n, m, rng, max_tries=200):
     """The list-of-all-pairs generator gnm_graph replaced, kept as its
@@ -565,16 +580,16 @@ class TestGnm:
 @pytest.mark.parametrize(
     "g", [path_graph(9), grid_graph(6, 7), grid_graph(5, 1), grid_graph(1, 6), star_graph(8)]
 )
-def test_reply_sets_equal_the_bfs_definition(g):
+def test_reply_sets_equal_the_bfs_definition(g, monkeypatch):
     # N(q, u) = {x : d(u, x) = d(q, x) - 1}, from closed-form grid rows and
-    # tree intervals, against BFS rows
-    d = all_pairs_distances(g)
+    # tree intervals, against BFS rows that the graph never builds
+    bfs_row, calls = graph_module._bfs_row, []
+    monkeypatch.setattr(graph_module, "_bfs_row", lambda adj, src: calls.append(src))
     for q in range(g.n):
         for u in g.adjacency[q]:
-            bfs = graph_module._bfs_row(g.adjacency, u) == graph_module._bfs_row(g.adjacency, q) - 1
-            assert np.array_equal(graph_module.reply_set(g, d, q, u), bfs)
-    if g.grid_shape is not None:
-        assert d.rows_computed == 0
+            bfs = bfs_row(g.adjacency, u) == bfs_row(g.adjacency, q) - 1
+            assert np.array_equal(graph_module.reply_set(g, q, u), bfs)
+    assert calls == []
 
 
 GRID_SHAPES = [(32, 32), (5, 7), (7, 5), (1, 9), (9, 1), (3, 3)]
@@ -586,7 +601,6 @@ def test_grid_medians_are_the_cost_argmin_bit_for_bit(rows, cols, kind):
     # uniform rows split exactly in half, small integers tie often, and
     # log-normal weights spread over about 2^-40 to 2^40
     g = grid_graph(rows, cols)
-    d = all_pairs_distances(g)
     rng = np.random.default_rng([rows, cols, len(kind)])
     for _ in range(60):
         k = int(rng.integers(1, 33))
@@ -598,5 +612,5 @@ def test_grid_medians_are_the_cost_argmin_bit_for_bit(rows, cols, kind):
         else:
             w = np.exp2(rng.normal(0.0, 14.0, size=(k, g.n)))
         w /= w.sum(axis=1, keepdims=True)
-        expected = median_costs(g, d, w).argmin(axis=1)
+        expected = median_costs(g, w).argmin(axis=1)
         assert np.array_equal(graph_module.grid_medians(g, w), expected)

@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from noisysearch import graph_search
 from noisysearch.graph import (
-    all_pairs_distances,
     consistent_set,
     cycle_graph,
     generate_graph,
@@ -77,11 +76,11 @@ class RefCoins:
         return float(self.block.pop())
 
 
-def ref_graph_answer(q, target, g, d, policy, coin, relative):
+def ref_graph_answer(q, target, g, policy, coin, relative):
     if q == target:
         truthful = Answer(kind="yes", vertex=None, is_lie=False)
     else:
-        to_target = d.row(target)
+        to_target = g.row(target)
         dq = int(to_target[q])
         closer = [u for u in g.adjacency[q] if int(to_target[u]) == dq - 1]
         if policy.truthful_tiebreak == "random" and len(closer) > 1:
@@ -107,7 +106,7 @@ def ref_graph_answer(q, target, g, d, policy, coin, relative):
         if cand.kind == "yes":
             mass = float(relative[q])
         else:
-            mass = float(relative[consistent_set(g, d, q, cand).mask].sum())
+            mass = float(relative[consistent_set(g, q, cand).mask].sum())
         if mass > best_mass:
             best, best_mass = cand, mass
     return best
@@ -140,8 +139,7 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
     vertex order. relative holds the weights in columns: column i weighs
     vertex order[i], the tree's preorder on a tree and the identity
     elsewhere."""
-    d = all_pairs_distances(g)
-    order = np.arange(g.n) if d.tree is None else d.tree.order
+    order = np.arange(g.n) if g.tree is None else g.tree.order
     coin = RefCoins(rng)
     p = noise.p
     relative, log2_total = plan.prior[order], 0.0
@@ -177,10 +175,10 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
             vertex_state = WeightState(
                 relative=in_vertex_order(relative), log2_total=log2_total, step=steps - 1
             )
-            q = weighted_median(g, d, vertex_state)
+            q = weighted_median(g, vertex_state)
             was_heavy = is_heavy(vertex_state, q, 0.5)
-            answer = ref_graph_answer(q, target, g, d, policy, coin, vertex_state.relative)
-            compatible = heavy_filter(answer, q, was_heavy, g, d)
+            answer = ref_graph_answer(q, target, g, policy, coin, vertex_state.relative)
+            compatible = heavy_filter(answer, q, was_heavy, g)
             state = WeightState(relative=relative, log2_total=log2_total, step=steps - 1)
             state = bayesian_update(state, CompatibleSet(compatible.mask[order]), noise)
             relative, log2_total = state.relative.copy(), state.log2_total
@@ -188,7 +186,7 @@ def ref_drive(g, noise, plan, target, policy, rng, record_queries=True, track_we
         else:
             q = int(order[heavy.h])
             answer = ref_graph_answer(
-                q, target, g, d, policy, coin, in_vertex_order(heavy.relative())
+                q, target, g, policy, coin, in_vertex_order(heavy.relative())
             )
             a, f = (1.0 - p, p) if answer.kind == "yes" else (p, 1.0 - p)
             total = (1.0 - heavy.rest) * a + heavy.rest * f
@@ -226,7 +224,6 @@ def ref_replay(g, noise, plan, t):
     relative, and a heavy step's query against the reference's heavy
     vertex; returns the weight_log snapshots and the final row and log2
     total."""
-    d = all_pairs_distances(g)
     p = noise.p
     relative, log2_total = plan.prior.copy(), 0.0
     heavy = ref_freeze(relative)
@@ -234,10 +231,10 @@ def ref_replay(g, noise, plan, t):
     for record in t.queries:
         q = record.query
         if heavy is None:
-            cost = median_costs(g, d, relative)
+            cost = median_costs(g, relative)
             assert cost[q] <= cost.min() * (1.0 + 1e-9)
             state = WeightState(relative=relative, log2_total=log2_total, step=record.step - 1)
-            compatible = heavy_filter(record.answer, q, is_heavy(state, q, 0.5), g, d)
+            compatible = heavy_filter(record.answer, q, is_heavy(state, q, 0.5), g)
             state = bayesian_update(state, compatible, noise)
             relative, log2_total = state.relative.copy(), state.log2_total
             heavy = ref_freeze(relative)
@@ -351,8 +348,7 @@ def trial_starts(n, seed, k, prior=None):
 
 
 def make_oracles(g, policy, seed, k, prior=None):
-    d = all_pairs_distances(g)
-    return [GraphOracle(g, d, t, policy, rng) for t, rng in trial_starts(g.n, seed, k, prior)]
+    return [GraphOracle(g, t, policy, rng) for t, rng in trial_starts(g.n, seed, k, prior)]
 
 
 def transcript_fields(t):
@@ -452,8 +448,8 @@ def test_engine_matches_per_trial_reference(graph, tiebreak, lie_choice, finals)
 class ScriptedOracle(GraphOracle):
     """A GraphOracle whose uniforms come from a given list, in order."""
 
-    def __init__(self, g, d, target, policy, coins):
-        super().__init__(g, d, target, policy, np.random.default_rng(0))
+    def __init__(self, g, target, policy, coins):
+        super().__init__(g, target, policy, np.random.default_rng(0))
         self.script = list(reversed(coins))
 
     def coin(self):
@@ -481,7 +477,6 @@ def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
     relative *= (1.0 - share) / relative.sum()
     relative[h] = share
     g = path_graph(n)
-    d = all_pairs_distances(g)
     noise = NoiseParams.from_p(p)
     no = Answer(kind="neighbor", vertex=h + 1 if h + 1 < n else h - 1)
     states, coins = [WeightState(relative=relative, log2_total=0.0, step=0)], []
@@ -489,10 +484,10 @@ def test_heavy_law_matches_the_dense_update(n, seed, share, p, replies):
         if states[-1].relative[h] <= HEAVY_SHARE:
             break
         answer = Answer(kind="yes") if yes else no
-        states.append(bayesian_update(states[-1], heavy_filter(answer, h, True, g, d), noise))
+        states.append(bayesian_update(states[-1], heavy_filter(answer, h, True, g), noise))
         coins += [0.99] if yes else [0.0, 0.0]
     plan = graph_search.SearchPlan(relative, len(states) - 1, None)
-    oracle = ScriptedOracle(g, d, h, NoisePolicy(p=p), coins)
+    oracle = ScriptedOracle(g, h, NoisePolicy(p=p), coins)
     seen = []
 
     def snapshot(row, log2_total, target):
@@ -699,7 +694,7 @@ def test_a_query_at_exactly_half_the_weight_is_heavy(finals):
     mu = Distribution(np.array([0.25, 0.5, 0.25]))
     plan = lv_distributional_plan(mu, noise, 0.1)
     policy = NoisePolicy(p=0.0)
-    (t,) = search(g, noise, plan, [GraphOracle(g, all_pairs_distances(g), 2, policy, np.random.default_rng(0))], [True])
+    (t,) = search(g, noise, plan, [GraphOracle(g, 2, policy, np.random.default_rng(0))], [True])
     fields, state = ref_drive(g, noise, plan, 2, policy, np.random.default_rng(0), track_weights=False)
     assert t.queries[0].query == 1
     assert_fields_close(t, {**fields, "weight_log": None}, *final_of(finals, t), state)

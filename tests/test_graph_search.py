@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from noisysearch.graph import all_pairs_distances, grid_graph, path_graph, star_graph
+from noisysearch.graph import grid_graph, path_graph, star_graph
 from noisysearch.graph_search import (
     SearchPlan,
     rescaled_confidence,
@@ -23,15 +23,14 @@ from noisysearch.mathcore import (
 from noisysearch.oracle import GraphOracle, NoisePolicy
 
 
-def make_oracle(g, d, target, p, seed, **policy_kwargs):
-    return GraphOracle(g, d, target, NoisePolicy(p=p, **policy_kwargs), np.random.default_rng(seed))
+def make_oracle(g, target, p, seed, **policy_kwargs):
+    return GraphOracle(g, target, NoisePolicy(p=p, **policy_kwargs), np.random.default_rng(seed))
 
 
 def one_step(g, masses, target, oracle_p, update_p, seed):
     """One median query from the weights masses, as search runs it: a
     one-step plan, the query recorded and the weights tracked."""
-    d = all_pairs_distances(g)
-    oracle = make_oracle(g, d, target=target, p=oracle_p, seed=seed)
+    oracle = make_oracle(g, target=target, p=oracle_p, seed=seed)
     plan = SearchPlan(np.asarray(masses, dtype=np.float64), 1, None)
     (t,) = search(g, NoiseParams.from_p(update_p), plan, [oracle], [True], True)
     (record,) = t.queries
@@ -87,54 +86,48 @@ class TestStepMedianUpdate:
 class TestRunAdversarial:
     def test_single_vertex(self):
         g = path_graph(1)
-        d = all_pairs_distances(g)
-        oracle = make_oracle(g, d, target=0, p=0.25, seed=3)
+        oracle = make_oracle(g, target=0, p=0.25, seed=3)
         t = run_adversarial(g, NoiseParams.from_p(0.25), 0.2, oracle)
         assert t.declared == 0 and t.target_hit
 
     def test_truthful_path_all_targets(self):
         # with a truthful answer channel every target on a 15-path is found
         g = path_graph(15)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(0.25)
         for target in range(15):
-            oracle = make_oracle(g, d, target=target, p=0.0, seed=4)
+            oracle = make_oracle(g, target=target, p=0.0, seed=4)
             t = run_adversarial(g, noise, 0.2, oracle)
             assert t.declared == target
 
     def test_budget_is_exact_and_recorded(self):
         g = path_graph(32)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(0.3)
         budget = worst_case_budget_graph(32, noise, 0.2).q
-        oracle = make_oracle(g, d, target=7, p=0.3, seed=5)
+        oracle = make_oracle(g, target=7, p=0.3, seed=5)
         t = run_adversarial(g, noise, 0.2, oracle)
         assert t.query_count == budget
         assert len(t.queries) == t.query_count
 
     def test_rejects_bad_delta(self):
         g = path_graph(4)
-        d = all_pairs_distances(g)
-        oracle = make_oracle(g, d, target=0, p=0.25, seed=6)
+        oracle = make_oracle(g, target=0, p=0.25, seed=6)
         with pytest.raises(DomainError):
             run_adversarial(g, NoiseParams.from_p(0.25), 0.6, oracle)
 
     def test_weight_drop_law_single_run(self):
         g = grid_graph(4, 4)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(0.3)
-        oracle = make_oracle(g, d, target=9, p=0.3, seed=7)
+        oracle = make_oracle(g, target=9, p=0.3, seed=7)
         t = run_adversarial(g, noise, 0.1, oracle, track_weights=True)
         for tau, (log_rest, *_) in enumerate(t.weight_log):
             assert log_rest <= -tau + 1e-6
 
     def test_reproducible_given_seed(self):
         g = path_graph(20)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(0.25)
         runs = []
         for _ in range(2):
-            oracle = make_oracle(g, d, target=13, p=0.25, seed=8)
+            oracle = make_oracle(g, target=13, p=0.25, seed=8)
             t = run_adversarial(g, noise, 0.2, oracle)
             runs.append([(r.query, r.answer.kind, r.answer.vertex) for r in t.queries])
         assert runs[0] == runs[1]
@@ -143,9 +136,8 @@ class TestRunAdversarial:
 class TestRunLvDistributional:
     def test_point_mass_immediate(self):
         g = path_graph(6)
-        d = all_pairs_distances(g)
         mu = Distribution(np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-        oracle = make_oracle(g, d, target=3, p=0.0, seed=9)
+        oracle = make_oracle(g, target=3, p=0.0, seed=9)
         t = run_lv_distributional(g, mu, NoiseParams.from_p(0.25), 0.1, oracle)
         assert t.declared == 3
         assert t.query_count == 0  # the floored prior already clears 1-delta
@@ -155,7 +147,6 @@ class TestRunLvDistributional:
         # after k yes-answers the posterior of 0 is 0.6*0.75^k over the
         # total; the first k clearing 0.9 is 2
         g = path_graph(2)
-        d = all_pairs_distances(g)
         mu = Distribution(np.array([0.6, 0.4]))
         noise = NoiseParams.from_p(0.25)
         w0, w1 = 0.6, 0.4
@@ -164,7 +155,7 @@ class TestRunLvDistributional:
             w0, w1 = w0 * 0.75, w1 * 0.25
             k += 1
         assert k == 2
-        oracle = make_oracle(g, d, target=0, p=0.0, seed=10)
+        oracle = make_oracle(g, target=0, p=0.0, seed=10)
         t = run_lv_distributional(g, mu, noise, 0.1, oracle)
         assert t.query_count == k and t.declared == 0
 
@@ -173,14 +164,13 @@ class TestRunLvDistributional:
         # (log2 n + log2(1/delta) + 1) / info_rate within one standard error
         n, p, delta, trials = 32, 0.25, 0.1, 600
         g = star_graph(n)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(p)
         mu = Distribution.uniform(n)
         counts, errors = [], 0
         for i in range(trials):
             rng = np.random.default_rng([100, i])
             target = int(rng.integers(n))
-            oracle = GraphOracle(g, d, target, NoisePolicy(p=p), rng)
+            oracle = GraphOracle(g, target, NoisePolicy(p=p), rng)
             t = run_lv_distributional(g, mu, noise, delta, oracle, record_queries=False)
             counts.append(t.query_count)
             errors += not t.target_hit
@@ -193,14 +183,13 @@ class TestRunLvDistributional:
     def test_weak_confidence_two_vertices(self):
         # delta near 1/2 stops almost immediately with error at most delta
         g = path_graph(2)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(0.25)
         mu = Distribution.uniform(2)
         errors, counts = 0, []
         for i in range(400):
             rng = np.random.default_rng([101, i])
             target = int(rng.integers(2))
-            oracle = GraphOracle(g, d, target, NoisePolicy(p=0.25), rng)
+            oracle = GraphOracle(g, target, NoisePolicy(p=0.25), rng)
             t = run_lv_distributional(g, mu, noise, 0.49, oracle, record_queries=False)
             counts.append(t.query_count)
             errors += not t.target_hit
@@ -219,14 +208,13 @@ class TestRunLvAdversarial:
     def test_worst_target_sweep_small_grid(self):
         n, p, delta, per_target = 9, 0.25, 0.3, 80
         g = grid_graph(3, 3)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(p)
         worst_err = 0.0
         for target in range(n):
             errors = 0
             for i in range(per_target):
                 rng = np.random.default_rng([102, target, i])
-                oracle = GraphOracle(g, d, target, NoisePolicy(p=p), rng)
+                oracle = GraphOracle(g, target, NoisePolicy(p=p), rng)
                 t = run_lv_adversarial(g, noise, delta, oracle, record_queries=False)
                 errors += not t.target_hit
             worst_err = max(worst_err, errors / per_target)
@@ -240,7 +228,6 @@ class TestTargetWeightFloor:
         # -log2 n - sqrt(Q/2 ln(1/delta)) log2 gamma - H(p) Q
         n, p, delta, trials = 64, 0.3, 0.2, 500
         g = path_graph(n)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(p)
         q_budget = worst_case_budget_graph(n, noise, delta).q
         floor = (
@@ -252,7 +239,7 @@ class TestTargetWeightFloor:
         for i in range(trials):
             rng = np.random.default_rng([103, i])
             target = int(rng.integers(n))
-            oracle = GraphOracle(g, d, target, NoisePolicy(p=p), rng)
+            oracle = GraphOracle(g, target, NoisePolicy(p=p), rng)
             t = run_adversarial(g, noise, delta, oracle, record_queries=False)
             if t.final_target_log2 < floor:
                 below += 1

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from noisysearch import graph_search
-from noisysearch.graph import all_pairs_distances, grid_graph, median_costs, reply_set
+from noisysearch.graph import grid_graph, median_costs, reply_set
 from noisysearch.graph_search import HEAVY_SHARE, _heavy_row, lv_distributional_plan, search
 from noisysearch.grid_rows import GridRows
 from noisysearch.mathcore import Distribution, NoiseParams
@@ -28,7 +28,7 @@ P = 0.3
 SHAPES = [(1, 1), (1, 9), (9, 1), (6, 7), (32, 32)]
 
 
-def dense_update(row, q, reply, g, d, p=P):
+def dense_update(row, q, reply, g, p=P):
     """Fold a reply into a dense row in place as the engine's dense update
     does; returns the total before the divide."""
     keep, w_q = 1.0 - p, row[q]
@@ -39,13 +39,13 @@ def dense_update(row, q, reply, g, d, p=P):
         row *= keep
         row[q] = w_q * p
     else:
-        row *= np.where(reply_set(g, d, q, reply), keep, p)
+        row *= np.where(reply_set(g, q, reply), keep, p)
     total = row.sum()
     row /= total
     return total
 
 
-def check_reads(rows, dense, g, d):
+def check_reads(rows, dense, g):
     """Every read of the factored rows against the dense rows."""
     assert rows.m == len(dense)
     for i, row in enumerate(dense):
@@ -61,7 +61,7 @@ def check_reads(rows, dense, g, d):
     at_q = rows.weights_at(np.arange(rows.m), qs)
     for i, row in enumerate(dense):
         q = int(qs[i])
-        costs = median_costs(g, d, row)
+        costs = median_costs(g, row)
         least = np.sort(costs)[:2]
         if len(least) == 1 or least[1] - least[0] > 1e-9 * least[0]:
             assert q == int(np.argmin(costs))
@@ -69,7 +69,7 @@ def check_reads(rows, dense, g, d):
             assert costs[q] <= least[0] * (1.0 + 1e-9)
         assert math.isclose(at_q[i], row[q], rel_tol=1e-12)
         wrong = [q, *g.adjacency[q]]
-        expected = [row[q], *(row[reply_set(g, d, q, u)].sum() for u in g.adjacency[q])]
+        expected = [row[q], *(row[reply_set(g, q, u)].sum() for u in g.adjacency[q])]
         np.testing.assert_allclose(rows.reply_masses(i, q, wrong), expected, rtol=1e-12, atol=0.0)
     return qs
 
@@ -77,7 +77,6 @@ def check_reads(rows, dense, g, d):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_factored_rows_follow_the_dense_update(shape):
     g = grid_graph(*shape)
-    d = all_pairs_distances(g)
     rng = np.random.default_rng([shape[0], shape[1], 7])
     prior = np.full(g.n, 1.0 / g.n)
     k, steps = 5, 40 if g.n > 100 else 80
@@ -86,7 +85,7 @@ def test_factored_rows_follow_the_dense_update(shape):
     # a few vertices that keep hearing yes, so points merge
     pool = rng.choice(g.n, size=min(3, g.n), replace=False)
     for _ in range(steps):
-        medians = check_reads(rows, dense, g, d)
+        medians = check_reads(rows, dense, g)
         i = int(rng.integers(rows.m))
         col = int(np.argmax(dense[i]))
         frozen = dense[i].copy()
@@ -119,9 +118,9 @@ def test_factored_rows_follow_the_dense_update(shape):
             replies.append(reply)
         totals = rows.update(np.array(qs), replies)
         for i, (row, q, reply) in enumerate(zip(dense, qs, replies)):
-            total = dense_update(row, q, reply, g, d)
+            total = dense_update(row, q, reply, g)
             assert math.isclose(totals[i], total, rel_tol=1e-12)
-    check_reads(rows, dense, g, d)
+    check_reads(rows, dense, g)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -130,7 +129,6 @@ def test_reply_masses_at_any_vertex_equal_the_masked_sums(shape):
     # be its median: read them at the medians and at random vertices, with
     # replies at both folded in between
     g = grid_graph(*shape)
-    d = all_pairs_distances(g)
     rows = GridRows(shape, 2, P)
     rng = np.random.default_rng([shape[0], shape[1], 11])
     for _ in range(30):
@@ -139,7 +137,7 @@ def test_reply_masses_at_any_vertex_equal_the_masked_sums(shape):
             row = rows.row(i)
             for q in {int(qs[i]), *rng.integers(g.n, size=6).tolist()}:
                 replies = [q, *g.adjacency[q]]
-                expected = [row[q], *(row[reply_set(g, d, q, u)].sum() for u in replies[1:])]
+                expected = [row[q], *(row[reply_set(g, q, u)].sum() for u in replies[1:])]
                 got = rows.reply_masses(i, q, replies)
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
         vs = np.where(rng.random(rows.m) < 0.5, qs, rng.integers(g.n, size=rows.m))
@@ -150,13 +148,12 @@ def test_points_that_merge_keep_every_factor():
     # yeses at one vertex, a yes at another between them, and a no at the
     # first once it holds half the weight fold into two points
     g = grid_graph(6, 7)
-    d = all_pairs_distances(g)
     rows = GridRows((6, 7), 1, P)
     row = np.full(g.n, 1.0 / g.n)
     for q, reply in [(17, 17), (3, 3), *[(17, 17)] * 5, (17, 10)]:
         held_half = row[q] >= 0.5
         rows.update(np.array([q]), [reply])
-        dense_update(row, q, reply, g, d)
+        dense_update(row, q, reply, g)
         np.testing.assert_allclose(rows.row(0), row, rtol=1e-12, atol=0.0)
     assert held_half
     assert sorted(v for v in rows._pv[0].tolist() if v >= 0) == [3, 17]
@@ -166,10 +163,9 @@ def test_a_long_light_run_keeps_its_lines_normalised():
     # 10^5 cuts at the middle of a 6x7 grid, each toward a random side: an
     # unnormalised line would underflow within about a thousand steps
     g = grid_graph(6, 7)
-    d = all_pairs_distances(g)
     q = 2 * 7 + 3
     sides = g.adjacency[q]
-    factors = [np.where(reply_set(g, d, q, u), 1.0 - P, P) for u in sides]
+    factors = [np.where(reply_set(g, q, u), 1.0 - P, P) for u in sides]
     rows = GridRows((6, 7), 1, P)
     row = np.full(g.n, 1.0 / g.n)
     log2_total = ref_log2_total = 0.0
@@ -191,7 +187,6 @@ def test_a_point_below_one_on_the_lines_top_cell_is_read_off_the_row(monkeypatch
     # built densely. Cuts toward q's right-hand neighbour x from every side
     # then lift x above half the weight, off the points.
     g = grid_graph(6, 7)
-    d = all_pairs_distances(g)
     q, x = 17, 18
     rows = GridRows((6, 7), 1, P)
     row = np.full(g.n, 1.0 / g.n)
@@ -203,7 +198,7 @@ def test_a_point_below_one_on_the_lines_top_cell_is_read_off_the_row(monkeypatch
     read_off_the_row = 0
     for at, reply in steps:
         rows.update(np.array([at]), [reply])
-        dense_update(row, at, reply, g, d)
+        dense_update(row, at, reply, g)
         built.clear()
         flags, cols = rows.tops()
         read_off_the_row += bool(built)
@@ -219,7 +214,6 @@ def test_search_holds_a_grid_as_lines_only_under_a_uniform_prior(shape, kind, mo
     # GridRows holds no prior: a grid under a non-uniform one runs on the
     # dense store, whose arithmetic the reference loop checks exactly
     g = grid_graph(*shape)
-    d = all_pairs_distances(g)
     masses = np.full(g.n, 1.0)
     if kind == "skewed":
         masses = np.arange(1, g.n + 1, dtype=np.float64) ** 2
@@ -235,7 +229,7 @@ def test_search_holds_a_grid_as_lines_only_under_a_uniform_prior(shape, kind, mo
     rng = np.random.default_rng([shape[0], shape[1], 3])
     targets = rng.choice(g.n, size=3, p=mu.masses).tolist()
     oracles = [
-        GraphOracle(g, d, t, NoisePolicy(p=P), np.random.default_rng([shape[0], shape[1], t]))
+        GraphOracle(g, t, NoisePolicy(p=P), np.random.default_rng([shape[0], shape[1], t]))
         for t in targets
     ]
     got = search(g, NoiseParams.from_p(P), plan, oracles)

@@ -141,9 +141,12 @@ class TestRunExperiment:
         seq = run_experiment(config(trials=16))
         assert par == seq
 
-    def test_pool_matches_sequential_on_random_tree(self):
-        # reaches the median descent and the lazy rows, which path runs skip
-        cfg = dict(scenario="graph-lv-adv", n=200, gen="random-tree", trials=24)
+    @pytest.mark.parametrize("gen", ["random-tree", "cycle"])
+    def test_pool_matches_sequential_on_generated_graphs(self, gen):
+        # a random tree reads its preorder index; a cycle, no tree and no
+        # grid, descends to its medians and fills its own row cache, which
+        # each worker builds in the graph it was handed
+        cfg = dict(scenario="graph-lv-adv", n=200, gen=gen, trials=24)
         assert run_experiment(config(workers=1, **cfg)) == run_experiment(
             config(workers=2, **cfg)
         )
@@ -220,21 +223,22 @@ class TestRunExperiment:
         assert outputs[0] == outputs[1]
 
     def test_large_random_tree_touches_few_rows(self, monkeypatch):
-        held = []
+        held, calls = [], []
 
-        def capture(g):
-            held.append(graph.all_pairs_distances(g))
+        def capture(*args):
+            held.append(graph.generate_graph(*args))
             return held[-1]
 
-        monkeypatch.setattr(harness, "all_pairs_distances", capture)
+        monkeypatch.setattr(harness, "generate_graph", capture)
+        monkeypatch.setattr(graph, "_bfs_row", lambda adj, src: calls.append(src))
         n = 20_000
         stats = run_experiment(
             config(scenario="graph-lv-adv", n=n, gen="random-tree", trials=2, workers=1)
         )
         assert stats.trials == 2 and stats.flagged_trials == 0
-        (d,) = held
-        assert d.rows_computed == 0
-        assert d.cached_bytes <= graph.ROW_CACHE_BYTES
+        (g,) = held
+        assert calls == []
+        assert sum(row.nbytes for row in g._rows.values()) <= graph.ROW_CACHE_BYTES
 
     def test_trial_reorder_stability(self):
         # a fixed-target run reproduces per-trial outcomes regardless of
@@ -329,11 +333,11 @@ class TestRunExperiment:
         n = 1 << 16
         edges, shape = graph.generated_layout(gen, n)
         tree = edges == n - 1 and shape is None
-        graph.all_pairs_distances(graph.generate_graph(gen, 64, np.random.default_rng(0))).tree
+        graph.generate_graph(gen, 64, np.random.default_rng(0)).tree
         tracemalloc.start()
         try:
             g = graph.generate_graph(gen, n, np.random.default_rng(1))
-            index = graph.all_pairs_distances(g).tree
+            index = g.tree
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

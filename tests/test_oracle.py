@@ -11,7 +11,6 @@ from noisysearch import harness
 from noisysearch import oracle as oracle_module
 from noisysearch.graph import (
     Graph,
-    all_pairs_distances,
     generate_graph,
     path_graph,
     star_graph,
@@ -35,25 +34,22 @@ from noisysearch.mathcore import Distribution
 class TestGraphAnswer:
     def test_truthful_yes_at_target(self):
         g = path_graph(4)
-        d = all_pairs_distances(g)
-        ans = GraphOracle(g, d, 2, NoisePolicy(p=0.0), np.random.default_rng(0)).answer(2)
+        ans = GraphOracle(g, 2, NoisePolicy(p=0.0), np.random.default_rng(0)).answer(2)
         assert ans.kind == "yes" and not ans.is_lie
 
     def test_truthful_unique_shortest_path(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
-        ans = GraphOracle(g, d, 2, NoisePolicy(p=0.0), np.random.default_rng(0)).answer(0)
+        ans = GraphOracle(g, 2, NoisePolicy(p=0.0), np.random.default_rng(0)).answer(0)
         assert ans.kind == "neighbor" and ans.vertex == 1
 
     def test_neighbor_answers_are_neighbors(self):
         rng = np.random.default_rng(1)
         g = star_graph(6)
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.4)
         for _ in range(500):
             q = int(rng.integers(6))
             t = int(rng.integers(6))
-            ans = GraphOracle(g, d, t, policy, rng).answer(q)
+            ans = GraphOracle(g, t, policy, rng).answer(q)
             if ans.kind == "neighbor":
                 assert ans.vertex in g.adjacency[q]
 
@@ -61,9 +57,8 @@ class TestGraphAnswer:
         # query = target = star center: every lie is some leaf; the
         # uniform-wrong policy must spread lies evenly (chi-square check)
         g = star_graph(7)
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.5 - 1e-9)  # force (almost) every answer to lie
-        oracle = GraphOracle(g, d, 0, policy, np.random.default_rng(2))
+        oracle = GraphOracle(g, 0, policy, np.random.default_rng(2))
         counts = np.zeros(7)
         draws = 20000
         lies = 0
@@ -80,21 +75,19 @@ class TestGraphAnswer:
 
     def test_adversarial_lie_targets_heaviest_region(self):
         g = path_graph(5)
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.5 - 1e-9, lie_choice="adversarial-heaviest")
         rng = np.random.default_rng(3)
         st = init_uniform(5)
         # target 0, query 2: truthful reply is neighbor 1; the wrong
         # replies are yes, neighbor 3; side {3,4} outweighs {2}, so the
         # adversarial lie is neighbor 3
-        ans = GraphOracle(g, d, 0, policy, rng).answer(2, st)
+        ans = GraphOracle(g, 0, policy, rng).answer(2, st)
         assert ans.is_lie and ans.kind == "neighbor" and ans.vertex == 3
 
     def test_adversarial_lie_requires_weights(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.5 - 1e-9, lie_choice="adversarial-heaviest")
-        oracle = GraphOracle(g, d, 2, policy, np.random.default_rng(4))
+        oracle = GraphOracle(g, 2, policy, np.random.default_rng(4))
         with pytest.raises(DomainError):
             for _ in range(64):  # the lie coin comes up within a few draws
                 oracle.answer(0)
@@ -104,9 +97,8 @@ class TestGraphAnswer:
         from noisysearch.graph import cycle_graph
 
         g = cycle_graph(4)
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.0, truthful_tiebreak="random")
-        oracle = GraphOracle(g, d, 2, policy, np.random.default_rng(5))
+        oracle = GraphOracle(g, 2, policy, np.random.default_rng(5))
         seen = {oracle.answer(0).vertex for _ in range(200)}
         assert seen == {1, 3}
 
@@ -114,9 +106,8 @@ class TestGraphAnswer:
         from noisysearch.graph import cycle_graph
 
         g = cycle_graph(4)
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.0)
-        oracle = GraphOracle(g, d, 2, policy, np.random.default_rng(6))
+        oracle = GraphOracle(g, 2, policy, np.random.default_rng(6))
         seen = {oracle.answer(0).vertex for _ in range(50)}
         assert seen == {1}
 
@@ -124,11 +115,10 @@ class TestGraphAnswer:
     def test_weights_are_built_only_for_an_adversarial_lie(self, lie_choice):
         # the mass function is read once per adversarial lie, never otherwise
         g = generate_graph("random-tree", 40, np.random.default_rng(7))
-        d = all_pairs_distances(g)
         policy = NoisePolicy(p=0.3, lie_choice=lie_choice)
         coin = np.random.default_rng(8).random
         read = []
-        uniform = row_masses(g, d, np.full(g.n, 1.0 / g.n))
+        uniform = row_masses(g, np.full(g.n, 1.0 / g.n))
 
         def masses(q, replies):
             read.append(None)
@@ -136,7 +126,7 @@ class TestGraphAnswer:
 
         lies = 0
         for q in range(g.n):
-            reply, truth = oracle_module.graph_reply(q, 5, g, d, policy, coin, masses)
+            reply, truth = oracle_module.graph_reply(q, 5, g, policy, coin, masses)
             lies += reply != truth
         assert lies > 0
         assert len(read) == (lies if lie_choice == "adversarial-heaviest" else 0)
@@ -158,7 +148,7 @@ class TestAdversarialLieOnTrees:
         ctx = harness._build_context(config)
 
         def dense_masses(rows, i, q, replies):
-            return row_masses(ctx.graph, ctx.dist, rows.row(i))(q, replies)
+            return row_masses(ctx.graph, rows.row(i))(q, replies)
 
         runs = []
         for masses in (TreeRows.reply_masses, dense_masses):
@@ -272,34 +262,30 @@ class TestNoiseChannelStatistics:
 class TestHeavyFilter:
     def test_heavy_no_answer_discards_direction(self):
         g = path_graph(4)
-        d = all_pairs_distances(g)
-        cs = heavy_filter(Answer(kind="neighbor", vertex=2), 1, True, g, d)
+        cs = heavy_filter(Answer(kind="neighbor", vertex=2), 1, True, g)
         assert cs.members == {0, 2, 3}
 
     def test_non_heavy_keeps_consistent_set(self):
         g = path_graph(4)
-        d = all_pairs_distances(g)
-        cs = heavy_filter(Answer(kind="neighbor", vertex=2), 1, False, g, d)
+        cs = heavy_filter(Answer(kind="neighbor", vertex=2), 1, False, g)
         assert cs.members == {2, 3}
 
     def test_yes_always_singleton(self):
         g = path_graph(4)
-        d = all_pairs_distances(g)
         for heavy in (True, False):
-            cs = heavy_filter(Answer(kind="yes"), 2, heavy, g, d)
+            cs = heavy_filter(Answer(kind="yes"), 2, heavy, g)
             assert cs.members == {2}
 
     def test_update_recursion_after_heavy_no_answer(self):
         # q scales by p and the rest by (1-p) before renormalization:
         # the new absolute total is p*w(q) + (1-p)*w(V minus q)
         g = star_graph(5)
-        d = all_pairs_distances(g)
         noise = NoiseParams.from_p(0.3)
         masses = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
         from noisysearch.weights import init_from_distribution
 
         st = init_from_distribution(Distribution(masses))
-        cs = heavy_filter(Answer(kind="neighbor", vertex=1), 0, True, g, d)
+        cs = heavy_filter(Answer(kind="neighbor", vertex=1), 0, True, g)
         new = bayesian_update(st, cs, noise)
         expected_total = noise.p * 0.6 + (1 - noise.p) * 0.4
         assert new.log2_total == pytest.approx(math.log2(expected_total), abs=1e-12)
@@ -329,9 +315,8 @@ class TestOracleObjects:
 
     def test_graph_oracle_range_check(self):
         g = path_graph(3)
-        d = all_pairs_distances(g)
         with pytest.raises(DomainError):
-            GraphOracle(g, d, 5, NoisePolicy(p=0.1), np.random.default_rng(0))
+            GraphOracle(g, 5, NoisePolicy(p=0.1), np.random.default_rng(0))
 
 
 class TestDistributionLoader:

@@ -47,7 +47,6 @@ import pytest
 
 from noisysearch import linear_search
 from noisysearch.graph import (
-    all_pairs_distances,
     cycle_graph,
     gnm_edges,
     gnm_graph,
@@ -168,7 +167,6 @@ def trial_digest(name: str, seed: int, configs=CONFIGS) -> str:
     record = configs is RECORDED_CONFIGS
     rng = np.random.default_rng([seed, 0])
     g = build(rng)
-    d = all_pairs_distances(g)
     noise = NoiseParams.from_p(p)
     policy = NoisePolicy(p=p, **policy_fields)
     if kind == "fixed":
@@ -177,7 +175,7 @@ def trial_digest(name: str, seed: int, configs=CONFIGS) -> str:
         plan = lv_adversarial_plan(g.n, noise, delta)
     targets = rng.integers(0, g.n, size=trials).tolist()
     oracles = [
-        GraphOracle(g, d, t, policy, np.random.default_rng([seed, 1, i]))
+        GraphOracle(g, t, policy, np.random.default_rng([seed, 1, i]))
         for i, t in enumerate(targets)
     ]
     out = search(g, noise, plan, oracles, [record] * trials)

@@ -12,7 +12,7 @@ from noisysearch import graph as graph_module
 from noisysearch import harness
 from noisysearch.graph import (
     Graph,
-    all_pairs_distances,
+    generate_graph,
     load_graph,
     random_tree,
     reply_set,
@@ -51,12 +51,12 @@ def tree_family(tmp_path, rng):
     yield loaded_tree(tmp_path, rng)
 
 
-def bfs_reply_set(d, q, u):
-    return d.row(u) == d.row(q) - 1
+def bfs_reply_set(g, q, u):
+    return g.row(u) == g.row(q) - 1
 
 
-def far_from_half_split(d, rel) -> bool:
-    tree = d.tree
+def far_from_half_split(g, rel) -> bool:
+    tree = g.tree
     prefix = np.concatenate([[0.0], np.cumsum(rel[tree.order])])
     masses = prefix[tree.end] - prefix[tree.start]
     return bool(np.all(np.abs(masses - 0.5) > 1e-6))
@@ -65,20 +65,20 @@ def far_from_half_split(d, rel) -> bool:
 class TestTreeDetection:
     def test_trees_get_an_index_and_other_graphs_none(self):
         rng = np.random.default_rng(1)
-        assert all_pairs_distances(random_tree(30, rng)).tree is not None
-        assert all_pairs_distances(star_graph(9)).tree is not None
-        path = all_pairs_distances(graph_module.path_graph(9)).tree
+        assert random_tree(30, rng).tree is not None
+        assert star_graph(9).tree is not None
+        path = graph_module.path_graph(9).tree
         assert path.order.tolist() == list(range(9))  # rooted at 0: the identity
         for g in (
             graph_module.grid_graph(1, 9),  # a grid keeps its prefix sums
             graph_module.cycle_graph(9),
             graph_module.gnm_graph(12, 20, rng),
         ):
-            assert all_pairs_distances(g).tree is None
+            assert g.tree is None
 
     def test_index_is_a_preorder(self):
         g = caterpillar(4, 2)
-        tree = all_pairs_distances(g).tree
+        tree = g.tree
         assert tree.order.tolist() == [0, 1, 2, 3, 10, 11, 8, 9, 6, 7, 4, 5]
         assert tree.parent[0] == -1 and tree.end[0] == g.n
         for v in range(1, g.n):
@@ -155,15 +155,14 @@ class TestIntervalMedian:
         rng = np.random.default_rng(21)
         checked = 0
         for g in tree_family(tmp_path, rng):
-            d = all_pairs_distances(g)
             for _ in range(8):
                 w = rng.uniform(1e-6, 1.0, size=g.n) ** 3
                 st = init_from_distribution(Distribution.from_weights(w))
                 rel = st.relative
-                if not far_from_half_split(d, rel):
+                if not far_from_half_split(g, rel):
                     continue
-                expected = graph_module._descend(g, d, rel, int(np.argmax(rel)))
-                assert weighted_median(g, d, st) == expected
+                expected = graph_module._descend(g, rel, int(np.argmax(rel)))
+                assert weighted_median(g, st) == expected
                 checked += 1
         assert checked > 150
 
@@ -177,11 +176,10 @@ class TestIntervalMedian:
     )
     def test_exact_half_split_still_gives_a_median(self, edges, n):
         g = Graph.from_edges(n, edges)
-        d = all_pairs_distances(g)
         st = init_from_distribution(Distribution.uniform(n))
-        q = weighted_median(g, d, st)
+        q = weighted_median(g, st)
         for u in g.adjacency[q]:
-            assert float(st.relative[bfs_reply_set(d, q, u)].sum()) <= 0.5 + 1e-9
+            assert float(st.relative[bfs_reply_set(g, q, u)].sum()) <= 0.5 + 1e-9
 
 
 @st.composite
@@ -204,18 +202,17 @@ def tree_with_rows(draw):
 @given(case=tree_with_rows())
 def test_preorder_cores_equal_the_vertex_order_entry_points(case):
     g, rel = case
-    d = all_pairs_distances(g)
-    tree = d.tree
+    tree = g.tree
     pre = rel[:, tree.order]
     medians = tree.order[tree.medians(pre)]
-    assert medians.tolist() == weighted_medians(g, d, rel).tolist()
+    assert medians.tolist() == weighted_medians(g, rel).tolist()
     for row, q in zip(rel, medians.tolist()):
         # a median: at an exact half split either end of the middle edge
         for u in g.adjacency[q]:
-            assert float(row[bfs_reply_set(d, q, u)].sum()) <= 0.5 + 1e-9
+            assert float(row[bfs_reply_set(g, q, u)].sum()) <= 0.5 + 1e-9
     for q in range(g.n):
         for u in g.adjacency[q]:
-            assert np.array_equal(reply_set(g, d, q, u), bfs_reply_set(d, q, u))
+            assert np.array_equal(reply_set(g, q, u), bfs_reply_set(g, q, u))
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,7 +222,7 @@ def test_median_walk_equals_the_scan_of_every_subtree(case, total):
     # prefix sums, is above _MAJORITY; totals other than 1 take medians'
     # own scan
     g, rel = case
-    tree = all_pairs_distances(g).tree
+    tree = g.tree
     pre = rel[:, tree.order] * total
     prefix = np.zeros((len(pre), g.n + 1))
     np.cumsum(pre, axis=1, out=prefix[:, 1:])
@@ -238,22 +235,24 @@ class TestIntervalReplies:
     def test_reply_sets_equal_the_distance_rows(self, tmp_path):
         rng = np.random.default_rng(23)
         for g in tree_family(tmp_path, rng):
-            d = all_pairs_distances(g)
             for q in range(g.n):
                 for u in g.adjacency[q]:
-                    assert np.array_equal(reply_set(g, d, q, u), bfs_reply_set(d, q, u))
+                    assert np.array_equal(reply_set(g, q, u), bfs_reply_set(g, q, u))
 
     def test_truthful_reply_equals_the_distance_rows(self, tmp_path):
         rng = np.random.default_rng(24)
         for g in tree_family(tmp_path, rng):
-            d = all_pairs_distances(g)
             for target in range(g.n):
-                to_target = d.row(target)
+                to_target = g.row(target)
                 for q in range(g.n):
                     if q == target:
                         continue
                     expected = [u for u in g.adjacency[q] if to_target[u] == to_target[q] - 1]
-                    assert _closer_neighbors(q, target, g, d) == expected
+                    assert _closer_neighbors(q, target, g) == expected
+
+
+def no_bfs(adj, src):
+    raise AssertionError("a BFS row was computed on a tree")
 
 
 class TestNoRowsOnTrees:
@@ -262,14 +261,11 @@ class TestNoRowsOnTrees:
     def test_tree_runs_compute_no_row(self, monkeypatch, gen, scenario):
         held = []
 
-        def capture(g):
-            held.append(graph_module.all_pairs_distances(g))
+        def capture(*args):
+            held.append(generate_graph(*args))
             return held[-1]
 
-        def no_bfs(adj, src):
-            raise AssertionError("a BFS row was computed on a tree")
-
-        monkeypatch.setattr(harness, "all_pairs_distances", capture)
+        monkeypatch.setattr(harness, "generate_graph", capture)
         monkeypatch.setattr(graph_module, "_bfs_row", no_bfs)
         stats = run_experiment(
             ExperimentConfig(
@@ -279,30 +275,23 @@ class TestNoRowsOnTrees:
             )
         )
         assert stats.trials == 12
-        (d,) = held
-        assert d.rows_computed == 0 and d.cached_bytes == 0
+        (g,) = held
+        assert g.tree is not None and not g._rows
 
-    def test_loaded_long_path_builds_its_index(self, tmp_path):
+    def test_loaded_long_path_builds_its_index(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph_module, "_bfs_row", no_bfs)
         n = 100_000
         path = tmp_path / "path.txt"
         path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
         g = load_graph(path)
-        d = all_pairs_distances(g)
-        tree = d.tree
+        tree = g.tree
         assert tree is not None and tree.end[0] == n and tree.start[n - 1] == n - 1
         st = init_from_distribution(Distribution.uniform(n))
         # either end of the middle edge, as rounding in the prefix sums decides
-        assert weighted_median(g, d, st) in (n // 2 - 1, n // 2)
-        assert d.rows_computed == 0
+        assert weighted_median(g, st) in (n // 2 - 1, n // 2)
 
     def test_hundred_thousand_vertex_tree_run(self, monkeypatch):
-        held = []
-
-        def capture(g):
-            held.append(graph_module.all_pairs_distances(g))
-            return held[-1]
-
-        monkeypatch.setattr(harness, "all_pairs_distances", capture)
+        monkeypatch.setattr(graph_module, "_bfs_row", no_bfs)
         began = time.perf_counter()
         stats = run_experiment(
             ExperimentConfig(
@@ -312,5 +301,4 @@ class TestNoRowsOnTrees:
         )
         elapsed = time.perf_counter() - began
         assert stats.trials == 2 and stats.flagged_trials == 0
-        assert held[0].rows_computed == 0
         assert elapsed < 10.0
